@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .elliptic import TwoTorsionCurve, WeierstrassModel, ap_trace
+from .elliptic import TwoTorsionCurve, WeierstrassModel, _as_model, _integral_model, ap_trace
 from .exactnum import factorize, primes_up_to
 from .reduction import (
     POT_GOOD_SUPERSINGULAR,
@@ -132,11 +132,20 @@ def main2_check(
     return HypothesisVerdict("main2", inputs, kinds, True, None, conclusion)
 
 
-def global2_prime_filter(curve: Curve, deg_phi: int, bound: int) -> list[int]:
-    """Primes p <= bound coprime to 6 * N * deg_phi, N the conductor."""
+def global2_prime_filter(
+    curve: Curve,
+    deg_phi: int,
+    bound: int,
+    conductor_of: Optional[Callable[[Curve], int]] = None,
+) -> list[int]:
+    """Primes p <= bound coprime to 6 * N * deg_phi, N the conductor.
+
+    conductor_of computes N (default reduction.conductor); callers with a
+    memo pass theirs.
+    """
     if deg_phi < 1:
         raise ValueError("deg_phi must be >= 1")
-    N = conductor(curve)
+    N = (conductor_of or conductor)(curve)
     modulus = 6 * N * deg_phi
     return [p for p in primes_up_to(bound) if modulus % p != 0]
 
@@ -165,12 +174,7 @@ class SupersingularScan:
 def supersingular_scan(curve: Curve, bound: int) -> SupersingularScan:
     """All odd good primes p <= bound with a_p = 0 mod p, plus the observed
     density among the good primes tested."""
-    W = curve.model if isinstance(curve, TwoTorsionCurve) else curve
-    den = 1
-    for c in W.coeffs():
-        den = den * c.denominator // _gcd(den, c.denominator)
-    if den != 1:
-        W = W.transform(Fraction(1, den), 0, 0, 0)
+    W = _integral_model(_as_model(curve))
     bad = {
         p
         for p in factorize(int(W.disc))
@@ -192,9 +196,3 @@ def _curve_label(E: Curve) -> str:
     if isinstance(E, TwoTorsionCurve):
         return f"E({E.a},{E.b})"
     return "W[" + ",".join(str(c) for c in E.coeffs()) + "]"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

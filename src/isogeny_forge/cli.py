@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .checkers import main1_check, main2_check, supersingular_scan
+from .checkers import global2_prime_filter, main1_check, main2_check, supersingular_scan
 from .elliptic import WeierstrassModel, curve_from_pair, rational_points_mod_p
 from .errors import BudgetExceededError, DegenerateCurveError, InsufficientPrimesError
 from .exactnum import primes_up_to
@@ -417,9 +417,8 @@ def _cmd_check_global2(plan: RunPlan, sink: _Sink, cache: ConductorCache) -> int
     opts = plan.options
     E = curve_from_pair(opts["a"], opts["b"])
     t0 = time.perf_counter()
+    primes = global2_prime_filter(E.model, opts["deg_phi"], opts["bound"], cache.conductor)
     N = cache.conductor(E.model)
-    modulus = 6 * N * opts["deg_phi"]
-    primes = [p for p in primes_up_to(opts["bound"]) if modulus % p != 0]
     sink.emit(
         "check-global2",
         {"a": E.a, "b": E.b, "deg_phi": opts["deg_phi"], "bound": opts["bound"]},

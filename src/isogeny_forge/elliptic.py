@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import BadPrimeError, DegenerateCurveError, UnsupportedPrimeError
@@ -77,9 +78,6 @@ class WeierstrassModel:
     def coeffs(self) -> tuple[Fraction, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs())
-
     def transform(self, u, r, s, t) -> "WeierstrassModel":
         """Admissible change of model x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
         u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
@@ -143,6 +141,12 @@ def _as_model(curve) -> WeierstrassModel:
     raise TypeError(f"not an elliptic curve object: {curve!r}")
 
 
+def _integral_model(W: WeierstrassModel) -> WeierstrassModel:
+    """W itself when integral, else W rescaled by u = 1/lcm of denominators."""
+    den = lcm(*(c.denominator for c in W.coeffs()))
+    return W if den == 1 else W.transform(Fraction(1, den), 0, 0, 0)
+
+
 def _coeffs_mod_p(W: WeierstrassModel, p: int) -> tuple[int, int, int, int, int]:
     out = []
     for c in W.coeffs():
@@ -151,6 +155,11 @@ def _coeffs_mod_p(W: WeierstrassModel, p: int) -> tuple[int, int, int, int, int]
             raise BadPrimeError(f"model is not {p}-integral")
         out.append(c.numerator * pow(den, -1, p) % p)
     return tuple(out)
+
+
+def _b246_mod_p(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> tuple[int, int, int]:
+    """(b2, b4, b6) mod p, so that 4 * (y + (a1 x + a3)/2)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6."""
+    return (a1 * a1 + 4 * a2) % p, (2 * a4 + a1 * a3) % p, (a3 * a3 + 4 * a6) % p
 
 
 def _check_counting_prime(W: WeierstrassModel, p: int) -> None:
@@ -174,19 +183,19 @@ def ap_trace(curve, p: int) -> int:
     """
     W = _as_model(curve)
     _check_counting_prime(W, p)
-    a1, a2, a3, a4, a6 = _coeffs_mod_p(W, p)
-    b2 = (a1 * a1 + 4 * a2) % p
-    b4 = (2 * a4 + a1 * a3) % p
-    b6 = (a3 * a3 + 4 * a6) % p
-    # chi via a residue table: chi[v] = legendre(v, p)
+    b2, b4, b6 = _b246_mod_p(*_coeffs_mod_p(W, p), p)
+    ap = -_cubic_char_sum(4, b2, 2 * b4, b6, p)
+    assert ap * ap <= 4 * p, "Hasse bound violated: counting bug"
+    return ap
+
+
+def _cubic_char_sum(c3: int, c2: int, c1: int, c0: int, p: int) -> int:
+    """sum over x in F_p of the Legendre symbol of c3 x^3 + c2 x^2 + c1 x + c0."""
     chi = _chi_table(p)
     total = 0
     for x in range(p):
-        g = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
-        total += chi[g]
-    ap = -total
-    assert ap * ap <= 4 * p, "Hasse bound violated: counting bug"
-    return ap
+        total += chi[(((c3 * x + c2) * x + c1) * x + c0) % p]
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -234,10 +243,8 @@ class EllipticGroup:
 
     def _enumerate(self) -> list[Point]:
         p = self.p
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = (a1 * a1 + 4 * a2) % p
-        b4 = (2 * a4 + a1 * a3) % p
-        b6 = (a3 * a3 + 4 * a6) % p
+        a1, a3 = self.a1, self.a3
+        b2, b4, b6 = _b246_mod_p(a1, self.a2, a3, self.a4, self.a6, p)
         inv2 = pow(2, -1, p)
         pts: list[Point] = [None]
         roots = _sqrt_table(p)
@@ -316,8 +323,6 @@ class EllipticGroup:
         return o
 
     def exponent(self) -> int:
-        from math import lcm
-
         e = 1
         for P in self.points:
             e = lcm(e, self.order_of(P))
@@ -331,7 +336,7 @@ class EllipticGroup:
         n1, rem = divmod(N, e)
         assert rem == 0 and (n1 == 1 or e % n1 == 0), "not a rank <= 2 group?"
         for d in _divisors(e):
-            want = _gcd(d, n1) * _gcd(d, e)
+            want = gcd(d, n1) * gcd(d, e)
             got = sum(1 for P in self.points if self.scalar(d, P) is None)
             assert got == want, f"torsion count mismatch at d={d}"
         return [e] if n1 == 1 else [n1, e]
@@ -366,12 +371,6 @@ class EllipticGroup:
 
     def two_torsion(self) -> list[Point]:
         return [P for P in self.points if P is not None and self.add(P, P) is None]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:

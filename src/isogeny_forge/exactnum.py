@@ -9,6 +9,7 @@ solution" answer is certified by echelon reduction rather than heuristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -72,8 +73,6 @@ def _pollard_rho(n: int) -> int:
     # n odd composite, not a prime power of a tiny prime
     if n % 2 == 0:
         return 2
-    from math import gcd as _gcd
-
     c = 1
     while True:
         x = y = 2
@@ -82,7 +81,7 @@ def _pollard_rho(n: int) -> int:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _gcd(abs(x - y), n)
+            d = gcd(abs(x - y), n)
         if d != n:
             return d
         c += 1
@@ -154,9 +153,6 @@ class IntMatrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
@@ -358,19 +354,25 @@ class ColumnLattice:
 
     def add_generator(self, vec: Sequence[int] | dict[int, int]) -> int:
         """Insert one generator; returns its index for certificate purposes."""
+        v = self._dense(vec)
         idx = self.n_generators
         self.n_generators += 1
-        if isinstance(vec, dict):
-            v = [0] * self.dimension
-            for j, c in vec.items():
-                v[j] = c
-        else:
-            if len(vec) != self.dimension:
-                raise ValueError("dimension mismatch")
-            v = list(vec)
-        h = {idx: 1}
-        self._insert(v, h)
+        self._insert(v, {idx: 1})
         return idx
+
+    def _dense(self, vec: Sequence[int] | dict[int, int]) -> list[int]:
+        """A fresh dense copy of a list or {index: entry} vector."""
+        dim = self.dimension
+        if isinstance(vec, dict):
+            v = [0] * dim
+            for j, c in vec.items():
+                if not 0 <= j < dim:
+                    raise ValueError("dimension mismatch")
+                v[j] = c
+            return v
+        if len(vec) != dim:
+            raise ValueError("dimension mismatch")
+        return list(vec)
 
     def _insert(self, v: list[int], h: dict[int, int]) -> None:
         dim = self.dimension
@@ -436,14 +438,7 @@ class ColumnLattice:
         sum coeff_k * generator_k = target - remainder exactly.
         """
         dim = self.dimension
-        if isinstance(target, dict):
-            v = [0] * dim
-            for j, c in target.items():
-                v[j] = c
-        else:
-            if len(target) != dim:
-                raise ValueError("dimension mismatch")
-            v = list(target)
+        v = self._dense(target)
         coeffs: dict[int, int] = {}
         for p, j in enumerate(self.pivot_col):
             if not v[j]:
@@ -470,12 +465,7 @@ class ColumnLattice:
         """Coordinates of target over the echelon basis rows, or None when the
         target is outside the lattice."""
         dim = self.dimension
-        if isinstance(target, dict):
-            v = [0] * dim
-            for j, c in target.items():
-                v[j] = c
-        else:
-            v = list(target)
+        v = self._dense(target)
         out = [0] * len(self.basis)
         for p, j in enumerate(self.pivot_col):
             if not v[j]:

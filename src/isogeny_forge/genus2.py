@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadPrimeError, SingularCurveError
-from .exactnum import is_prime
+from .exactnum import _det_bareiss, is_prime
 from .elliptic import _chi_table
 
 Sextic = tuple[int, int, int, int, int, int, int]  # c0 .. c6
@@ -34,28 +34,6 @@ def _as_sextic(coeffs) -> Sextic:
     if cs[6] == 0:
         raise ValueError("degree must be exactly 6 (c6 = 0)")
     return cs
-
-
-def _det_bareiss_frac_free(m: list[list[int]]) -> int:
-    n = len(m)
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 def resultant(f: list[int], g: list[int]) -> int:
@@ -75,7 +53,7 @@ def resultant(f: list[int], g: list[int]) -> int:
         rows.append([0] * i + fr + [0] * (n - df - 1 - i))
     for i in range(df):
         rows.append([0] * i + gr + [0] * (n - dg - 1 - i))
-    return _det_bareiss_frac_free(rows)
+    return _det_bareiss(rows)
 
 
 def sextic_discriminant(coeffs) -> int:
@@ -247,10 +225,13 @@ class HyperellipticCurve:
     def disc(self) -> int:
         return sextic_discriminant(self.coeffs)
 
-    def is_smooth_genus2(self) -> bool:
-        return self.disc != 0
-
     def igusa_clebsch(self):
+        """(I2, I4, I6, I10) of the sextic S.
+
+        Rescaling S by lam moves the tuple inside its weighted-projective
+        class, so isomorphism comparisons through absolute_invariants are
+        unaffected by which of lam*y^2 = S and y^2 = lam*S is taken.
+        """
         return igusa_clebsch_of_sextic(self.coeffs)
 
     def absolute_igusa(self):
@@ -258,16 +239,6 @@ class HyperellipticCurve:
 
     def point_count(self, p: int) -> int:
         return hyperelliptic_point_count(self, p)
-
-
-def igusa_clebsch(C: HyperellipticCurve):
-    """(I2, I4, I6, I10) of the curve's sextic.
-
-    Rescaling the sextic by lam moves the tuple inside its weighted-projective
-    class, so isomorphism comparisons through absolute_invariants are
-    unaffected by which of lam*y^2 = S and y^2 = lam*S is taken.
-    """
-    return igusa_clebsch_of_sextic(C.coeffs)
 
 
 def hyperelliptic_point_count(C: HyperellipticCurve, p: int) -> int:

@@ -18,9 +18,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .elliptic import TwoTorsionCurve, WeierstrassModel, is_supersingular_at
+from .elliptic import (
+    TwoTorsionCurve,
+    WeierstrassModel,
+    _as_model,
+    _b246_mod_p,
+    _cubic_char_sum,
+    _integral_model,
+    is_supersingular_at,
+)
 from .errors import UnsupportedPrimeError
-from .exactnum import factorize, legendre_symbol
+from .exactnum import factorize, is_prime, legendre_symbol
 
 GOOD_ORDINARY = "GoodOrdinary"
 GOOD_SUPERSINGULAR = "GoodSupersingular"
@@ -55,14 +63,6 @@ class TateOutcome:
     model: WeierstrassModel  # p-minimal, p-integral
     transform: tuple[Fraction, Fraction, Fraction, Fraction]  # (u, r, s, t)
     restarts: int
-
-
-def _as_model(curve: Curve) -> WeierstrassModel:
-    if isinstance(curve, TwoTorsionCurve):
-        return curve.model
-    if isinstance(curve, WeierstrassModel):
-        return curve
-    raise TypeError(f"not an elliptic curve object: {curve!r}")
 
 
 def _vp(n: int, p: int) -> int:
@@ -193,9 +193,7 @@ def _singular_point(W: WeierstrassModel, p: int) -> tuple[int, int]:
                 if F == 0 and Fx == 0 and Fy == 0:
                     return x0, y0
         raise AssertionError("no singular point found mod 2")
-    b2 = (a1 * a1 + 4 * a2) % p
-    b4 = (2 * a4 + a1 * a3) % p
-    b6 = (a3 * a3 + 4 * a6) % p
+    b2, b4, b6 = _b246_mod_p(a1, a2, a3, a4, a6, p)
     g = _poly_mod([b6, 2 * b4, b2, 4], p)
     dg = _poly_mod([2 * b4, 2 * b2, 12], p)
     if not dg:
@@ -245,7 +243,7 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
     """Kodaira type, v_p(Delta_min) and conductor exponent at p, together with
     the p-minimal model reached and the transformation to it."""
     W = _as_model(curve)
-    if p < 2 or not _is_prime_cached(p):
+    if p < 2 or not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     m = _Machine(W, p)
     # make the model p-integral
@@ -324,12 +322,6 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
         assert _vp(a1, p) >= 1 and _vp(a2, p) >= 2
         m.apply(p, 0, 0, 0)
         m.restarts += 1
-
-
-def _is_prime_cached(p: int) -> bool:
-    from .exactnum import is_prime
-
-    return is_prime(p)
 
 
 def _normalize_step6(m: _Machine) -> None:
@@ -474,23 +466,12 @@ def _count_mod2(W: WeierstrassModel) -> int:
 
 def conductor(curve: Curve) -> int:
     """N = prod p^{f_p} over the bad primes of the curve."""
-    W = _as_model(curve)
-    den = 1
-    for c in W.coeffs():
-        den = den * c.denominator // _gcd(den, c.denominator)
-    if den != 1:
-        W = W.transform(Fraction(1, den), 0, 0, 0)
+    W = _integral_model(_as_model(curve))
     delta = int(W.disc)
     N = 1
     for p in factorize(delta):
         N *= p ** tate_algorithm(W, p).conductor_exponent
     return N
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def potential_type(curve: Curve, p: int) -> str:
@@ -502,7 +483,7 @@ def potential_type(curve: Curve, p: int) -> str:
     """
     if p == 2:
         raise UnsupportedPrimeError("potential type is computed for odd primes only")
-    if not _is_prime_cached(p) or p < 3:
+    if not is_prime(p) or p < 3:
         raise ValueError(f"p = {p} is not an odd prime")
     W = _as_model(curve)
     j = W.j
@@ -519,15 +500,5 @@ def potential_type(curve: Curve, p: int) -> str:
     else:
         A = 3 * jbar * (1728 - jbar) % p
         B = 2 * jbar * (1728 - jbar) ** 2 % p
-    ap = _short_model_trace(A, B, p)
+    ap = -_cubic_char_sum(1, 0, A, B, p)
     return POT_GOOD_SUPERSINGULAR if ap % p == 0 else POT_GOOD_ORDINARY
-
-
-def _short_model_trace(A: int, B: int, p: int) -> int:
-    from .elliptic import _chi_table
-
-    chi = _chi_table(p)
-    total = 0
-    for x in range(p):
-        total += chi[((x * x + A) * x + B) % p]
-    return -total

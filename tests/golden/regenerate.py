@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Rewrite tests/golden/cli.jsonl from the command list below.
+
+Run by hand from the repository root, only when a change to the CLI's
+output is intended:
+
+    python tests/golden/regenerate.py
+
+Each line of the corpus holds one command's argv, its exit code and its
+records with `timing_ms` removed.  tests/test_golden.py replays every line
+and demands the same bytes.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
+sys.path.insert(0, os.path.join(HERE, ".."))
+
+from test_golden import CORPUS, golden_line  # noqa: E402
+
+COMMANDS = [
+    ["analyze-curve", "--a", "1", "--b", "-1", "--primes", "2..30"],
+    ["analyze-curve", "--a", "3", "--b", "-5", "--primes", "2,3,5,7,13"],
+    ["analyze-curve", "--a", "1", "--b", "11", "--primes", "2,3,5,7,11,13"],
+    ["analyze-curve", "--a", "-8", "--b", "12", "--primes", "2,3,5"],
+    ["analyze-curve", "--a", "1", "--b", "1", "--primes", "10"],
+    ["scholten", "build", "--params", "1,2,3,4"],
+    ["scholten", "build", "--params", "2,-3,7,4"],
+    ["scholten", "build", "--params", "1,2,2,4"],
+    ["scholten", "family", "--params", "1,2,3,4"],
+    ["scholten", "family", "--params", "2,-3,7,4"],
+    ["scholten", "verify", "--params", "1,2,3,4", "--primes", "50"],
+    ["scholten", "verify", "--params", "1,2,3,4", "--primes", "50", "--e1", "1,3"],
+    ["scholten", "verify", "--params", "2,-3,7,4", "--primes", "5..120"],
+    ["scholten", "verify", "--params", "1,2,2,4", "--primes", "50"],
+    ["--jobs", "1", "scholten", "search", "--box", "1"],
+    ["--jobs", "1", "scholten", "search", "--box", "1", "--no-dedupe", "--limit", "6"],
+    ["--jobs", "1", "scholten", "search", "--box", "1",
+     "--predicate", "max-one-supersingular:7", "--predicate", "split-jacobian:50"],
+    ["--jobs", "1", "scholten", "search", "--box", "2", "--limit", "4",
+     "--predicate", "max-one-supersingular:7"],
+    ["--jobs", "1", "scholten", "search", "--box", "2", "--limit", "3",
+     "--predicate", "split-jacobian:40"],
+    ["check", "main1", "--curves", "1,-1;1,3", "--p", "7"],
+    ["check", "main1", "--curves", "1,-1;1,-1", "--p", "7"],
+    ["check", "main1", "--curves", "1,-1;1,3", "--p", "2"],
+    ["check", "main2", "--product", "1,-1@1", "--product", "1,3@2",
+     "--p", "5", "--unramified", "--all-good"],
+    ["check", "main2", "--product", "1,-1|1,3@5", "--p", "5"],
+    ["check", "main2", "--product", "1,-1@1", "--product", "1,-1@1", "--p", "7"],
+    ["check", "global2", "--a", "1", "--b", "-1", "--deg-phi", "2", "--bound", "20"],
+    ["check", "global2", "--a", "3", "--b", "-5", "--deg-phi", "1", "--bound", "100"],
+    ["check", "global2", "--a", "1", "--b", "11", "--deg-phi", "35", "--bound", "60"],
+    ["scan", "supersingular", "--a", "1", "--b", "-1", "--bound", "50"],
+    ["scan", "supersingular", "--a", "2", "--b", "7", "--bound", "300"],
+    ["scan", "supersingular", "--a", "3", "--b", "-5", "--bound", "100"],
+    ["kgroup", "prove-skew", "--q", "5", "--convention", "both"],
+    ["kgroup", "prove-skew", "--q", "7", "--convention", "plus", "--per-target"],
+    ["kgroup", "prove-skew", "--q", "5", "--r", "3"],
+    ["kgroup", "prove-skew", "--q", "4"],
+    ["filtration", "--group", "2,4", "--rmax", "3"],
+    ["filtration", "--group", "3", "--rmax", "2"],
+    ["filtration", "--group", "2,2,2", "--rmax", "2"],
+    ["filtration", "--elliptic-p", "5", "--rmax", "3"],
+    ["filtration", "--elliptic-p", "7", "--a", "3", "--b", "-5", "--rmax", "2"],
+    ["analyze-curve", "--a", "1"],
+    ["filtration", "--group", "2", "--elliptic-p", "5"],
+]
+
+
+def main() -> int:
+    os.environ.pop("ISOGENY_FORGE_CACHE", None)
+    with open(CORPUS, "w") as fh:
+        for argv in COMMANDS:
+            fh.write(golden_line(argv) + "\n")
+    print(f"wrote {len(COMMANDS)} commands to {CORPUS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -126,6 +126,14 @@ def test_check_global2_pinned():
     assert rec["outputs"]["primes"] == [5, 7, 11, 13, 17, 19]
 
 
+def test_check_global2_rejects_degree_below_one():
+    for deg in ("0", "-3"):
+        res = run_cli("check", "global2", "--a", "1", "--b", "-1", "--deg-phi", deg, "--bound", "20")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "deg_phi must be >= 1" in res.stderr
+
+
 def test_scan_supersingular_pinned():
     res = run_cli("scan", "supersingular", "--a", "1", "--b", "-1", "--bound", "50")
     assert res.returncode == 0

@@ -1,0 +1,23 @@
+"""Every demo script runs to completion."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = os.path.join(ROOT, "demos")
+SLOW = {"demo_parameter_search.py"}  # a box-3 grid search, several seconds
+
+
+@pytest.mark.parametrize(
+    "name", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py") and f not in SLOW)
+)
+def test_demo_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                                      env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, os.path.join(DEMOS, name)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr

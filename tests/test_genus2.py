@@ -92,6 +92,8 @@ def oracle_invariants(roots, lead):
 def test_resultant_known_value():
     # Res(x^6 - 1, 6 x^5) = 6^6 * (product of roots)^5 = -46656
     assert resultant([-1, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 6]) == -46656
+    # two nonzero constants: the empty Sylvester determinant is 1
+    assert resultant([3], [5]) == 1
 
 
 def test_discriminant_examples():
