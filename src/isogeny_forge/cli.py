@@ -20,7 +20,7 @@ from . import __version__
 from .checkers import global2_prime_filter, main1_check, main2_check, supersingular_scan
 from .elliptic import WeierstrassModel, curve_from_pair, rational_points_mod_p
 from .errors import BudgetExceededError, DegenerateCurveError, InsufficientPrimesError
-from .exactnum import primes_up_to
+from .exactnum import is_prime, primes_up_to
 from .kgroup import MINUS, PLUS, prove_skew
 from .pontryagin import FinAbGroup, aug_filtration
 from .reduction import classify_reduction, conductor, potential_type
@@ -112,8 +112,19 @@ def _parse_primes(spec: str) -> list[int]:
         lo, hi = int(lo), int(hi)
         return [p for p in primes_up_to(hi) if p >= lo]
     if "," in spec:
-        return [int(tok) for tok in spec.split(",") if tok.strip()]
+        primes = [int(tok) for tok in spec.split(",") if tok.strip()]
+        bad = [p for p in primes if not is_prime(p)]
+        if bad:
+            raise UsageError(f"--primes lists non-primes {bad}")
+        return primes
     return primes_up_to(int(spec))
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
 
 
 def _parse_pair(spec: str) -> tuple[int, int]:
@@ -182,14 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     g2.add_argument("--a", type=int, required=True)
     g2.add_argument("--b", type=int, required=True)
     g2.add_argument("--deg-phi", type=int, required=True)
-    g2.add_argument("--bound", type=int, required=True)
+    g2.add_argument("--bound", type=_non_negative_int, required=True)
 
     scan = sub.add_parser("scan", help="prime scans")
     scansub = scan.add_subparsers(dest="subcommand", required=True)
     ss = scansub.add_parser("supersingular")
     ss.add_argument("--a", type=int, required=True)
     ss.add_argument("--b", type=int, required=True)
-    ss.add_argument("--bound", type=int, required=True)
+    ss.add_argument("--bound", type=_non_negative_int, required=True)
 
     kg = sub.add_parser("kgroup", help="symbol relation proofs")
     kgsub = kg.add_subparsers(dest="subcommand", required=True)
@@ -231,6 +242,7 @@ def plan_from_args(argv: Sequence[str]) -> RunPlan:
 
 def _cmd_analyze_curve(plan: RunPlan, sink: _Sink, cache: ConductorCache) -> int:
     opts = plan.options
+    primes = _parse_primes(opts["primes"])
     E = curve_from_pair(opts["a"], opts["b"])
     t0 = time.perf_counter()
     N = cache.conductor(E.model)
@@ -240,7 +252,7 @@ def _cmd_analyze_curve(plan: RunPlan, sink: _Sink, cache: ConductorCache) -> int
         {"conductor": N},
         t0,
     )
-    for p in _parse_primes(opts["primes"]):
+    for p in primes:
         t0 = time.perf_counter()
         rep = classify_reduction(E, p)
         sink.emit(
@@ -294,6 +306,7 @@ def _cmd_scholten_family(plan: RunPlan, sink: _Sink, cache) -> int:
 def _cmd_scholten_verify(plan: RunPlan, sink: _Sink, cache) -> int:
     opts = plan.options
     quad = _parse_quad(opts["params"])
+    primes = _parse_primes(opts["primes"])
     t0 = time.perf_counter()
     C = build_scholten(*quad)
     if not C.is_smooth:
@@ -301,7 +314,7 @@ def _cmd_scholten_verify(plan: RunPlan, sink: _Sink, cache) -> int:
         return 1
     e1 = curve_from_pair(*_parse_pair(opts["e1"])) if opts.get("e1") else None
     e2 = curve_from_pair(*_parse_pair(opts["e2"])) if opts.get("e2") else None
-    cert = verify_split_jacobian(C, _parse_primes(opts["primes"]), e1=e1, e2=e2)
+    cert = verify_split_jacobian(C, primes, e1=e1, e2=e2)
     inputs = {"params": list(quad), "primes": opts["primes"]}
     if opts.get("e1"):
         inputs["e1"] = opts["e1"]

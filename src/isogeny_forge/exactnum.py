@@ -48,7 +48,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; the witness set covers well past 64 bits."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -70,9 +70,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # n odd composite, not a prime power of a tiny prime
-    if n % 2 == 0:
-        return 2
+    # n composite with no prime factor in _MR_WITNESSES
     c = 1
     while True:
         x = y = 2
@@ -93,21 +91,13 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+    for p in _MR_WITNESSES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 49
-    while d * d <= n and d < 10**6:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

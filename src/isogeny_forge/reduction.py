@@ -10,6 +10,14 @@ Normalizing translations are found by small exhaustive search at p = 2, 3 and
 by closed formulas modulo a high power of p at odd primes; every normalization
 is re-checked with assertions so a misnavigated step fails loudly instead of
 misclassifying.
+
+A repeated root rho of a cubic f = T^3 + A2 T^2 + A4 T + A6 over F_p is
+rational (Silverman, Advanced Topics, IV.9, steps 6-8).  Writing
+f = (T - rho)^2 (T - sigma) gives A2^2 - 3 A4 = (rho - sigma)^2 and
+9 A6 - A2 A4 = 2 rho (rho - sigma)^2, so for p > 3
+rho = (9 A6 - A2 A4) / (2 (A2^2 - 3 A4)), or -A2/3 when A2^2 = 3 A4; for
+p = 2, 3 it is the unique x in F_p with f(x) = f'(x) = 0.  The root is triple
+iff (A2, A4, A6) = (-3 rho, 3 rho^2, -rho^3) mod p, in every characteristic.
 """
 
 from __future__ import annotations
@@ -81,49 +89,6 @@ def _vp_frac(q: Fraction, p: int) -> int:
     return _vp(q.numerator, p) - _vp(q.denominator, p)
 
 
-# -- small F_p[T] helpers (coefficient lists, low degree first) ---------------
-
-
-def _poly_mod(f: list[int], p: int) -> list[int]:
-    g = [c % p for c in f]
-    while g and g[-1] == 0:
-        g.pop()
-    return g
-
-
-def _poly_divmod(f: list[int], g: list[int], p: int):
-    f = f[:]
-    q = [0] * max(0, len(f) - len(g) + 1)
-    inv_lead = pow(g[-1], -1, p)
-    while len(f) >= len(g) and f:
-        c = f[-1] * inv_lead % p
-        d = len(f) - len(g)
-        q[d] = c
-        for i, gc in enumerate(g):
-            f[i + d] = (f[i + d] - c * gc) % p
-        while f and f[-1] == 0:
-            f.pop()
-    return q, f
-
-
-def _poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    f, g = _poly_mod(f, p), _poly_mod(g, p)
-    while g:
-        _, r = _poly_divmod(f, g, p)
-        f, g = g, r
-    if f:
-        inv = pow(f[-1], -1, p)
-        f = [c * inv % p for c in f]
-    return f
-
-
-def _poly_eval(f: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _double_root_of_quadratic(alpha: int, beta: int, gamma: int, p: int) -> int:
     """The double root of alpha*X^2 + beta*X + gamma over F_p, given that the
     quadratic is inseparable (beta^2 = 4*alpha*gamma mod p) and alpha != 0."""
@@ -144,32 +109,19 @@ def _repeated_root_of_cubic(A2: int, A4: int, A6: int, p: int):
     ) % p
     if disc != 0:
         return "separable", None
-    P = _poly_mod([A6, A4, A2, 1], p)
-    dP = _poly_mod([A4, 2 * A2, 3], p)
-    if not dP:
-        # char 3 with P = (T - rho)^3 = T^3 - rho^3
-        assert p == 3
-        rho = (-A6) % 3  # cube roots via Frobenius
-        assert _poly_eval(P, rho, p) == 0
-        return "triple", rho
-    g = _poly_gcd(P, dP, p)
-    if len(g) == 2:
-        rho = (-g[0]) % p
-    elif len(g) == 3:
-        # in char 2 the derivative is a square, so a plain double root also
-        # lands here; the true multiplicity is measured below
-        rho = _double_root_of_quadratic(1, g[1], g[0], p)
+    if p > 3:  # closed form, see the module docstring
+        d = (A2 * A2 - 3 * A4) % p
+        if d:
+            rho = (9 * A6 - A2 * A4) * pow(2 * d, -1, p) % p
+        else:
+            rho = -A2 * pow(3, -1, p) % p
     else:
-        raise AssertionError(f"impossible gcd degree {len(g) - 1} for a singular cubic")
-    mult = 0
-    q = P
-    while True:
-        q, rem = _poly_divmod(q, [(-rho) % p, 1], p)
-        if rem:
-            break
-        mult += 1
-    assert mult in (2, 3), f"repeated root of multiplicity {mult}?"
-    return ("double", rho) if mult == 2 else ("triple", rho)
+        (rho,) = [
+            x for x in range(p)
+            if (x**3 + A2 * x * x + A4 * x + A6) % p == (3 * x * x + 2 * A2 * x + A4) % p == 0
+        ]
+    triple = (A2 + 3 * rho) % p == 0 and (A4 - 3 * rho * rho) % p == 0 and (A6 + rho**3) % p == 0
+    return ("triple" if triple else "double"), rho
 
 
 # -- the step machine ----------------------------------------------------------
@@ -194,20 +146,10 @@ def _singular_point(W: WeierstrassModel, p: int) -> tuple[int, int]:
                     return x0, y0
         raise AssertionError("no singular point found mod 2")
     b2, b4, b6 = _b246_mod_p(a1, a2, a3, a4, a6, p)
-    g = _poly_mod([b6, 2 * b4, b2, 4], p)
-    dg = _poly_mod([2 * b4, 2 * b2, 12], p)
-    if not dg:
-        # p = 3 with g = 4(x - x0)^3; 4 = 1 mod 3
-        assert p == 3
-        x0 = (-b6) % 3
-    else:
-        h = _poly_gcd(g, dg, p)
-        if len(h) == 2:
-            x0 = (-h[0]) % p
-        elif len(h) == 3:
-            x0 = _double_root_of_quadratic(1, h[1], h[0], p)
-        else:
-            raise AssertionError("singular reduction without repeated root?")
+    # x0 is the repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6, made monic
+    inv4 = pow(4, -1, p)
+    kind, x0 = _repeated_root_of_cubic(b2 * inv4, 2 * b4 * inv4, b6 * inv4, p)
+    assert kind != "separable", "singular reduction without repeated root?"
     y0 = (-(a1 * x0 + a3)) * pow(2, -1, p) % p
     return x0, y0
 
@@ -218,7 +160,6 @@ _STEP6_BUFFER = 12  # odd p: zero a1, a3 modulo p^buffer; decisions only probe v
 class _Machine:
     def __init__(self, W: WeierstrassModel, p: int):
         self.p = p
-        self.start = W
         self.cur = W
         self.u = Fraction(1)
         self.r = Fraction(0)
@@ -235,8 +176,9 @@ class _Machine:
         self.s = self.u * s + self.s
         self.u = self.u * u
 
-    def transform_tuple(self):
-        return (self.u, self.r, self.s, self.t)
+    def outcome(self, kodaira: str, n: int, f: int, split: Optional[bool] = None) -> TateOutcome:
+        transform = (self.u, self.r, self.s, self.t)
+        return TateOutcome(kodaira, n, f, split, self.cur, transform, self.restarts)
 
 
 def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
@@ -263,7 +205,7 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
         delta = int(m.cur.disc)
         n = _vp(delta, p)
         if n == 0:
-            return TateOutcome("I0", 0, 0, None, m.cur, m.transform_tuple(), m.restarts)
+            return m.outcome("I0", 0, 0)
 
         r0, t0 = _singular_point(m.cur, p)
         m.apply(1, r0, 0, t0)
@@ -278,16 +220,14 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
                 split = a2 % 2 == 0
             else:
                 split = legendre_symbol(-int(m.cur.c6) % p, p) == 1
-            return TateOutcome(
-                f"I{n}", n, 1, split, m.cur, m.transform_tuple(), m.restarts
-            )
+            return m.outcome(f"I{n}", n, 1, split)
 
         if _vp(a6, p) < 2:
-            return TateOutcome("II", n, n, None, m.cur, m.transform_tuple(), m.restarts)
+            return m.outcome("II", n, n)
         if _vp(int(m.cur.b8), p) < 3:
-            return TateOutcome("III", n, n - 1, None, m.cur, m.transform_tuple(), m.restarts)
+            return m.outcome("III", n, n - 1)
         if _vp(int(m.cur.b6), p) < 3:
-            return TateOutcome("IV", n, n - 2, None, m.cur, m.transform_tuple(), m.restarts)
+            return m.outcome("IV", n, n - 2)
 
         _normalize_step6(m)
         a1, a2, a3, a4, a6 = _ints(m.cur)
@@ -296,12 +236,10 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
             (a2 // p) % p, (a4 // p2) % p, (a6 // p3) % p, p
         )
         if kind == "separable":
-            return TateOutcome("I0*", n, n - 4, None, m.cur, m.transform_tuple(), m.restarts)
+            return m.outcome("I0*", n, n - 4)
         if kind == "double":
             mm = _istar_subloop(m, rho)
-            return TateOutcome(
-                f"I{mm}*", n, n - 4 - mm, None, m.cur, m.transform_tuple(), m.restarts
-            )
+            return m.outcome(f"I{mm}*", n, n - 4 - mm)
         # triple root
         m.apply(1, p * rho, 0, 0)
         a1, a2, a3, a4, a6 = _ints(m.cur)
@@ -309,15 +247,15 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
         A3 = (a3 // p2) % p
         A6 = (a6 // p**4) % p
         if (A3 * A3 + 4 * A6) % p != 0:
-            return TateOutcome("IV*", n, n - 6, None, m.cur, m.transform_tuple(), m.restarts)
+            return m.outcome("IV*", n, n - 6)
         y0 = _double_root_of_quadratic(1, A3, (-A6) % p, p)
         m.apply(1, 0, 0, p2 * y0)
         a1, a2, a3, a4, a6 = _ints(m.cur)
         assert _vp(a3, p) >= 3 and _vp(a6, p) >= 5
         if _vp(a4, p) < 4:
-            return TateOutcome("III*", n, n - 7, None, m.cur, m.transform_tuple(), m.restarts)
+            return m.outcome("III*", n, n - 7)
         if _vp(a6, p) < 6:
-            return TateOutcome("II*", n, n - 8, None, m.cur, m.transform_tuple(), m.restarts)
+            return m.outcome("II*", n, n - 8)
         # non-minimal: all a_i divisible by p^i after the normalizations
         assert _vp(a1, p) >= 1 and _vp(a2, p) >= 2
         m.apply(p, 0, 0, 0)
@@ -335,27 +273,21 @@ def _normalize_step6(m: _Machine) -> None:
         t = (-a3 * inv2) % pk
         m.apply(1, 0, s, t)
     else:
-        found = False
-        for s in range(p):
-            if found:
-                break
-            for t in range(p**3):
-                na1 = a1 + 2 * s
-                na2 = a2 - s * a1 - s * s
-                na3 = a3 + 2 * t
-                na4 = a4 - s * a3 - t * a1 - 2 * s * t
-                na6 = a6 - t * a3 - t * t
-                if (
-                    na1 % p == 0
-                    and na2 % p == 0
-                    and na3 % p**2 == 0
-                    and na4 % p**2 == 0
-                    and na6 % p**3 == 0
-                ):
-                    m.apply(1, 0, s, t)
-                    found = True
-                    break
+        found = next(
+            (
+                (s, t)
+                for s in range(p)
+                for t in range(p**3)
+                if (a1 + 2 * s) % p == 0
+                and (a2 - s * a1 - s * s) % p == 0
+                and (a3 + 2 * t) % p**2 == 0
+                and (a4 - s * a3 - t * a1 - 2 * s * t) % p**2 == 0
+                and (a6 - t * a3 - t * t) % p**3 == 0
+            ),
+            None,
+        )
         assert found, "step-6 normalization not found (machine bug)"
+        m.apply(1, 0, *found)
     a1, a2, a3, a4, a6 = _ints(m.cur)
     assert (
         _vp(a1, p) >= 1
@@ -433,7 +365,8 @@ def classify_reduction(curve: Curve, p: int) -> ReductionReport:
     f = out.conductor_exponent
     if f == 0:
         if p == 2:
-            actual = GOOD_SUPERSINGULAR if _count_mod2(out.model) % 2 == 1 else GOOD_ORDINARY
+            # supersingular at 2 iff j = c4^3 / Delta = 0 mod 2, and c4 = a1^4 mod 2
+            actual = GOOD_SUPERSINGULAR if int(out.model.a1) % 2 == 0 else GOOD_ORDINARY
         else:
             actual = (
                 GOOD_SUPERSINGULAR if is_supersingular_at(out.model, p) else GOOD_ORDINARY
@@ -452,16 +385,6 @@ def classify_reduction(curve: Curve, p: int) -> ReductionReport:
         potential_type=pot,
         minimal_model=out.model,
     )
-
-
-def _count_mod2(W: WeierstrassModel) -> int:
-    a1, a2, a3, a4, a6 = (int(c) % 2 for c in W.coeffs())
-    n = 1
-    for x in (0, 1):
-        for y in (0, 1):
-            if (y + a1 * x * y + a3 * y) % 2 == (x**3 + a2 * x * x + a4 * x + a6) % 2:
-                n += 1
-    return n
 
 
 def conductor(curve: Curve) -> int:

@@ -26,6 +26,15 @@ COMMANDS = [
     ["analyze-curve", "--a", "1", "--b", "11", "--primes", "2,3,5,7,11,13"],
     ["analyze-curve", "--a", "-8", "--b", "12", "--primes", "2,3,5"],
     ["analyze-curve", "--a", "1", "--b", "1", "--primes", "10"],
+    # certify band: 119869 divides ab(a-b)
+    ["analyze-curve", "--a", "-520251", "--b", "239738", "--primes", "2,3,5,119869"],
+    # additive reduction at 2, at 3 and at 5, some reached after a restart
+    ["analyze-curve", "--a", "-40", "--b", "-37", "--primes", "2..13"],
+    ["analyze-curve", "--a", "-39", "--b", "128", "--primes", "2,3,13"],
+    ["analyze-curve", "--a", "-39", "--b", "-36", "--primes", "2,3,5,13"],
+    ["analyze-curve", "--a", "-27", "--b", "-81", "--primes", "2,3"],
+    ["analyze-curve", "--a", "-40", "--b", "-25", "--primes", "2,3,5,13"],
+    ["analyze-curve", "--a", "125", "--b", "625", "--primes", "2,3,5"],
     ["scholten", "build", "--params", "1,2,3,4"],
     ["scholten", "build", "--params", "2,-3,7,4"],
     ["scholten", "build", "--params", "1,2,2,4"],
@@ -53,9 +62,11 @@ COMMANDS = [
     ["check", "global2", "--a", "1", "--b", "-1", "--deg-phi", "2", "--bound", "20"],
     ["check", "global2", "--a", "3", "--b", "-5", "--deg-phi", "1", "--bound", "100"],
     ["check", "global2", "--a", "1", "--b", "11", "--deg-phi", "35", "--bound", "60"],
+    ["check", "global2", "--a", "-520251", "--b", "239738", "--deg-phi", "2", "--bound", "200"],
     ["scan", "supersingular", "--a", "1", "--b", "-1", "--bound", "50"],
     ["scan", "supersingular", "--a", "2", "--b", "7", "--bound", "300"],
     ["scan", "supersingular", "--a", "3", "--b", "-5", "--bound", "100"],
+    ["scan", "supersingular", "--a", "-520251", "--b", "239738", "--bound", "200"],
     ["kgroup", "prove-skew", "--q", "5", "--convention", "both"],
     ["kgroup", "prove-skew", "--q", "7", "--convention", "plus", "--per-target"],
     ["kgroup", "prove-skew", "--q", "5", "--r", "3"],

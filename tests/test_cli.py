@@ -205,3 +205,26 @@ def test_output_file_and_io_error(tmp_path):
 def test_degenerate_params_exit_1():
     res = run_cli("scholten", "verify", "--params", "1,2,2,4", "--primes", "50")
     assert res.returncode == 1
+
+
+def test_negative_bound_is_a_usage_error():
+    for args in (
+        ["check", "global2", "--a", "1", "--b", "-1", "--deg-phi", "2", "--bound", "-5"],
+        ["scan", "supersingular", "--a", "1", "--b", "-1", "--bound", "-5"],
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "--bound" in res.stderr
+
+
+def test_non_prime_in_primes_list_is_a_usage_error():
+    for args in (
+        ["analyze-curve", "--a", "1", "--b", "-1", "--primes", "4,6"],
+        ["analyze-curve", "--a", "1", "--b", "-1", "--primes", "2,3,9"],
+        ["scholten", "verify", "--params", "1,2,3,4", "--primes", "4,5,7"],
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "non-primes" in res.stderr

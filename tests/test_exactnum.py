@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeny_forge.exactnum import (
     ColumnLattice,
@@ -44,6 +46,29 @@ def test_factorize():
     assert factorize(n) == {10007: 1, 10009: 1}
     with pytest.raises(ValueError):
         factorize(0)
+
+
+# small primes, and primes in [53, 2*10^5], which only Pollard rho finds
+_FACTOR_PRIMES = st.sampled_from(primes_up_to(50)) | st.sampled_from(
+    [p for p in primes_up_to(2 * 10**5) if p >= 53]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_FACTOR_PRIMES, st.integers(1, 3)), max_size=5),
+    st.sampled_from([1, -1]),
+)
+def test_factorize_rebuilds_random_products(factors, sign):
+    # primes may repeat across entries, so exponents add up
+    want: dict[int, int] = {}
+    n = sign
+    for p, e in factors:
+        want[p] = want.get(p, 0) + e
+        n *= p**e
+    got = factorize(n)
+    assert got == want
+    assert list(got) == sorted(want)
 
 
 def test_legendre_divisibility_case():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeny_forge.elliptic import TwoTorsionCurve, WeierstrassModel, curve_from_pair, is_supersingular_at
 from isogeny_forge.errors import DegenerateCurveError, UnsupportedPrimeError
@@ -15,6 +17,7 @@ from isogeny_forge.reduction import (
     POT_GOOD_SUPERSINGULAR,
     POT_MULTIPLICATIVE,
     SPLIT_MULTIPLICATIVE,
+    _repeated_root_of_cubic,
     classify_reduction,
     conductor,
     minimal_model_at,
@@ -430,3 +433,26 @@ def test_report_invariants_actual_type_coherence():
                 assert rep.kodaira_type == f"I{rep.v_delta_min}"
             else:
                 assert rep.actual_type == ADDITIVE and f >= 2
+
+
+_CUBIC_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 101])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CUBIC_PRIMES, st.integers(0, 100), st.integers(0, 100))
+def test_repeated_root_of_cubic_against_construction(p, rho, sigma):
+    rho, sigma = rho % p, sigma % p
+    # (T - rho)^2 (T - sigma) = T^3 + A2 T^2 + A4 T + A6
+    A2 = -(2 * rho + sigma) % p
+    A4 = (rho * rho + 2 * rho * sigma) % p
+    A6 = -rho * rho * sigma % p
+    kind = "triple" if sigma == rho else "double"
+    assert _repeated_root_of_cubic(A2, A4, A6, p) == (kind, rho)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CUBIC_PRIMES, st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
+def test_repeated_root_of_cubic_separable(p, A2, A4, A6):
+    disc = 18 * A2 * A4 * A6 - 4 * A2**3 * A6 + A2**2 * A4**2 - 4 * A4**3 - 27 * A6**2
+    if disc % p:
+        assert _repeated_root_of_cubic(A2, A4, A6, p) == ("separable", None)
