@@ -19,7 +19,12 @@ from typing import Callable, Optional, Sequence
 from . import __version__
 from .checkers import global2_prime_filter, main1_check, main2_check, supersingular_scan
 from .elliptic import WeierstrassModel, curve_from_pair, rational_points_mod_p
-from .errors import BudgetExceededError, DegenerateCurveError, InsufficientPrimesError
+from .errors import (
+    BudgetExceededError,
+    CertificateError,
+    DegenerateCurveError,
+    InsufficientPrimesError,
+)
 from .exactnum import is_prime, primes_up_to
 from .kgroup import MINUS, PLUS, prove_skew
 from .pontryagin import FinAbGroup, aug_filtration
@@ -106,18 +111,24 @@ class ConductorCache:
 
 
 def _parse_primes(spec: str) -> list[int]:
+    def integer(tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise UsageError(f"malformed --primes entry {tok!r}") from None
+
     spec = spec.strip()
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = integer(lo), integer(hi)
         return [p for p in primes_up_to(hi) if p >= lo]
     if "," in spec:
-        primes = [int(tok) for tok in spec.split(",") if tok.strip()]
+        primes = [integer(tok) for tok in spec.split(",") if tok.strip()]
         bad = [p for p in primes if not is_prime(p)]
         if bad:
             raise UsageError(f"--primes lists non-primes {bad}")
         return primes
-    return primes_up_to(int(spec))
+    return primes_up_to(integer(spec))
 
 
 def _non_negative_int(text: str) -> int:
@@ -545,6 +556,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (DegenerateCurveError, InsufficientPrimesError, BudgetExceededError, ValueError) as e:
         print(f"analysis error: {e}", file=sys.stderr)
+        return 1
+    except CertificateError as e:
+        print(f"certificate error: {e}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 ValueError subclasses signal contract violations by the caller; the remaining
 classes signal mathematically meaningful refusals (bad prime, degenerate
-curve, exhausted budget).
+curve, exhausted budget) or a certificate that failed its own check.
 """
 
 
@@ -28,6 +28,10 @@ class InsufficientPrimesError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """Requested enumeration exceeds the desk-scale size contract."""
+
+
+class CertificateError(RuntimeError):
+    """A computed certificate failed its own re-verification (a program bug)."""
 
 
 class InvalidConfigurationError(ValueError):

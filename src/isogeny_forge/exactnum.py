@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
+from .errors import CertificateError
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -324,9 +326,37 @@ def smith_normal_form_transforms(M: IntMatrix) -> SmithResult:
 # ---------------------------------------------------------------------------
 
 
+def _add_multiple(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """dst += q * src on sparse {key: value} maps, dropping entries that vanish."""
+    for k, c in src.items():
+        nc = dst.get(k, 0) + q * c
+        if nc:
+            dst[k] = nc
+        else:
+            dst.pop(k, None)
+
+
 class ColumnLattice:
     """Integer span of a growing set of generator vectors, kept in row-echelon
-    (Hermite) form with full bookkeeping of how each basis row was produced.
+    form with full bookkeeping of how each basis row was produced.
+
+    Each basis row is a sparse {column: entry} map holding only its nonzero
+    entries, filed under its pivot (leading) column, beside its history: the
+    {generator index: coefficient} map that rebuilds the row from the
+    generators.  A new generator is reduced at the smallest nonzero column of
+    the working vector, again and again: a pivot there that divides the entry
+    is subtracted; one that does not is replaced, through an extended-gcd
+    step, by the gcd combination of itself and the vector, which clears the
+    vector's entry.  The vector ends as a new pivot row or as zero.
+
+    The generator's own history is deferred.  Until it is needed, reduction
+    only records the (multiplier, pivot) subtractions, and the history is
+    built by replaying them at one of two points: when the vector becomes a
+    new pivot row, or just before its first extended-gcd step, which
+    combines it into the pivot's history.  Pivot histories change only at
+    extended-gcd steps, so none changes before either point and the replay
+    equals the eager update, step for step.  A generator that reduces to zero
+    before any extended-gcd step never builds a history.
 
     Membership queries reduce a target against the echelon basis; success
     yields exact coefficients over the original generators, failure is
@@ -336,90 +366,111 @@ class ColumnLattice:
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self.basis: list[list[int]] = []
-        self.history: list[dict[int, int]] = []  # basis row -> generator coeffs
-        self.pivot_col: list[int] = []
-        self._col_of_pivot: dict[int, int] = {}
         self.n_generators = 0
+        self._rows: dict[int, dict[int, int]] = {}  # pivot column -> sparse row
+        self._hist: dict[int, dict[int, int]] = {}  # pivot column -> generator coeffs
+        self._order: Optional[list[int]] = []  # sorted pivot columns, None when stale
+
+    @property
+    def basis(self) -> list[list[int]]:
+        """The echelon rows as dense vectors, in pivot order."""
+        return [self._dense(self._rows[j]) for j in self._pivots()]
+
+    @property
+    def history(self) -> list[dict[int, int]]:
+        """Generator coefficients of each basis row, in pivot order."""
+        return [self._hist[j] for j in self._pivots()]
 
     def add_generator(self, vec: Sequence[int] | dict[int, int]) -> int:
         """Insert one generator; returns its index for certificate purposes."""
-        v = self._dense(vec)
+        v = self._sparse(vec)
         idx = self.n_generators
         self.n_generators += 1
-        self._insert(v, {idx: 1})
+        self._insert(v, idx)
         return idx
 
-    def _dense(self, vec: Sequence[int] | dict[int, int]) -> list[int]:
-        """A fresh dense copy of a list or {index: entry} vector."""
+    def _sparse(self, vec: Sequence[int] | dict[int, int]) -> dict[int, int]:
+        """A fresh {column: entry} copy of a list or dict vector, zeros dropped."""
         dim = self.dimension
         if isinstance(vec, dict):
-            v = [0] * dim
-            for j, c in vec.items():
-                if not 0 <= j < dim:
-                    raise ValueError("dimension mismatch")
-                v[j] = c
-            return v
+            if not all(0 <= j < dim for j in vec):
+                raise ValueError("dimension mismatch")
+            return {j: c for j, c in vec.items() if c}
         if len(vec) != dim:
             raise ValueError("dimension mismatch")
-        return list(vec)
+        return {j: c for j, c in enumerate(vec) if c}
 
-    def _insert(self, v: list[int], h: dict[int, int]) -> None:
-        dim = self.dimension
-        j = 0
-        while j < dim:
-            if not v[j]:
-                j += 1
-                continue
-            p = self._col_of_pivot.get(j)
-            if p is None:
-                where = 0
-                while where < len(self.pivot_col) and self.pivot_col[where] < j:
-                    where += 1
-                self.basis.insert(where, v)
-                self.history.insert(where, h)
-                self.pivot_col.insert(where, j)
-                self._col_of_pivot = {c: i for i, c in enumerate(self.pivot_col)}
+    def _dense(self, v: dict[int, int]) -> list[int]:
+        out = [0] * self.dimension
+        for j, c in v.items():
+            out[j] = c
+        return out
+
+    def _pivots(self) -> list[int]:
+        if self._order is None:
+            self._order = sorted(self._rows)
+        return self._order
+
+    def _insert(self, v: dict[int, int], idx: int) -> None:
+        rows, hists = self._rows, self._hist
+        pending: list[tuple[int, int]] = []  # (q, pivot column) not yet applied to h
+        h: Optional[dict[int, int]] = None
+        while v:
+            j = min(v)
+            row = rows.get(j)
+            if row is None:
+                rows[j] = v
+                hists[j] = self._replay(idx, pending) if h is None else h
+                self._order = None
                 return
-            row = self.basis[p]
             a, b = row[j], v[j]
             if b % a == 0:
                 q = b // a
-                for jj in range(j, dim):
-                    v[jj] -= q * row[jj]
-                hq = self.history[p]
-                for k, c in hq.items():
-                    nc = h.get(k, 0) - q * c
-                    if nc:
-                        h[k] = nc
-                    else:
-                        h.pop(k, None)
-                j += 1
-            else:
-                g, x, y = xgcd(a, b)
-                ag, bg = a // g, b // g
-                hp = self.history[p]
-                new_row = [0] * dim
-                new_hist: dict[int, int] = {}
-                for jj in range(j, dim):
-                    ra, rb = row[jj], v[jj]
-                    new_row[jj] = x * ra + y * rb
-                    v[jj] = -bg * ra + ag * rb
-                keys = set(hp) | set(h)
-                for k in keys:
-                    ca, cb = hp.get(k, 0), h.get(k, 0)
-                    nv = x * ca + y * cb
-                    if nv:
-                        new_hist[k] = nv
-                    rv = -bg * ca + ag * cb
-                    if rv:
-                        h[k] = rv
-                    else:
-                        h.pop(k, None)
-                self.basis[p] = new_row
-                self.history[p] = new_hist
-                # v now has a zero at column j; keep reducing
-                j += 1
+                _add_multiple(v, row, -q)
+                if h is None:
+                    pending.append((q, j))
+                else:
+                    _add_multiple(h, hists[j], -q)
+                continue
+            if h is None:
+                h = self._replay(idx, pending)
+            g, x, y = xgcd(a, b)
+            ag, bg = a // g, b // g
+            new_row: dict[int, int] = {}
+            rest: dict[int, int] = {}
+            for k in row.keys() | v.keys():
+                ra, rb = row.get(k, 0), v.get(k, 0)
+                nv = x * ra + y * rb
+                if nv:
+                    new_row[k] = nv
+                rv = -bg * ra + ag * rb
+                if rv:
+                    rest[k] = rv
+            hp = hists[j]
+            new_hist: dict[int, int] = {}
+            # this union's iteration order fixes the key order of both
+            # histories, and so the order in which certificates list terms
+            keys = set(hp) | set(h)
+            for k in keys:
+                ca, cb = hp.get(k, 0), h.get(k, 0)
+                nv = x * ca + y * cb
+                if nv:
+                    new_hist[k] = nv
+                rv = -bg * ca + ag * cb
+                if rv:
+                    h[k] = rv
+                else:
+                    h.pop(k, None)
+            rows[j] = new_row
+            hists[j] = new_hist
+            v = rest  # zero at column j now; keep reducing
+
+    def _replay(self, idx: int, pending: list[tuple[int, int]]) -> dict[int, int]:
+        """History of generator idx after the recorded subtractions."""
+        h = {idx: 1}
+        for q, j in pending:
+            _add_multiple(h, self._hist[j], -q)
+        return h
 
     def reduce(self, target: Sequence[int] | dict[int, int]):
         """Return (remainder, coefficients): remainder == 0 iff member.
@@ -427,24 +478,18 @@ class ColumnLattice:
         Coefficients are over generator indices and satisfy
         sum coeff_k * generator_k = target - remainder exactly.
         """
-        dim = self.dimension
-        v = self._dense(target)
+        v = self._dense(self._sparse(target))
         coeffs: dict[int, int] = {}
-        for p, j in enumerate(self.pivot_col):
+        for j in self._pivots():
             if not v[j]:
                 continue
-            row = self.basis[p]
+            row = self._rows[j]
             if v[j] % row[j]:
                 continue  # leaves a nonzero entry at j: certified non-member
             q = v[j] // row[j]
-            for jj in range(j, dim):
-                v[jj] -= q * row[jj]
-            for k, c in self.history[p].items():
-                nc = coeffs.get(k, 0) + q * c
-                if nc:
-                    coeffs[k] = nc
-                else:
-                    coeffs.pop(k, None)
+            for k, c in row.items():
+                v[k] -= q * c
+            _add_multiple(coeffs, self._hist[j], q)
         return v, coeffs
 
     def contains(self, target) -> bool:
@@ -454,26 +499,25 @@ class ColumnLattice:
     def basis_coordinates(self, target) -> Optional[list[int]]:
         """Coordinates of target over the echelon basis rows, or None when the
         target is outside the lattice."""
-        dim = self.dimension
-        v = self._dense(target)
-        out = [0] * len(self.basis)
-        for p, j in enumerate(self.pivot_col):
+        v = self._dense(self._sparse(target))
+        order = self._pivots()
+        out = [0] * len(order)
+        for p, j in enumerate(order):
             if not v[j]:
                 continue
-            row = self.basis[p]
+            row = self._rows[j]
             if v[j] % row[j]:
                 return None
-            q = v[j] // row[j]
-            out[p] = q
-            for jj in range(j, dim):
-                v[jj] -= q * row[jj]
+            out[p] = q = v[j] // row[j]
+            for k, c in row.items():
+                v[k] -= q * c
         return out if not any(v) else None
 
     def basis_vectors(self) -> list[list[int]]:
-        return [row[:] for row in self.basis]
+        return self.basis
 
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
 
 def solve_integer_linear(M: IntMatrix, target: Sequence[int]) -> Optional[list[int]]:
@@ -493,6 +537,6 @@ def solve_integer_linear(M: IntMatrix, target: Sequence[int]) -> Optional[list[i
     if any(rem):
         return None
     x = [coeffs.get(j, 0) for j in range(M.ncols)]
-    check = M.mul_vector(x)
-    assert list(check) == list(target), "solver produced a non-solution"
+    if M.mul_vector(x) != list(target):
+        raise CertificateError("solver produced a non-solution")
     return x

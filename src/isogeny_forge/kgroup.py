@@ -18,7 +18,7 @@ from itertools import product as iproduct
 from typing import Iterable, Optional, Sequence
 
 from .elliptic import EllipticGroup, Point
-from .errors import BudgetExceededError, InvalidConfigurationError
+from .errors import BudgetExceededError, CertificateError, InvalidConfigurationError
 from .exactnum import ColumnLattice
 
 PLUS = "plus"
@@ -287,7 +287,8 @@ def prove_member(target: SymbolSum, lattice: RelationLattice) -> MembershipResul
         for k, v in lattice.columns[ci].vector:
             rebuilt[k] = rebuilt.get(k, 0) + mult * v
     rebuilt = {k: v for k, v in rebuilt.items() if v}
-    assert rebuilt == target.coeffs, "certificate failed re-verification"
+    if rebuilt != target.coeffs:
+        raise CertificateError("certificate failed re-verification")
     return MembershipResult(True, dict(coeffs), 0)
 
 

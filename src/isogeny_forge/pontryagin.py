@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from typing import Iterable, Optional, Sequence
 
 from .elliptic import EllipticGroup
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CertificateError
 from .exactnum import ColumnLattice, IntMatrix, smith_normal_form
 
 
@@ -288,7 +288,7 @@ def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
     I^1 is spanned by all [a] - [0]; each deeper power is the previous basis
     multiplied by the generator differences (multilinearity makes this span
     the full ideal power).  Quotients are finite; a free summand would mean a
-    matrix-assembly bug and is asserted away.
+    matrix-assembly bug and raises CertificateError.
     """
     n = len(group)
     if n > 10**4:
@@ -303,15 +303,17 @@ def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
         rows = []
         for v in inner.basis_vectors():
             coords = outer.basis_coordinates(v)
-            assert coords is not None, "I^(r+1) escaped I^r: assembly bug"
+            if coords is None:
+                raise CertificateError("I^(r+1) escaped I^r: assembly bug")
             rows.append(coords)
-        k = outer.rank()
-        assert inner.rank() == k, "free summand in a filtration quotient"
+        if inner.rank() != outer.rank():
+            raise CertificateError("free summand in a filtration quotient")
         if rows:
             facs = smith_normal_form(IntMatrix.from_rows(rows))
         else:
             facs = []
-        assert all(f != 0 for f in facs), "nonfinite quotient"
+        if 0 in facs:
+            raise CertificateError("nonfinite quotient")
         quotients.append((r, tuple(f for f in facs if f > 1)))
 
     exact = list(quotients[0][1]) == group.nontrivial_invariants()

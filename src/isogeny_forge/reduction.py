@@ -183,7 +183,10 @@ class _Machine:
 
 def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
     """Kodaira type, v_p(Delta_min) and conductor exponent at p, together with
-    the p-minimal model reached and the transformation to it."""
+    the p-minimal model reached and the transformation to it.
+
+    Denominators that are powers of p are cleared by rescaling; any other
+    denominator raises ValueError."""
     W = _as_model(curve)
     if p < 2 or not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -196,6 +199,8 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
             worst = max(worst, (-v + i - 1) // i)
     if worst:
         m.apply(Fraction(1, p**worst), 0, 0, 0)
+    if any(c.denominator != 1 for c in m.cur.coeffs()):
+        raise ValueError("model must be integral")
 
     guard = 0
     while True:

@@ -69,11 +69,15 @@ COMMANDS = [
     ["scan", "supersingular", "--a", "-520251", "--b", "239738", "--bound", "200"],
     ["kgroup", "prove-skew", "--q", "5", "--convention", "both"],
     ["kgroup", "prove-skew", "--q", "7", "--convention", "plus", "--per-target"],
+    # #E = 12: the lattice takes extended-gcd steps and replays deferred histories
+    ["kgroup", "prove-skew", "--q", "7", "--a", "4", "--b", "6", "--convention", "plus",
+     "--per-target"],
     ["kgroup", "prove-skew", "--q", "5", "--r", "3"],
     ["kgroup", "prove-skew", "--q", "4"],
     ["filtration", "--group", "2,4", "--rmax", "3"],
     ["filtration", "--group", "3", "--rmax", "2"],
     ["filtration", "--group", "2,2,2", "--rmax", "2"],
+    ["filtration", "--group", "4,8", "--rmax", "2"],
     ["filtration", "--elliptic-p", "5", "--rmax", "3"],
     ["filtration", "--elliptic-p", "7", "--a", "3", "--b", "-5", "--rmax", "2"],
     ["analyze-curve", "--a", "1"],

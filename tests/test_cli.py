@@ -228,3 +228,11 @@ def test_non_prime_in_primes_list_is_a_usage_error():
         assert res.returncode == 2
         assert res.stdout == ""
         assert "non-primes" in res.stderr
+
+
+def test_malformed_primes_spec_is_a_usage_error():
+    for spec in ("2,x", "2..y", "z"):
+        res = run_cli("analyze-curve", "--a", "1", "--b", "-1", "--primes", spec)
+        assert res.returncode == 2, spec
+        assert res.stdout == ""
+        assert "malformed --primes entry" in res.stderr

@@ -235,3 +235,155 @@ def test_column_lattice_rejects_wrong_dimension():
                 method(bad)
     assert lat.n_generators == 1
     assert lat.basis_coordinates({0: 4}) == [2]
+
+
+# -- differential test against the dense engine ----------------------------------
+
+
+class _DenseReference:
+    """The dense, eager-history echelon engine that ColumnLattice replaced,
+    kept as the reference: same arithmetic in the same order."""
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+        self.basis = []
+        self.history = []
+        self.pivot_col = []
+        self._col_of_pivot = {}
+        self.n_generators = 0
+
+    def _dense(self, vec):
+        if isinstance(vec, dict):
+            v = [0] * self.dimension
+            for j, c in vec.items():
+                v[j] = c
+            return v
+        return list(vec)
+
+    def add_generator(self, vec):
+        idx = self.n_generators
+        self.n_generators += 1
+        self._insert(self._dense(vec), {idx: 1})
+
+    def _insert(self, v, h):
+        dim = self.dimension
+        j = 0
+        while j < dim:
+            if not v[j]:
+                j += 1
+                continue
+            p = self._col_of_pivot.get(j)
+            if p is None:
+                where = 0
+                while where < len(self.pivot_col) and self.pivot_col[where] < j:
+                    where += 1
+                self.basis.insert(where, v)
+                self.history.insert(where, h)
+                self.pivot_col.insert(where, j)
+                self._col_of_pivot = {c: i for i, c in enumerate(self.pivot_col)}
+                return
+            row = self.basis[p]
+            a, b = row[j], v[j]
+            if b % a == 0:
+                q = b // a
+                for jj in range(j, dim):
+                    v[jj] -= q * row[jj]
+                hq = self.history[p]
+                for k, c in hq.items():
+                    nc = h.get(k, 0) - q * c
+                    if nc:
+                        h[k] = nc
+                    else:
+                        h.pop(k, None)
+                j += 1
+            else:
+                g, x, y = xgcd(a, b)
+                ag, bg = a // g, b // g
+                hp = self.history[p]
+                new_row = [0] * dim
+                new_hist = {}
+                for jj in range(j, dim):
+                    ra, rb = row[jj], v[jj]
+                    new_row[jj] = x * ra + y * rb
+                    v[jj] = -bg * ra + ag * rb
+                keys = set(hp) | set(h)
+                for k in keys:
+                    ca, cb = hp.get(k, 0), h.get(k, 0)
+                    nv = x * ca + y * cb
+                    if nv:
+                        new_hist[k] = nv
+                    rv = -bg * ca + ag * cb
+                    if rv:
+                        h[k] = rv
+                    else:
+                        h.pop(k, None)
+                self.basis[p] = new_row
+                self.history[p] = new_hist
+                j += 1
+
+    def reduce(self, target):
+        dim = self.dimension
+        v = self._dense(target)
+        coeffs = {}
+        for p, j in enumerate(self.pivot_col):
+            if not v[j]:
+                continue
+            row = self.basis[p]
+            if v[j] % row[j]:
+                continue
+            q = v[j] // row[j]
+            for jj in range(j, dim):
+                v[jj] -= q * row[jj]
+            for k, c in self.history[p].items():
+                nc = coeffs.get(k, 0) + q * c
+                if nc:
+                    coeffs[k] = nc
+                else:
+                    coeffs.pop(k, None)
+        return v, coeffs
+
+
+@st.composite
+def _generator_lists(draw):
+    dim = draw(st.integers(1, 8))
+    entry = st.integers(-20, 20)
+    # a sparse column support makes pivots that do not divide, and repeats,
+    # more likely than uniform dense vectors do
+    support = st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True)
+    gens = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["list", "dict", "combination"]))
+        if kind == "combination" and gens:
+            # a redundant generator: an integer combination of earlier ones
+            mults = draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+            vec = [sum(m * g[j] for m, g in zip(mults, gens)) for j in range(dim)]
+        else:
+            vec = [0] * dim
+            for j in draw(support):
+                vec[j] = draw(entry)
+        gens.append(vec)
+    as_dict = draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+    targets = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=4))
+    return dim, gens, as_dict, targets
+
+
+@settings(max_examples=400, deadline=None)
+@given(_generator_lists())
+def test_column_lattice_matches_dense_reference(case):
+    dim, gens, as_dict, targets = case
+    lat, ref = ColumnLattice(dim), _DenseReference(dim)
+    for g, d in zip(gens, as_dict):
+        vec = {j: c for j, c in enumerate(g) if c} if d else list(g)
+        lat.add_generator(vec)
+        ref.add_generator(vec)
+    assert lat.basis == ref.basis
+    # histories agree as ordered items, so certificates list the same terms
+    assert [list(h.items()) for h in lat.history] == [list(h.items()) for h in ref.history]
+    for row, hist in zip(lat.basis, lat.history):
+        assert row == [sum(c * gens[k][j] for k, c in hist.items()) for j in range(dim)]
+    combos = [[sum(gens[k][j] for k in range(0, len(gens), 2)) for j in range(dim)]]
+    for t in targets + combos:
+        rem, coeffs = lat.reduce(t)
+        want_rem, want_coeffs = ref.reduce(t)
+        assert rem == want_rem
+        assert list(coeffs.items()) == list(want_coeffs.items())

@@ -366,6 +366,16 @@ def test_conductor_rejects_singular():
         conductor(curve_from_pair(1, 1))
 
 
+def test_model_with_a_denominator_prime_to_p_is_refused():
+    W = WeierstrassModel.from_coeffs(0, 0, 0, Fraction(1, 3), 1)
+    for local in (tate_algorithm, classify_reduction, minimal_model_at):
+        with pytest.raises(ValueError, match="model must be integral"):
+            local(W, 2)
+    # a denominator that is a power of p is cleared by rescaling
+    assert tate_algorithm(W, 3).kodaira_type == "III*"
+    assert conductor(W) == conductor(WeierstrassModel.from_coeffs(0, 0, 0, 3**3, 3**6))
+
+
 TWIST_TRANSITION = {
     "I0": "I0*",
     "II": "IV*",
