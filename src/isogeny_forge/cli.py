@@ -110,46 +110,47 @@ class ConductorCache:
 # -- argument helpers -----------------------------------------------------------
 
 
-def _parse_primes(spec: str) -> list[int]:
-    def integer(tok: str) -> int:
+def _int_list(spec: str, option: str, count: Optional[int] = None) -> list[int]:
+    """The integers of a comma-separated list (blank entries skipped); a
+    malformed entry or a wrong count is a usage error."""
+    values = []
+    for tok in spec.split(","):
+        if not tok.strip():
+            continue
         try:
-            return int(tok)
+            values.append(int(tok))
         except ValueError:
-            raise UsageError(f"malformed --primes entry {tok!r}") from None
+            raise UsageError(f"malformed {option} entry {tok!r}") from None
+    if count is not None and len(values) != count:
+        raise UsageError(f"{option} expects {count} integers, got {spec!r}")
+    return values
 
+
+def _parse_primes(spec: str) -> list[int]:
     spec = spec.strip()
     if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        lo, hi = integer(lo), integer(hi)
+        lo, hi = _int_list(spec.replace("..", ",", 1), "--primes", 2)
         return [p for p in primes_up_to(hi) if p >= lo]
     if "," in spec:
-        primes = [integer(tok) for tok in spec.split(",") if tok.strip()]
+        primes = _int_list(spec, "--primes")
         bad = [p for p in primes if not is_prime(p)]
         if bad:
             raise UsageError(f"--primes lists non-primes {bad}")
         return primes
-    return primes_up_to(integer(spec))
+    return primes_up_to(_int_list(spec, "--primes", 1)[0])
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
-    return value
+def _int_at_least(lo: int) -> Callable[[str], int]:
+    """An argparse type for integers >= lo."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+        return value
 
-def _parse_pair(spec: str) -> tuple[int, int]:
-    toks = [int(t) for t in spec.split(",")]
-    if len(toks) != 2:
-        raise UsageError(f"expected a,b got {spec!r}")
-    return toks[0], toks[1]
-
-
-def _parse_quad(spec: str) -> tuple[int, int, int, int]:
-    toks = [int(t) for t in spec.split(",")]
-    if len(toks) != 4:
-        raise UsageError(f"expected a,b,c,d got {spec!r}")
-    return tuple(toks)
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,14 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     g2.add_argument("--a", type=int, required=True)
     g2.add_argument("--b", type=int, required=True)
     g2.add_argument("--deg-phi", type=int, required=True)
-    g2.add_argument("--bound", type=_non_negative_int, required=True)
+    g2.add_argument("--bound", type=_int_at_least(0), required=True)
 
     scan = sub.add_parser("scan", help="prime scans")
     scansub = scan.add_subparsers(dest="subcommand", required=True)
     ss = scansub.add_parser("supersingular")
     ss.add_argument("--a", type=int, required=True)
     ss.add_argument("--b", type=int, required=True)
-    ss.add_argument("--bound", type=_non_negative_int, required=True)
+    ss.add_argument("--bound", type=_int_at_least(0), required=True)
 
     kg = sub.add_parser("kgroup", help="symbol relation proofs")
     kgsub = kg.add_subparsers(dest="subcommand", required=True)
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--elliptic-p", type=int, help="use E(F_p)")
     fl.add_argument("--a", type=int, default=1)
     fl.add_argument("--b", type=int, default=-1)
-    fl.add_argument("--rmax", type=int, default=3)
+    fl.add_argument("--rmax", type=_int_at_least(1), default=3)
     return top
 
 
@@ -282,7 +283,7 @@ def _cmd_analyze_curve(plan: RunPlan, sink: _Sink, cache: ConductorCache) -> int
 
 
 def _cmd_scholten_build(plan: RunPlan, sink: _Sink, cache) -> int:
-    quad = _parse_quad(plan.options["params"])
+    quad = _int_list(plan.options["params"], "--params", 4)
     t0 = time.perf_counter()
     C = build_scholten(*quad)
     out = {"status": C.status}
@@ -296,7 +297,7 @@ def _cmd_scholten_build(plan: RunPlan, sink: _Sink, cache) -> int:
 
 
 def _cmd_scholten_family(plan: RunPlan, sink: _Sink, cache) -> int:
-    quad = _parse_quad(plan.options["params"])
+    quad = _int_list(plan.options["params"], "--params", 4)
     t0 = time.perf_counter()
     rep = scholten_family(*quad)
     sink.emit(
@@ -316,15 +317,15 @@ def _cmd_scholten_family(plan: RunPlan, sink: _Sink, cache) -> int:
 
 def _cmd_scholten_verify(plan: RunPlan, sink: _Sink, cache) -> int:
     opts = plan.options
-    quad = _parse_quad(opts["params"])
+    quad = _int_list(opts["params"], "--params", 4)
     primes = _parse_primes(opts["primes"])
+    e1, e2 = (_int_list(opts[k], f"--{k}", 2) if opts.get(k) else None for k in ("e1", "e2"))
     t0 = time.perf_counter()
     C = build_scholten(*quad)
     if not C.is_smooth:
         sink.emit("split-jacobian", {"params": list(quad)}, {"status": C.status}, t0)
         return 1
-    e1 = curve_from_pair(*_parse_pair(opts["e1"])) if opts.get("e1") else None
-    e2 = curve_from_pair(*_parse_pair(opts["e2"])) if opts.get("e2") else None
+    e1, e2 = (curve_from_pair(*pair) if pair else None for pair in (e1, e2))
     cert = verify_split_jacobian(C, primes, e1=e1, e2=e2)
     inputs = {"params": list(quad), "primes": opts["primes"]}
     if opts.get("e1"):
@@ -340,7 +341,7 @@ def _search_predicates(specs: Sequence[str]):
     for spec in specs:
         name, _, arg = spec.partition(":")
         if name == "split-jacobian":
-            bound = int(arg) if arg else 50
+            bound = _int_list(arg, f"--predicate {name}", 1)[0] if arg else 50
 
             def split_ok(C, bound=bound):
                 usable = good_primes_for(C, bound)
@@ -352,7 +353,7 @@ def _search_predicates(specs: Sequence[str]):
         elif name == "max-one-supersingular":
             if not arg:
                 raise UsageError("max-one-supersingular needs :P")
-            p = int(arg)
+            p = _int_list(arg, f"--predicate {name}", 1)[0]
 
             def ss_ok(C, p=p):
                 return main1_check([C.e1, C.e2], p).met
@@ -413,7 +414,8 @@ def _search_worker(task):
 
 def _cmd_check_main1(plan: RunPlan, sink: _Sink, cache) -> int:
     opts = plan.options
-    curves = [curve_from_pair(*_parse_pair(tok)) for tok in opts["curves"].split(";") if tok]
+    curves = [curve_from_pair(*_int_list(tok, "--curves", 2))
+              for tok in opts["curves"].split(";") if tok]
     t0 = time.perf_counter()
     verdict = main1_check(curves, opts["p"])
     sink.emit("check-main1", verdict.inputs, verdict.to_record(), t0)
@@ -427,8 +429,9 @@ def _cmd_check_main2(plan: RunPlan, sink: _Sink, cache) -> int:
         body, _, deg = spec.partition("@")
         if not deg:
             raise UsageError(f"product spec needs @DEG: {spec!r}")
-        factors = [curve_from_pair(*_parse_pair(tok)) for tok in body.split("|") if tok]
-        products.append((factors, int(deg)))
+        factors = [curve_from_pair(*_int_list(tok, "--product", 2))
+                   for tok in body.split("|") if tok]
+        products.append((factors, _int_list(deg, "--product degree", 1)[0]))
     t0 = time.perf_counter()
     verdict = main2_check(
         products, opts["p"], unramified=opts["unramified"], all_good=opts["all_good"]
@@ -505,7 +508,7 @@ def _cmd_kgroup_prove_skew(plan: RunPlan, sink: _Sink, cache) -> int:
 def _cmd_filtration(plan: RunPlan, sink: _Sink, cache) -> int:
     opts = plan.options
     if opts.get("group"):
-        G = FinAbGroup.from_invariant_factors([int(t) for t in opts["group"].split(",")])
+        G = FinAbGroup.from_invariant_factors(_int_list(opts["group"], "--group"))
         inputs = {"group": opts["group"], "rmax": opts["rmax"]}
     else:
         p = opts["elliptic_p"]

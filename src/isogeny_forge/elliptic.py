@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional
 
-from .errors import BadPrimeError, DegenerateCurveError, UnsupportedPrimeError
+from .errors import BadPrimeError, CertificateError, DegenerateCurveError, UnsupportedPrimeError
 from .exactnum import factorize, is_prime
 
 
@@ -185,7 +185,8 @@ def ap_trace(curve, p: int) -> int:
     _check_counting_prime(W, p)
     b2, b4, b6 = _b246_mod_p(*_coeffs_mod_p(W, p), p)
     ap = -_cubic_char_sum(4, b2, 2 * b4, b6, p)
-    assert ap * ap <= 4 * p, "Hasse bound violated: counting bug"
+    if ap * ap > 4 * p:
+        raise CertificateError("Hasse bound violated: counting bug")
     return ap
 
 
@@ -338,7 +339,8 @@ class EllipticGroup:
         for d in _divisors(e):
             want = gcd(d, n1) * gcd(d, e)
             got = sum(1 for P in self.points if self.scalar(d, P) is None)
-            assert got == want, f"torsion count mismatch at d={d}"
+            if got != want:
+                raise CertificateError(f"torsion count mismatch at d={d}")
         return [e] if n1 == 1 else [n1, e]
 
     def generators(self) -> list[Point]:

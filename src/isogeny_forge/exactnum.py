@@ -1,5 +1,6 @@
-"""Exact integer/rational arithmetic support: primes, residue symbols, and
-integer linear algebra (Smith normal form, lattice membership).
+"""Exact integer/rational arithmetic support: primes, residue symbols, sparse
+formal sums, and integer linear algebra (Smith normal form, lattice
+membership).
 
 All operations are pure and exact.  Matrices are immutable once built; the
 solvers return answers that re-verify by direct substitution, and a "no
@@ -322,11 +323,11 @@ def smith_normal_form_transforms(M: IntMatrix) -> SmithResult:
 
 
 # ---------------------------------------------------------------------------
-# Lattice membership with coefficient certificates
+# Sparse formal sums and lattice membership with coefficient certificates
 # ---------------------------------------------------------------------------
 
 
-def _add_multiple(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+def _add_multiple(dst: dict, src: dict, q: int) -> None:
     """dst += q * src on sparse {key: value} maps, dropping entries that vanish."""
     for k, c in src.items():
         nc = dst.get(k, 0) + q * c
@@ -334,6 +335,53 @@ def _add_multiple(dst: dict[int, int], src: dict[int, int], q: int) -> None:
             dst[k] = nc
         else:
             dst.pop(k, None)
+
+
+class FormalSum:
+    """Finite integer combination sum c_k [k] of keys of one space (sparse).
+
+    The space is the object the keys belong to, such as a symbol universe or
+    a finite abelian group; sums over different space objects do not mix.
+    Zero coefficients are never stored.
+    """
+
+    def __init__(self, space, coeffs: Optional[dict] = None):
+        self.space = space
+        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+
+    @staticmethod
+    def term(space, key, c: int = 1) -> "FormalSum":
+        return FormalSum(space, {key: c})
+
+    def __add__(self, other: "FormalSum") -> "FormalSum":
+        return self._plus_multiple(other, 1)
+
+    def __sub__(self, other: "FormalSum") -> "FormalSum":
+        return self._plus_multiple(other, -1)
+
+    def _plus_multiple(self, other: "FormalSum", q: int) -> "FormalSum":
+        if self.space is not other.space:
+            raise ValueError("formal sums over different spaces")
+        out = dict(self.coeffs)
+        _add_multiple(out, other.coeffs, q)
+        return FormalSum(self.space, out)
+
+    def scale(self, n: int) -> "FormalSum":
+        return FormalSum(self.space, {k: n * v for k, v in self.coeffs.items()})
+
+    def degree(self) -> int:
+        """The coefficient sum (the augmentation, in a group ring)."""
+        return sum(self.coeffs.values())
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FormalSum)
+            and self.space is other.space
+            and self.coeffs == other.coeffs
+        )
+
+    def __repr__(self) -> str:
+        return f"FormalSum({self.coeffs!r})"
 
 
 class ColumnLattice:

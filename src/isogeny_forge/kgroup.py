@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from .elliptic import EllipticGroup, Point
 from .errors import BudgetExceededError, CertificateError, InvalidConfigurationError
-from .exactnum import ColumnLattice
+from .exactnum import ColumnLattice, FormalSum, _add_multiple
 
 PLUS = "plus"
 MINUS = "minus"
@@ -73,50 +73,9 @@ class SymbolUniverse:
             and self.tail == other.tail
         )
 
-    def describe(self, idx: int) -> str:
-        pts = self.tuple_of(idx) + self.tail
-        return "{" + ", ".join("0" if p is None else str(p) for p in pts) + "}"
-
-
-class SymbolSum:
-    """Formal integer combination of universe symbols (sparse)."""
-
-    def __init__(self, universe: SymbolUniverse, coeffs: Optional[dict[int, int]] = None):
-        self.universe = universe
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
-
-    @staticmethod
-    def symbol(universe: SymbolUniverse, pts: Sequence[Point], coeff: int = 1) -> "SymbolSum":
-        return SymbolSum(universe, {universe.index_of(pts): coeff})
-
-    def __add__(self, other: "SymbolSum") -> "SymbolSum":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return SymbolSum(self.universe, out)
-
-    def __sub__(self, other: "SymbolSum") -> "SymbolSum":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return SymbolSum(self.universe, out)
-
-    def scale(self, n: int) -> "SymbolSum":
-        return SymbolSum(self.universe, {k: n * v for k, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymbolSum) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for k in sorted(self.coeffs):
-            bits.append(f"{self.coeffs[k]:+d}*{self.universe.describe(k)}")
-        return " ".join(bits)
+    def symbol(self, pts: Sequence[Point], c: int = 1) -> FormalSum:
+        """c times the symbol whose enumerated slots hold pts."""
+        return FormalSum.term(self, self.index_of(pts), c)
 
 
 @dataclass(frozen=True)
@@ -270,14 +229,14 @@ class MembershipResult:
         return len(self.coefficients or {})
 
 
-def prove_member(target: SymbolSum, lattice: RelationLattice) -> MembershipResult:
+def prove_member(target: FormalSum, lattice: RelationLattice) -> MembershipResult:
     """Certified membership of target in the relation lattice.
 
     A positive answer carries exact integer multipliers over the columns and
     is re-verified by substitution; a negative answer is certified by the
     nonzero canonical remainder of echelon reduction.
     """
-    if not target.universe.same_universe(lattice.universe):
+    if not target.space.same_universe(lattice.universe):
         raise ValueError("target and lattice live on different symbol universes")
     rem, coeffs = lattice.engine.reduce(target.coeffs)
     if any(rem):
@@ -394,9 +353,7 @@ def prove_skew(
     lengths = {}
     for a1 in G.points:
         for a2 in G.points:
-            target = SymbolSum.symbol(universe, [a1, a2]) + SymbolSum.symbol(
-                universe, [a2, a1]
-            )
+            target = universe.symbol([a1, a2]) + universe.symbol([a2, a1])
             res = prove_member(target, lattice)
             key = (_pt(a1), _pt(a2))
             if res.member:
@@ -407,7 +364,7 @@ def prove_skew(
     tt_proved = 0
     tt_failed = []
     for a in G.points:
-        target = SymbolSum.symbol(universe, [a, a], 2)
+        target = universe.symbol([a, a], 2)
         if prove_member(target, lattice).member:
             tt_proved += 1
         else:
@@ -420,7 +377,7 @@ def prove_skew(
         for a2 in G.points:
             if a2 is None or a2 == a1:
                 continue
-            res = prove_member(SymbolSum.symbol(universe, [a1, a2]), lattice)
+            res = prove_member(universe.symbol([a1, a2]), lattice)
             if not res.member:
                 control_pair = (_pt(a1), _pt(a2))
                 control_ok = True
@@ -551,7 +508,7 @@ def _chord_zero_set_matches(G: EllipticGroup, a1: Point, a2: Point, third: Point
 # -- diagonal map ------------------------------------------------------------------
 
 
-def phi_r(universe: SymbolUniverse, cycle: Sequence[tuple[Point, int]]) -> SymbolSum:
+def phi_r(universe: SymbolUniverse, cycle: Sequence[tuple[Point, int]]) -> FormalSum:
     """Linear extension of [a] -> {a, a, ..., a} onto the universe's slots.
 
     Requires a tail-free universe whose slots all carry one curve (the
@@ -562,10 +519,10 @@ def phi_r(universe: SymbolUniverse, cycle: Sequence[tuple[Point, int]]) -> Symbo
     keys = {_curve_key(g) for g in universe.slot_groups}
     if len(keys) != 1:
         raise InvalidConfigurationError("diagonal symbols need equal slot curves")
-    out = SymbolSum(universe)
+    out = FormalSum(universe)
     nslots = len(universe.slot_groups)
     for pt, mult in cycle:
-        out = out + SymbolSum.symbol(universe, [pt] * nslots, mult)
+        out = out + universe.symbol([pt] * nslots, mult)
     return out
 
 
@@ -621,8 +578,8 @@ def product_decompose(
     def col_dict(entries):
         acc: dict[tuple[ProductPoint, ...], int] = {}
         for tup, c in entries:
-            acc[tup] = acc.get(tup, 0) + c
-        return {k: v for k, v in acc.items() if v}
+            _add_multiple(acc, {tup: c}, 1)
+        return acc
 
     for slot in range(r):
         nxt: dict[tuple[ProductPoint, ...], int] = {}
@@ -634,7 +591,8 @@ def product_decompose(
             for k in range(d - 2, -1, -1):
                 suffix.append(product_add(groups, pieces[k], suffix[-1]))
             suffix.reverse()
-            assert suffix[0] == P, "coordinate expansion does not resum"
+            if suffix[0] != P:
+                raise CertificateError("coordinate expansion does not resum")
 
             def with_slot(x):
                 t = list(tup)
@@ -652,9 +610,8 @@ def product_decompose(
                 if col:
                     cert.append((coeff, col))
             for piece in pieces:
-                key = with_slot(piece)
-                nxt[key] = nxt.get(key, 0) + coeff
-        work = {k: v for k, v in nxt.items() if v}
+                _add_multiple(nxt, {with_slot(piece): coeff}, 1)
+        work = nxt
 
     # drop terms with a vanishing coordinate: {..., 0, ...} = 0 is derivable
     # from the bilinear column at (0, 0), which equals -{..., 0, ...}
@@ -662,7 +619,6 @@ def product_decompose(
     final: dict[tuple[ProductPoint, ...], int] = {}
     for tup, coeff in work.items():
         if any(pt == zero for pt in tup):
-            slot = next(i for i, pt in enumerate(tup) if pt == zero)
             col = col_dict([(tup, 1), (tup, -1), (tup, -1)])
             cert.append((-coeff, col))
             continue
@@ -671,9 +627,7 @@ def product_decompose(
     # exact re-verification: original = sum(final) + sum(mult * column)
     check: dict[tuple[ProductPoint, ...], int] = dict(final)
     for mult, col in cert:
-        for k, v in col.items():
-            check[k] = check.get(k, 0) + mult * v
-    check = {k: v for k, v in check.items() if v}
+        _add_multiple(check, col, mult)
     verified = check == {original: 1}
 
     terms: dict[tuple[int, ...], tuple[Point, ...]] = {}

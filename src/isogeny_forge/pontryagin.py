@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .elliptic import EllipticGroup
 from .errors import BudgetExceededError, CertificateError
-from .exactnum import ColumnLattice, IntMatrix, smith_normal_form
+from .exactnum import ColumnLattice, FormalSum, IntMatrix, _add_multiple, smith_normal_form
 
 
 class FinAbGroup:
@@ -79,88 +79,38 @@ class FinAbGroup:
     def nontrivial_invariants(self) -> list[int]:
         return [n for n in self.invariant_factors if n > 1]
 
-
-class GroupRingElement:
-    """Integer combination of group elements, sparse."""
-
-    def __init__(self, group: FinAbGroup, coeffs: Optional[dict] = None):
-        self.group = group
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
-
-    @staticmethod
-    def delta(group: FinAbGroup, a) -> "GroupRingElement":
-        return GroupRingElement(group, {a: 1})
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return GroupRingElement(self.group, out)
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return GroupRingElement(self.group, out)
-
-    def scale(self, n: int) -> "GroupRingElement":
-        return GroupRingElement(self.group, {k: n * v for k, v in self.coeffs.items()})
-
-    def degree(self) -> int:
-        """The augmentation (coefficient sum)."""
-        return sum(self.coeffs.values())
-
-    def vector(self) -> list[int]:
-        out = [0] * len(self.group)
-        for k, v in self.coeffs.items():
-            out[self.group.index[k]] = v
+    def vector(self, z: FormalSum) -> list[int]:
+        """Coefficients of a group-ring element, in element order."""
+        if z.space is not self:
+            raise ValueError("element of a different group ring")
+        out = [0] * len(self)
+        for k, v in z.coeffs.items():
+            out[self.index[k]] = v
         return out
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupRingElement)
-            and self.group is other.group
-            and self.coeffs == other.coeffs
-        )
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " ".join(
-            f"{v:+d}[{k}]" for k, v in sorted(self.coeffs.items(), key=lambda t: str(t[0]))
-        )
-
-    def _check(self, other: "GroupRingElement") -> None:
-        if self.group is not other.group:
-            raise ValueError("elements of different group rings")
-
-
-def pontryagin_product(z1: GroupRingElement, z2: GroupRingElement) -> GroupRingElement:
+def pontryagin_product(z1: FormalSum, z2: FormalSum) -> FormalSum:
     """Bilinear extension of [a] * [b] = [a + b] (convolution)."""
-    z1._check(z2)
-    G = z1.group
+    G = z1.space
+    if z2.space is not G:
+        raise ValueError("elements of different group rings")
     out: dict = {}
     for a, ca in z1.coeffs.items():
-        for b, cb in z2.coeffs.items():
-            s = G.add(a, b)
-            out[s] = out.get(s, 0) + ca * cb
-    return GroupRingElement(G, out)
+        # translation by a is injective, so the shifted keys do not collide
+        _add_multiple(out, {G.add(a, b): cb for b, cb in z2.coeffs.items()}, ca)
+    return FormalSum(G, out)
 
 
-def zero_based_generator(group: FinAbGroup, pts: Sequence) -> GroupRingElement:
+def zero_based_generator(group: FinAbGroup, pts: Sequence) -> FormalSum:
     """The product ([a_1] - [0]) * ... * ([a_r] - [0])."""
-    acc = GroupRingElement.delta(group, group.zero)
+    one = FormalSum.term(group, group.zero)
+    acc = one
     for a in pts:
-        acc = pontryagin_product(
-            acc,
-            GroupRingElement.delta(group, a) - GroupRingElement.delta(group, group.zero),
-        )
+        acc = pontryagin_product(acc, FormalSum.term(group, a) - one)
     return acc
 
 
-def alternating_generator(group: FinAbGroup, pts: Sequence) -> GroupRingElement:
+def alternating_generator(group: FinAbGroup, pts: Sequence) -> FormalSum:
     """The same element written as the alternating subset sum
     sum_j (-1)^(r-j) sum_{nu_1<...<nu_j} [a_nu_1 + ... + a_nu_j]."""
     from itertools import combinations
@@ -173,13 +123,11 @@ def alternating_generator(group: FinAbGroup, pts: Sequence) -> GroupRingElement:
             s = group.zero
             for i in subset:
                 s = group.add(s, pts[i])
-            out[s] = out.get(s, 0) + sign
-    return GroupRingElement(group, out)
+            _add_multiple(out, {s: sign}, 1)
+    return FormalSum(group, out)
 
 
-def gr_generators(
-    group: FinAbGroup, r: int, over: str = "all"
-) -> list[GroupRingElement]:
+def gr_generators(group: FinAbGroup, r: int, over: str = "all") -> list[FormalSum]:
     """The alternating-sum element for each r-tuple; together they span I^r.
 
     over="generators" restricts tuples to a generating set.  Those tuples
@@ -248,13 +196,13 @@ def _ideal_power_lattices(group: FinAbGroup, r_max: int) -> list[ColumnLattice]:
 
 
 def spans_same_lattice(
-    group: FinAbGroup, elems_a: Iterable[GroupRingElement], elems_b: Iterable[GroupRingElement]
+    group: FinAbGroup, elems_a: Iterable[FormalSum], elems_b: Iterable[FormalSum]
 ) -> bool:
     """Double-inclusion lattice equality inside the group ring."""
     dim = len(group)
     la, lb = ColumnLattice(dim), ColumnLattice(dim)
-    va = [e.vector() for e in elems_a]
-    vb = [e.vector() for e in elems_b]
+    va = [group.vector(e) for e in elems_a]
+    vb = [group.vector(e) for e in elems_b]
     for v in va:
         la.add_generator(v)
     for v in vb:
@@ -293,6 +241,8 @@ def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
     n = len(group)
     if n > 10**4:
         raise BudgetExceededError(f"|G| = {n} exceeds the 10^4 contract")
+    if r_max < 1:
+        raise ValueError("r_max must be >= 1")
     if r_max > 12:
         raise BudgetExceededError(f"r_max = {r_max} exceeds 12")
     lattices = _ideal_power_lattices(group, r_max)

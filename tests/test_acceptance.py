@@ -181,12 +181,12 @@ def test_criterion_7_filtration_quotients():
             for r in (1, 2):
                 via_products = ideal_power_lattice(G, r)
                 full = gr_generators(G, r, over="all")
-                assert all(via_products.contains(g.vector()) for g in full)
+                assert all(via_products.contains(G.vector(g)) for g in full)
                 from isogeny_forge.exactnum import ColumnLattice
 
                 enum = ColumnLattice(len(G))
                 for g in full:
-                    enum.add_generator(g.vector())
+                    enum.add_generator(G.vector(g))
                 assert all(enum.contains(v) for v in via_products.basis_vectors())
 
 

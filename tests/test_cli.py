@@ -236,3 +236,27 @@ def test_malformed_primes_spec_is_a_usage_error():
         assert res.returncode == 2, spec
         assert res.stdout == ""
         assert "malformed --primes entry" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["scholten", "build", "--params", "1,x,3,4"],
+    ["scholten", "verify", "--params", "1,2,3,4", "--primes", "50", "--e1", "1,x"],
+    ["check", "main1", "--curves", "1,x;1,3", "--p", "7"],
+    ["check", "main2", "--product", "1,2|3,4@x", "--p", "7"],
+    ["filtration", "--group", "2,x", "--rmax", "2"],
+    ["scholten", "search", "--box", "1", "--predicate", "split-jacobian:y"],
+    ["scholten", "search", "--box", "1", "--predicate", "max-one-supersingular:x"],
+], ids=["params", "e1", "curves", "product", "group", "split-jacobian", "max-one-supersingular"])
+def test_malformed_integer_list_is_a_usage_error(args):
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert "usage error: malformed" in res.stderr
+
+
+@pytest.mark.parametrize("rmax", ["0", "-1"])
+def test_filtration_rmax_below_one_is_a_usage_error(rmax):
+    res = run_cli("filtration", "--group", "2", "--rmax", rmax)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--rmax: expected an integer >= 1" in res.stderr

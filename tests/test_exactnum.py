@@ -1,11 +1,14 @@
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.exactnum import (
     ColumnLattice,
+    FormalSum,
     IntMatrix,
     factorize,
     is_prime,
@@ -16,6 +19,7 @@ from isogeny_forge.exactnum import (
     solve_integer_linear,
     xgcd,
 )
+from isogeny_forge.kgroup import SymbolUniverse
 
 
 def test_primes_up_to_small():
@@ -235,6 +239,40 @@ def test_column_lattice_rejects_wrong_dimension():
                 method(bad)
     assert lat.n_generators == 1
     assert lat.basis_coordinates({0: 4}) == [2]
+
+
+# -- formal sums --------------------------------------------------------------------
+
+_coeff_dicts = st.dictionaries(st.integers(0, 9), st.integers(-5, 5))
+_E5 = rational_points_mod_p(curve_from_pair(1, -1), 5)
+_U1, _U2 = SymbolUniverse([_E5, _E5]), SymbolUniverse([_E5, _E5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coeff_dicts, _coeff_dicts, st.integers(-3, 3))
+def test_formal_sum_arithmetic(a, b, n):
+    space = object()
+    x, y = FormalSum(space, a), FormalSum(space, b)
+    assert x.coeffs == {k: v for k, v in a.items() if v}
+    for z in (x + y, x - y, x.scale(n)):
+        assert 0 not in z.coeffs.values()
+    assert (x + y) - y == x
+    assert x - y == x + y.scale(-1)
+    assert (x + y).degree() == x.degree() + y.degree()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_coeff_dicts, _coeff_dicts)
+def test_formal_sums_over_two_universes_do_not_mix(a, b):
+    # equal universes, but distinct objects
+    x, y = FormalSum(_U1, a), FormalSum(_U2, b)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError):
+            op(x, y)
+    assert x != FormalSum(_U2, a)
+    P = _E5.points[1]
+    with pytest.raises(ValueError):
+        _U1.symbol([P, P]) + _U2.symbol([P, P])
 
 
 # -- differential test against the dense engine ----------------------------------

@@ -4,12 +4,12 @@ import pytest
 
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.errors import BudgetExceededError, InvalidConfigurationError
+from isogeny_forge.exactnum import FormalSum
 from isogeny_forge.kgroup import (
     MINUS,
     PLUS,
     MembershipResult,
     RelationLattice,
-    SymbolSum,
     SymbolUniverse,
     assemble_skew_lattice,
     bilinear_relations,
@@ -41,7 +41,7 @@ def test_bilinear_derives_zero_symbol():
     u = universe2()
     lat = RelationLattice(u, bilinear_relations(u, 0) + bilinear_relations(u, 1))
     b = E5.points[3]
-    target = SymbolSum.symbol(u, [None, b])
+    target = u.symbol([None, b])
     assert prove_member(target, lat).member
 
 
@@ -90,10 +90,10 @@ def test_prove_member_trivial_and_unit():
     u = universe2()
     cols = bilinear_relations(u, 0)
     lat = RelationLattice(u, cols[:1])
-    zero = SymbolSum(u)
+    zero = FormalSum(u)
     res = prove_member(zero, lat)
     assert res.member and res.coefficients == {}
-    single = SymbolSum(u, cols[0].as_dict())
+    single = FormalSum(u, cols[0].as_dict())
     res = prove_member(single, lat)
     assert res.member and res.coefficients == {0: 1}
 
@@ -103,7 +103,7 @@ def test_prove_member_universe_mismatch():
     u2 = universe2(tail=(E5.points[1],))
     lat = RelationLattice(u1, bilinear_relations(u1, 0))
     with pytest.raises(ValueError):
-        prove_member(SymbolSum(u2), lat)
+        prove_member(FormalSum(u2), lat)
 
 
 def test_prove_member_fuzz_recovery():
@@ -114,9 +114,9 @@ def test_prove_member_fuzz_recovery():
     for _ in range(25):
         picks = rng.sample(range(len(cols)), 3)
         mults = [rng.randint(-4, 4) for _ in picks]
-        target = SymbolSum(u)
+        target = FormalSum(u)
         for i, m in zip(picks, mults):
-            target = target + SymbolSum(u, cols[i].as_dict()).scale(m)
+            target = target + FormalSum(u, cols[i].as_dict()).scale(m)
         res = prove_member(target, lat)
         assert res.member  # re-verification happens inside prove_member
 
@@ -167,10 +167,10 @@ def test_phi_r_examples():
     z = phi_r(u, [(None, 1)])
     assert prove_member(z, lat).member  # {0,0} reduces to 0
     a = E5.points[2]
-    assert phi_r(u, [(a, 1)]) == SymbolSum.symbol(u, [a, a])
+    assert phi_r(u, [(a, 1)]) == u.symbol([a, a])
     b = E5.points[3]
     two_a_minus_b = phi_r(u, [(a, 2), (b, -1)])
-    assert two_a_minus_b == SymbolSum.symbol(u, [a, a], 2) - SymbolSum.symbol(u, [b, b])
+    assert two_a_minus_b == u.symbol([a, a], 2) - u.symbol([b, b])
 
 
 def test_phi_r_additive():

@@ -64,6 +64,43 @@ except CertificateError as e:
 """,
         "certificate error: solver produced a non-solution",
     ),
+    "hasse": (
+        """
+import sys
+from isogeny_forge import elliptic
+from isogeny_forge.cli import main
+elliptic._cubic_char_sum = lambda c3, c2, c1, c0, p: p
+sys.exit(main(["scan", "supersingular", "--a", "1", "--b", "-1", "--bound", "50"]))
+""",
+        "certificate error: Hasse bound violated",
+    ),
+    "structure": (
+        """
+import sys
+from isogeny_forge import elliptic
+from isogeny_forge.cli import main
+# E(F_5) of y^2 = x^3 - x is Z/2 x Z/4, so 8 is not its exponent
+elliptic.EllipticGroup.exponent = lambda self: len(self.points)
+sys.exit(main(["filtration", "--elliptic-p", "5", "--rmax", "2"]))
+""",
+        "certificate error: torsion count mismatch",
+    ),
+    "resum": (
+        """
+import sys
+from isogeny_forge import kgroup
+from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
+from isogeny_forge.errors import CertificateError
+groups = [rational_points_mod_p(curve_from_pair(1, b), 5) for b in (-1, 3)]
+kgroup.product_add = lambda groups, P, Q: P
+P = (groups[0].points[1], groups[1].points[1])
+try:
+    kgroup.product_decompose(groups, [P, P])
+except CertificateError as e:
+    sys.exit(f"certificate error: {e}")
+""",
+        "certificate error: coordinate expansion does not resum",
+    ),
 }
 
 

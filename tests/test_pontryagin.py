@@ -5,9 +5,9 @@ import pytest
 
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.errors import BudgetExceededError
+from isogeny_forge.exactnum import FormalSum
 from isogeny_forge.pontryagin import (
     FinAbGroup,
-    GroupRingElement,
     alternating_generator,
     aug_filtration,
     gr_generators,
@@ -23,7 +23,7 @@ Z2xZ4 = FinAbGroup.from_invariant_factors([2, 4])
 
 
 def delta(G, a):
-    return GroupRingElement.delta(G, a)
+    return FormalSum.term(G, a)
 
 
 def test_group_construction_validates():
@@ -39,7 +39,7 @@ def test_product_identity_and_translation():
     G = Z2xZ4
     rng = random.Random(1)
     for _ in range(20):
-        z = GroupRingElement(
+        z = FormalSum(
             G, {rng.choice(G.elements): rng.randint(-3, 3) for _ in range(3)}
         )
         assert pontryagin_product(delta(G, G.zero), z) == z
@@ -100,13 +100,13 @@ def test_iterated_product_lattice_matches_full_enumeration():
         for r in (1, 2, 3):
             via_products = ideal_power_lattice(G, r)
             full = gr_generators(G, r, over="all")
-            assert all(via_products.contains(g.vector()) for g in full)
+            assert all(via_products.contains(G.vector(g)) for g in full)
             dim = len(G)
             from isogeny_forge.exactnum import ColumnLattice
 
             enum = ColumnLattice(dim)
             for g in full:
-                enum.add_generator(g.vector())
+                enum.add_generator(G.vector(g))
             assert all(enum.contains(v) for v in via_products.basis_vectors())
 
 
@@ -169,9 +169,15 @@ def test_filtration_budget():
         aug_filtration(Z2, 13)
 
 
+@pytest.mark.parametrize("r_max", [0, -1])
+def test_filtration_needs_r_max_at_least_one(r_max):
+    with pytest.raises(ValueError, match="r_max must be >= 1"):
+        aug_filtration(Z2, r_max)
+
+
 def test_degree_is_augmentation():
     G = Z2xZ4
-    z = GroupRingElement(G, {(0, 0): 3, (1, 2): -5})
-    w = GroupRingElement(G, {(0, 1): 2})
+    z = FormalSum(G, {(0, 0): 3, (1, 2): -5})
+    w = FormalSum(G, {(0, 1): 2})
     assert z.degree() == -2
     assert pontryagin_product(z, w).degree() == z.degree() * w.degree()
