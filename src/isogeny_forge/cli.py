@@ -367,7 +367,10 @@ def _search_predicates(specs: Sequence[str]):
 def _cmd_scholten_search(plan: RunPlan, sink: _Sink, cache) -> int:
     opts = plan.options
     if opts.get("csv"):
-        grid = quadruples_from_csv(opts["csv"])
+        try:
+            grid = quadruples_from_csv(opts["csv"])
+        except ValueError as e:
+            raise UsageError(str(e)) from None
     else:
         grid = box_grid(opts["box"])
     preds = _search_predicates(opts["predicate"])

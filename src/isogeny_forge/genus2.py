@@ -1,16 +1,22 @@
 """Binary sextics and hyperelliptic genus-2 models lam*y^2 = S(x):
 discriminants, Igusa-Clebsch invariants, and point counting over F_p.
 
-The four invariants are the classical root-difference sums
+The four invariants are normalized as the classical root-difference sums
 
     I2  = c^2  * sum over the 15 pairings of (ij)^2 (kl)^2 (mn)^2
     I4  = c^4  * sum over the 10 triangle pairs of their six squared edges
     I6  = c^6  * sum over the 60 matched triangle pairs (nine squared edges)
     I10 = c^10 * prod_{i<j} (ij)^2            (with (ij) = alpha_i - alpha_j)
 
-evaluated exactly without splitting fields: each sum is symmetrized once into
-monomial symmetric functions (cached template), which are then evaluated from
-Newton power sums of the coefficients.  I10 is, by the same normalization,
+where c = lc(S) and alpha_1..alpha_6 are the roots of S.  The code needs no
+roots.  With S as the binary form f and i = (f, f)_4, Clebsch's invariants
+A = (f, f)_6, B = (i, i)_4 and C = (i, (i, i)_2)_4 are transvectants, and
+Mestre's relations
+
+    I2 = -120 A,   I4 = -720 A^2 + 6750 B,   I6 = 8640 A^3 - 108000 A B + 202500 C
+
+give the sums above (J.-F. Mestre, Construction de courbes de genre 2 a
+partir de leurs modules, 1991).  I10 is, by the same normalization,
 -Res(S, S')/lc(S).
 """
 
@@ -18,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from math import comb, factorial, perm
 
-from .errors import BadPrimeError, SingularCurveError
+from .errors import BadPrimeError, CertificateError, SingularCurveError
 from .exactnum import _det_bareiss, is_prime
 from .elliptic import _chi_table
 
@@ -67,111 +74,33 @@ def sextic_discriminant(coeffs) -> int:
     df = [i * cs[i] for i in range(1, 7)]
     r = resultant(f, df)
     q, rem = divmod(r, cs[6])
-    assert rem == 0, "Res(S, S') must be divisible by the leading coefficient"
+    if rem:
+        raise CertificateError("Res(S, S') is not divisible by the leading coefficient")
     return q
 
 
-# -- symmetric-function machinery ---------------------------------------------
+# -- transvectants -------------------------------------------------------------
 
 
-def _power_sums(coeffs: Sextic, upto: int) -> list[Fraction]:
-    """Newton power sums p_1..p_upto of the roots of S (monic normalization)."""
-    c6 = coeffs[6]
-    # e_k with sign: for monic x^6 + m5 x^5 + ... + m0, e_k = (-1)^k m_{6-k}
-    m = [Fraction(coeffs[i], c6) for i in range(7)]
-    e = [Fraction(1)] + [(-1) ** k * m[6 - k] for k in range(1, 7)]
-    p: list[Fraction] = [Fraction(6)]  # p_0 = number of roots
-    for k in range(1, upto + 1):
-        if k <= 6:
-            acc = (-1) ** (k - 1) * Fraction(k) * e[k]
-            for i in range(1, k):
-                acc += (-1) ** (i - 1) * e[i] * p[k - i]
-        else:
-            acc = Fraction(0)
-            for i in range(1, 7):
-                acc += (-1) ** (i - 1) * e[i] * p[k - i]
-        p.append(acc)
-    return p
+def _partial(f, a: int, b: int) -> list:
+    """d^(a+b) f / dx^a dy^b of the binary form sum f[i] x^i y^(m-i)."""
+    m = len(f) - 1
+    return [f[i] * perm(i, a) * perm(m - i, b) for i in range(a, m - b + 1)]
 
 
-class _MonomialEvaluator:
-    """Evaluate augmented monomial symmetric functions m~_lambda (sums over
-    distinct ordered index tuples) from power sums, with memoization."""
-
-    def __init__(self, power_sums: list[Fraction]):
-        self.p = power_sums
-        self.cache: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-
-    def value(self, lam: tuple[int, ...]) -> Fraction:
-        lam = tuple(sorted(lam, reverse=True))
-        if lam in self.cache:
-            return self.cache[lam]
-        a, mu = lam[0], lam[1:]
-        out = self.p[a] * self.value(mu)
-        for i in range(len(mu)):
-            bumped = mu[:i] + (mu[i] + a,) + mu[i + 1 :]
-            out -= self.value(bumped)
-        self.cache[lam] = out
-        return out
-
-
-def _expand_edge_template(edges: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
-    """Expand prod (alpha_i - alpha_j)^2 over the given edges into a dict
-    mapping 6-tuples of exponents to integer coefficients."""
-    poly: dict[tuple[int, ...], int] = {(0, 0, 0, 0, 0, 0): 1}
-    for (i, j) in edges:
-        terms = []
-        for (di, dj, c) in ((2, 0, 1), (1, 1, -2), (0, 2, 1)):
-            terms.append((di, dj, c))
-        new: dict[tuple[int, ...], int] = {}
-        for mono, coef in poly.items():
-            for di, dj, c in terms:
-                lst = list(mono)
-                lst[i] += di
-                lst[j] += dj
-                key = tuple(lst)
-                v = new.get(key, 0) + coef * c
-                if v:
-                    new[key] = v
-                else:
-                    new.pop(key, None)
-        poly = new
-    return poly
-
-
-_FACT = [1, 1, 2, 6, 24, 120, 720]
-
-
-def _template_to_partition_weights(
-    poly: dict[tuple[int, ...], int], aut: int
-) -> dict[tuple[int, ...], Fraction]:
-    """Collapse an exponent-pattern dict into partition -> rational weight so
-    that the symmetrized sum equals sum_lambda weight * m~_lambda."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for mono, coef in poly.items():
-        zeros = mono.count(0)
-        lam = tuple(sorted((x for x in mono if x), reverse=True))
-        # sum over S6 of the pattern hits each distinct tuple z! * (mult!) times,
-        # and m~ already counts mult! orderings of equal parts
-        w = Fraction(coef * _FACT[zeros], aut)
-        out[lam] = out.get(lam, Fraction(0)) + w
-    return {k: v for k, v in out.items() if v}
-
-
-@lru_cache(maxsize=None)
-def _invariant_templates():
-    pairing = _expand_edge_template([(0, 1), (2, 3), (4, 5)])
-    triangles = _expand_edge_template(
-        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
-    )
-    matched = _expand_edge_template(
-        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
-    )
-    return (
-        _template_to_partition_weights(pairing, 48),
-        _template_to_partition_weights(triangles, 72),
-        _template_to_partition_weights(matched, 12),
-    )
+def _transvectant(f, g, k: int) -> list[Fraction]:
+    """The k-th transvectant (f, g)_k of binary forms of degrees m and n
+    (index = power of x), scaled by (m-k)!(n-k)!/(m!n!)."""
+    m, n = len(f) - 1, len(g) - 1
+    out = [Fraction(0)] * (m + n - 2 * k + 1)
+    for j in range(k + 1):
+        w = (-1) ** j * comb(k, j)
+        dg = _partial(g, j, k - j)
+        for a, u in enumerate(_partial(f, k - j, j)):
+            for b, v in enumerate(dg):
+                out[a + b] += w * u * v
+    scale = Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
+    return [scale * c for c in out]
 
 
 def igusa_clebsch_of_sextic(coeffs) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -180,21 +109,14 @@ def igusa_clebsch_of_sextic(coeffs) -> tuple[Fraction, Fraction, Fraction, Fract
     disc = sextic_discriminant(cs)
     if disc == 0:
         raise SingularCurveError("sextic has a repeated root")
-    t2, t4, t6 = _invariant_templates()
-    ev = _MonomialEvaluator(_power_sums(cs, 18))
-    c = cs[6]
-
-    def combine(template, cpow):
-        acc = Fraction(0)
-        for lam, w in template.items():
-            acc += w * ev.value(lam)
-        return acc * c**cpow
-
-    i2 = combine(t2, 2)
-    i4 = combine(t4, 4)
-    i6 = combine(t6, 6)
-    i10 = Fraction(-disc)  # c^10 prod (ij)^2 relative to the Res/lc normalization
-    return (i2, i4, i6, i10)
+    i = _transvectant(cs, cs, 4)
+    A = _transvectant(cs, cs, 6)[0]
+    B = _transvectant(i, i, 4)[0]
+    C = _transvectant(i, _transvectant(i, i, 2), 4)[0]
+    i2 = -120 * A
+    i4 = -720 * A**2 + 6750 * B
+    i6 = 8640 * A**3 - 108000 * A * B + 202500 * C
+    return (i2, i4, i6, Fraction(-disc))
 
 
 def absolute_invariants(inv) -> tuple[Fraction, Fraction, Fraction]:
@@ -221,7 +143,7 @@ class HyperellipticCurve:
             raise ValueError("lam must be nonzero")
         _as_sextic(self.coeffs)
 
-    @property
+    @cached_property
     def disc(self) -> int:
         return sextic_discriminant(self.coeffs)
 

@@ -148,6 +148,8 @@ def gr_generators(group: FinAbGroup, r: int, over: str = "all") -> list[FormalSu
 
 def ideal_power_lattice(group: FinAbGroup, r: int) -> ColumnLattice:
     """The lattice I^r inside the group ring, r >= 1."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
     return _ideal_power_lattices(group, r)[r - 1]
 
 

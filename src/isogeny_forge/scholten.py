@@ -309,7 +309,12 @@ def quadruples_from_csv(path: str) -> list[tuple[int, int, int, int]]:
         if missing:
             raise ValueError(f"CSV missing columns: {sorted(missing)}")
         for row in reader:
-            out.append((int(row["a"]), int(row["b"]), int(row["c"]), int(row["d"])))
+            try:
+                out.append(tuple(int(row[k]) for k in "abcd"))
+            except (TypeError, ValueError):
+                cells = [row[k] for k in "abcd"]
+                raise ValueError(f"CSV line {reader.line_num}: a,b,c,d must be integers, "
+                                 f"got {cells}") from None
     return out
 
 

@@ -52,6 +52,7 @@ COMMANDS = [
      "--predicate", "max-one-supersingular:7"],
     ["--jobs", "1", "scholten", "search", "--box", "2", "--limit", "3",
      "--predicate", "split-jacobian:40"],
+    ["--jobs", "1", "scholten", "search", "--box", "3"],
     ["check", "main1", "--curves", "1,-1;1,3", "--p", "7"],
     ["check", "main1", "--curves", "1,-1;1,-1", "--p", "7"],
     ["check", "main1", "--curves", "1,-1;1,3", "--p", "2"],

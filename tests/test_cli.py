@@ -89,6 +89,19 @@ def test_search_empty_csv(tmp_path):
     assert records_of(res.stdout) == []
 
 
+@pytest.mark.parametrize("text, where", [
+    ("a,b,c,d\n1,2,3,4\n1,x,3,4\n", "CSV line 3"),
+    ("a,b,c\n1,2,3\n", "CSV missing columns: ['d']"),
+], ids=["non-integer-cell", "missing-column"])
+def test_search_bad_csv_is_a_usage_error(tmp_path, text, where):
+    f = tmp_path / "grid.csv"
+    f.write_text(text)
+    res = run_cli("--jobs", "1", "scholten", "search", "--csv", str(f))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert f"usage error: {where}" in res.stderr
+
+
 def test_search_box_with_predicate(tmp_path):
     res = run_cli(
         "--jobs", "1", "scholten", "search", "--box", "2",

@@ -8,12 +8,9 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = os.path.join(ROOT, "demos")
-SLOW = {"demo_parameter_search.py"}  # a box-3 grid search, several seconds
 
 
-@pytest.mark.parametrize(
-    "name", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py") and f not in SLOW)
-)
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),

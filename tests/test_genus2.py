@@ -4,6 +4,8 @@ from itertools import combinations, permutations
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeny_forge.errors import BadPrimeError, SingularCurveError
 from isogeny_forge.genus2 import (
@@ -142,6 +144,17 @@ def test_igusa_matches_root_oracle_randomized():
         want = oracle_invariants(roots, lead)
         assert got == want, (roots, lead)
         done += 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), min_size=6, max_size=6, unique=True),
+    st.integers(-20, 20).filter(bool),
+)
+def test_igusa_matches_root_oracle_on_split_sextics(roots, lead):
+    # split sextics are Zariski-dense, so agreement here pins the polynomial identity
+    cs = poly_from_roots(roots, lead)
+    assert igusa_clebsch_of_sextic(cs) == oracle_invariants(roots, lead)
 
 
 def test_igusa_rational_roots():

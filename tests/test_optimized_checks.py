@@ -85,6 +85,18 @@ sys.exit(main(["filtration", "--elliptic-p", "5", "--rmax", "2"]))
 """,
         "certificate error: torsion count mismatch",
     ),
+    "sextic-disc": (
+        """
+import sys
+from isogeny_forge import genus2
+from isogeny_forge.cli import main
+# the sextic of (1, 2, 3, 4) has c6 = -2; Res(S, S') + 1 is odd
+resultant = genus2.resultant
+genus2.resultant = lambda f, g: resultant(f, g) + 1
+sys.exit(main(["scholten", "build", "--params", "1,2,3,4"]))
+""",
+        "certificate error: Res(S, S') is not divisible by the leading coefficient",
+    ),
     "resum": (
         """
 import sys

@@ -175,6 +175,13 @@ def test_filtration_needs_r_max_at_least_one(r_max):
         aug_filtration(Z2, r_max)
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_ideal_power_lattice_needs_r_at_least_one(r):
+    from isogeny_forge.pontryagin import ideal_power_lattice
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        ideal_power_lattice(FinAbGroup.cyclic(4), r)
+
+
 def test_degree_is_augmentation():
     G = Z2xZ4
     z = FormalSum(G, {(0, 0): 3, (1, 2): -5})
