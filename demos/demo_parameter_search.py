@@ -2,24 +2,20 @@
 """Grid search for smooth split-Jacobian curves, deduplicated by geometric
 isomorphism class and filtered by a hypothesis predicate."""
 
-from isogeny_forge.checkers import main1_check
-from isogeny_forge.scholten import box_grid, good_primes_for, parameter_search, verify_split_jacobian
+from functools import partial
+
+from isogeny_forge.scholten import (
+    at_most_one_supersingular,
+    box_grid,
+    parameter_search,
+    split_jacobian_ok,
+)
 
 P = 7
 
-
-def at_most_one_supersingular(C):
-    return main1_check([C.e1, C.e2], P).met
-
-
-def certified_split(C):
-    usable = good_primes_for(C, 50)
-    return len(usable) >= 5 and verify_split_jacobian(C, usable).verdict
-
-
 predicates = [
-    (f"max-one-supersingular@{P}", at_most_one_supersingular),
-    ("split-jacobian@50", certified_split),
+    (f"max-one-supersingular@{P}", partial(at_most_one_supersingular, p=P)),
+    ("split-jacobian@50", partial(split_jacobian_ok, bound=50)),
 ]
 
 print(f"searching |a|,|b|,|c|,|d| <= 3 with predicates {[n for n, _ in predicates]}")

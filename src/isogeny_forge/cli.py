@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from . import __version__
@@ -30,12 +31,14 @@ from .kgroup import MINUS, PLUS, prove_skew
 from .pontryagin import FinAbGroup, aug_filtration
 from .reduction import classify_reduction, conductor, potential_type
 from .scholten import (
+    Predicate,
+    at_most_one_supersingular,
     box_grid,
     build_scholten,
-    good_primes_for,
     parameter_search,
     quadruples_from_csv,
     scholten_family,
+    split_jacobian_ok,
     torsion_orbit_report,
     verify_split_jacobian,
 )
@@ -140,17 +143,24 @@ def _parse_primes(spec: str) -> list[int]:
     return primes_up_to(_int_list(spec, "--primes", 1)[0])
 
 
-def _int_at_least(lo: int) -> Callable[[str], int]:
-    """An argparse type for integers >= lo."""
+def _int_where(test: Callable[[int], bool], wanted: str) -> Callable[[str], int]:
+    """An argparse type for integers that pass test."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type when int() fails
     return parse
+
+
+def _int_at_least(lo: int) -> Callable[[str], int]:
+    return _int_where(lambda value: value >= lo, f"an integer >= {lo}")
+
+
+_prime = _int_where(is_prime, "a prime")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--output", help="output path (default stdout)")
     top.add_argument("--cache-dir", help=f"cache directory (or ${CACHE_ENV})")
-    top.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    top.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count() or 1,
                      help="worker processes for searches")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -194,17 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
     chksub = chk.add_subparsers(dest="subcommand", required=True)
     m1 = chksub.add_parser("main1")
     m1.add_argument("--curves", required=True, help="a,b;c,d;...")
-    m1.add_argument("--p", type=int, required=True)
+    m1.add_argument("--p", type=_prime, required=True)
     m2 = chksub.add_parser("main2")
     m2.add_argument("--product", action="append", required=True,
                     help="a,b|c,d@DEG (repeatable)")
-    m2.add_argument("--p", type=int, required=True)
+    m2.add_argument("--p", type=_prime, required=True)
     m2.add_argument("--unramified", action="store_true")
     m2.add_argument("--all-good", action="store_true")
     g2 = chksub.add_parser("global2")
     g2.add_argument("--a", type=int, required=True)
     g2.add_argument("--b", type=int, required=True)
-    g2.add_argument("--deg-phi", type=int, required=True)
+    g2.add_argument("--deg-phi", type=_int_at_least(1), required=True)
     g2.add_argument("--bound", type=_int_at_least(0), required=True)
 
     scan = sub.add_parser("scan", help="prime scans")
@@ -217,17 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
     kg = sub.add_parser("kgroup", help="symbol relation proofs")
     kgsub = kg.add_subparsers(dest="subcommand", required=True)
     ps = kgsub.add_parser("prove-skew")
-    ps.add_argument("--q", type=int, required=True)
+    ps.add_argument("--q", type=_prime, required=True)
     ps.add_argument("--a", type=int, default=1)
     ps.add_argument("--b", type=int, default=-1)
-    ps.add_argument("--r", type=int, default=2)
+    ps.add_argument("--r", type=_int_at_least(2), default=2)
     ps.add_argument("--convention", choices=[MINUS, PLUS, "both"], default=MINUS)
     ps.add_argument("--per-target", action="store_true")
 
     fl = sub.add_parser("filtration", help="augmentation filtration quotients")
     grp = fl.add_mutually_exclusive_group(required=True)
     grp.add_argument("--group", help="invariant factors, e.g. 2,4")
-    grp.add_argument("--elliptic-p", type=int, help="use E(F_p)")
+    grp.add_argument("--elliptic-p", type=_prime, help="use E(F_p)")
     fl.add_argument("--a", type=int, default=1)
     fl.add_argument("--b", type=int, default=-1)
     fl.add_argument("--rmax", type=_int_at_least(1), default=3)
@@ -244,8 +254,6 @@ def plan_from_args(argv: Sequence[str]) -> RunPlan:
     output = options.pop("output")
     cache_dir = options.pop("cache_dir") or os.environ.get(CACHE_ENV)
     jobs = options.pop("jobs")
-    if jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     return RunPlan(command, options, output, cache_dir, jobs)
 
 
@@ -336,31 +344,20 @@ def _cmd_scholten_verify(plan: RunPlan, sink: _Sink, cache) -> int:
     return 0 if cert.verdict else 1
 
 
-def _search_predicates(specs: Sequence[str]):
+def _search_predicates(specs: Sequence[str]) -> list[Predicate]:
     preds = []
     for spec in specs:
         name, _, arg = spec.partition(":")
         if name == "split-jacobian":
             bound = _int_list(arg, f"--predicate {name}", 1)[0] if arg else 50
-
-            def split_ok(C, bound=bound):
-                usable = good_primes_for(C, bound)
-                if len(usable) < 5:
-                    return False
-                return verify_split_jacobian(C, usable).verdict
-
-            preds.append((spec, split_ok))
+            test = partial(split_jacobian_ok, bound=bound)
         elif name == "max-one-supersingular":
             if not arg:
                 raise UsageError("max-one-supersingular needs :P")
-            p = _int_list(arg, f"--predicate {name}", 1)[0]
-
-            def ss_ok(C, p=p):
-                return main1_check([C.e1, C.e2], p).met
-
-            preds.append((spec, ss_ok))
+            test = partial(at_most_one_supersingular, p=_int_list(arg, f"--predicate {name}", 1)[0])
         else:
             raise UsageError(f"unknown predicate {name!r}")
+        preds.append((spec, test))
     return preds
 
 
@@ -376,43 +373,12 @@ def _cmd_scholten_search(plan: RunPlan, sink: _Sink, cache) -> int:
     preds = _search_predicates(opts["predicate"])
     limit = opts.get("limit") or 0
     t0 = time.perf_counter()
-    stream = _search_stream(grid, preds, not opts["no_dedupe"], plan.jobs)
-    for rec in stream:
-        sink.emit("scholten-search", {"params": rec["params"]}, rec, t0)
+    for rec in parameter_search(grid, preds, not opts["no_dedupe"], plan.jobs):
+        sink.emit("scholten-search", {"params": list(rec.curve.params)}, rec.to_record(), t0)
         t0 = time.perf_counter()
         if limit and sink.count >= limit:
             break
     return 0
-
-
-def _search_stream(grid, preds, dedupe, jobs):
-    if jobs <= 1:
-        for rec in parameter_search(grid, preds, dedupe_by_class=dedupe):
-            yield rec.to_record()
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    spec_names = [name for name, _ in preds]
-    seen = set()
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for out in pool.map(_search_worker, ((quad, spec_names) for quad in grid), chunksize=64):
-            if out is None:
-                continue
-            key, rec = out
-            if dedupe:
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield rec
-
-
-def _search_worker(task):
-    quad, spec_names = task
-    preds = _search_predicates(spec_names)
-    for rec in parameter_search([quad], preds, dedupe_by_class=False):
-        key = tuple(str(x) for x in rec.igusa_key)
-        return key, rec.to_record()
-    return None
 
 
 def _cmd_check_main1(plan: RunPlan, sink: _Sink, cache) -> int:
@@ -511,7 +477,10 @@ def _cmd_kgroup_prove_skew(plan: RunPlan, sink: _Sink, cache) -> int:
 def _cmd_filtration(plan: RunPlan, sink: _Sink, cache) -> int:
     opts = plan.options
     if opts.get("group"):
-        G = FinAbGroup.from_invariant_factors(_int_list(opts["group"], "--group"))
+        try:
+            G = FinAbGroup.from_invariant_factors(_int_list(opts["group"], "--group"))
+        except ValueError as e:
+            raise UsageError(f"--group: {e}") from None
         inputs = {"group": opts["group"], "rmax": opts["rmax"]}
     else:
         p = opts["elliptic_p"]
@@ -550,11 +519,7 @@ def execute_plan(plan: RunPlan) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        plan = plan_from_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
+    plan = plan_from_args(argv)
     try:
         return execute_plan(plan)
     except UsageError as e:

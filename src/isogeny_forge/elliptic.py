@@ -37,39 +37,18 @@ class WeierstrassModel:
         return W
 
     @property
-    def b2(self) -> Fraction:
-        return self.a1 * self.a1 + 4 * self.a2
-
-    @property
-    def b4(self) -> Fraction:
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @property
-    def b6(self) -> Fraction:
-        return self.a3 * self.a3 + 4 * self.a6
-
-    @property
-    def b8(self) -> Fraction:
-        return (
-            self.a1 * self.a1 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3 * self.a3
-            - self.a4 * self.a4
-        )
-
-    @property
     def c4(self) -> Fraction:
-        return self.b2 * self.b2 - 24 * self.b4
+        b2, b4, _ = _b246(*self.coeffs())
+        return b2 * b2 - 24 * b4
 
     @property
     def c6(self) -> Fraction:
-        return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
+        b2, b4, b6 = _b246(*self.coeffs())
+        return -b2 ** 3 + 36 * b2 * b4 - 216 * b6
 
     @property
     def disc(self) -> Fraction:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return _discriminant(*self.coeffs())
 
     @property
     def j(self) -> Fraction:
@@ -128,6 +107,23 @@ class TwoTorsionCurve:
         return Fraction(256 * (a * a - a * b + b * b) ** 3, a * a * b * b * (a - b) ** 2)
 
 
+def _b246(a1, a2, a3, a4, a6):
+    """(b2, b4, b6) of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+    return a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+
+
+def _b8(a1, a2, a3, a4, a6):
+    return a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+
+
+def _discriminant(a1, a2, a3, a4, a6):
+    """Discriminant of the model with these coefficients; an integer polynomial
+    in them, so on the residues of a p-integral model it is the disc mod p."""
+    b2, b4, b6 = _b246(a1, a2, a3, a4, a6)
+    b8 = _b8(a1, a2, a3, a4, a6)
+    return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
 def curve_from_pair(a: int, b: int) -> TwoTorsionCurve:
     """Build y^2 = x(x-a)(x-b); the returned curve's model has exact disc and j."""
     return TwoTorsionCurve(int(a), int(b))
@@ -159,18 +155,20 @@ def _coeffs_mod_p(W: WeierstrassModel, p: int) -> tuple[int, int, int, int, int]
 
 def _b246_mod_p(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> tuple[int, int, int]:
     """(b2, b4, b6) mod p, so that 4 * (y + (a1 x + a3)/2)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6."""
-    return (a1 * a1 + 4 * a2) % p, (2 * a4 + a1 * a3) % p, (a3 * a3 + 4 * a6) % p
+    b2, b4, b6 = _b246(a1, a2, a3, a4, a6)
+    return b2 % p, b4 % p, b6 % p
 
 
-def _check_counting_prime(W: WeierstrassModel, p: int) -> None:
+def _counting_coeffs(W: WeierstrassModel, p: int) -> tuple[int, int, int, int, int]:
+    """W's coefficients mod p, after checking that p is an odd prime of good reduction."""
     if p < 2 or not is_prime(p):
         raise BadPrimeError(f"p = {p} is not prime")
-    if any(c.denominator % p == 0 for c in W.coeffs()):
-        raise BadPrimeError(f"model is not {p}-integral")
-    if W.disc.numerator % p == 0:
+    coeffs = _coeffs_mod_p(W, p)
+    if _discriminant(*coeffs) % p == 0:
         raise BadPrimeError(f"bad reduction at p = {p} (p divides the model discriminant)")
     if p == 2:
         raise UnsupportedPrimeError("p = 2 is excluded from counting operations")
+    return coeffs
 
 
 def ap_trace(curve, p: int) -> int:
@@ -181,9 +179,7 @@ def ap_trace(curve, p: int) -> int:
     g = 4x^3 + b2 x^2 + 2 b4 x + b6; exactness is inherited from the
     Legendre-symbol sum.
     """
-    W = _as_model(curve)
-    _check_counting_prime(W, p)
-    b2, b4, b6 = _b246_mod_p(*_coeffs_mod_p(W, p), p)
+    b2, b4, b6 = _b246_mod_p(*_counting_coeffs(_as_model(curve), p), p)
     ap = -_cubic_char_sum(4, b2, 2 * b4, b6, p)
     if ap * ap > 4 * p:
         raise CertificateError("Hasse bound violated: counting bug")
@@ -235,9 +231,8 @@ class EllipticGroup:
     """
 
     def __init__(self, W: WeierstrassModel, p: int):
-        _check_counting_prime(W, p)
         self.p = p
-        self.a1, self.a2, self.a3, self.a4, self.a6 = _coeffs_mod_p(W, p)
+        self.a1, self.a2, self.a3, self.a4, self.a6 = _counting_coeffs(W, p)
         self.points = self._enumerate()
         self.index = {pt: i for i, pt in enumerate(self.points)}
         self._order_cache: dict[Point, int] = {}
@@ -319,7 +314,8 @@ class EllipticGroup:
         for q, e in factorize(N).items():
             while o % q == 0 and self.scalar(o // q, P) is None:
                 o //= q
-        assert self.scalar(o, P) is None
+        if self.scalar(o, P) is not None:
+            raise CertificateError(f"claimed order {o} does not kill the point {P}")
         self._order_cache[P] = o
         return o
 
@@ -335,7 +331,8 @@ class EllipticGroup:
         N = len(self.points)
         e = self.exponent()
         n1, rem = divmod(N, e)
-        assert rem == 0 and (n1 == 1 or e % n1 == 0), "not a rank <= 2 group?"
+        if rem or e % n1:
+            raise CertificateError(f"order {N} and exponent {e} fit no group of rank <= 2")
         for d in _divisors(e):
             want = gcd(d, n1) * gcd(d, e)
             got = sum(1 for P in self.points if self.scalar(d, P) is None)
@@ -355,7 +352,7 @@ class EllipticGroup:
                 continue
             if len(self._span([P, Q])) == len(self.points):
                 return [P, Q]
-        raise AssertionError("no two-element generating set found")
+        raise CertificateError("no two-element generating set found")
 
     def _span(self, gens: list[Point]) -> set[Point]:
         seen: set[Point] = {None}

@@ -30,10 +30,11 @@ from .elliptic import (
     TwoTorsionCurve,
     WeierstrassModel,
     _as_model,
+    _b246,
     _b246_mod_p,
+    _b8,
     _cubic_char_sum,
     _integral_model,
-    is_supersingular_at,
 )
 from .errors import UnsupportedPrimeError
 from .exactnum import factorize, is_prime, legendre_symbol
@@ -229,9 +230,9 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
 
         if _vp(a6, p) < 2:
             return m.outcome("II", n, n)
-        if _vp(int(m.cur.b8), p) < 3:
+        if _vp(_b8(a1, a2, a3, a4, a6), p) < 3:
             return m.outcome("III", n, n - 1)
-        if _vp(int(m.cur.b6), p) < 3:
+        if _vp(_b246(a1, a2, a3, a4, a6)[2], p) < 3:
             return m.outcome("IV", n, n - 2)
 
         _normalize_step6(m)
@@ -368,19 +369,19 @@ def classify_reduction(curve: Curve, p: int) -> ReductionReport:
     W = _as_model(curve)
     out = tate_algorithm(W, p)
     f = out.conductor_exponent
+    pot = potential_type(W, p) if p != 2 else None
     if f == 0:
         if p == 2:
             # supersingular at 2 iff j = c4^3 / Delta = 0 mod 2, and c4 = a1^4 mod 2
-            actual = GOOD_SUPERSINGULAR if int(out.model.a1) % 2 == 0 else GOOD_ORDINARY
+            supersingular = int(out.model.a1) % 2 == 0
         else:
-            actual = (
-                GOOD_SUPERSINGULAR if is_supersingular_at(out.model, p) else GOOD_ORDINARY
-            )
+            # good reduction: supersingularity depends only on j mod p
+            supersingular = pot == POT_GOOD_SUPERSINGULAR
+        actual = GOOD_SUPERSINGULAR if supersingular else GOOD_ORDINARY
     elif f == 1:
         actual = SPLIT_MULTIPLICATIVE if out.split else NONSPLIT_MULTIPLICATIVE
     else:
         actual = ADDITIVE
-    pot = potential_type(W, p) if p != 2 else None
     return ReductionReport(
         prime=p,
         kodaira_type=out.kodaira_type,

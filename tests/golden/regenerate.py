@@ -53,6 +53,12 @@ COMMANDS = [
     ["--jobs", "1", "scholten", "search", "--box", "2", "--limit", "3",
      "--predicate", "split-jacobian:40"],
     ["--jobs", "1", "scholten", "search", "--box", "3"],
+    # the pooled path must give the serial path's records, in the same order
+    ["--jobs", "2", "scholten", "search", "--box", "2"],
+    ["--jobs", "2", "scholten", "search", "--box", "2", "--limit", "3",
+     "--predicate", "split-jacobian:40"],
+    ["--jobs", "2", "scholten", "search", "--box", "2",
+     "--predicate", "max-one-supersingular:7"],
     ["check", "main1", "--curves", "1,-1;1,3", "--p", "7"],
     ["check", "main1", "--curves", "1,-1;1,-1", "--p", "7"],
     ["check", "main1", "--curves", "1,-1;1,3", "--p", "2"],

@@ -142,9 +142,9 @@ def test_check_global2_pinned():
 def test_check_global2_rejects_degree_below_one():
     for deg in ("0", "-3"):
         res = run_cli("check", "global2", "--a", "1", "--b", "-1", "--deg-phi", deg, "--bound", "20")
-        assert res.returncode == 1
+        assert res.returncode == 2
         assert res.stdout == ""
-        assert "deg_phi must be >= 1" in res.stderr
+        assert "--deg-phi: expected an integer >= 1" in res.stderr
 
 
 def test_scan_supersingular_pinned():
@@ -273,3 +273,19 @@ def test_filtration_rmax_below_one_is_a_usage_error(rmax):
     assert res.returncode == 2
     assert res.stdout == ""
     assert "--rmax: expected an integer >= 1" in res.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["check", "main1", "--curves", "1,-1;1,3", "--p", "4"], "--p: expected a prime, got 4"),
+    (["check", "main2", "--product", "1,-1@1", "--p", "9"], "--p: expected a prime, got 9"),
+    (["kgroup", "prove-skew", "--q", "4"], "--q: expected a prime, got 4"),
+    (["kgroup", "prove-skew", "--q", "5", "--r", "1"], "--r: expected an integer >= 2, got 1"),
+    (["filtration", "--elliptic-p", "4"], "--elliptic-p: expected a prime, got 4"),
+    (["filtration", "--group", "3,4"], "usage error: --group: invariant factors must divide"),
+    (["filtration", "--group", "0"], "usage error: --group: invariant factors must be positive"),
+], ids=["main1-p", "main2-p", "q", "r", "elliptic-p", "group-order", "group-zero"])
+def test_caller_error_exits_2_before_any_record(args, message):
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert message in res.stderr

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from isogeny_forge.elliptic import (
     TwoTorsionCurve,
@@ -14,6 +16,7 @@ from isogeny_forge.elliptic import (
     rational_points_mod_p,
 )
 from isogeny_forge.errors import BadPrimeError, DegenerateCurveError, UnsupportedPrimeError
+from isogeny_forge.exactnum import primes_up_to
 
 
 def brute_count(W: WeierstrassModel, p: int) -> int:
@@ -109,6 +112,41 @@ def test_ap_against_brute_force():
             if E.delta % p == 0:
                 continue
             assert count_points(E, p) == brute_count(E.model, p)
+
+
+def brute_reduction(coeffs: tuple[int, ...], p: int) -> tuple[int, bool]:
+    """Oracle: #E(F_p) and whether the reduction has a singular point, by
+    iterating over both coordinates on the raw equation."""
+    a1, a2, a3, a4, a6 = (c % p for c in coeffs)
+    n, singular = 1, False  # the point at infinity is never singular
+    for x in range(p):
+        for y in range(p):
+            if (y * y + a1 * x * y + a3 * y - (((x + a2) * x + a4) * x + a6)) % p:
+                continue
+            n += 1
+            fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
+            fy = (2 * y + a1 * x + a3) % p
+            singular = singular or (fx == 0 and fy == 0)
+    return n, singular
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(-60, 60)] * 5), st.sampled_from(primes_up_to(199)))
+@example((0, -1, 1, -10, -20), 11)  # conductor 11: bad at 11
+@example((0, -1, 1, -10, -20), 2)
+@example((0, 0, 0, 3, 1), 3)  # cuspidal at 3: y^2 = (x + 1)^3
+def test_ap_trace_against_enumeration(coeffs, p):
+    W = WeierstrassModel(*map(Fraction, coeffs))
+    assume(W.disc != 0)
+    count, singular = brute_reduction(coeffs, p)
+    if singular:
+        with pytest.raises(BadPrimeError):
+            ap_trace(W, p)
+    elif p == 2:
+        with pytest.raises(UnsupportedPrimeError):
+            ap_trace(W, p)
+    else:
+        assert ap_trace(W, p) == p + 1 - count
 
 
 def test_supersingular_examples():

@@ -85,6 +85,40 @@ sys.exit(main(["filtration", "--elliptic-p", "5", "--rmax", "2"]))
 """,
         "certificate error: torsion count mismatch",
     ),
+    "order": (
+        """
+import sys
+from isogeny_forge import elliptic
+from isogeny_forge.cli import main
+# dropping a point of E(F_5) (order 8) leaves a count of 7, which kills no point of order 2 or 4
+enumerate_points = elliptic.EllipticGroup._enumerate
+elliptic.EllipticGroup._enumerate = lambda self: enumerate_points(self)[:-1]
+sys.exit(main(["filtration", "--elliptic-p", "5", "--rmax", "2"]))
+""",
+        "certificate error: claimed order 7 does not kill the point",
+    ),
+    "rank": (
+        """
+import sys
+from isogeny_forge import elliptic
+from isogeny_forge.cli import main
+# exponent 2 on a group of order 8 would need three cyclic factors
+elliptic.EllipticGroup.exponent = lambda self: 2
+sys.exit(main(["filtration", "--elliptic-p", "5", "--rmax", "2"]))
+""",
+        "certificate error: order 8 and exponent 2 fit no group of rank <= 2",
+    ),
+    "generators": (
+        """
+import sys
+from isogeny_forge import elliptic
+from isogeny_forge.cli import main
+# a span that never grows past its generators makes every pair look too small
+elliptic.EllipticGroup._span = lambda self, gens: {None, *gens}
+sys.exit(main(["filtration", "--elliptic-p", "5", "--rmax", "2"]))
+""",
+        "certificate error: no two-element generating set found",
+    ),
     "sextic-disc": (
         """
 import sys

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -7,12 +8,14 @@ from isogeny_forge.errors import DegenerateCurveError, InsufficientPrimesError
 from isogeny_forge.genus2 import sextic_discriminant
 from isogeny_forge.scholten import (
     SMOOTH,
+    at_most_one_supersingular,
     box_grid,
     build_scholten,
     good_primes_for,
     parameter_search,
     quadruples_from_csv,
     scholten_family,
+    split_jacobian_ok,
     torsion_forms_orbit,
     torsion_orbit_report,
     verify_split_jacobian,
@@ -191,6 +194,20 @@ def test_search_with_predicate():
         parameter_search(grid, [("max-one-ss@7", at_most_one_ss_at_7)], dedupe_by_class=False)
     )
     assert [r.curve.params for r in recs] == [(2, 5, 1, 3)]
+
+
+@pytest.mark.parametrize("predicate", [
+    ("split-jacobian:40", partial(split_jacobian_ok, bound=40)),
+    ("max-one-supersingular:7", partial(at_most_one_supersingular, p=7)),
+], ids=["split-jacobian", "max-one-supersingular"])
+def test_pooled_search_matches_serial(predicate):
+    def run(jobs):
+        return [(r.to_record(), r.igusa_key)
+                for r in parameter_search(box_grid(2), [predicate], jobs=jobs)]
+
+    serial = run(1)
+    assert serial
+    assert run(2) == serial
 
 
 def test_csv_ingestion(tmp_path):
