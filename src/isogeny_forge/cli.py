@@ -354,7 +354,10 @@ def _search_predicates(specs: Sequence[str]) -> list[Predicate]:
         elif name == "max-one-supersingular":
             if not arg:
                 raise UsageError("max-one-supersingular needs :P")
-            test = partial(at_most_one_supersingular, p=_int_list(arg, f"--predicate {name}", 1)[0])
+            p = _int_list(arg, f"--predicate {name}", 1)[0]
+            if p == 2 or not is_prime(p):
+                raise UsageError(f"--predicate {name}: expected an odd prime, got {p}")
+            test = partial(at_most_one_supersingular, p=p)
         else:
             raise UsageError(f"unknown predicate {name!r}")
         preds.append((spec, test))

@@ -176,22 +176,34 @@ def ap_trace(curve, p: int) -> int:
     reduction for the given model.
 
     Computed as -sum_x chi(g(x)) for the completed square
-    g = 4x^3 + b2 x^2 + 2 b4 x + b6; exactness is inherited from the
-    Legendre-symbol sum.
+    g = 4x^3 + b2 x^2 + 2 b4 x + b6, summed by _char_sum over the pairs
+    {x, -x}: g(+-x) = (b6 + b2 x^2) +- x (2 b4 + 4 x^2).  Exactness is
+    inherited from the Legendre-symbol sum.
     """
     b2, b4, b6 = _b246_mod_p(*_counting_coeffs(_as_model(curve), p), p)
-    ap = -_cubic_char_sum(4, b2, 2 * b4, b6, p)
+    ap = -_char_sum((b6, 2 * b4, b2, 4), p)
     if ap * ap > 4 * p:
         raise CertificateError("Hasse bound violated: counting bug")
     return ap
 
 
-def _cubic_char_sum(c3: int, c2: int, c1: int, c0: int, p: int) -> int:
-    """sum over x in F_p of the Legendre symbol of c3 x^3 + c2 x^2 + c1 x + c0."""
+def _char_sum(coeffs, p: int) -> int:
+    """sum over x in F_p of the Legendre symbol of f(x) = sum_i coeffs[i] x^i,
+    for f of degree <= 6 and an odd prime p.
+
+    With f(+-x) = E(x^2) +- x O(x^2), where E = c0 + c2 u + c4 u^2 + c6 u^3
+    and O = c1 + c3 u + c5 u^2, the sum is chi(c0) plus, over x = 1..(p-1)/2,
+    chi(E + xO) + chi(E - xO).  E and xO are evaluated once per pair, and
+    E + xO and E - xO are reduced once each.
+    """
+    c0, c1, c2, c3, c4, c5, c6 = [c % p for c in coeffs] + [0] * (7 - len(coeffs))
     chi = _chi_table(p)
-    total = 0
-    for x in range(p):
-        total += chi[(((c3 * x + c2) * x + c1) * x + c0) % p]
+    total = chi[c0]
+    for x in range(1, (p + 1) // 2):
+        u = x * x
+        e = ((c6 * u + c4) * u + c2) * u + c0
+        o = ((c5 * u + c3) * u + c1) * x
+        total += chi[(e + o) % p] + chi[(e - o) % p]
     return total
 
 
@@ -199,7 +211,7 @@ def _cubic_char_sum(c3: int, c2: int, c1: int, c0: int, p: int) -> int:
 def _chi_table(p: int) -> tuple[int, ...]:
     tab = [-1] * p
     tab[0] = 0
-    for t in range(1, p):
+    for t in range(1, (p + 1) // 2):
         tab[t * t % p] = 1
     return tuple(tab)
 

@@ -29,7 +29,7 @@ from math import comb, factorial, perm
 
 from .errors import BadPrimeError, CertificateError, SingularCurveError
 from .exactnum import _det_bareiss, is_prime
-from .elliptic import _chi_table
+from .elliptic import _char_sum, _chi_table
 
 Sextic = tuple[int, int, int, int, int, int, int]  # c0 .. c6
 
@@ -103,10 +103,15 @@ def _transvectant(f, g, k: int) -> list[Fraction]:
     return [scale * c for c in out]
 
 
-def igusa_clebsch_of_sextic(coeffs) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(I2, I4, I6, I10) of the binary sextic, exact."""
+def igusa_clebsch_of_sextic(coeffs, disc=None) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(I2, I4, I6, I10) of the binary sextic, exact.
+
+    `disc`, when given, is taken as sextic_discriminant(coeffs) instead of
+    computing it again; a curve passes its cached value.
+    """
     cs = _as_sextic(coeffs)
-    disc = sextic_discriminant(cs)
+    if disc is None:
+        disc = sextic_discriminant(cs)
     if disc == 0:
         raise SingularCurveError("sextic has a repeated root")
     i = _transvectant(cs, cs, 4)
@@ -154,7 +159,7 @@ class HyperellipticCurve:
         class, so isomorphism comparisons through absolute_invariants are
         unaffected by which of lam*y^2 = S and y^2 = lam*S is taken.
         """
-        return igusa_clebsch_of_sextic(self.coeffs)
+        return igusa_clebsch_of_sextic(self.coeffs, self.disc)
 
     def absolute_igusa(self):
         return absolute_invariants(self.igusa_clebsch())
@@ -166,8 +171,10 @@ class HyperellipticCurve:
 def hyperelliptic_point_count(C: HyperellipticCurve, p: int) -> int:
     """#C(F_p) on the smooth projective model.
 
-    Affine part by quadratic-character summation; two points at infinity when
-    lam^-1 c6 is a nonzero square mod p, none otherwise.
+    Affine part p + sum_x chi(lam S(x)), the character sum taken by
+    elliptic._char_sum over the pairs {x, -x} through lam S(+-x) =
+    E(x^2) +- x O(x^2); two points at infinity when lam^-1 c6 is a nonzero
+    square mod p, none otherwise.
     """
     if p == 2 or not is_prime(p):
         raise BadPrimeError(f"p = {p} is not an odd prime")
@@ -177,15 +184,8 @@ def hyperelliptic_point_count(C: HyperellipticCurve, p: int) -> int:
         raise BadPrimeError(f"p = {p} divides the leading coefficient")
     if C.disc % p == 0:
         raise BadPrimeError(f"p = {p} divides disc(S)")
-    chi = _chi_table(p)
     lam = C.lam % p
-    cs = [c % p for c in C.coeffs]
-    total = 0
-    for x in range(p):
-        v = 0
-        for c in reversed(cs):
-            v = (v * x + c) % p
-        total += 1 + chi[lam * v % p]
-    if chi[lam * cs[6] % p] == 1:
+    total = p + _char_sum([lam * c for c in C.coeffs], p)
+    if _chi_table(p)[lam * C.coeffs[6] % p] == 1:
         total += 2
     return total

@@ -33,7 +33,7 @@ from .elliptic import (
     _b246,
     _b246_mod_p,
     _b8,
-    _cubic_char_sum,
+    _char_sum,
     _integral_model,
 )
 from .errors import UnsupportedPrimeError
@@ -429,5 +429,5 @@ def potential_type(curve: Curve, p: int) -> str:
     else:
         A = 3 * jbar * (1728 - jbar) % p
         B = 2 * jbar * (1728 - jbar) ** 2 % p
-    ap = -_cubic_char_sum(1, 0, A, B, p)
+    ap = -_char_sum((B, A, 0, 1), p)
     return POT_GOOD_SUPERSINGULAR if ap % p == 0 else POT_GOOD_ORDINARY

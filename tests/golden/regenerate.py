@@ -44,6 +44,8 @@ COMMANDS = [
     ["scholten", "verify", "--params", "1,2,3,4", "--primes", "50", "--e1", "1,3"],
     ["scholten", "verify", "--params", "2,-3,7,4", "--primes", "5..120"],
     ["scholten", "verify", "--params", "1,2,2,4", "--primes", "50"],
+    # benchmark-sized character sums: every prime up to 1500
+    ["scholten", "verify", "--params", "3,-7,11,5", "--primes", "1500"],
     ["--jobs", "1", "scholten", "search", "--box", "1"],
     ["--jobs", "1", "scholten", "search", "--box", "1", "--no-dedupe", "--limit", "6"],
     ["--jobs", "1", "scholten", "search", "--box", "1",
@@ -72,6 +74,7 @@ COMMANDS = [
     ["check", "global2", "--a", "-520251", "--b", "239738", "--deg-phi", "2", "--bound", "200"],
     ["scan", "supersingular", "--a", "1", "--b", "-1", "--bound", "50"],
     ["scan", "supersingular", "--a", "2", "--b", "7", "--bound", "300"],
+    ["scan", "supersingular", "--a", "2", "--b", "7", "--bound", "1000"],
     ["scan", "supersingular", "--a", "3", "--b", "-5", "--bound", "100"],
     ["scan", "supersingular", "--a", "-520251", "--b", "239738", "--bound", "200"],
     ["kgroup", "prove-skew", "--q", "5", "--convention", "both"],

@@ -283,7 +283,14 @@ def test_filtration_rmax_below_one_is_a_usage_error(rmax):
     (["filtration", "--elliptic-p", "4"], "--elliptic-p: expected a prime, got 4"),
     (["filtration", "--group", "3,4"], "usage error: --group: invariant factors must divide"),
     (["filtration", "--group", "0"], "usage error: --group: invariant factors must be positive"),
-], ids=["main1-p", "main2-p", "q", "r", "elliptic-p", "group-order", "group-zero"])
+    (["scholten", "search", "--box", "1", "--predicate", "max-one-supersingular:4"],
+     "usage error: --predicate max-one-supersingular: expected an odd prime, got 4"),
+    (["scholten", "search", "--box", "1", "--predicate", "max-one-supersingular:9"],
+     "usage error: --predicate max-one-supersingular: expected an odd prime, got 9"),
+    (["scholten", "search", "--box", "1", "--predicate", "max-one-supersingular:2"],
+     "usage error: --predicate max-one-supersingular: expected an odd prime, got 2"),
+], ids=["main1-p", "main2-p", "q", "r", "elliptic-p", "group-order", "group-zero",
+        "supersingular-4", "supersingular-9", "supersingular-2"])
 def test_caller_error_exits_2_before_any_record(args, message):
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from isogeny_forge.elliptic import (
     TwoTorsionCurve,
     WeierstrassModel,
+    _char_sum,
     ap_trace,
     count_points,
     curve_from_pair,
@@ -16,7 +17,7 @@ from isogeny_forge.elliptic import (
     rational_points_mod_p,
 )
 from isogeny_forge.errors import BadPrimeError, DegenerateCurveError, UnsupportedPrimeError
-from isogeny_forge.exactnum import primes_up_to
+from isogeny_forge.exactnum import legendre_symbol, primes_up_to
 
 
 def brute_count(W: WeierstrassModel, p: int) -> int:
@@ -147,6 +148,28 @@ def test_ap_trace_against_enumeration(coeffs, p):
             ap_trace(W, p)
     else:
         assert ap_trace(W, p) == p + 1 - count
+
+
+def _parity(coeffs, keep):
+    """coeffs with the odd-degree ("even") or even-degree ("odd") terms zeroed."""
+    drop = {"even": 1, "odd": 0}.get(keep)
+    return [0 if i % 2 == drop else c for i, c in enumerate(coeffs)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**9, 10**9)), min_size=1, max_size=7),
+    st.sampled_from(["all", "even", "odd"]),
+    st.sampled_from(primes_up_to(211)[1:]),
+)
+@example([5, 0, -3, 0, 0, 0, 2], "all", 7)  # even sextic
+@example([0, 1, 0, 4, 0, -1], "all", 13)  # odd quintic
+@example([0, 0, 0, 0, 0, 0, 0], "all", 3)
+@example([4, 3, 2, 1], "all", 3)  # every coefficient a unit mod 3
+def test_char_sum_against_legendre_sum(coeffs, keep, p):
+    coeffs = _parity(coeffs, keep)
+    want = sum(legendre_symbol(sum(c * x**i for i, c in enumerate(coeffs)), p) for x in range(p))
+    assert _char_sum(coeffs, p) == want
 
 
 def test_supersingular_examples():

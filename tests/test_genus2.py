@@ -4,10 +4,12 @@ from itertools import combinations, permutations
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from isogeny_forge import genus2
 from isogeny_forge.errors import BadPrimeError, SingularCurveError
+from isogeny_forge.exactnum import primes_up_to
 from isogeny_forge.genus2 import (
     HyperellipticCurve,
     absolute_invariants,
@@ -16,6 +18,7 @@ from isogeny_forge.genus2 import (
     resultant,
     sextic_discriminant,
 )
+from isogeny_forge.scholten import build_scholten, verify_split_jacobian
 
 
 def poly_from_roots(roots, lead=1):
@@ -186,6 +189,20 @@ def test_singular_sextic_rejected():
         igusa_clebsch_of_sextic(cs)
 
 
+@pytest.mark.parametrize("disc_first", [False, True])
+def test_curve_computes_its_discriminant_once(monkeypatch, disc_first):
+    calls = []
+    real = genus2.sextic_discriminant
+    monkeypatch.setattr(genus2, "sextic_discriminant", lambda cs: calls.append(cs) or real(cs))
+    C = HyperellipticCurve(3, tuple(poly_from_roots([0, 1, 2, 3, 4, 5], 2)))
+    if disc_first:
+        C.disc
+    key = C.absolute_igusa()
+    assert C.disc == real(C.coeffs)
+    assert calls == [C.coeffs]
+    assert key == absolute_invariants(igusa_clebsch_of_sextic(C.coeffs))
+
+
 def test_absolute_invariants_detect_rescaling():
     cs = poly_from_roots([0, 1, 2, 3, 4, 5])
     inv = igusa_clebsch_of_sextic(cs)
@@ -270,3 +287,28 @@ def test_point_count_translation_invariant():
             continue
         assert hyperelliptic_point_count(C1, p) == hyperelliptic_point_count(C2, p)
         done += 1
+
+
+def brute_two_torsion_count(a: int, b: int, p: int) -> int:
+    """Oracle: #E(F_p) for y^2 = x(x - a)(x - b) from explicit square sets."""
+    nonzero_squares = {t * t % p for t in range(1, p)}
+    n = 1  # infinity
+    for x in range(p):
+        v = x * (x - a) * (x - b) % p
+        n += 1 if v == 0 else 2 if v in nonzero_squares else 0
+    return n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(-12, 12)] * 4))
+def test_split_identity_rows_against_enumeration(quad):
+    C = build_scholten(*quad)
+    assume(C.is_smooth)
+    cert = verify_split_jacobian(C, primes_up_to(61), min_primes=0)
+    for p, count, ap1, ap2, ok in cert.rows:
+        assert count == brute_projective_count(C.curve, p)
+        assert ap1 == p + 1 - brute_two_torsion_count(*quad[:2], p)
+        assert ap2 == p + 1 - brute_two_torsion_count(*quad[2:], p)
+        assert ok
+    tested = {r[0] for r in cert.rows} | {p for p, _ in cert.skipped}
+    assert tested == set(primes_up_to(61))

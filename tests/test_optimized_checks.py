@@ -69,7 +69,7 @@ except CertificateError as e:
 import sys
 from isogeny_forge import elliptic
 from isogeny_forge.cli import main
-elliptic._cubic_char_sum = lambda c3, c2, c1, c0, p: p
+elliptic._char_sum = lambda coeffs, p: p
 sys.exit(main(["scan", "supersingular", "--a", "1", "--b", "-1", "--bound", "50"]))
 """,
         "certificate error: Hasse bound violated",
