@@ -173,19 +173,26 @@ class SupersingularScan:
 
 def supersingular_scan(curve: Curve, bound: int) -> SupersingularScan:
     """All odd good primes p <= bound with a_p = 0 mod p, plus the observed
-    density among the good primes tested."""
+    density among the good primes tested.
+
+    a_p is taken on the integral model W when p does not divide its
+    discriminant, else on a p-minimal model.  A TwoTorsionCurve is integral,
+    so it is handed to ap_trace itself there and takes the split kernel.
+    """
     W = _integral_model(_as_model(curve))
+    disc = int(W.disc)
     bad = {
         p
-        for p in factorize(int(W.disc))
+        for p in factorize(disc)
         if classify_reduction(W, p).conductor_exponent > 0
     }
+    E = curve if isinstance(curve, TwoTorsionCurve) else W
     found = []
     tested = 0
     for p in primes_up_to(bound):
         if p == 2 or p in bad:
             continue
-        model = W if int(W.disc) % p != 0 else minimal_model_at(W, p)[0]
+        model = E if disc % p != 0 else minimal_model_at(W, p)[0]
         tested += 1
         if ap_trace(model, p) % p == 0:
             found.append(p)

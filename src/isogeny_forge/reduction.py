@@ -35,6 +35,7 @@ from .elliptic import (
     _b8,
     _char_sum,
     _integral_model,
+    _split_char_sum,
 )
 from .errors import UnsupportedPrimeError
 from .exactnum import factorize, is_prime, legendre_symbol
@@ -406,14 +407,20 @@ def conductor(curve: Curve) -> int:
 def potential_type(curve: Curve, p: int) -> str:
     """Reduction type attained after a finite base extension, for odd p.
 
-    Determined by v_p(j): negative means potentially multiplicative; otherwise
-    the reduced j-invariant decides ordinary vs supersingular through any
-    reference curve with that j (supersingularity is twist-invariant).
+    A TwoTorsionCurve with p not dividing ab(a - b) has good reduction at p,
+    and its own a_p decides ordinary vs supersingular, by _split_char_sum
+    over its roots (0, a, b).  Otherwise v_p(j) decides: negative means
+    potentially multiplicative; else the reduced j-invariant decides through
+    any reference curve with that j (supersingularity depends only on j mod p,
+    and is twist-invariant).
     """
     if p == 2:
         raise UnsupportedPrimeError("potential type is computed for odd primes only")
     if not is_prime(p) or p < 3:
         raise ValueError(f"p = {p} is not an odd prime")
+    if isinstance(curve, TwoTorsionCurve) and curve.a * curve.b * (curve.a - curve.b) % p:
+        ap = -_split_char_sum((0, curve.a, curve.b), p)
+        return POT_GOOD_SUPERSINGULAR if ap % p == 0 else POT_GOOD_ORDINARY
     W = _as_model(curve)
     j = W.j
     if _vp_frac(j, p) < 0:

@@ -17,7 +17,7 @@ from .checkers import main1_check
 from .elliptic import TwoTorsionCurve, ap_trace, curve_from_pair
 from .errors import DegenerateCurveError, InsufficientPrimesError
 from .exactnum import primes_up_to
-from .genus2 import HyperellipticCurve, sextic_discriminant
+from .genus2 import HyperellipticCurve
 
 SMOOTH = "SmoothGenus2"
 
@@ -67,14 +67,15 @@ def build_scholten(a: int, b: int, c: int, d: int) -> ScholtenCurve:
         return ScholtenCurve(params, "Degenerate(first pair: ab(a-b) = 0)")
     if c == 0 or d == 0 or c == d:
         return ScholtenCurve(params, "Degenerate(second pair: cd(c-d) = 0)")
-    coeffs = _sextic_coeffs(a, b, c, d)
-    if sextic_discriminant(coeffs) == 0:
+    # c6 = (a - b)ab is nonzero here, so the sextic has exact degree 6
+    curve = HyperellipticCurve(lam, _sextic_coeffs(a, b, c, d))
+    if curve.disc == 0:
         return ScholtenCurve(params, "Degenerate(repeated roots)")
     return ScholtenCurve(
         params,
         SMOOTH,
         lam=lam,
-        curve=HyperellipticCurve(lam, coeffs),
+        curve=curve,
         e1=curve_from_pair(a, b),
         e2=curve_from_pair(c, d),
     )
@@ -218,6 +219,10 @@ def verify_split_jacobian(
     min_primes: int = 5,
 ) -> SplitJacobianCertificate:
     """Check #C(F_p) = p + 1 - a_p(E1) - a_p(E2) at every usable prime.
+
+    The two sides come from different kernels: #C(F_p) from the {x, -x}
+    pair sum of the sextic, a_p of a TwoTorsionCurve from its non-residue
+    mask, so one kernel bug cannot cancel on both sides.
 
     Passing e1/e2 overrides the elliptic factors (useful as a negative
     control; a wrong factor must fail at some prime).

@@ -64,6 +64,9 @@ COMMANDS = [
     ["check", "main1", "--curves", "1,-1;1,3", "--p", "7"],
     ["check", "main1", "--curves", "1,-1;1,-1", "--p", "7"],
     ["check", "main1", "--curves", "1,-1;1,3", "--p", "2"],
+    # potential types at a benchmark-sized prime: two supersingular factors, then one
+    ["check", "main1", "--curves=1,-1;2,-2", "--p", "10007"],
+    ["check", "main1", "--curves=1,-1;1,3", "--p", "10007"],
     ["check", "main2", "--product", "1,-1@1", "--product", "1,3@2",
      "--p", "5", "--unramified", "--all-good"],
     ["check", "main2", "--product", "1,-1|1,3@5", "--p", "5"],
@@ -76,6 +79,8 @@ COMMANDS = [
     ["scan", "supersingular", "--a", "2", "--b", "7", "--bound", "300"],
     ["scan", "supersingular", "--a", "2", "--b", "7", "--bound", "1000"],
     ["scan", "supersingular", "--a", "3", "--b", "-5", "--bound", "100"],
+    # the model is not minimal at 5: one prime counts on a Tate-minimal model
+    ["scan", "supersingular", "--a", "50", "--b", "75", "--bound", "200"],
     ["scan", "supersingular", "--a", "-520251", "--b", "239738", "--bound", "200"],
     ["kgroup", "prove-skew", "--q", "5", "--convention", "both"],
     ["kgroup", "prove-skew", "--q", "7", "--convention", "plus", "--per-target"],

@@ -10,6 +10,7 @@ from isogeny_forge.elliptic import (
     TwoTorsionCurve,
     WeierstrassModel,
     _char_sum,
+    _split_char_sum,
     ap_trace,
     count_points,
     curve_from_pair,
@@ -170,6 +171,69 @@ def test_char_sum_against_legendre_sum(coeffs, keep, p):
     coeffs = _parity(coeffs, keep)
     want = sum(legendre_symbol(sum(c * x**i for i, c in enumerate(coeffs)), p) for x in range(p))
     assert _char_sum(coeffs, p) == want
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (BadPrimeError, UnsupportedPrimeError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0), st.just(-1), st.integers(-10**9, 10**9)),
+             min_size=1, max_size=3),
+    st.sampled_from(primes_up_to(211)[1:] + [10007]),
+)
+@example([0, -1], 3)  # r = p - 1: the rotation wraps
+@example([0, 1, 2], 3)  # every x is a root
+@example([-1, 0, 5], 10007)
+def test_split_char_sum_against_legendre_sum(roots, p):
+    roots = sorted({r % p for r in roots})
+    want = 0
+    for x in range(p):
+        f = 1
+        for r in roots:
+            f *= x - r
+        want += legendre_symbol(f, p)
+    assert _split_char_sum(roots, p) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(*[st.one_of(st.integers(-30, 30), st.integers(-10**6, 10**6))] * 2),
+    st.sampled_from(primes_up_to(500)),
+)
+@example((1, -1), 2)
+@example((50, 75), 5)  # 5 divides the discriminant of this model
+@example((1, -1), 499)
+def test_ap_trace_of_two_torsion_curve_matches_its_model(ab, p):
+    a, b = ab
+    assume(a and b and a != b)
+    E = curve_from_pair(a, b)
+    assert _outcome(ap_trace, E, p) == _outcome(ap_trace, E.model, p)
+
+
+def test_general_models_stay_on_char_sum(monkeypatch):
+    """Only a TwoTorsionCurve takes the split kernel; its model, potential
+    types through the model and genus-2 counts take _char_sum."""
+    from isogeny_forge import elliptic, reduction
+    from isogeny_forge.scholten import build_scholten
+
+    E = curve_from_pair(2, 7)
+    C = build_scholten(3, -7, 11, 5).curve
+    want = (ap_trace(E, 101), reduction.potential_type(E, 101), C.point_count(101))
+
+    def refuse(roots, p):
+        raise AssertionError("split kernel reached from a general model")
+
+    monkeypatch.setattr(elliptic, "_split_char_sum", refuse)
+    monkeypatch.setattr(reduction, "_split_char_sum", refuse)
+    got = (ap_trace(E.model, 101), reduction.potential_type(E.model, 101), C.point_count(101))
+    assert got == want
+    assert want[0] == 101 + 1 - brute_count(E.model, 101)
 
 
 def test_supersingular_examples():

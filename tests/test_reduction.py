@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isogeny_forge.elliptic import TwoTorsionCurve, WeierstrassModel, curve_from_pair, is_supersingular_at
@@ -333,6 +333,33 @@ def test_potential_type_examples():
     assert potential_type(E, 11) == POT_MULTIPLICATIVE
     with pytest.raises(UnsupportedPrimeError):
         potential_type(X3_MINUS_X, 2)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except UnsupportedPrimeError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(*[st.one_of(st.integers(-30, 30), st.integers(-10**6, 10**6))] * 2),
+    st.sampled_from(primes_up_to(500)),
+)
+@example((1, -1), 2)
+@example((1, -1), 499)  # supersingular: 499 = 3 mod 4
+@example((1, 11), 11)  # potentially multiplicative
+@example((50, 75), 5)  # p | ab(a - b), potentially good
+@example((1, 3), 3)
+def test_potential_type_of_two_torsion_curve_matches_its_model(ab, p):
+    """A TwoTorsionCurve takes its own a_p when p does not divide ab(a - b);
+    its WeierstrassModel takes the j-reference path."""
+    a, b = ab
+    assume(a and b and a != b)
+    E = curve_from_pair(a, b)
+    assert _outcome(potential_type, E, p) == _outcome(potential_type, E.model, p)
 
 
 def test_potential_type_iff_j_valuation():

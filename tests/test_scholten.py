@@ -22,6 +22,20 @@ from isogeny_forge.scholten import (
 )
 
 
+def test_smooth_build_computes_the_discriminant_once(monkeypatch):
+    # sextic_discriminant takes one resultant; the built curve keeps the value
+    from isogeny_forge import genus2
+
+    calls = []
+    real = genus2.resultant
+    monkeypatch.setattr(genus2, "resultant", lambda f, g: calls.append(f) or real(f, g))
+    C = build_scholten(3, -7, 11, 5)
+    disc = C.curve.disc
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert C.is_smooth and disc == sextic_discriminant(C.curve.coeffs)
+
+
 def test_build_1234():
     C = build_scholten(1, 2, 3, 4)
     assert C.is_smooth
