@@ -54,6 +54,8 @@ def main1_check(curves: Sequence[Curve], p: int) -> HypothesisVerdict:
     """At most one factor with potentially good supersingular reduction at an
     odd prime p; potentially multiplicative factors are admissible (split
     multiplicative is reached over a finite extension)."""
+    if not curves:
+        raise ValueError("main1 needs at least one curve")
     inputs = {"p": p, "curves": [_curve_label(E) for E in curves]}
     if p == 2:
         return HypothesisVerdict("main1", inputs, (), False, "p must be odd", None)
@@ -79,6 +81,8 @@ def main2_check(
     The unramified/all-good flags assert base-field facts the caller vouches
     for; all_good is additionally cross-checked against the classifications.
     """
+    if not products or not all(factors for factors, _ in products):
+        raise ValueError("main2 needs at least one product, each with at least one curve")
     inputs = {
         "p": p,
         "products": [

@@ -194,11 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     s = schsub.add_parser("search")
     src = s.add_mutually_exclusive_group(required=True)
     src.add_argument("--csv", help="CSV grid with header a,b,c,d")
-    src.add_argument("--box", type=int, help="all |a|,|b|,|c|,|d| <= N")
+    src.add_argument("--box", type=_int_at_least(0), help="all |a|,|b|,|c|,|d| <= N")
     s.add_argument("--predicate", action="append", default=[],
                    help="split-jacobian[:BOUND] or max-one-supersingular:P")
     s.add_argument("--no-dedupe", action="store_true")
-    s.add_argument("--limit", type=int, default=0, help="stop after N records")
+    s.add_argument("--limit", type=_int_at_least(0), default=0,
+                   help="stop after N records (0: no limit)")
 
     chk = sub.add_parser("check", help="hypothesis checkers")
     chksub = chk.add_subparsers(dest="subcommand", required=True)
@@ -374,7 +375,7 @@ def _cmd_scholten_search(plan: RunPlan, sink: _Sink, cache) -> int:
     else:
         grid = box_grid(opts["box"])
     preds = _search_predicates(opts["predicate"])
-    limit = opts.get("limit") or 0
+    limit = opts["limit"]
     t0 = time.perf_counter()
     for rec in parameter_search(grid, preds, not opts["no_dedupe"], plan.jobs):
         sink.emit("scholten-search", {"params": list(rec.curve.params)}, rec.to_record(), t0)
@@ -388,6 +389,8 @@ def _cmd_check_main1(plan: RunPlan, sink: _Sink, cache) -> int:
     opts = plan.options
     curves = [curve_from_pair(*_int_list(tok, "--curves", 2))
               for tok in opts["curves"].split(";") if tok]
+    if not curves:
+        raise UsageError("--curves names no curve")
     t0 = time.perf_counter()
     verdict = main1_check(curves, opts["p"])
     sink.emit("check-main1", verdict.inputs, verdict.to_record(), t0)
@@ -403,6 +406,8 @@ def _cmd_check_main2(plan: RunPlan, sink: _Sink, cache) -> int:
             raise UsageError(f"product spec needs @DEG: {spec!r}")
         factors = [curve_from_pair(*_int_list(tok, "--product", 2))
                    for tok in body.split("|") if tok]
+        if not factors:
+            raise UsageError(f"--product names no curve: {spec!r}")
         products.append((factors, _int_list(deg, "--product degree", 1)[0]))
     t0 = time.perf_counter()
     verdict = main2_check(

@@ -4,15 +4,16 @@ exact point counting and group structure over prime fields.
 Counting is character-sum based, which is the right tool at desk scale;
 nothing here ever rounds.  A general model costs (p - 1)/2 interpreted steps
 per prime (_char_sum).  A curve y^2 = x(x - a)(x - b) costs a handful of
-p-bit integer operations (_split_char_sum), after a non-residue mask that is
-built once per prime.
+p-bit integer operations (_split_char_sum).  Both kernels read one
+quadratic-residue table per prime (_chi_table), built by one pass over the
+squares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Optional
 
@@ -89,7 +90,7 @@ class TwoTorsionCurve:
         if self.a == self.b:
             raise DegenerateCurveError("a = b makes the cubic non-squarefree")
 
-    @property
+    @cached_property
     def model(self) -> WeierstrassModel:
         return WeierstrassModel(
             Fraction(0),
@@ -206,7 +207,7 @@ def _char_sum(coeffs, p: int) -> int:
     E + xO and E - xO are reduced once each.
     """
     c0, c1, c2, c3, c4, c5, c6 = [c % p for c in coeffs] + [0] * (7 - len(coeffs))
-    chi = _chi_table(p)
+    chi = _chi_table(p)[0]
     total = chi[c0]
     for x in range(1, (p + 1) // 2):
         u = x * x
@@ -217,12 +218,16 @@ def _char_sum(coeffs, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _chi_table(p: int) -> tuple[int, ...]:
-    tab = [-1] * p
-    tab[0] = 0
+def _chi_table(p: int) -> tuple[tuple[int, ...], int]:
+    """The quadratic character mod an odd prime p, from one pass over the
+    squares, in two views: the tuple chi with chi[x] in {-1, 0, 1}, and the
+    p-bit integer whose bit x is set iff chi[x] = -1."""
+    sym = bytearray(b"\xff") * p  # chi[x] as a signed byte
+    sym[0] = 0
     for t in range(1, (p + 1) // 2):
-        tab[t * t % p] = 1
-    return tuple(tab)
+        sym[t * t % p] = 1
+    nonres = int(sym.translate(bytes.maketrans(b"\xff\x00\x01", b"100"))[::-1], 2)
+    return tuple(memoryview(sym).cast("b")), nonres
 
 
 def _split_char_sum(roots, p: int) -> int:
@@ -234,7 +239,7 @@ def _split_char_sum(roots, p: int) -> int:
     are non-residues, i.e. at the set bits of the XOR of the rotations, and 0
     at the roots; every other x contributes +1.
     """
-    nonres = _nonresidue_bits(p)
+    nonres = _chi_table(p)[1]
     full = (1 << p) - 1
     odd = root_bits = 0
     for r in roots:
@@ -242,17 +247,6 @@ def _split_char_sum(roots, p: int) -> int:
         odd ^= ((nonres << r) | (nonres >> (p - r))) & full
         root_bits |= 1 << r
     return p - len(roots) - 2 * (odd & ~root_bits).bit_count()
-
-
-@lru_cache(maxsize=None)
-def _nonresidue_bits(p: int) -> int:
-    """The p-bit integer whose bit x is set iff x is a non-residue mod p."""
-    digits = bytearray(b"1" * p)  # digits[x] is bit x
-    digits[0] = ord("0")
-    for t in range(1, (p + 1) // 2):
-        digits[t * t % p] = ord("0")
-    digits.reverse()
-    return int(digits, 2)
 
 
 @lru_cache(maxsize=None)

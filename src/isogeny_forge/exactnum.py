@@ -10,6 +10,7 @@ solution" answer is certified by echelon reduction rather than heuristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -47,8 +48,12 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i in range(bound + 1) if sieve[i]]
 
 
+@lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers well past 64 bits."""
+    """Deterministic Miller-Rabin; the witness set covers well past 64 bits.
+
+    Memoized: each row of a split-Jacobian certificate tests its prime three
+    times (one genus-2 count and two traces of Frobenius)."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:

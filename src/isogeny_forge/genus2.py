@@ -186,6 +186,6 @@ def hyperelliptic_point_count(C: HyperellipticCurve, p: int) -> int:
         raise BadPrimeError(f"p = {p} divides disc(S)")
     lam = C.lam % p
     total = p + _char_sum([lam * c for c in C.coeffs], p)
-    if _chi_table(p)[lam * C.coeffs[6] % p] == 1:
+    if _chi_table(p)[0][lam * C.coeffs[6] % p] == 1:
         total += 2
     return total

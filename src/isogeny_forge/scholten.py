@@ -211,6 +211,14 @@ class SplitJacobianCertificate:
         }
 
 
+def _bad_product(C: ScholtenCurve, e1: TwoTorsionCurve, e2: TwoTorsionCurve) -> int:
+    """lam * disc(S) * lc(S) * Delta(E1) * Delta(E2): the count identity is
+    testable at exactly the odd primes that do not divide it."""
+    if not C.is_smooth:
+        raise DegenerateCurveError(f"curve is not smooth: {C.status}")
+    return C.lam * C.curve.disc * C.curve.coeffs[6] * e1.delta * e2.delta
+
+
 def verify_split_jacobian(
     C: ScholtenCurve,
     primes: Sequence[int],
@@ -227,13 +235,11 @@ def verify_split_jacobian(
     Passing e1/e2 overrides the elliptic factors (useful as a negative
     control; a wrong factor must fail at some prime).
     """
-    if not C.is_smooth:
-        raise DegenerateCurveError(f"curve is not smooth: {C.status}")
     e1 = e1 or C.e1
     e2 = e2 or C.e2
+    bad = _bad_product(C, e1, e2)
     rows = []
     skipped = []
-    bad = C.lam * C.curve.disc * C.curve.coeffs[6] * e1.delta * e2.delta
     for p in primes:
         if p == 2:
             skipped.append((p, "p = 2"))
@@ -355,7 +361,5 @@ def quadruples_from_csv(path: str) -> list[tuple[int, int, int, int]]:
 
 def good_primes_for(C: ScholtenCurve, bound: int) -> list[int]:
     """Odd primes up to bound at which the count identity is testable."""
-    if not C.is_smooth:
-        raise DegenerateCurveError(f"curve is not smooth: {C.status}")
-    bad = C.lam * C.curve.disc * C.curve.coeffs[6] * C.e1.delta * C.e2.delta
+    bad = _bad_product(C, C.e1, C.e2)
     return [p for p in primes_up_to(bound) if p != 2 and bad % p != 0]

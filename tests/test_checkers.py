@@ -48,6 +48,16 @@ def test_main1_order_independent():
     assert a.met == b.met
 
 
+@pytest.mark.parametrize("check, args", [
+    (main1_check, ([], 7)),
+    (main2_check, ([], 7)),
+    (main2_check, ([([E1M1], 1), ([], 2)], 7)),
+], ids=["main1-no-curves", "main2-no-products", "main2-empty-product"])
+def test_hypothesis_check_naming_no_curve_is_refused(check, args):
+    with pytest.raises(ValueError, match="at least one"):
+        check(*args)
+
+
 def test_main2_degree_not_coprime():
     v = main2_check([(([E13]), 3)], 3)
     assert not v.met

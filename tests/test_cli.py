@@ -289,8 +289,18 @@ def test_filtration_rmax_below_one_is_a_usage_error(rmax):
      "usage error: --predicate max-one-supersingular: expected an odd prime, got 9"),
     (["scholten", "search", "--box", "1", "--predicate", "max-one-supersingular:2"],
      "usage error: --predicate max-one-supersingular: expected an odd prime, got 2"),
+    (["scholten", "search", "--box", "-1"], "--box: expected an integer >= 0, got -1"),
+    (["scholten", "search", "--box", "1", "--limit", "-3"],
+     "--limit: expected an integer >= 0, got -3"),
+    (["check", "main1", "--curves=", "--p", "7"], "usage error: --curves names no curve"),
+    (["check", "main1", "--curves", ";", "--p", "7"], "usage error: --curves names no curve"),
+    (["check", "main2", "--product=@2", "--p", "7"],
+     "usage error: --product names no curve: '@2'"),
+    (["check", "main2", "--product", "1,-1@1", "--product", "|@2", "--p", "7"],
+     "usage error: --product names no curve: '|@2'"),
 ], ids=["main1-p", "main2-p", "q", "r", "elliptic-p", "group-order", "group-zero",
-        "supersingular-4", "supersingular-9", "supersingular-2"])
+        "supersingular-4", "supersingular-9", "supersingular-2", "box", "limit",
+        "curves-empty", "curves-blank", "product-empty", "product-blank"])
 def test_caller_error_exits_2_before_any_record(args, message):
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr

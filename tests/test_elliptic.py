@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from math import isqrt
@@ -10,6 +11,7 @@ from isogeny_forge.elliptic import (
     TwoTorsionCurve,
     WeierstrassModel,
     _char_sum,
+    _chi_table,
     _split_char_sum,
     ap_trace,
     count_points,
@@ -171,6 +173,31 @@ def test_char_sum_against_legendre_sum(coeffs, keep, p):
     coeffs = _parity(coeffs, keep)
     want = sum(legendre_symbol(sum(c * x**i for i, c in enumerate(coeffs)), p) for x in range(p))
     assert _char_sum(coeffs, p) == want
+
+
+def test_chi_table_views_against_legendre_symbol():
+    """Both sides of the split-Jacobian identity read this one table."""
+    for p in primes_up_to(300)[1:] + [10007]:
+        chi, nonres = _chi_table(p)
+        assert len(chi) == p and nonres >> p == 0, p
+        for x in range(p):
+            assert chi[x] == legendre_symbol(x, p), (p, x)
+            assert (nonres >> x & 1) == (legendre_symbol(x, p) == -1), (p, x)
+
+
+def test_two_torsion_model_is_built_once():
+    E = curve_from_pair(3, -5)
+    assert E.model is E.model
+
+
+def test_two_torsion_curve_survives_pickling_after_model_read():
+    """Worker processes of a pooled search receive pickled curves."""
+    E = curve_from_pair(3, -5)
+    E.model
+    F = pickle.loads(pickle.dumps(E))
+    assert F == E and hash(F) == hash(E)
+    assert F.model == E.model
+    assert ap_trace(F, 101) == ap_trace(E, 101)
 
 
 def _outcome(f, *args):
