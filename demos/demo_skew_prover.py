@@ -26,6 +26,6 @@ for q in (5, 7, 11):
             f"{rep.negative_control_pair[1]}}} certified outside the lattice: "
             f"{rep.negative_control_certified}"
         )
-    rep3 = prove_skew(G, r=3, tail=(G.points[1],), convention=MINUS)
+    rep3 = prove_skew(G, r=3, convention=MINUS)  # tail: G.points[1]
     print(f"  r=3 with tail {G.points[1]}: all proved = {rep3.all_proved}")
     print()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .elliptic import TwoTorsionCurve, WeierstrassModel, _as_model, _integral_model, ap_trace
 from .exactnum import factorize, primes_up_to
@@ -18,8 +18,8 @@ from .reduction import (
     POT_GOOD_SUPERSINGULAR,
     classify_reduction,
     conductor,
-    minimal_model_at,
     potential_type,
+    tate_algorithm,
 )
 
 Curve = Union[TwoTorsionCurve, WeierstrassModel]
@@ -136,20 +136,11 @@ def main2_check(
     return HypothesisVerdict("main2", inputs, kinds, True, None, conclusion)
 
 
-def global2_prime_filter(
-    curve: Curve,
-    deg_phi: int,
-    bound: int,
-    conductor_of: Optional[Callable[[Curve], int]] = None,
-) -> list[int]:
-    """Primes p <= bound coprime to 6 * N * deg_phi, N the conductor.
-
-    conductor_of computes N (default reduction.conductor); callers with a
-    memo pass theirs.
-    """
+def global2_prime_filter(curve: Curve, deg_phi: int, bound: int) -> list[int]:
+    """Primes p <= bound coprime to 6 * N * deg_phi, N the conductor."""
     if deg_phi < 1:
         raise ValueError("deg_phi must be >= 1")
-    N = (conductor_of or conductor)(curve)
+    N = conductor(curve)
     modulus = 6 * N * deg_phi
     return [p for p in primes_up_to(bound) if modulus % p != 0]
 
@@ -180,23 +171,19 @@ def supersingular_scan(curve: Curve, bound: int) -> SupersingularScan:
     density among the good primes tested.
 
     a_p is taken on the integral model W when p does not divide its
-    discriminant, else on a p-minimal model.  A TwoTorsionCurve is integral,
-    so it is handed to ap_trace itself there and takes the split kernel.
+    discriminant, else on the p-minimal model of the one Tate run at p.  A
+    TwoTorsionCurve is integral, so it is handed to ap_trace itself there
+    and takes the split kernel.
     """
     W = _integral_model(_as_model(curve))
-    disc = int(W.disc)
-    bad = {
-        p
-        for p in factorize(disc)
-        if classify_reduction(W, p).conductor_exponent > 0
-    }
+    local = {p: tate_algorithm(W, p) for p in factorize(int(W.disc))}
     E = curve if isinstance(curve, TwoTorsionCurve) else W
     found = []
     tested = 0
     for p in primes_up_to(bound):
-        if p == 2 or p in bad:
+        if p == 2 or (p in local and local[p].conductor_exponent > 0):
             continue
-        model = E if disc % p != 0 else minimal_model_at(W, p)[0]
+        model = local[p].model if p in local else E
         tested += 1
         if ap_trace(model, p) % p == 0:
             found.append(p)

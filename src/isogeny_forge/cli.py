@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .checkers import global2_prime_filter, main1_check, main2_check, supersingular_scan
-from .elliptic import WeierstrassModel, curve_from_pair, rational_points_mod_p
+from .elliptic import curve_from_pair, rational_points_mod_p
 from .errors import (
     BudgetExceededError,
     CertificateError,
@@ -29,7 +29,7 @@ from .errors import (
 from .exactnum import is_prime, primes_up_to
 from .kgroup import MINUS, PLUS, prove_skew
 from .pontryagin import FinAbGroup, aug_filtration
-from .reduction import classify_reduction, conductor, potential_type
+from .reduction import classify_reduction, conductor
 from .scholten import (
     Predicate,
     at_most_one_supersingular,
@@ -43,8 +43,6 @@ from .scholten import (
     verify_split_jacobian,
 )
 
-CACHE_ENV = "ISOGENY_FORGE_CACHE"
-
 
 class UsageError(Exception):
     pass
@@ -55,14 +53,23 @@ class RunPlan:
     command: str
     options: dict
     output: Optional[str]
-    cache_dir: Optional[str]
     jobs: int
 
 
 @dataclass
 class _Sink:
-    fh: object
+    """Records go to stdout or to the --output file.  The file is opened at
+    the first record or when the command returns, so a run that stops
+    before any record leaves an existing file as it was."""
+
+    path: Optional[str]
+    fh: object = None
     count: int = 0
+
+    def stream(self):
+        if self.fh is None:
+            self.fh = open(self.path, "w") if self.path else sys.stdout
+        return self.fh
 
     def emit(self, kind: str, inputs: dict, outputs: dict, t0: float) -> None:
         record = {
@@ -72,42 +79,8 @@ class _Sink:
             "tool_version": __version__,
             "timing_ms": int((time.perf_counter() - t0) * 1000),
         }
-        self.fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self.stream().write(json.dumps(record, separators=(",", ":")) + "\n")
         self.count += 1
-
-
-class ConductorCache:
-    """JSON-file memo of conductor values keyed by exact model coefficients."""
-
-    def __init__(self, directory: Optional[str]):
-        self.directory = directory
-        self.table: dict[str, int] = {}
-        self.path = None
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-            self.path = os.path.join(directory, "conductors.json")
-            if os.path.exists(self.path):
-                with open(self.path) as fh:
-                    self.table = {k: int(v) for k, v in json.load(fh).items()}
-
-    @staticmethod
-    def key_of(model: WeierstrassModel) -> str:
-        return ",".join(str(c) for c in model.coeffs())
-
-    def conductor(self, model: WeierstrassModel) -> int:
-        key = self.key_of(model)
-        if key not in self.table:
-            self.table[key] = conductor(model)
-            self._save()
-        return self.table[key]
-
-    def _save(self) -> None:
-        if not self.path:
-            return
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.table, fh, sort_keys=True)
-        os.replace(tmp, self.path)
 
 
 # -- argument helpers -----------------------------------------------------------
@@ -170,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         "relation proofs, and filtration reports, as JSON lines",
     )
     top.add_argument("--output", help="output path (default stdout)")
-    top.add_argument("--cache-dir", help=f"cache directory (or ${CACHE_ENV})")
     top.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count() or 1,
                      help="worker processes for searches")
     sub = top.add_subparsers(dest="command", required=True)
@@ -253,20 +225,19 @@ def plan_from_args(argv: Sequence[str]) -> RunPlan:
     if "subcommand" in options:
         command = f"{command} {options.pop('subcommand')}"
     output = options.pop("output")
-    cache_dir = options.pop("cache_dir") or os.environ.get(CACHE_ENV)
     jobs = options.pop("jobs")
-    return RunPlan(command, options, output, cache_dir, jobs)
+    return RunPlan(command, options, output, jobs)
 
 
 # -- command implementations -------------------------------------------------------
 
 
-def _cmd_analyze_curve(plan: RunPlan, sink: _Sink, cache: ConductorCache) -> int:
+def _cmd_analyze_curve(plan: RunPlan, sink: _Sink) -> int:
     opts = plan.options
     primes = _parse_primes(opts["primes"])
     E = curve_from_pair(opts["a"], opts["b"])
     t0 = time.perf_counter()
-    N = cache.conductor(E.model)
+    N = conductor(E)
     sink.emit(
         "conductor",
         {"a": E.a, "b": E.b},
@@ -291,7 +262,7 @@ def _cmd_analyze_curve(plan: RunPlan, sink: _Sink, cache: ConductorCache) -> int
     return 0
 
 
-def _cmd_scholten_build(plan: RunPlan, sink: _Sink, cache) -> int:
+def _cmd_scholten_build(plan: RunPlan, sink: _Sink) -> int:
     quad = _int_list(plan.options["params"], "--params", 4)
     t0 = time.perf_counter()
     C = build_scholten(*quad)
@@ -305,7 +276,7 @@ def _cmd_scholten_build(plan: RunPlan, sink: _Sink, cache) -> int:
     return 0 if C.is_smooth else 1
 
 
-def _cmd_scholten_family(plan: RunPlan, sink: _Sink, cache) -> int:
+def _cmd_scholten_family(plan: RunPlan, sink: _Sink) -> int:
     quad = _int_list(plan.options["params"], "--params", 4)
     t0 = time.perf_counter()
     rep = scholten_family(*quad)
@@ -324,7 +295,7 @@ def _cmd_scholten_family(plan: RunPlan, sink: _Sink, cache) -> int:
     return 0
 
 
-def _cmd_scholten_verify(plan: RunPlan, sink: _Sink, cache) -> int:
+def _cmd_scholten_verify(plan: RunPlan, sink: _Sink) -> int:
     opts = plan.options
     quad = _int_list(opts["params"], "--params", 4)
     primes = _parse_primes(opts["primes"])
@@ -365,7 +336,7 @@ def _search_predicates(specs: Sequence[str]) -> list[Predicate]:
     return preds
 
 
-def _cmd_scholten_search(plan: RunPlan, sink: _Sink, cache) -> int:
+def _cmd_scholten_search(plan: RunPlan, sink: _Sink) -> int:
     opts = plan.options
     if opts.get("csv"):
         try:
@@ -385,7 +356,7 @@ def _cmd_scholten_search(plan: RunPlan, sink: _Sink, cache) -> int:
     return 0
 
 
-def _cmd_check_main1(plan: RunPlan, sink: _Sink, cache) -> int:
+def _cmd_check_main1(plan: RunPlan, sink: _Sink) -> int:
     opts = plan.options
     curves = [curve_from_pair(*_int_list(tok, "--curves", 2))
               for tok in opts["curves"].split(";") if tok]
@@ -397,7 +368,7 @@ def _cmd_check_main1(plan: RunPlan, sink: _Sink, cache) -> int:
     return 0 if verdict.met else 1
 
 
-def _cmd_check_main2(plan: RunPlan, sink: _Sink, cache) -> int:
+def _cmd_check_main2(plan: RunPlan, sink: _Sink) -> int:
     opts = plan.options
     products = []
     for spec in opts["product"]:
@@ -417,12 +388,12 @@ def _cmd_check_main2(plan: RunPlan, sink: _Sink, cache) -> int:
     return 0 if verdict.met else 1
 
 
-def _cmd_check_global2(plan: RunPlan, sink: _Sink, cache: ConductorCache) -> int:
+def _cmd_check_global2(plan: RunPlan, sink: _Sink) -> int:
     opts = plan.options
     E = curve_from_pair(opts["a"], opts["b"])
     t0 = time.perf_counter()
-    primes = global2_prime_filter(E.model, opts["deg_phi"], opts["bound"], cache.conductor)
-    N = cache.conductor(E.model)
+    primes = global2_prime_filter(E, opts["deg_phi"], opts["bound"])
+    N = conductor(E)  # memoized: computed once, by the filter
     sink.emit(
         "check-global2",
         {"a": E.a, "b": E.b, "deg_phi": opts["deg_phi"], "bound": opts["bound"]},
@@ -432,7 +403,7 @@ def _cmd_check_global2(plan: RunPlan, sink: _Sink, cache: ConductorCache) -> int
     return 0
 
 
-def _cmd_scan_supersingular(plan: RunPlan, sink: _Sink, cache) -> int:
+def _cmd_scan_supersingular(plan: RunPlan, sink: _Sink) -> int:
     opts = plan.options
     E = curve_from_pair(opts["a"], opts["b"])
     t0 = time.perf_counter()
@@ -444,7 +415,7 @@ def _cmd_scan_supersingular(plan: RunPlan, sink: _Sink, cache) -> int:
     return 0
 
 
-def _cmd_kgroup_prove_skew(plan: RunPlan, sink: _Sink, cache) -> int:
+def _cmd_kgroup_prove_skew(plan: RunPlan, sink: _Sink) -> int:
     opts = plan.options
     q = opts["q"]
     E = curve_from_pair(opts["a"], opts["b"])
@@ -453,24 +424,11 @@ def _cmd_kgroup_prove_skew(plan: RunPlan, sink: _Sink, cache) -> int:
     code = 0
     for conv in conventions:
         t0 = time.perf_counter()
-        tail = tuple(G.points[1] for _ in range(max(0, opts["r"] - 2)))
-        rep = prove_skew(G, r=opts["r"], tail=tail, convention=conv)
-        outputs = {
-            "n_points": rep.n_points,
-            "generators": rep.n_columns,
-            "pairs_proved": rep.pairs_proved,
-            "pairs_failed": [list(map(str, pr)) for pr in rep.pairs_failed],
-            "two_torsion_proved": rep.two_torsion_proved,
-            "negative_control": {
-                "pair": [str(x) for x in (rep.negative_control_pair or ())],
-                "certified": rep.negative_control_certified,
-            },
-            "all_proved": rep.all_proved,
-        }
+        rep = prove_skew(G, r=opts["r"], convention=conv)
         sink.emit(
             "kgroup-skew",
             {"q": q, "a": E.a, "b": E.b, "r": opts["r"], "convention": conv},
-            outputs,
+            rep.to_record(),
             t0,
         )
         if opts["per_target"]:
@@ -482,7 +440,7 @@ def _cmd_kgroup_prove_skew(plan: RunPlan, sink: _Sink, cache) -> int:
     return code
 
 
-def _cmd_filtration(plan: RunPlan, sink: _Sink, cache) -> int:
+def _cmd_filtration(plan: RunPlan, sink: _Sink) -> int:
     opts = plan.options
     if opts.get("group"):
         try:
@@ -517,12 +475,14 @@ _COMMANDS: dict[str, Callable] = {
 
 
 def execute_plan(plan: RunPlan) -> int:
-    cache = ConductorCache(plan.cache_dir)
-    handler = _COMMANDS[plan.command]
-    if plan.output:
-        with open(plan.output, "w") as fh:
-            return handler(plan, _Sink(fh), cache)
-    return handler(plan, _Sink(sys.stdout), cache)
+    sink = _Sink(plan.output)
+    try:
+        code = _COMMANDS[plan.command](plan, sink)
+        sink.stream()  # a command without records leaves an empty file
+        return code
+    finally:
+        if plan.output and sink.fh is not None:
+            sink.fh.close()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

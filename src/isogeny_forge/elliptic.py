@@ -105,6 +105,12 @@ class TwoTorsionCurve:
         a, b = self.a, self.b
         return 16 * a * a * b * b * (a - b) * (a - b)
 
+    def good_at(self, p: int) -> bool:
+        """Good reduction at the prime p, i.e. p does not divide
+        delta = 16 a^2 b^2 (a - b)^2: at odd p, p does not divide ab(a - b).
+        ab(a - b) is always even, so p = 2 is bad."""
+        return self.a * self.b * (self.a - self.b) % p != 0
+
     @property
     def j(self) -> Fraction:
         a, b = self.a, self.b
@@ -163,13 +169,20 @@ def _b246_mod_p(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> tuple[in
     return b2 % p, b4 % p, b6 % p
 
 
-def _counting_coeffs(W: WeierstrassModel, p: int) -> tuple[int, int, int, int, int]:
-    """W's coefficients mod p, after checking that p is an odd prime of good reduction."""
+_BAD_REDUCTION = "bad reduction at p = {p} (p divides the model discriminant)"
+
+
+def _check_prime(p: int) -> None:
     if p < 2 or not is_prime(p):
         raise BadPrimeError(f"p = {p} is not prime")
+
+
+def _counting_coeffs(W: WeierstrassModel, p: int) -> tuple[int, int, int, int, int]:
+    """W's coefficients mod p, after checking that p is an odd prime of good reduction."""
+    _check_prime(p)
     coeffs = _coeffs_mod_p(W, p)
     if _discriminant(*coeffs) % p == 0:
-        raise BadPrimeError(f"bad reduction at p = {p} (p divides the model discriminant)")
+        raise BadPrimeError(_BAD_REDUCTION.format(p=p))
     if p == 2:
         raise UnsupportedPrimeError("p = 2 is excluded from counting operations")
     return coeffs
@@ -186,11 +199,13 @@ def ap_trace(curve, p: int) -> int:
     the pairs {x, -x}: g(+-x) = (b6 + b2 x^2) +- x (2 b4 + 4 x^2).  Exactness
     is inherited from the Legendre-symbol sum.
     """
-    coeffs = _counting_coeffs(_as_model(curve), p)
     if isinstance(curve, TwoTorsionCurve):
+        _check_prime(p)
+        if not curve.good_at(p):
+            raise BadPrimeError(_BAD_REDUCTION.format(p=p))
         ap = -_split_char_sum((0, curve.a, curve.b), p)
     else:
-        b2, b4, b6 = _b246_mod_p(*coeffs, p)
+        b2, b4, b6 = _b246_mod_p(*_counting_coeffs(_as_model(curve), p), p)
         ap = -_char_sum((b6, 2 * b4, b2, 4), p)
     if ap * ap > 4 * p:
         raise CertificateError("Hasse bound violated: counting bug")

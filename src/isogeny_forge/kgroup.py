@@ -274,7 +274,23 @@ class SkewReport:
     def all_proved(self) -> bool:
         return not self.pairs_failed and not self.two_torsion_failed
 
+    def to_record(self) -> dict:
+        """The summary of the run (the outputs of a kgroup-skew record)."""
+        return {
+            "n_points": self.n_points,
+            "generators": self.n_columns,
+            "pairs_proved": self.pairs_proved,
+            "pairs_failed": [list(map(str, pr)) for pr in self.pairs_failed],
+            "two_torsion_proved": self.two_torsion_proved,
+            "negative_control": {
+                "pair": [str(x) for x in (self.negative_control_pair or ())],
+                "certified": self.negative_control_certified,
+            },
+            "all_proved": self.all_proved,
+        }
+
     def to_records(self) -> list[dict]:
+        """One record per target (the outputs of kgroup-skew-target records)."""
         recs = []
         base = {
             "p": self.p,
@@ -338,14 +354,17 @@ def assemble_skew_lattice(
 
 
 def prove_skew(
-    G: EllipticGroup, r: int = 2, tail: tuple = (), convention: str = MINUS
+    G: EllipticGroup, r: int = 2, tail: Optional[tuple] = None, convention: str = MINUS
 ) -> SkewReport:
     """Certify {a1,a2,X} + {a2,a1,X} = 0 and 2{a,a,X} = 0 against the
     generated relation lattice, for every ordered pair of E(F_q) points.
+    X is the fixed tail of r - 2 points, by default G.points[1] repeated.
 
     Also locates one pair whose lone symbol {a1,a2,X} is certified to lie
     outside the lattice (so the certified relations are not degenerate).
     """
+    if tail is None:
+        tail = (G.points[1],) * (r - 2) if r > 2 else ()
     lattice = assemble_skew_lattice(G, r, tail, convention)
     universe = lattice.universe
     proved = 0

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from .elliptic import (
@@ -394,8 +395,10 @@ def classify_reduction(curve: Curve, p: int) -> ReductionReport:
     )
 
 
+@lru_cache(maxsize=256)
 def conductor(curve: Curve) -> int:
-    """N = prod p^{f_p} over the bad primes of the curve."""
+    """N = prod p^{f_p} over the bad primes of the curve (memoized in
+    process, keyed by the curve object)."""
     W = _integral_model(_as_model(curve))
     delta = int(W.disc)
     N = 1
@@ -407,8 +410,8 @@ def conductor(curve: Curve) -> int:
 def potential_type(curve: Curve, p: int) -> str:
     """Reduction type attained after a finite base extension, for odd p.
 
-    A TwoTorsionCurve with p not dividing ab(a - b) has good reduction at p,
-    and its own a_p decides ordinary vs supersingular, by _split_char_sum
+    A TwoTorsionCurve with good reduction at p (p not dividing ab(a - b))
+    has its own a_p decide ordinary vs supersingular, by _split_char_sum
     over its roots (0, a, b).  Otherwise v_p(j) decides: negative means
     potentially multiplicative; else the reduced j-invariant decides through
     any reference curve with that j (supersingularity depends only on j mod p,
@@ -418,7 +421,7 @@ def potential_type(curve: Curve, p: int) -> str:
         raise UnsupportedPrimeError("potential type is computed for odd primes only")
     if not is_prime(p) or p < 3:
         raise ValueError(f"p = {p} is not an odd prime")
-    if isinstance(curve, TwoTorsionCurve) and curve.a * curve.b * (curve.a - curve.b) % p:
+    if isinstance(curve, TwoTorsionCurve) and curve.good_at(p):
         ap = -_split_char_sum((0, curve.a, curve.b), p)
         return POT_GOOD_SUPERSINGULAR if ap % p == 0 else POT_GOOD_ORDINARY
     W = _as_model(curve)

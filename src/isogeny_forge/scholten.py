@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .checkers import main1_check
 from .elliptic import TwoTorsionCurve, ap_trace, curve_from_pair
-from .errors import DegenerateCurveError, InsufficientPrimesError
+from .errors import CertificateError, DegenerateCurveError, InsufficientPrimesError
 from .exactnum import primes_up_to
 from .genus2 import HyperellipticCurve
 
@@ -90,7 +90,7 @@ def torsion_forms_orbit(a: int, b: int) -> list[tuple[int, int]]:
     pair (s - r, t - r), deduplicated.
 
     Every emitted pair is checked to carry the same j-invariant; a failure
-    would be a construction bug and raises.
+    would be a construction bug and raises CertificateError.
     """
     E = curve_from_pair(a, b)
     roots = (0, a, b)
@@ -103,7 +103,7 @@ def torsion_forms_orbit(a: int, b: int) -> list[tuple[int, int]]:
             seen.append(pair)
     for pa, pb in seen:
         if curve_from_pair(pa, pb).j != E.j:
-            raise AssertionError(f"orbit member {(pa, pb)} has a different j-invariant")
+            raise CertificateError(f"orbit member {(pa, pb)} has a different j-invariant")
     return seen
 
 

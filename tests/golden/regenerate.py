@@ -101,7 +101,6 @@ COMMANDS = [
 
 
 def main() -> int:
-    os.environ.pop("ISOGENY_FORGE_CACHE", None)
     with open(CORPUS, "w") as fh:
         for argv in COMMANDS:
             fh.write(golden_line(argv) + "\n")

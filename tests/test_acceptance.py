@@ -155,7 +155,7 @@ def test_criterion_6_skew_symmetry_prover():
                 assert rep2.pairs_proved == n * n
                 assert rep2.two_torsion_proved == n
                 assert rep2.negative_control_certified, (q, conv)
-                rep3 = prove_skew(G, r=3, tail=(G.points[1],), convention=conv)
+                rep3 = prove_skew(G, r=3, convention=conv)
                 assert rep3.all_proved, (q, conv, "r=3")
                 assert rep3.negative_control_certified, (q, conv, "r=3")
 
@@ -225,12 +225,10 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
         def run(*args, **kw):
             return subprocess.run(cli + list(args), capture_output=True, text=True, **kw)
 
-        cache = tmp_path / "cache"
-        args = ["--cache-dir", str(cache),
-                "scholten", "verify", "--params", "1,2,3,4", "--primes", "50"]
-        cold = run(*args)
-        warm = run(*args)
-        assert cold.returncode == 0 and warm.returncode == 0
+        args = ["scholten", "verify", "--params", "1,2,3,4", "--primes", "50"]
+        first = run(*args)
+        second = run(*args)
+        assert first.returncode == 0 and second.returncode == 0
 
         def strip(out):
             recs = [json.loads(line) for line in out.splitlines() if line.strip()]
@@ -238,7 +236,7 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
                 r.pop("timing_ms", None)
             return recs
 
-        assert strip(cold.stdout) == strip(warm.stdout)
+        assert strip(first.stdout) == strip(second.stdout)
         # exit-code contract on a scripted matrix
         assert run("scholten", "verify", "--params", "1,2,3,4", "--primes", "50").returncode == 0
         assert run(

@@ -148,3 +148,39 @@ def test_scan_works_on_nonminimal_model():
     assert int(blown.disc) % 3 == 0
     scan = supersingular_scan(blown, 50)
     assert list(scan.primes) == [3, 7, 11, 19, 23, 31, 43, 47]
+
+
+def test_scan_runs_tate_once_per_prime_of_the_discriminant(monkeypatch):
+    """One Tate run per p | disc decides bad reduction and gives the model to
+    count on; no potential type is computed."""
+    from fractions import Fraction
+
+    from isogeny_forge import checkers, reduction
+    from isogeny_forge.elliptic import WeierstrassModel, _as_model
+    from isogeny_forge.exactnum import factorize
+
+    curves = [
+        E1M1,
+        curve_from_pair(50, 75),  # not minimal at 5
+        curve_from_pair(-520251, 239738),
+        # integral, not minimal at 2 and 3
+        WeierstrassModel.from_coeffs(1, -1, 0, -14, 29).transform(Fraction(1, 6), 0, 0, 0),
+    ]
+    want = [supersingular_scan(E, 200) for E in curves]
+    tate = reduction.tate_algorithm
+    primes = []
+
+    def counted(W, p):
+        primes.append(p)
+        return tate(W, p)
+
+    def refuse(curve, p):
+        raise AssertionError("the scan computed a potential type")
+
+    monkeypatch.setattr(reduction, "tate_algorithm", counted)
+    monkeypatch.setattr(checkers, "tate_algorithm", counted, raising=False)
+    monkeypatch.setattr(reduction, "potential_type", refuse)
+    for E, scan in zip(curves, want):
+        primes.clear()
+        assert supersingular_scan(E, 200) == scan
+        assert sorted(primes) == sorted(factorize(int(_as_model(E).disc)))

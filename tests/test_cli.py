@@ -1,9 +1,10 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
+
+from isogeny_forge.elliptic import curve_from_pair
 
 CLI = [sys.executable, "-m", "isogeny_forge.cli"]
 
@@ -172,30 +173,13 @@ def test_filtration():
     assert got == [[2], [2], [2]]
 
 
-def test_determinism_cold_and_warm_cache(tmp_path):
-    cache = tmp_path / "cache"
-    args = [
-        "--cache-dir", str(cache),
-        "scholten", "verify", "--params", "1,2,3,4", "--primes", "50",
-    ]
+def test_determinism_across_runs():
+    args = ["scholten", "verify", "--params", "1,2,3,4", "--primes", "50"]
     first = run_cli(*args)
     assert first.returncode == 0
     second = run_cli(*args)
     assert second.returncode == 0
     assert strip_timing(records_of(first.stdout)) == strip_timing(records_of(second.stdout))
-
-
-def test_cache_env_and_warm_conductor(tmp_path):
-    cache = tmp_path / "cache2"
-    env = dict(os.environ, ISOGENY_FORGE_CACHE=str(cache))
-    args = ["analyze-curve", "--a", "1", "--b", "-1", "--primes", "5"]
-    cold = run_cli(*args, env=env)
-    assert cold.returncode == 0
-    assert (cache / "conductors.json").exists()
-    table = json.loads((cache / "conductors.json").read_text())
-    assert list(table.values()) == [32]
-    warm = run_cli(*args, env=env)
-    assert strip_timing(records_of(cold.stdout)) == strip_timing(records_of(warm.stdout))
 
 
 def test_output_file_and_io_error(tmp_path):
@@ -213,6 +197,40 @@ def test_output_file_and_io_error(tmp_path):
     )
     assert res.returncode == 3
     assert "i/o error" in res.stderr
+
+
+def test_output_file_is_opened_only_for_records(tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_text("kept\n")
+    res = run_cli("--output", str(out), "scholten", "verify", "--params", "1,2,3", "--primes", "50")
+    assert res.returncode == 2
+    assert out.read_text() == "kept\n"
+
+    # a command that returns leaves exactly its records, here none
+    res = run_cli("--output", str(out), "--jobs", "1", "scholten", "search", "--box", "0")
+    assert res.returncode == 0
+    assert out.read_text() == ""
+
+
+def test_check_global2_computes_the_conductor_once(monkeypatch, capsys):
+    from isogeny_forge import cli, reduction
+    from isogeny_forge.exactnum import factorize
+
+    tate = reduction.tate_algorithm
+    primes = []
+
+    def counted(W, p):
+        primes.append(p)
+        return tate(W, p)
+
+    monkeypatch.setattr(reduction, "tate_algorithm", counted)
+    reduction.conductor.cache_clear()
+    a, b = -520251, 239738
+    argv = ["check", "global2", "--a", str(a), "--b", str(b), "--deg-phi", "2", "--bound", "50"]
+    assert cli.main(argv) == 0
+    (rec,) = records_of(capsys.readouterr().out)
+    assert rec["outputs"]["conductor"] == reduction.conductor(curve_from_pair(a, b))
+    assert sorted(primes) == sorted(factorize(16 * a * a * b * b * (a - b) ** 2))
 
 
 def test_degenerate_params_exit_1():

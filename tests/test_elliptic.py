@@ -231,16 +231,40 @@ def test_split_char_sum_against_legendre_sum(roots, p):
 @settings(max_examples=100, deadline=None)
 @given(
     st.tuples(*[st.one_of(st.integers(-30, 30), st.integers(-10**6, 10**6))] * 2),
-    st.sampled_from(primes_up_to(500)),
+    st.one_of(st.sampled_from(primes_up_to(500)), st.integers(-5, 600)),
 )
 @example((1, -1), 2)
 @example((50, 75), 5)  # 5 divides the discriminant of this model
+@example((1, 4), 3)  # 3 divides a - b
 @example((1, -1), 499)
+@example((1, -1), 9)  # not prime
+@example((1, -1), 1)
+@example((1, -1), 0)
+@example((1, -1), -7)
 def test_ap_trace_of_two_torsion_curve_matches_its_model(ab, p):
+    """Good primes, bad primes, p = 2 and non-primes: the same value or the
+    same error from the curve's own check and from its model's."""
     a, b = ab
     assume(a and b and a != b)
     E = curve_from_pair(a, b)
     assert _outcome(ap_trace, E, p) == _outcome(ap_trace, E.model, p)
+
+
+def test_ap_trace_of_two_torsion_curve_reduces_no_model(monkeypatch):
+    """Good reduction of y^2 = x(x - a)(x - b) is read off a, b, not off the
+    model's coefficients mod p."""
+    from isogeny_forge import elliptic
+
+    E = curve_from_pair(3, -5)
+    want = ap_trace(E.model, 1499)
+
+    def refuse(W, p):
+        raise AssertionError("two-torsion a_p reduced its model mod p")
+
+    monkeypatch.setattr(elliptic, "_coeffs_mod_p", refuse)
+    assert ap_trace(E, 1499) == want
+    with pytest.raises(BadPrimeError):
+        ap_trace(E, 2)
 
 
 def test_general_models_stay_on_char_sum(monkeypatch):

@@ -32,8 +32,7 @@ def golden_line(argv: list[str]) -> str:
                       separators=(",", ":"))
 
 
-def test_golden_cli_corpus(monkeypatch):
-    monkeypatch.delenv("ISOGENY_FORGE_CACHE", raising=False)
+def test_golden_cli_corpus():
     with open(CORPUS) as fh:
         lines = fh.read().splitlines()
     assert lines

@@ -137,6 +137,10 @@ def test_prove_skew_r3_with_tail():
     assert rep.negative_control_certified
 
 
+def test_prove_skew_default_tail_repeats_second_point():
+    assert prove_skew(E5, r=3) == prove_skew(E5, r=3, tail=(E5.points[1],))
+
+
 def test_prove_skew_budget():
     with pytest.raises(BudgetExceededError):
         prove_skew(E5, r=8)
