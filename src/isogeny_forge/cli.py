@@ -49,14 +49,6 @@ class UsageError(Exception):
 
 
 @dataclass
-class RunPlan:
-    command: str
-    options: dict
-    output: Optional[str]
-    jobs: int
-
-
-@dataclass
 class _Sink:
     """Records go to stdout or to the --output file.  The file is opened at
     the first record or when the command returns, so a run that stops
@@ -151,18 +143,22 @@ def build_parser() -> argparse.ArgumentParser:
     ac.add_argument("--a", type=int, required=True)
     ac.add_argument("--b", type=int, required=True)
     ac.add_argument("--primes", required=True, help="N, lo..hi, or p1,p2,...")
+    ac.set_defaults(run=_cmd_analyze_curve)
 
     sch = sub.add_parser("scholten", help="genus-2 split-Jacobian toolkit")
     schsub = sch.add_subparsers(dest="subcommand", required=True)
     b = schsub.add_parser("build")
     b.add_argument("--params", required=True, help="a,b,c,d")
+    b.set_defaults(run=_cmd_scholten_build)
     f = schsub.add_parser("family")
     f.add_argument("--params", required=True, help="a,b,c,d")
+    f.set_defaults(run=_cmd_scholten_family)
     v = schsub.add_parser("verify")
     v.add_argument("--params", required=True, help="a,b,c,d")
     v.add_argument("--primes", required=True, help="N, lo..hi, or p1,p2,...")
     v.add_argument("--e1", help="override first factor as a,b (negative control)")
     v.add_argument("--e2", help="override second factor as c,d")
+    v.set_defaults(run=_cmd_scholten_verify)
     s = schsub.add_parser("search")
     src = s.add_mutually_exclusive_group(required=True)
     src.add_argument("--csv", help="CSV grid with header a,b,c,d")
@@ -172,23 +168,27 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-dedupe", action="store_true")
     s.add_argument("--limit", type=_int_at_least(0), default=0,
                    help="stop after N records (0: no limit)")
+    s.set_defaults(run=_cmd_scholten_search)
 
     chk = sub.add_parser("check", help="hypothesis checkers")
     chksub = chk.add_subparsers(dest="subcommand", required=True)
     m1 = chksub.add_parser("main1")
     m1.add_argument("--curves", required=True, help="a,b;c,d;...")
     m1.add_argument("--p", type=_prime, required=True)
+    m1.set_defaults(run=_cmd_check_main1)
     m2 = chksub.add_parser("main2")
     m2.add_argument("--product", action="append", required=True,
                     help="a,b|c,d@DEG (repeatable)")
     m2.add_argument("--p", type=_prime, required=True)
     m2.add_argument("--unramified", action="store_true")
     m2.add_argument("--all-good", action="store_true")
+    m2.set_defaults(run=_cmd_check_main2)
     g2 = chksub.add_parser("global2")
     g2.add_argument("--a", type=int, required=True)
     g2.add_argument("--b", type=int, required=True)
     g2.add_argument("--deg-phi", type=_int_at_least(1), required=True)
     g2.add_argument("--bound", type=_int_at_least(0), required=True)
+    g2.set_defaults(run=_cmd_check_global2)
 
     scan = sub.add_parser("scan", help="prime scans")
     scansub = scan.add_subparsers(dest="subcommand", required=True)
@@ -196,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--a", type=int, required=True)
     ss.add_argument("--b", type=int, required=True)
     ss.add_argument("--bound", type=_int_at_least(0), required=True)
+    ss.set_defaults(run=_cmd_scan_supersingular)
 
     kg = sub.add_parser("kgroup", help="symbol relation proofs")
     kgsub = kg.add_subparsers(dest="subcommand", required=True)
@@ -206,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--r", type=_int_at_least(2), default=2)
     ps.add_argument("--convention", choices=[MINUS, PLUS, "both"], default=MINUS)
     ps.add_argument("--per-target", action="store_true")
+    ps.set_defaults(run=_cmd_kgroup_prove_skew)
 
     fl = sub.add_parser("filtration", help="augmentation filtration quotients")
     grp = fl.add_mutually_exclusive_group(required=True)
@@ -214,28 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--a", type=int, default=1)
     fl.add_argument("--b", type=int, default=-1)
     fl.add_argument("--rmax", type=_int_at_least(1), default=3)
+    fl.set_defaults(run=_cmd_filtration)
     return top
-
-
-def plan_from_args(argv: Sequence[str]) -> RunPlan:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    options = dict(vars(ns))
-    command = options.pop("command")
-    if "subcommand" in options:
-        command = f"{command} {options.pop('subcommand')}"
-    output = options.pop("output")
-    jobs = options.pop("jobs")
-    return RunPlan(command, options, output, jobs)
 
 
 # -- command implementations -------------------------------------------------------
 
 
-def _cmd_analyze_curve(plan: RunPlan, sink: _Sink) -> int:
-    opts = plan.options
-    primes = _parse_primes(opts["primes"])
-    E = curve_from_pair(opts["a"], opts["b"])
+def _cmd_analyze_curve(ns: argparse.Namespace, sink: _Sink) -> int:
+    primes = _parse_primes(ns.primes)
+    E = curve_from_pair(ns.a, ns.b)
     t0 = time.perf_counter()
     N = conductor(E)
     sink.emit(
@@ -262,8 +252,8 @@ def _cmd_analyze_curve(plan: RunPlan, sink: _Sink) -> int:
     return 0
 
 
-def _cmd_scholten_build(plan: RunPlan, sink: _Sink) -> int:
-    quad = _int_list(plan.options["params"], "--params", 4)
+def _cmd_scholten_build(ns: argparse.Namespace, sink: _Sink) -> int:
+    quad = _int_list(ns.params, "--params", 4)
     t0 = time.perf_counter()
     C = build_scholten(*quad)
     out = {"status": C.status}
@@ -276,8 +266,8 @@ def _cmd_scholten_build(plan: RunPlan, sink: _Sink) -> int:
     return 0 if C.is_smooth else 1
 
 
-def _cmd_scholten_family(plan: RunPlan, sink: _Sink) -> int:
-    quad = _int_list(plan.options["params"], "--params", 4)
+def _cmd_scholten_family(ns: argparse.Namespace, sink: _Sink) -> int:
+    quad = _int_list(ns.params, "--params", 4)
     t0 = time.perf_counter()
     rep = scholten_family(*quad)
     sink.emit(
@@ -295,11 +285,11 @@ def _cmd_scholten_family(plan: RunPlan, sink: _Sink) -> int:
     return 0
 
 
-def _cmd_scholten_verify(plan: RunPlan, sink: _Sink) -> int:
-    opts = plan.options
-    quad = _int_list(opts["params"], "--params", 4)
-    primes = _parse_primes(opts["primes"])
-    e1, e2 = (_int_list(opts[k], f"--{k}", 2) if opts.get(k) else None for k in ("e1", "e2"))
+def _cmd_scholten_verify(ns: argparse.Namespace, sink: _Sink) -> int:
+    quad = _int_list(ns.params, "--params", 4)
+    primes = _parse_primes(ns.primes)
+    e1, e2 = (_int_list(spec, f"--{k}", 2) if spec else None
+              for k, spec in (("e1", ns.e1), ("e2", ns.e2)))
     t0 = time.perf_counter()
     C = build_scholten(*quad)
     if not C.is_smooth:
@@ -307,11 +297,11 @@ def _cmd_scholten_verify(plan: RunPlan, sink: _Sink) -> int:
         return 1
     e1, e2 = (curve_from_pair(*pair) if pair else None for pair in (e1, e2))
     cert = verify_split_jacobian(C, primes, e1=e1, e2=e2)
-    inputs = {"params": list(quad), "primes": opts["primes"]}
-    if opts.get("e1"):
-        inputs["e1"] = opts["e1"]
-    if opts.get("e2"):
-        inputs["e2"] = opts["e2"]
+    inputs = {"params": list(quad), "primes": ns.primes}
+    if ns.e1:
+        inputs["e1"] = ns.e1
+    if ns.e2:
+        inputs["e2"] = ns.e2
     sink.emit("split-jacobian", inputs, cert.to_record(), t0)
     return 0 if cert.verdict else 1
 
@@ -336,19 +326,18 @@ def _search_predicates(specs: Sequence[str]) -> list[Predicate]:
     return preds
 
 
-def _cmd_scholten_search(plan: RunPlan, sink: _Sink) -> int:
-    opts = plan.options
-    if opts.get("csv"):
+def _cmd_scholten_search(ns: argparse.Namespace, sink: _Sink) -> int:
+    if ns.csv:
         try:
-            grid = quadruples_from_csv(opts["csv"])
+            grid = quadruples_from_csv(ns.csv)
         except ValueError as e:
             raise UsageError(str(e)) from None
     else:
-        grid = box_grid(opts["box"])
-    preds = _search_predicates(opts["predicate"])
-    limit = opts["limit"]
+        grid = box_grid(ns.box)
+    preds = _search_predicates(ns.predicate)
+    limit = ns.limit
     t0 = time.perf_counter()
-    for rec in parameter_search(grid, preds, not opts["no_dedupe"], plan.jobs):
+    for rec in parameter_search(grid, preds, not ns.no_dedupe, ns.jobs):
         sink.emit("scholten-search", {"params": list(rec.curve.params)}, rec.to_record(), t0)
         t0 = time.perf_counter()
         if limit and sink.count >= limit:
@@ -356,22 +345,20 @@ def _cmd_scholten_search(plan: RunPlan, sink: _Sink) -> int:
     return 0
 
 
-def _cmd_check_main1(plan: RunPlan, sink: _Sink) -> int:
-    opts = plan.options
+def _cmd_check_main1(ns: argparse.Namespace, sink: _Sink) -> int:
     curves = [curve_from_pair(*_int_list(tok, "--curves", 2))
-              for tok in opts["curves"].split(";") if tok]
+              for tok in ns.curves.split(";") if tok]
     if not curves:
         raise UsageError("--curves names no curve")
     t0 = time.perf_counter()
-    verdict = main1_check(curves, opts["p"])
+    verdict = main1_check(curves, ns.p)
     sink.emit("check-main1", verdict.inputs, verdict.to_record(), t0)
     return 0 if verdict.met else 1
 
 
-def _cmd_check_main2(plan: RunPlan, sink: _Sink) -> int:
-    opts = plan.options
+def _cmd_check_main2(ns: argparse.Namespace, sink: _Sink) -> int:
     products = []
-    for spec in opts["product"]:
+    for spec in ns.product:
         body, _, deg = spec.partition("@")
         if not deg:
             raise UsageError(f"product spec needs @DEG: {spec!r}")
@@ -382,56 +369,53 @@ def _cmd_check_main2(plan: RunPlan, sink: _Sink) -> int:
         products.append((factors, _int_list(deg, "--product degree", 1)[0]))
     t0 = time.perf_counter()
     verdict = main2_check(
-        products, opts["p"], unramified=opts["unramified"], all_good=opts["all_good"]
+        products, ns.p, unramified=ns.unramified, all_good=ns.all_good
     )
     sink.emit("check-main2", verdict.inputs, verdict.to_record(), t0)
     return 0 if verdict.met else 1
 
 
-def _cmd_check_global2(plan: RunPlan, sink: _Sink) -> int:
-    opts = plan.options
-    E = curve_from_pair(opts["a"], opts["b"])
+def _cmd_check_global2(ns: argparse.Namespace, sink: _Sink) -> int:
+    E = curve_from_pair(ns.a, ns.b)
     t0 = time.perf_counter()
-    primes = global2_prime_filter(E, opts["deg_phi"], opts["bound"])
+    primes = global2_prime_filter(E, ns.deg_phi, ns.bound)
     N = conductor(E)  # memoized: computed once, by the filter
     sink.emit(
         "check-global2",
-        {"a": E.a, "b": E.b, "deg_phi": opts["deg_phi"], "bound": opts["bound"]},
+        {"a": E.a, "b": E.b, "deg_phi": ns.deg_phi, "bound": ns.bound},
         {"conductor": N, "primes": primes},
         t0,
     )
     return 0
 
 
-def _cmd_scan_supersingular(plan: RunPlan, sink: _Sink) -> int:
-    opts = plan.options
-    E = curve_from_pair(opts["a"], opts["b"])
+def _cmd_scan_supersingular(ns: argparse.Namespace, sink: _Sink) -> int:
+    E = curve_from_pair(ns.a, ns.b)
     t0 = time.perf_counter()
-    scan = supersingular_scan(E, opts["bound"])
+    scan = supersingular_scan(E, ns.bound)
     sink.emit(
-        "supersingular-scan", {"a": E.a, "b": E.b, "bound": opts["bound"]},
+        "supersingular-scan", {"a": E.a, "b": E.b, "bound": ns.bound},
         scan.to_record(), t0,
     )
     return 0
 
 
-def _cmd_kgroup_prove_skew(plan: RunPlan, sink: _Sink) -> int:
-    opts = plan.options
-    q = opts["q"]
-    E = curve_from_pair(opts["a"], opts["b"])
+def _cmd_kgroup_prove_skew(ns: argparse.Namespace, sink: _Sink) -> int:
+    q = ns.q
+    E = curve_from_pair(ns.a, ns.b)
     G = rational_points_mod_p(E, q)
-    conventions = [MINUS, PLUS] if opts["convention"] == "both" else [opts["convention"]]
+    conventions = [MINUS, PLUS] if ns.convention == "both" else [ns.convention]
     code = 0
     for conv in conventions:
         t0 = time.perf_counter()
-        rep = prove_skew(G, r=opts["r"], convention=conv)
+        rep = prove_skew(G, r=ns.r, convention=conv)
         sink.emit(
             "kgroup-skew",
-            {"q": q, "a": E.a, "b": E.b, "r": opts["r"], "convention": conv},
+            {"q": q, "a": E.a, "b": E.b, "r": ns.r, "convention": conv},
             rep.to_record(),
             t0,
         )
-        if opts["per_target"]:
+        if ns.per_target:
             for rec in rep.to_records():
                 t1 = time.perf_counter()
                 sink.emit("kgroup-skew-target", {"q": q, "convention": conv}, rec, t1)
@@ -440,56 +424,38 @@ def _cmd_kgroup_prove_skew(plan: RunPlan, sink: _Sink) -> int:
     return code
 
 
-def _cmd_filtration(plan: RunPlan, sink: _Sink) -> int:
-    opts = plan.options
-    if opts.get("group"):
+def _cmd_filtration(ns: argparse.Namespace, sink: _Sink) -> int:
+    if ns.group:
         try:
-            G = FinAbGroup.from_invariant_factors(_int_list(opts["group"], "--group"))
+            G = FinAbGroup.from_invariant_factors(_int_list(ns.group, "--group"))
         except ValueError as e:
             raise UsageError(f"--group: {e}") from None
-        inputs = {"group": opts["group"], "rmax": opts["rmax"]}
+        inputs = {"group": ns.group, "rmax": ns.rmax}
     else:
-        p = opts["elliptic_p"]
-        E = curve_from_pair(opts["a"], opts["b"])
+        p = ns.elliptic_p
+        E = curve_from_pair(ns.a, ns.b)
         G = FinAbGroup.from_elliptic(rational_points_mod_p(E, p))
-        inputs = {"elliptic_p": p, "a": opts["a"], "b": opts["b"], "rmax": opts["rmax"]}
+        inputs = {"elliptic_p": p, "a": ns.a, "b": ns.b, "rmax": ns.rmax}
     t0 = time.perf_counter()
-    rep = aug_filtration(G, opts["rmax"])
+    rep = aug_filtration(G, ns.rmax)
     sink.emit("filtration", inputs, rep.to_record(), t0)
     return 0 if rep.exactness_ok else 1
 
 
-_COMMANDS: dict[str, Callable] = {
-    "analyze-curve": _cmd_analyze_curve,
-    "scholten build": _cmd_scholten_build,
-    "scholten family": _cmd_scholten_family,
-    "scholten verify": _cmd_scholten_verify,
-    "scholten search": _cmd_scholten_search,
-    "check main1": _cmd_check_main1,
-    "check main2": _cmd_check_main2,
-    "check global2": _cmd_check_global2,
-    "scan supersingular": _cmd_scan_supersingular,
-    "kgroup prove-skew": _cmd_kgroup_prove_skew,
-    "filtration": _cmd_filtration,
-}
-
-
-def execute_plan(plan: RunPlan) -> int:
-    sink = _Sink(plan.output)
-    try:
-        code = _COMMANDS[plan.command](plan, sink)
-        sink.stream()  # a command without records leaves an empty file
-        return code
-    finally:
-        if plan.output and sink.fh is not None:
-            sink.fh.close()
+_PARSER = build_parser()  # built once per process; main() may be called repeatedly
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    plan = plan_from_args(argv)
+    ns = _PARSER.parse_args(argv)
+    sink = _Sink(ns.output)
     try:
-        return execute_plan(plan)
+        try:
+            code = ns.run(ns, sink)
+            sink.stream()  # a command without records leaves an empty file
+            return code
+        finally:
+            if ns.output and sink.fh is not None:
+                sink.fh.close()
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

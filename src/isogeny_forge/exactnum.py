@@ -566,9 +566,6 @@ class ColumnLattice:
                 v[k] -= q * c
         return out if not any(v) else None
 
-    def basis_vectors(self) -> list[list[int]]:
-        return self.basis
-
     def rank(self) -> int:
         return len(self._rows)
 

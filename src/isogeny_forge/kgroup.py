@@ -59,13 +59,6 @@ class SymbolUniverse:
             idx += g.index[pt] * s
         return idx
 
-    def tuple_of(self, idx: int) -> tuple[Point, ...]:
-        out = []
-        for g, s in zip(self.slot_groups, self._strides):
-            q, idx = divmod(idx, s)
-            out.append(g.points[q])
-        return tuple(out)
-
     def same_universe(self, other: "SymbolUniverse") -> bool:
         return (
             tuple(map(_curve_key, self.slot_groups))

@@ -182,7 +182,7 @@ def _ideal_power_lattices(group: FinAbGroup, r_max: int) -> list[ColumnLattice]:
     for _ in range(r_max):
         prev = lattices[-1]
         nxt = ColumnLattice(dim)
-        for row in prev.basis_vectors():
+        for row in prev.basis:
             for diff in gen_diffs:
                 conv = [0] * dim
                 for j, c in enumerate(row):
@@ -253,7 +253,7 @@ def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
     for r in range(1, r_max + 1):
         outer, inner = lattices[r - 1], lattices[r]
         rows = []
-        for v in inner.basis_vectors():
+        for v in inner.basis:
             coords = outer.basis_coordinates(v)
             if coords is None:
                 raise CertificateError("I^(r+1) escaped I^r: assembly bug")

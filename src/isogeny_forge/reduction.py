@@ -347,25 +347,6 @@ def _istar_subloop(m: _Machine, rho: int) -> int:
 # -- public operations ---------------------------------------------------------
 
 
-def minimal_model_at(curve: Curve, p: int):
-    """A p-minimal, p-integral model with the admissible (u, r, s, t) taking
-    the input model to it.  Already-minimal integral inputs come back as-is
-    with the identity transformation."""
-    W = _as_model(curve)
-    out = tate_algorithm(W, p)
-    p_integral = all(_vp_frac(c, p) >= 0 for c in W.coeffs())
-    if out.restarts == 0 and p_integral:
-        ident = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-        return W, ident
-    # prefer the bare rescale when it stays p-integral; translations from the
-    # classification run are an implementation detail, not part of the answer
-    u_net = out.transform[0]
-    rescaled = W.transform(u_net, 0, 0, 0)
-    if all(_vp_frac(c, p) >= 0 for c in rescaled.coeffs()):
-        return rescaled, (u_net, Fraction(0), Fraction(0), Fraction(0))
-    return out.model, out.transform
-
-
 def classify_reduction(curve: Curve, p: int) -> ReductionReport:
     """Full local report at p (any prime, including 2 and 3)."""
     W = _as_model(curve)

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Rewrite tests/golden/cli.jsonl from the command list below.
+"""Rewrite tests/golden/cli.jsonl from the command list below, and
+tests/golden/help.txt from the `--help` text of every command.
 
 Run by hand from the repository root, only when a change to the CLI's
 output is intended:
@@ -7,8 +8,8 @@ output is intended:
     python tests/golden/regenerate.py
 
 Each line of the corpus holds one command's argv, its exit code and its
-records with `timing_ms` removed.  tests/test_golden.py replays every line
-and demands the same bytes.
+records with `timing_ms` removed.  The help text is rendered with
+COLUMNS=80.  tests/test_golden.py replays both and demands the same bytes.
 """
 
 import os
@@ -18,7 +19,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
 sys.path.insert(0, os.path.join(HERE, ".."))
 
-from test_golden import CORPUS, golden_line  # noqa: E402
+from test_golden import CORPUS, HELP, golden_line, help_snapshot  # noqa: E402
 
 COMMANDS = [
     ["analyze-curve", "--a", "1", "--b", "-1", "--primes", "2..30"],
@@ -105,6 +106,10 @@ def main() -> int:
         for argv in COMMANDS:
             fh.write(golden_line(argv) + "\n")
     print(f"wrote {len(COMMANDS)} commands to {CORPUS}")
+    os.environ["COLUMNS"] = "80"
+    with open(HELP, "w") as fh:
+        fh.write(help_snapshot())
+    print(f"wrote the help text to {HELP}")
     return 0
 
 

@@ -187,7 +187,7 @@ def test_criterion_7_filtration_quotients():
                 enum = ColumnLattice(len(G))
                 for g in full:
                     enum.add_generator(G.vector(g))
-                assert all(enum.contains(v) for v in via_products.basis_vectors())
+                assert all(enum.contains(v) for v in via_products.basis)
 
 
 def test_criterion_8_product_decomposition():

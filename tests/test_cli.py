@@ -233,6 +233,30 @@ def test_check_global2_computes_the_conductor_once(monkeypatch, capsys):
     assert sorted(primes) == sorted(factorize(16 * a * a * b * b * (a - b) ** 2))
 
 
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    import argparse
+
+    from isogeny_forge import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kw):
+        built.append(kw.get("prog"))
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    two = ["check", "main2", "--product", "1,-1@1", "--product", "1,3@2", "--p", "5"]
+    one = ["check", "main2", "--product", "1,3@2", "--p", "5"]
+    assert cli.main(two) == 0
+    assert cli.main(one) == 0
+    assert built == []
+    # the shared parser's append action must not carry products over between calls
+    first, second = records_of(capsys.readouterr().out)
+    assert len(first["inputs"]["products"]) == 2
+    assert second["inputs"]["products"] == [{"factors": ["E(1,3)"], "degree": 2}]
+
+
 def test_degenerate_params_exit_1():
     res = run_cli("scholten", "verify", "--params", "1,2,2,4", "--primes", "50")
     assert res.returncode == 1

@@ -107,7 +107,7 @@ def test_iterated_product_lattice_matches_full_enumeration():
             enum = ColumnLattice(dim)
             for g in full:
                 enum.add_generator(G.vector(g))
-            assert all(enum.contains(v) for v in via_products.basis_vectors())
+            assert all(enum.contains(v) for v in via_products.basis)
 
 
 def test_alternating_and_product_lattices_agree():

@@ -20,7 +20,6 @@ from isogeny_forge.reduction import (
     _repeated_root_of_cubic,
     classify_reduction,
     conductor,
-    minimal_model_at,
     potential_type,
     tate_algorithm,
 )
@@ -279,41 +278,6 @@ def test_conductor_invariant_under_model_changes():
             assert conductor(model.transform(u, r, s, t)) == N
 
 
-def test_minimal_model_identity_when_already_minimal():
-    model = X3_MINUS_X.model
-    mm, (u, r, s, t) = minimal_model_at(model, 2)
-    assert mm == model
-    assert (u, r, s, t) == (1, 0, 0, 0)
-
-
-def test_minimal_model_descales_u2():
-    blown = W(0, 0, 0, -16, 0)  # u = 2 rescaling of y^2 = x^3 - x
-    mm, (u, r, s, t) = minimal_model_at(blown, 2)
-    assert mm == X3_MINUS_X.model
-    assert u == 2
-    assert blown.transform(u, r, s, t) == mm
-    assert blown.disc == mm.disc * 2**12
-
-
-def test_minimal_model_descales_u3():
-    blown = W(0, 0, 0, -81, 0)  # u = 3 rescaling of y^2 = x^3 - x
-    mm, (u, r, s, t) = minimal_model_at(blown, 3)
-    assert mm == X3_MINUS_X.model
-    assert u == 3
-
-
-def test_minimal_model_transform_verifies():
-    rng = random.Random(3)
-    for model in random_model_corpus(23, 6):
-        for p in [2, 3, 5, 7]:
-            blow = model.transform(Fraction(1, p), 0, 0, 0)
-            mm, (u, r, s, t) = minimal_model_at(blow, p)
-            assert blow.transform(u, r, s, t) == mm
-            assert all(
-                (c.denominator % p) != 0 for c in mm.coeffs()
-            )
-
-
 def test_good_classification_matches_supersingularity():
     for model in random_model_corpus(29, 10):
         for p in primes_up_to(60):
@@ -395,7 +359,7 @@ def test_conductor_rejects_singular():
 
 def test_model_with_a_denominator_prime_to_p_is_refused():
     W = WeierstrassModel.from_coeffs(0, 0, 0, Fraction(1, 3), 1)
-    for local in (tate_algorithm, classify_reduction, minimal_model_at):
+    for local in (tate_algorithm, classify_reduction):
         with pytest.raises(ValueError, match="model must be integral"):
             local(W, 2)
     # a denominator that is a power of p is cleared by rescaling
@@ -448,13 +412,17 @@ def test_quadratic_twist_transition_oracle():
 
 def test_machine_transform_composition_is_exact():
     # the composed (u, r, s, t) must carry the input model to the machine's
-    # final model, translations included
-    models = [m for m, _ in ANCHORS] + random_model_corpus(47, 10)
+    # final model, translations included, and that model must be p-integral;
+    # the models blown up by u = 1/p are not p-minimal
+    blown = [model.transform(Fraction(1, p), 0, 0, 0)
+             for model in random_model_corpus(23, 6) for p in [2, 3, 5, 7]]
+    models = [m for m, _ in ANCHORS] + random_model_corpus(47, 10) + blown
     for model in models:
         for p in sorted(factorize(int(model.disc))):
             out = tate_algorithm(model, p)
             u, r, s, t = out.transform
             assert model.transform(u, r, s, t) == out.model, (model, p)
+            assert all(c.denominator % p for c in out.model.coeffs()), (model, p)
 
 
 def test_report_invariants_actual_type_coherence():
