@@ -225,9 +225,67 @@ class SmithResult:
         return abs(_det_bareiss(self.U)) == 1 and abs(_det_bareiss(self.V)) == 1
 
 
-def smith_normal_form(M: IntMatrix) -> list[int]:
-    """Invariant factors d1 | d2 | ... of M (nonnegative, full diagonal)."""
-    return smith_normal_form_transforms(M).factors
+def invariant_factors_mod(rows: Sequence[Sequence[int]], e: int) -> list[int]:
+    """Invariant factors d1 | d2 | ... | dn of Z^n / (span(rows) + e Z^n),
+    n = the row length; each di divides e.
+
+    Works modulo e: an entry that is a unit mod e is scaled to 1 and its
+    column cleared from the other rows, and its row and column leave the
+    matrix with a factor 1 (the column operations that clear the pivot row
+    change no factor).  What remains has no unit entry; its factors are the
+    Smith form of the residual stacked on e times the identity.
+    """
+    if e < 1:
+        raise ValueError("modulus must be >= 1")
+    ncols = len(rows[0]) if rows else 0
+    active: dict[int, dict[int, int]] = {}  # row index -> sparse row mod e
+    holders: dict[int, set[int]] = {}  # column -> rows with a nonzero entry there
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError("ragged rows")
+        v = {j: x % e for j, x in enumerate(row) if x and x % e}
+        if v:
+            active[i] = v
+            for j in v:
+                holders.setdefault(j, set()).add(i)
+    units = 0
+    cleared: set[int] = set()
+    unseen = set(active)  # rows that may hold a unit not yet looked for
+    while unseen:
+        i = unseen.pop()
+        v = active.get(i)
+        if v is None:
+            continue
+        j = next((j for j, x in v.items() if gcd(x, e) == 1), None)
+        if j is None:
+            continue
+        del active[i]
+        units += 1
+        cleared.add(j)
+        for k in v:
+            holders[k].discard(i)
+        inv = pow(v[j], -1, e)
+        piv = {k: x * inv % e for k, x in v.items() if k != j}
+        for t in holders.pop(j):
+            w = active[t]
+            c = w.pop(j)
+            for k, x in piv.items():
+                nx = (w.get(k, 0) - c * x) % e
+                if nx:
+                    if k not in w:
+                        holders[k].add(t)
+                    w[k] = nx
+                elif k in w:
+                    del w[k]
+                    holders[k].discard(t)
+            if w:
+                unseen.add(t)
+            else:
+                del active[t]
+    rest = [j for j in range(ncols) if j not in cleared]
+    stacked = [[w.get(j, 0) for j in rest] for w in active.values()]
+    stacked += [[e * (k == j) for k in rest] for j in rest]
+    return [1] * units + smith_normal_form_transforms(IntMatrix.from_rows(stacked)).factors
 
 
 def smith_normal_form_transforms(M: IntMatrix) -> SmithResult:
@@ -568,6 +626,10 @@ class ColumnLattice:
 
     def rank(self) -> int:
         return len(self._rows)
+
+    def leading_entries(self) -> dict[int, int]:
+        """{pivot column: leading entry} of the echelon rows, in pivot order."""
+        return {j: self._rows[j][j] for j in self._pivots()}
 
 
 def solve_integer_linear(M: IntMatrix, target: Sequence[int]) -> Optional[list[int]]:

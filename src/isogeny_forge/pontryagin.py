@@ -4,19 +4,22 @@ ideal, and invariant factors of its successive quotients.
 
 The degree map is the augmentation; its kernel I is spanned by the elements
 [a] - [0], and I^r is computed as an integer lattice inside the group ring.
-Quotients I^r / I^{r+1} come out of Smith normal form applied to the basis of
-the inner lattice written in coordinates of the outer one.
+With e the exponent of G, e([a] - [0]) lies in I^2, so e I^r lies in I^{r+1}
+and every quotient I^r / I^{r+1} is killed by e.  Its invariant factors are
+taken modulo e from the basis of the inner lattice written in coordinates of
+the outer one, and certified by the index of the inner lattice in the outer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .elliptic import EllipticGroup
 from .errors import BudgetExceededError, CertificateError
-from .exactnum import ColumnLattice, FormalSum, IntMatrix, _add_multiple, smith_normal_form
+from .exactnum import ColumnLattice, FormalSum, _add_multiple, invariant_factors_mod
 
 
 class FinAbGroup:
@@ -237,8 +240,12 @@ def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
 
     I^1 is spanned by all [a] - [0]; each deeper power is the previous basis
     multiplied by the generator differences (multilinearity makes this span
-    the full ideal power).  Quotients are finite; a free summand would mean a
-    matrix-assembly bug and raises CertificateError.
+    the full ideal power).  The invariant factors of each quotient are
+    computed modulo the group exponent e, which is exact when e kills the
+    quotient.  That premise is certified: the factors must multiply to the
+    index [I^r : I^(r+1)], read off the two echelon bases, which share their
+    pivot columns.  A free summand, a lattice that escapes the previous one
+    or a failed index check raises CertificateError.
     """
     n = len(group)
     if n > 10**4:
@@ -248,6 +255,7 @@ def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
     if r_max > 12:
         raise BudgetExceededError(f"r_max = {r_max} exceeds 12")
     lattices = _ideal_power_lattices(group, r_max)
+    e = group.invariant_factors[-1]
 
     quotients = []
     for r in range(1, r_max + 1):
@@ -260,12 +268,14 @@ def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
             rows.append(coords)
         if inner.rank() != outer.rank():
             raise CertificateError("free summand in a filtration quotient")
-        if rows:
-            facs = smith_normal_form(IntMatrix.from_rows(rows))
-        else:
-            facs = []
-        if 0 in facs:
-            raise CertificateError("nonfinite quotient")
+        lead_out, lead_in = outer.leading_entries(), inner.leading_entries()
+        if lead_out.keys() != lead_in.keys():
+            raise CertificateError("I^r and I^(r+1) have different pivot columns")
+        facs = invariant_factors_mod(rows, e)
+        # [I^r : I^(r+1)] = prod |leading entries of I^(r+1)| / prod |those of I^r|
+        covolume_out = prod(abs(c) for c in lead_out.values())
+        if prod(facs) * covolume_out != prod(abs(c) for c in lead_in.values()):
+            raise CertificateError("quotient not killed by the group exponent")
         quotients.append((r, tuple(f for f in facs if f > 1)))
 
     exact = list(quotients[0][1]) == group.nontrivial_invariants()

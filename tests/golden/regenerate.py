@@ -94,6 +94,8 @@ COMMANDS = [
     ["filtration", "--group", "3", "--rmax", "2"],
     ["filtration", "--group", "2,2,2", "--rmax", "2"],
     ["filtration", "--group", "4,8", "--rmax", "2"],
+    # |G| = 64: the unit pivots mod exp(G) leave a residual of a few columns
+    ["filtration", "--group", "2,2,16", "--rmax", "2"],
     ["filtration", "--elliptic-p", "5", "--rmax", "3"],
     ["filtration", "--elliptic-p", "7", "--a", "3", "--b", "-5", "--rmax", "2"],
     ["analyze-curve", "--a", "1"],

@@ -1,5 +1,6 @@
 import operator
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,10 @@ from isogeny_forge.exactnum import (
     FormalSum,
     IntMatrix,
     factorize,
+    invariant_factors_mod,
     is_prime,
     legendre_symbol,
     primes_up_to,
-    smith_normal_form,
     smith_normal_form_transforms,
     solve_integer_linear,
     xgcd,
@@ -119,12 +120,12 @@ def test_xgcd():
 
 def test_snf_zero_matrix():
     M = IntMatrix.from_rows([[0, 0], [0, 0], [0, 0]])
-    assert smith_normal_form(M) == [0, 0]
+    assert smith_normal_form_transforms(M).factors == [0, 0]
 
 
 def test_snf_hand_examples():
-    assert smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])) == [1, 6]
-    assert smith_normal_form(IntMatrix.from_rows([[2, 4], [0, 2]])) == [2, 2]
+    assert smith_normal_form_transforms(IntMatrix.from_rows([[2, 0], [0, 3]])).factors == [1, 6]
+    assert smith_normal_form_transforms(IntMatrix.from_rows([[2, 4], [0, 2]])).factors == [2, 2]
 
 
 def test_snf_divisibility_chain_and_transforms():
@@ -145,6 +146,36 @@ def test_snf_divisibility_chain_and_transforms():
             else:
                 assert d2 == 0
         assert res.verify(M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-30, 30), min_size=cols, max_size=cols), min_size=1, max_size=6
+        )
+    ),
+    st.integers(1, 60),
+)
+def test_invariant_factors_mod_matches_integer_smith_form(rows, e):
+    # Z^n / (span(A) + eZ^n) has the integer factors of A cut down by e;
+    # a zero factor and a missing one (more columns than rows) both give e
+    n = len(rows[0])
+    factors = smith_normal_form_transforms(IntMatrix.from_rows(rows)).factors
+    want = [gcd(d, e) for d in factors] + [e] * (n - len(factors))
+    assert invariant_factors_mod(rows, e) == want
+
+
+def test_invariant_factors_mod_hand_examples():
+    assert invariant_factors_mod([[2, 0], [0, 3]], 6) == [1, 6]
+    assert invariant_factors_mod([[2, 0], [0, 3]], 4) == [1, 2]
+    assert invariant_factors_mod([[0, 0]], 5) == [5, 5]
+    assert invariant_factors_mod([[7, 3]], 1) == [1, 1]
+    assert invariant_factors_mod([], 9) == []
+    with pytest.raises(ValueError):
+        invariant_factors_mod([[1]], 0)
+    with pytest.raises(ValueError):
+        invariant_factors_mod([[1, 2], [3]], 5)
 
 
 # -- Integer linear solving ---------------------------------------------------

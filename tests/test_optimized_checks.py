@@ -48,6 +48,18 @@ sys.exit(main(["filtration", "--group", "2,4", "--rmax", "2"]))
 """,
         "certificate error: I^(r+1) escaped I^r",
     ),
+    "filtration-exponent": (
+        """
+import sys
+from isogeny_forge import pontryagin
+from isogeny_forge.cli import main
+# modulo 2 the quotient Z/2 x Z/4 of Z[Z/2 x Z/4] reads Z/2 x Z/2
+invariant_factors_mod = pontryagin.invariant_factors_mod
+pontryagin.invariant_factors_mod = lambda rows, e: invariant_factors_mod(rows, e // 2)
+sys.exit(main(["filtration", "--group", "2,4", "--rmax", "2"]))
+""",
+        "certificate error: quotient not killed by the group exponent",
+    ),
     "solve": (
         """
 import sys

@@ -1,11 +1,14 @@
 import random
 from itertools import product as iproduct
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.errors import BudgetExceededError
-from isogeny_forge.exactnum import FormalSum
+from isogeny_forge.exactnum import FormalSum, factorize
 from isogeny_forge.pontryagin import (
     FinAbGroup,
     alternating_generator,
@@ -156,6 +159,55 @@ def test_filtration_exponents_monotone_for_cyclic_p_groups():
         rep = aug_filtration(FinAbGroup.cyclic(n), 4)
         exps = [max(fs) for _, fs in rep.quotients]
         assert all(a >= b for a, b in zip(exps, exps[1:])), (n, exps)
+
+
+def _invariant_chains(limit, prefix=()):
+    """Every chain n1 | n2 | ... of at most three factors > 1 with product <= limit."""
+    if prefix:
+        yield prefix
+    if len(prefix) == 3:
+        return
+    size = prod(prefix)
+    n = prefix[-1] if prefix else 2
+    while size * n <= limit:
+        if not prefix or n % prefix[-1] == 0:
+            yield from _invariant_chains(limit, prefix + (n,))
+        n += 1
+
+
+MIXED_CHAINS = [ns for ns in _invariant_chains(72) if len(factorize(prod(ns))) > 1]
+# the I^4 lattices of these two do not finish in minutes: ColumnLattice
+# entries already pass 600 bits in I^3 of Z/3 x Z/3 x Z/6
+LATTICE_BLOWUP_AT_R3 = {(3, 3, 6), (6, 12)}
+
+
+def _merged(factor_lists):
+    """Invariant factors of the direct sum of groups of coprime orders."""
+    powers: dict[int, list[int]] = {}
+    for fs in factor_lists:
+        for f in fs:
+            for p, k in factorize(f).items():
+                powers.setdefault(p, []).append(p**k)
+    columns = [sorted(ps, reverse=True) for ps in powers.values()]
+    width = max(map(len, columns), default=0)
+    merged = [prod(c[i] for c in columns if i < len(c)) for i in range(width)]
+    return tuple(reversed(merged))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MIXED_CHAINS), st.integers(1, 3))
+def test_filtration_splits_over_sylow_subgroups(ns, r_max):
+    # I^r / I^(r+1) of G is the direct sum of those of its Sylow subgroups
+    # (Passi, Group Rings and Their Augmentation Ideals, LNM 715)
+    assume(r_max < 3 or ns not in LATTICE_BLOWUP_AT_R3)
+    sylow = []
+    for p in factorize(prod(ns)):
+        part = [p ** factorize(n).get(p, 0) for n in ns]
+        sylow_group = FinAbGroup.from_invariant_factors([q for q in part if q > 1])
+        sylow.append(aug_filtration(sylow_group, r_max).quotients)
+    got = aug_filtration(FinAbGroup.from_invariant_factors(list(ns)), r_max).quotients
+    want = [(r + 1, _merged(qs[r][1] for qs in sylow)) for r in range(r_max)]
+    assert list(got) == want
 
 
 def test_filtration_trivial_group():
