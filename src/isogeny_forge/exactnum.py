@@ -607,30 +607,6 @@ class ColumnLattice:
         rem, _ = self.reduce(target)
         return not any(rem)
 
-    def basis_coordinates(self, target) -> Optional[list[int]]:
-        """Coordinates of target over the echelon basis rows, or None when the
-        target is outside the lattice."""
-        v = self._dense(self._sparse(target))
-        order = self._pivots()
-        out = [0] * len(order)
-        for p, j in enumerate(order):
-            if not v[j]:
-                continue
-            row = self._rows[j]
-            if v[j] % row[j]:
-                return None
-            out[p] = q = v[j] // row[j]
-            for k, c in row.items():
-                v[k] -= q * c
-        return out if not any(v) else None
-
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def leading_entries(self) -> dict[int, int]:
-        """{pivot column: leading entry} of the echelon rows, in pivot order."""
-        return {j: self._rows[j][j] for j in self._pivots()}
-
 
 def solve_integer_linear(M: IntMatrix, target: Sequence[int]) -> Optional[list[int]]:
     """Solve M*x = target over the integers (columns of M are generators).

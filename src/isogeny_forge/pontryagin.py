@@ -3,11 +3,13 @@
 ideal, and invariant factors of its successive quotients.
 
 The degree map is the augmentation; its kernel I is spanned by the elements
-[a] - [0], and I^r is computed as an integer lattice inside the group ring.
-With e the exponent of G, e([a] - [0]) lies in I^2, so e I^r lies in I^{r+1}
-and every quotient I^r / I^{r+1} is killed by e.  Its invariant factors are
-taken modulo e from the basis of the inner lattice written in coordinates of
-the outer one, and certified by the index of the inner lattice in the outer.
+[a] - [0].  With e the exponent of G, e([a] - [0]) lies in I^2, so e^k I
+lies in I^(k+1): the ideal powers up to I^(r+1) all contain m I for
+m = e^r, and are kept modulo m over the basis [a] - [0] of I, after a check
+that e kills the group's generators.  Every quotient I^r / I^(r+1) is
+killed by e.  Its invariant factors are taken modulo e from the rows of the
+inner lattice written in coordinates of the outer one, and certified by the
+index of the inner lattice in the outer.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .elliptic import EllipticGroup
 from .errors import BudgetExceededError, CertificateError
-from .exactnum import ColumnLattice, FormalSum, _add_multiple, invariant_factors_mod
+from .exactnum import ColumnLattice, FormalSum, _add_multiple, invariant_factors_mod, xgcd
 
 
 class FinAbGroup:
@@ -153,51 +155,128 @@ def ideal_power_lattice(group: FinAbGroup, r: int) -> ColumnLattice:
     """The lattice I^r inside the group ring, r >= 1."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return _ideal_power_lattices(group, r)[r - 1]
-
-
-def _ideal_power_lattices(group: FinAbGroup, r_max: int) -> list[ColumnLattice]:
-    """[I^1, ..., I^(r_max + 1)] as echelon lattices.
-
-    I^1 is spanned by all [a] - [0]; deeper powers multiply the previous
-    basis by the generator differences.  That suffices: a product of r+1
-    arbitrary differences expands integrally into products of generator
-    differences of length >= r+1, and one generator factor can always be
-    split off the front of such a word.
-    """
-    n = len(group)
-    dim = n
+    _, lattices = _ideal_power_lattices(group, r)
+    nonzero = [a for a in group.elements if a != group.zero]
     zero_idx = group.index[group.zero]
-    L1 = ColumnLattice(dim)
-    for a in group.elements:
-        if a == group.zero:
-            continue
-        v = [0] * dim
-        v[group.index[a]] = 1
-        v[zero_idx] -= 1
-        L1.add_generator(v)
-    lattices = [L1]
-    gen_diffs = []
+    lat = ColumnLattice(len(group))
+    for row in lattices[r - 1]:
+        # sum c_k ([a_k] - [0]) in group-ring coordinates
+        v = {group.index[nonzero[k]]: c for k, c in row.items()}
+        v[zero_idx] = -sum(row.values())
+        lat.add_generator(v)
+    return lat
+
+
+def _ideal_power_lattices(
+    group: FinAbGroup, r_max: int
+) -> tuple[int, list[list[dict[int, int]]]]:
+    """(m, [I^1, ..., I^(r_max + 1)]) with m = e^r_max, e the group exponent.
+
+    Each power is an echelon modulo m (see _insert_mod) over the basis
+    [a] - [0], a != 0, of I.  That is exact because m I lies in
+    I^(r_max + 1), once e is checked to kill every generator, which comes
+    first.  I^1 is all of I; deeper powers multiply the previous rows by
+    the generator differences.  That suffices: a product of r+1 arbitrary
+    differences expands integrally into products of generator differences
+    of length >= r+1, and one generator factor can always be split off the
+    front of such a word.
+    """
+    e = group.invariant_factors[-1]
     for s in group.generators:
-        d = {group.index[s]: 1}
-        d[zero_idx] = d.get(zero_idx, 0) - 1
-        gen_diffs.append(d)
+        t = group.zero
+        for _ in range(e):
+            t = group.add(t, s)
+        if t != group.zero:
+            raise CertificateError("the group exponent does not kill a generator")
+    m = e**r_max
+    nonzero = [a for a in group.elements if a != group.zero]
+    pos = {a: k for k, a in enumerate(nonzero)}
+    dim = len(nonzero)
+    # per generator s: (column of [s] - [0], column of a + s for each column a)
+    shifts = [
+        (pos[s], [pos.get(group.add(a, s)) for a in nonzero])
+        for s in group.generators
+        if s != group.zero
+    ]
+    lattices = [[{j: 1} for j in range(dim)]]
     for _ in range(r_max):
-        prev = lattices[-1]
-        nxt = ColumnLattice(dim)
-        for row in prev.basis:
-            for diff in gen_diffs:
-                conv = [0] * dim
-                for j, c in enumerate(row):
-                    if not c:
-                        continue
-                    e = group.elements[j]
-                    for k_idx, dc in diff.items():
-                        s = group.add(e, group.elements[k_idx])
-                        conv[group.index[s]] += c * dc
-                nxt.add_generator(conv)
+        nxt = [{j: m} for j in range(dim)]
+        for row in lattices[-1]:
+            for s_col, shift in shifts:
+                # row * ([s] - [0]) = sum c_k (([a_k + s] - [0]) - ([a_k] - [0]) - ([s] - [0]))
+                v = {s_col: -sum(row.values())}
+                for k, c in row.items():
+                    v[k] = v.get(k, 0) - c
+                    if shift[k] is not None:
+                        v[shift[k]] = v.get(shift[k], 0) + c
+                _insert_mod(nxt, v, m)
         lattices.append(nxt)
-    return lattices
+    return m, lattices
+
+
+def _insert_mod(rows: list[dict[int, int]], v: dict[int, int], m: int) -> None:
+    """Add the vector v to the lattice of an echelon modulo m, in place.
+
+    Row j holds its pivot at column j, a divisor of m, and entries in
+    [0, m) elsewhere; the lattice is the span of the rows, which contains
+    m Z^n.  v is reduced at its first nonzero column: a pivot that divides
+    the entry is subtracted, one that does not is replaced by the extended
+    gcd combination of itself and v, whose other combination carries on.
+    That other combination holds m/g times the new row of pivot g, modulo
+    m and the old row's own such multiple, so the rows keep spanning m Z^n
+    and their pivots multiply to the index of the lattice.
+    """
+    v = {k: c % m for k, c in v.items() if c % m}
+    while v:
+        j = min(v)
+        row = rows[j]
+        a, b = row[j], v[j]
+        if b % a == 0:
+            q = b // a
+            for k, c in row.items():
+                x = (v.get(k, 0) - q * c) % m
+                if x:
+                    v[k] = x
+                else:
+                    v.pop(k, None)
+            continue
+        g, x, y = xgcd(a, b)
+        ag, bg = a // g, b // g
+        new_row, rest = {j: g}, {}
+        for k in row.keys() | v.keys():
+            if k == j:
+                continue
+            ra, rb = row.get(k, 0), v.get(k, 0)
+            nv = (x * ra + y * rb) % m
+            if nv:
+                new_row[k] = nv
+            rv = (ag * rb - bg * ra) % m
+            if rv:
+                rest[k] = rv
+        rows[j] = new_row
+        v = rest
+
+
+def _coordinates_mod(
+    rows: list[dict[int, int]], v: dict[int, int], m: int
+) -> Optional[list[int]]:
+    """Coordinates of v over the rows of an echelon modulo m, by
+    back-substitution with every entry reduced mod m, or None when v is
+    outside the lattice."""
+    w = [0] * len(rows)
+    for k, c in v.items():
+        w[k] = c % m
+    out = [0] * len(rows)
+    for j, row in enumerate(rows):
+        x = w[j]
+        if not x:
+            continue
+        if x % row[j]:
+            return None
+        out[j] = q = x // row[j]
+        for k, c in row.items():
+            w[k] = (w[k] - q * c) % m
+    return out
 
 
 def spans_same_lattice(
@@ -238,13 +317,12 @@ class FiltrationReport:
 def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
     """Invariant factors of I^r / I^(r+1) for r = 1..r_max.
 
-    I^1 is spanned by all [a] - [0]; each deeper power is the previous basis
-    multiplied by the generator differences (multilinearity makes this span
-    the full ideal power).  The invariant factors of each quotient are
-    computed modulo the group exponent e, which is exact when e kills the
-    quotient.  That premise is certified: the factors must multiply to the
-    index [I^r : I^(r+1)], read off the two echelon bases, which share their
-    pivot columns.  A free summand, a lattice that escapes the previous one
+    The rows of I^(r+1) are written over those of I^r by back-substitution
+    modulo m = e^r_max; lifts that differ by m Z^n differ by an element of
+    m I, inside e I^r, so their coordinates agree mod e.  e kills every
+    quotient, so its invariant factors are computed modulo e from those
+    coordinates and certified by the index [I^r : I^(r+1)], the product of
+    the pivots of I^(r+1) over that of I^r.  A row of I^(r+1) outside I^r
     or a failed index check raises CertificateError.
     """
     n = len(group)
@@ -254,27 +332,21 @@ def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
         raise ValueError("r_max must be >= 1")
     if r_max > 12:
         raise BudgetExceededError(f"r_max = {r_max} exceeds 12")
-    lattices = _ideal_power_lattices(group, r_max)
+    m, lattices = _ideal_power_lattices(group, r_max)
     e = group.invariant_factors[-1]
 
     quotients = []
     for r in range(1, r_max + 1):
         outer, inner = lattices[r - 1], lattices[r]
         rows = []
-        for v in inner.basis:
-            coords = outer.basis_coordinates(v)
+        for v in inner:
+            coords = _coordinates_mod(outer, v, m)
             if coords is None:
                 raise CertificateError("I^(r+1) escaped I^r: assembly bug")
             rows.append(coords)
-        if inner.rank() != outer.rank():
-            raise CertificateError("free summand in a filtration quotient")
-        lead_out, lead_in = outer.leading_entries(), inner.leading_entries()
-        if lead_out.keys() != lead_in.keys():
-            raise CertificateError("I^r and I^(r+1) have different pivot columns")
         facs = invariant_factors_mod(rows, e)
-        # [I^r : I^(r+1)] = prod |leading entries of I^(r+1)| / prod |those of I^r|
-        covolume_out = prod(abs(c) for c in lead_out.values())
-        if prod(facs) * covolume_out != prod(abs(c) for c in lead_in.values()):
+        covolume_out = prod(row[j] for j, row in enumerate(outer))
+        if prod(facs) * covolume_out != prod(row[j] for j, row in enumerate(inner)):
             raise CertificateError("quotient not killed by the group exponent")
         quotients.append((r, tuple(f for f in facs if f > 1)))
 

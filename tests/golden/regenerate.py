@@ -98,6 +98,8 @@ COMMANDS = [
     ["filtration", "--group", "2,2,16", "--rmax", "2"],
     ["filtration", "--elliptic-p", "5", "--rmax", "3"],
     ["filtration", "--elliptic-p", "7", "--a", "3", "--b", "-5", "--rmax", "2"],
+    # E(F_101) = Z/2 x Z/52: the ideal powers modulo 52^2 stay bounded
+    ["filtration", "--elliptic-p", "101", "--rmax", "2"],
     ["analyze-curve", "--a", "1"],
     ["filtration", "--group", "2", "--elliptic-p", "5"],
 ]

@@ -41,9 +41,9 @@ sys.exit(main(["kgroup", "prove-skew", "--q", "5"]))
     "filtration": (
         """
 import sys
-from isogeny_forge import exactnum
+from isogeny_forge import pontryagin
 from isogeny_forge.cli import main
-exactnum.ColumnLattice.basis_coordinates = lambda self, target: None
+pontryagin._coordinates_mod = lambda rows, v, m: None
 sys.exit(main(["filtration", "--group", "2,4", "--rmax", "2"]))
 """,
         "certificate error: I^(r+1) escaped I^r",
@@ -59,6 +59,22 @@ pontryagin.invariant_factors_mod = lambda rows, e: invariant_factors_mod(rows, e
 sys.exit(main(["filtration", "--group", "2,4", "--rmax", "2"]))
 """,
         "certificate error: quotient not killed by the group exponent",
+    ),
+    "filtration-lying-exponent": (
+        """
+import sys
+from isogeny_forge.cli import main
+from isogeny_forge.pontryagin import FinAbGroup
+# Z/2 x Z/4 claiming exponent 2: modulo 2^rmax its I/I^2 would read Z/2 x Z/2
+build = FinAbGroup.from_invariant_factors
+def lying(ns):
+    group = build(ns)
+    group.invariant_factors = [2, 2]
+    return group
+FinAbGroup.from_invariant_factors = staticmethod(lying)
+sys.exit(main(["filtration", "--group", "2,4", "--rmax", "1"]))
+""",
+        "certificate error:",
     ),
     "solve": (
         """

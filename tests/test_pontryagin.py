@@ -3,7 +3,7 @@ from itertools import product as iproduct
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
@@ -99,7 +99,9 @@ def test_generator_tuples_alone_are_not_enough():
 def test_iterated_product_lattice_matches_full_enumeration():
     from isogeny_forge.pontryagin import ideal_power_lattice
 
-    for G in (Z2, Z3, Z4, Z2xZ4):
+    # Z/6 and Z/2 x Z/6 are not p-groups
+    Z6, Z2xZ6 = FinAbGroup.cyclic(6), FinAbGroup.from_invariant_factors([2, 6])
+    for G in (Z2, Z3, Z4, Z2xZ4, Z6, Z2xZ6):
         for r in (1, 2, 3):
             via_products = ideal_power_lattice(G, r)
             full = gr_generators(G, r, over="all")
@@ -176,9 +178,6 @@ def _invariant_chains(limit, prefix=()):
 
 
 MIXED_CHAINS = [ns for ns in _invariant_chains(72) if len(factorize(prod(ns))) > 1]
-# the I^4 lattices of these two do not finish in minutes: ColumnLattice
-# entries already pass 600 bits in I^3 of Z/3 x Z/3 x Z/6
-LATTICE_BLOWUP_AT_R3 = {(3, 3, 6), (6, 12)}
 
 
 def _merged(factor_lists):
@@ -199,7 +198,6 @@ def _merged(factor_lists):
 def test_filtration_splits_over_sylow_subgroups(ns, r_max):
     # I^r / I^(r+1) of G is the direct sum of those of its Sylow subgroups
     # (Passi, Group Rings and Their Augmentation Ideals, LNM 715)
-    assume(r_max < 3 or ns not in LATTICE_BLOWUP_AT_R3)
     sylow = []
     for p in factorize(prod(ns)):
         part = [p ** factorize(n).get(p, 0) for n in ns]
@@ -208,6 +206,44 @@ def test_filtration_splits_over_sylow_subgroups(ns, r_max):
     got = aug_filtration(FinAbGroup.from_invariant_factors(list(ns)), r_max).quotients
     want = [(r + 1, _merged(qs[r][1] for qs in sylow)) for r in range(r_max)]
     assert list(got) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), max_size=6),
+            st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), max_size=4),
+        )
+    ),
+    st.integers(1, 60),
+)
+def test_echelon_mod_m_matches_integer_lattice(case, m):
+    # span(vectors) + m Z^n: the pivots multiply to its index, and a target
+    # has coordinates exactly when it lies in the lattice
+    from isogeny_forge.exactnum import ColumnLattice
+    from isogeny_forge.pontryagin import _coordinates_mod, _insert_mod
+
+    n, vectors, targets = case
+    rows = [{j: m} for j in range(n)]
+    lattice = ColumnLattice(n)
+    for j in range(n):
+        lattice.add_generator({j: m})
+    for v in vectors:
+        _insert_mod(rows, dict(enumerate(v)), m)
+        lattice.add_generator(v)
+    assert all(0 < row[j] and m % row[j] == 0 for j, row in enumerate(rows))
+    assert all(0 <= c < m for j, row in enumerate(rows) for k, c in row.items() if k != j)
+    assert prod(row[j] for j, row in enumerate(rows)) == prod(
+        abs(b[j]) for j, b in enumerate(lattice.basis)
+    )
+    for t in vectors + targets:
+        coords = _coordinates_mod(rows, dict(enumerate(t)), m)
+        assert (coords is not None) == lattice.contains(t)
+        if coords is not None:
+            back = [sum(q * rows[i].get(k, 0) for i, q in enumerate(coords)) for k in range(n)]
+            assert all((b - x) % m == 0 for b, x in zip(back, t))
 
 
 def test_filtration_trivial_group():
