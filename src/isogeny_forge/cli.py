@@ -60,7 +60,7 @@ class _Sink:
 
     def stream(self):
         if self.fh is None:
-            self.fh = open(self.path, "w") if self.path else sys.stdout
+            self.fh = open(self.path, "w") if self.path is not None else sys.stdout
         return self.fh
 
     def emit(self, kind: str, inputs: dict, outputs: dict, t0: float) -> None:
@@ -288,19 +288,19 @@ def _cmd_scholten_family(ns: argparse.Namespace, sink: _Sink) -> int:
 def _cmd_scholten_verify(ns: argparse.Namespace, sink: _Sink) -> int:
     quad = _int_list(ns.params, "--params", 4)
     primes = _parse_primes(ns.primes)
-    e1, e2 = (_int_list(spec, f"--{k}", 2) if spec else None
+    e1, e2 = (_int_list(spec, f"--{k}", 2) if spec is not None else None
               for k, spec in (("e1", ns.e1), ("e2", ns.e2)))
     t0 = time.perf_counter()
     C = build_scholten(*quad)
     if not C.is_smooth:
         sink.emit("split-jacobian", {"params": list(quad)}, {"status": C.status}, t0)
         return 1
-    e1, e2 = (curve_from_pair(*pair) if pair else None for pair in (e1, e2))
+    e1, e2 = (curve_from_pair(*pair) if pair is not None else None for pair in (e1, e2))
     cert = verify_split_jacobian(C, primes, e1=e1, e2=e2)
     inputs = {"params": list(quad), "primes": ns.primes}
-    if ns.e1:
+    if ns.e1 is not None:
         inputs["e1"] = ns.e1
-    if ns.e2:
+    if ns.e2 is not None:
         inputs["e2"] = ns.e2
     sink.emit("split-jacobian", inputs, cert.to_record(), t0)
     return 0 if cert.verdict else 1
@@ -309,9 +309,11 @@ def _cmd_scholten_verify(ns: argparse.Namespace, sink: _Sink) -> int:
 def _search_predicates(specs: Sequence[str]) -> list[Predicate]:
     preds = []
     for spec in specs:
-        name, _, arg = spec.partition(":")
+        name, colon, arg = spec.partition(":")
         if name == "split-jacobian":
-            bound = _int_list(arg, f"--predicate {name}", 1)[0] if arg else 50
+            bound = _int_list(arg, f"--predicate {name}", 1)[0] if colon else 50
+            if bound < 0:
+                raise UsageError(f"--predicate {name}: expected an integer >= 0, got {bound}")
             test = partial(split_jacobian_ok, bound=bound)
         elif name == "max-one-supersingular":
             if not arg:
@@ -327,7 +329,7 @@ def _search_predicates(specs: Sequence[str]) -> list[Predicate]:
 
 
 def _cmd_scholten_search(ns: argparse.Namespace, sink: _Sink) -> int:
-    if ns.csv:
+    if ns.csv is not None:
         try:
             grid = quadruples_from_csv(ns.csv)
         except ValueError as e:
@@ -425,7 +427,7 @@ def _cmd_kgroup_prove_skew(ns: argparse.Namespace, sink: _Sink) -> int:
 
 
 def _cmd_filtration(ns: argparse.Namespace, sink: _Sink) -> int:
-    if ns.group:
+    if ns.group is not None:
         try:
             G = FinAbGroup.from_invariant_factors(_int_list(ns.group, "--group"))
         except ValueError as e:
@@ -454,7 +456,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sink.stream()  # a command without records leaves an empty file
             return code
         finally:
-            if ns.output and sink.fh is not None:
+            if ns.output is not None and sink.fh is not None:
                 sink.fh.close()
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

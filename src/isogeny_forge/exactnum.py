@@ -225,9 +225,9 @@ class SmithResult:
         return abs(_det_bareiss(self.U)) == 1 and abs(_det_bareiss(self.V)) == 1
 
 
-def invariant_factors_mod(rows: Sequence[Sequence[int]], e: int) -> list[int]:
-    """Invariant factors d1 | d2 | ... | dn of Z^n / (span(rows) + e Z^n),
-    n = the row length; each di divides e.
+def invariant_factors_mod(rows: Sequence[dict[int, int]], ncols: int, e: int) -> list[int]:
+    """Invariant factors d1 | d2 | ... | d_ncols of Z^ncols / (span(rows) +
+    e Z^ncols), each row a sparse map {column: entry}; each di divides e.
 
     Works modulo e: an entry that is a unit mod e is scaled to 1 and its
     column cleared from the other rows, and its row and column leave the
@@ -237,13 +237,12 @@ def invariant_factors_mod(rows: Sequence[Sequence[int]], e: int) -> list[int]:
     """
     if e < 1:
         raise ValueError("modulus must be >= 1")
-    ncols = len(rows[0]) if rows else 0
     active: dict[int, dict[int, int]] = {}  # row index -> sparse row mod e
     holders: dict[int, set[int]] = {}  # column -> rows with a nonzero entry there
     for i, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ValueError("ragged rows")
-        v = {j: x % e for j, x in enumerate(row) if x and x % e}
+        if any(not 0 <= j < ncols for j in row):
+            raise ValueError(f"column out of range 0..{ncols - 1}")
+        v = {j: x % e for j, x in row.items() if x % e}
         if v:
             active[i] = v
             for j in v:

@@ -215,7 +215,6 @@ class RelationLattice:
 class MembershipResult:
     member: bool
     coefficients: Optional[dict[int, int]]  # column index -> multiplier
-    remainder_norm: int  # 0 iff member
 
     @property
     def certificate_length(self) -> int:
@@ -233,7 +232,7 @@ def prove_member(target: FormalSum, lattice: RelationLattice) -> MembershipResul
         raise ValueError("target and lattice live on different symbol universes")
     rem, coeffs = lattice.engine.reduce(target.coeffs)
     if any(rem):
-        return MembershipResult(False, None, sum(abs(x) for x in rem))
+        return MembershipResult(False, None)
     rebuilt: dict[int, int] = {}
     for ci, mult in coeffs.items():
         for k, v in lattice.columns[ci].vector:
@@ -241,7 +240,7 @@ def prove_member(target: FormalSum, lattice: RelationLattice) -> MembershipResul
     rebuilt = {k: v for k, v in rebuilt.items() if v}
     if rebuilt != target.coeffs:
         raise CertificateError("certificate failed re-verification")
-    return MembershipResult(True, dict(coeffs), 0)
+    return MembershipResult(True, dict(coeffs))
 
 
 # -- the skew-symmetry prover ------------------------------------------------------
@@ -255,13 +254,22 @@ class SkewReport:
     convention: str
     n_points: int
     n_columns: int
-    pairs_proved: int
     pairs_failed: list
-    two_torsion_proved: int
     two_torsion_failed: list
     negative_control_pair: Optional[tuple]
-    negative_control_certified: bool
     certificate_lengths: dict  # pair -> length
+
+    @property
+    def pairs_proved(self) -> int:
+        return len(self.certificate_lengths)
+
+    @property
+    def two_torsion_proved(self) -> int:
+        return self.n_points - len(self.two_torsion_failed)
+
+    @property
+    def negative_control_certified(self) -> bool:
+        return self.negative_control_pair is not None
 
     @property
     def all_proved(self) -> bool:
@@ -353,48 +361,42 @@ def prove_skew(
     generated relation lattice, for every ordered pair of E(F_q) points.
     X is the fixed tail of r - 2 points, by default G.points[1] repeated.
 
-    Also locates one pair whose lone symbol {a1,a2,X} is certified to lie
-    outside the lattice (so the certified relations are not degenerate).
+    Both orders of a pair share one target, and the diagonal target
+    {a,a,X} + {a,a,X} is 2{a,a,X}, so each of the n(n+1)/2 distinct targets
+    is proved once.  Also locates one pair whose lone symbol {a1,a2,X} is
+    certified to lie outside the lattice (so the certified relations are not
+    degenerate).
     """
     if tail is None:
         tail = (G.points[1],) * (r - 2) if r > 2 else ()
     lattice = assemble_skew_lattice(G, r, tail, convention)
     universe = lattice.universe
-    proved = 0
+    proofs = {}  # (i, j) with i <= j -> certificate length, None if not derivable
     failed = []
     lengths = {}
-    for a1 in G.points:
-        for a2 in G.points:
-            target = universe.symbol([a1, a2]) + universe.symbol([a2, a1])
-            res = prove_member(target, lattice)
-            key = (_pt(a1), _pt(a2))
-            if res.member:
-                proved += 1
-                lengths[key] = res.certificate_length
+    for i, a1 in enumerate(G.points):
+        for j, a2 in enumerate(G.points):
+            if j < i:
+                length = proofs[j, i]
             else:
+                res = prove_member(universe.symbol([a1, a2]) + universe.symbol([a2, a1]), lattice)
+                length = proofs[i, j] = res.certificate_length if res.member else None
+            key = (_pt(a1), _pt(a2))
+            if length is None:
                 failed.append(key)
-    tt_proved = 0
-    tt_failed = []
-    for a in G.points:
-        target = universe.symbol([a, a], 2)
-        if prove_member(target, lattice).member:
-            tt_proved += 1
-        else:
-            tt_failed.append(_pt(a))
+            else:
+                lengths[key] = length
     control_pair = None
-    control_ok = False
     for a1 in G.points:
         if a1 is None:
             continue
         for a2 in G.points:
             if a2 is None or a2 == a1:
                 continue
-            res = prove_member(universe.symbol([a1, a2]), lattice)
-            if not res.member:
+            if not prove_member(universe.symbol([a1, a2]), lattice).member:
                 control_pair = (_pt(a1), _pt(a2))
-                control_ok = True
                 break
-        if control_ok:
+        if control_pair is not None:
             break
     return SkewReport(
         p=G.p,
@@ -403,12 +405,9 @@ def prove_skew(
         convention=convention,
         n_points=len(G.points),
         n_columns=len(lattice),
-        pairs_proved=proved,
         pairs_failed=failed,
-        two_torsion_proved=tt_proved,
-        two_torsion_failed=tt_failed,
+        two_torsion_failed=[_pt(a) for i, a in enumerate(G.points) if proofs[i, i] is None],
         negative_control_pair=control_pair,
-        negative_control_certified=control_ok,
         certificate_lengths=lengths,
     )
 

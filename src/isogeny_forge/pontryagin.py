@@ -259,14 +259,14 @@ def _insert_mod(rows: list[dict[int, int]], v: dict[int, int], m: int) -> None:
 
 def _coordinates_mod(
     rows: list[dict[int, int]], v: dict[int, int], m: int
-) -> Optional[list[int]]:
-    """Coordinates of v over the rows of an echelon modulo m, by
-    back-substitution with every entry reduced mod m, or None when v is
-    outside the lattice."""
+) -> Optional[dict[int, int]]:
+    """Nonzero coordinates {row: coordinate} of v over the rows of an echelon
+    modulo m, by back-substitution with every entry reduced mod m, or None
+    when v is outside the lattice."""
     w = [0] * len(rows)
     for k, c in v.items():
         w[k] = c % m
-    out = [0] * len(rows)
+    out = {}
     for j, row in enumerate(rows):
         x = w[j]
         if not x:
@@ -344,7 +344,7 @@ def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
             if coords is None:
                 raise CertificateError("I^(r+1) escaped I^r: assembly bug")
             rows.append(coords)
-        facs = invariant_factors_mod(rows, e)
+        facs = invariant_factors_mod(rows, len(outer), e)
         covolume_out = prod(row[j] for j, row in enumerate(outer))
         if prod(facs) * covolume_out != prod(row[j] for j, row in enumerate(inner)):
             raise CertificateError("quotient not killed by the group exponent")

@@ -8,7 +8,7 @@ are handled without a separate ramification computation.
 
 Normalizing translations are found by small exhaustive search at p = 2, 3 and
 by closed formulas modulo a high power of p at odd primes; every normalization
-is re-checked with assertions so a misnavigated step fails loudly instead of
+is re-checked, and a misnavigated step raises CertificateError instead of
 misclassifying.
 
 A repeated root rho of a cubic f = T^3 + A2 T^2 + A4 T + A6 over F_p is
@@ -38,7 +38,7 @@ from .elliptic import (
     _integral_model,
     _split_char_sum,
 )
-from .errors import UnsupportedPrimeError
+from .errors import CertificateError, UnsupportedPrimeError
 from .exactnum import factorize, is_prime, legendre_symbol
 
 GOOD_ORDINARY = "GoodOrdinary"
@@ -76,6 +76,11 @@ class TateOutcome:
     restarts: int
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise CertificateError(message)
+
+
 def _vp(n: int, p: int) -> int:
     if n == 0:
         return 10**9  # effectively +infinity at desk scale
@@ -96,7 +101,7 @@ def _double_root_of_quadratic(alpha: int, beta: int, gamma: int, p: int) -> int:
     """The double root of alpha*X^2 + beta*X + gamma over F_p, given that the
     quadratic is inseparable (beta^2 = 4*alpha*gamma mod p) and alpha != 0."""
     if p == 2:
-        assert beta % 2 == 0 and alpha % 2 == 1
+        _require(beta % 2 == 0 and alpha % 2 == 1, "not an inseparable quadratic mod 2")
         return gamma * alpha % 2
     return (-beta) * pow(2 * alpha, -1, p) % p
 
@@ -132,7 +137,7 @@ def _repeated_root_of_cubic(A2: int, A4: int, A6: int, p: int):
 
 def _ints(W: WeierstrassModel) -> tuple[int, int, int, int, int]:
     cs = W.coeffs()
-    assert all(c.denominator == 1 for c in cs), "machine requires an integral model"
+    _require(all(c.denominator == 1 for c in cs), "machine requires an integral model")
     return tuple(int(c) for c in cs)
 
 
@@ -147,12 +152,12 @@ def _singular_point(W: WeierstrassModel, p: int) -> tuple[int, int]:
                 Fy = (2 * y0 + a1 * x0 + a3) % 2
                 if F == 0 and Fx == 0 and Fy == 0:
                     return x0, y0
-        raise AssertionError("no singular point found mod 2")
+        raise CertificateError("no singular point found mod 2")
     b2, b4, b6 = _b246_mod_p(a1, a2, a3, a4, a6, p)
     # x0 is the repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6, made monic
     inv4 = pow(4, -1, p)
     kind, x0 = _repeated_root_of_cubic(b2 * inv4, 2 * b4 * inv4, b6 * inv4, p)
-    assert kind != "separable", "singular reduction without repeated root?"
+    _require(kind != "separable", "singular reduction without a repeated root")
     y0 = (-(a1 * x0 + a3)) * pow(2, -1, p) % p
     return x0, y0
 
@@ -208,7 +213,7 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
     guard = 0
     while True:
         guard += 1
-        assert guard < 64, "step machine failed to terminate"
+        _require(guard < 64, "step machine failed to terminate")
         a1, a2, a3, a4, a6 = _ints(m.cur)
         delta = int(m.cur.disc)
         n = _vp(delta, p)
@@ -218,7 +223,7 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
         r0, t0 = _singular_point(m.cur, p)
         m.apply(1, r0, 0, t0)
         a1, a2, a3, a4, a6 = _ints(m.cur)
-        assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
+        _require(a3 % p == a4 % p == a6 % p == 0, "singular point not moved to (0, 0)")
 
         c4 = int(m.cur.c4)
         if _vp(c4, p) == 0:
@@ -251,7 +256,7 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
         # triple root
         m.apply(1, p * rho, 0, 0)
         a1, a2, a3, a4, a6 = _ints(m.cur)
-        assert _vp(a2, p) >= 2 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4
+        _require(_vp(a2, p) >= 2 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4, "triple root not moved")
         A3 = (a3 // p2) % p
         A6 = (a6 // p**4) % p
         if (A3 * A3 + 4 * A6) % p != 0:
@@ -259,13 +264,13 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
         y0 = _double_root_of_quadratic(1, A3, (-A6) % p, p)
         m.apply(1, 0, 0, p2 * y0)
         a1, a2, a3, a4, a6 = _ints(m.cur)
-        assert _vp(a3, p) >= 3 and _vp(a6, p) >= 5
+        _require(_vp(a3, p) >= 3 and _vp(a6, p) >= 5, "Y double root not moved")
         if _vp(a4, p) < 4:
             return m.outcome("III*", n, n - 7)
         if _vp(a6, p) < 6:
             return m.outcome("II*", n, n - 8)
         # non-minimal: all a_i divisible by p^i after the normalizations
-        assert _vp(a1, p) >= 1 and _vp(a2, p) >= 2
+        _require(_vp(a1, p) >= 1 and _vp(a2, p) >= 2, "non-minimal model not divisible")
         m.apply(p, 0, 0, 0)
         m.restarts += 1
 
@@ -294,16 +299,11 @@ def _normalize_step6(m: _Machine) -> None:
             ),
             None,
         )
-        assert found, "step-6 normalization not found (machine bug)"
+        _require(found, "step-6 normalization not found (machine bug)")
         m.apply(1, 0, *found)
     a1, a2, a3, a4, a6 = _ints(m.cur)
-    assert (
-        _vp(a1, p) >= 1
-        and _vp(a2, p) >= 1
-        and _vp(a3, p) >= 2
-        and _vp(a4, p) >= 2
-        and _vp(a6, p) >= 3
-    ), "step-6 valuations failed"
+    _require(all(_vp(a, p) >= k for a, k in zip((a1, a2, a3, a4, a6), (1, 1, 2, 2, 3))),
+             "step-6 valuations failed")
 
 
 def _istar_subloop(m: _Machine, rho: int) -> int:
@@ -315,7 +315,7 @@ def _istar_subloop(m: _Machine, rho: int) -> int:
     p = m.p
     m.apply(1, p * rho, 0, 0)
     a1, a2, a3, a4, a6 = _ints(m.cur)
-    assert _vp(a2, p) == 1 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4
+    _require(_vp(a2, p) == 1 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4, "double root not moved")
     mm = 1
     while True:
         a1, a2, a3, a4, a6 = _ints(m.cur)
@@ -328,7 +328,7 @@ def _istar_subloop(m: _Machine, rho: int) -> int:
             y0 = _double_root_of_quadratic(1, A3, (-A6) % p, p)
             m.apply(1, 0, 0, p**k * y0)
             na = _ints(m.cur)
-            assert _vp(na[2], p) >= k + 1 and _vp(na[4], p) >= mm + 4
+            _require(_vp(na[2], p) >= k + 1 and _vp(na[4], p) >= mm + 4, "I_m* Y root not moved")
         else:
             k = (mm + 4) // 2
             A2 = (a2 // p) % p
@@ -339,9 +339,9 @@ def _istar_subloop(m: _Machine, rho: int) -> int:
             x0 = _double_root_of_quadratic(A2, A4, A6, p)
             m.apply(1, p ** (k - 1) * x0, 0, 0)
             na = _ints(m.cur)
-            assert _vp(na[3], p) >= k + 1 and _vp(na[4], p) >= mm + 4
+            _require(_vp(na[3], p) >= k + 1 and _vp(na[4], p) >= mm + 4, "I_m* X root not moved")
         mm += 1
-        assert mm < 64, "I_m* chain failed to terminate"
+        _require(mm < 64, "I_m* chain failed to terminate")
 
 
 # -- public operations ---------------------------------------------------------

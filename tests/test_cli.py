@@ -348,3 +348,23 @@ def test_caller_error_exits_2_before_any_record(args, message):
     assert res.returncode == 2, res.stderr
     assert res.stdout == ""
     assert message in res.stderr
+
+
+@pytest.mark.parametrize("args, code, prefix", [
+    (["filtration", "--group", "", "--rmax", "2"], 2, "usage error: --group:"),
+    (["--jobs", "1", "scholten", "search", "--csv", ""], 3, "i/o error:"),
+    (["scholten", "verify", "--params", "1,2,3,4", "--primes", "50", "--e1", ""], 2,
+     "usage error: --e1 expects 2 integers"),
+    (["scholten", "verify", "--params", "1,2,3,4", "--primes", "50", "--e2", ""], 2,
+     "usage error: --e2 expects 2 integers"),
+    (["--output", "", "kgroup", "prove-skew", "--q", "5"], 3, "i/o error:"),
+    (["--jobs", "1", "scholten", "search", "--box", "1", "--predicate", "split-jacobian:-5"], 2,
+     "usage error: --predicate split-jacobian: expected an integer >= 0, got -5"),
+    (["--jobs", "1", "scholten", "search", "--box", "1", "--predicate", "split-jacobian:"], 2,
+     "usage error: --predicate split-jacobian expects 1 integers"),
+], ids=["group", "csv", "e1", "e2", "output", "split-jacobian-negative", "split-jacobian-empty"])
+def test_empty_or_negative_option_value_is_refused(args, code, prefix):
+    res = run_cli(*args)
+    assert res.returncode == code, res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith(prefix)

@@ -163,19 +163,24 @@ def test_invariant_factors_mod_matches_integer_smith_form(rows, e):
     n = len(rows[0])
     factors = smith_normal_form_transforms(IntMatrix.from_rows(rows)).factors
     want = [gcd(d, e) for d in factors] + [e] * (n - len(factors))
-    assert invariant_factors_mod(rows, e) == want
+    assert invariant_factors_mod([dict(enumerate(row)) for row in rows], n, e) == want
 
 
 def test_invariant_factors_mod_hand_examples():
-    assert invariant_factors_mod([[2, 0], [0, 3]], 6) == [1, 6]
-    assert invariant_factors_mod([[2, 0], [0, 3]], 4) == [1, 2]
-    assert invariant_factors_mod([[0, 0]], 5) == [5, 5]
-    assert invariant_factors_mod([[7, 3]], 1) == [1, 1]
-    assert invariant_factors_mod([], 9) == []
+    def factors(rows, e):
+        return invariant_factors_mod([dict(enumerate(row)) for row in rows], 2, e)
+
+    assert factors([[2, 0], [0, 3]], 6) == [1, 6]
+    assert factors([[2, 0], [0, 3]], 4) == [1, 2]
+    assert factors([[0, 0]], 5) == [5, 5]
+    assert factors([[7, 3]], 1) == [1, 1]
+    assert invariant_factors_mod([], 0, 9) == []
     with pytest.raises(ValueError):
-        invariant_factors_mod([[1]], 0)
+        invariant_factors_mod([{0: 1}], 1, 0)
     with pytest.raises(ValueError):
-        invariant_factors_mod([[1, 2], [3]], 5)
+        invariant_factors_mod([{0: 1, 2: 3}], 2, 5)
+    with pytest.raises(ValueError):
+        invariant_factors_mod([{-1: 1}], 2, 5)
 
 
 # -- Integer linear solving ---------------------------------------------------

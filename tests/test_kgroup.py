@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from isogeny_forge import kgroup
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.errors import BudgetExceededError, InvalidConfigurationError
 from isogeny_forge.exactnum import FormalSum
@@ -238,3 +239,126 @@ def test_product_decompose_three_factors():
     res = product_decompose(groups, [P, Q])
     assert res.verified and res.roundtrip_ok
     assert len(res.terms) == 6  # 3 x 2 nonzero coordinate choices
+
+
+# -- prove_skew against the one-proof-per-ordered-pair algorithm -------------------
+
+
+def _pt(P):
+    return "0" if P is None else P
+
+
+def reference_skew(G, r, convention, prove=prove_member):
+    """(to_record(), to_records()) as computed by one membership proof per
+    ordered pair plus a separate 2{a,a} loop, with every count kept apart
+    from the lists it counts."""
+    tail = (G.points[1],) * (r - 2)
+    lattice = assemble_skew_lattice(G, r, tail, convention)
+    u = lattice.universe
+    proved, failed, lengths = 0, [], {}
+    for a1 in G.points:
+        for a2 in G.points:
+            res = prove(u.symbol([a1, a2]) + u.symbol([a2, a1]), lattice)
+            if res.member:
+                proved += 1
+                lengths[(_pt(a1), _pt(a2))] = len(res.coefficients)
+            else:
+                failed.append((_pt(a1), _pt(a2)))
+    tt_proved, tt_failed = 0, []
+    for a in G.points:
+        if prove(u.symbol([a, a], 2), lattice).member:
+            tt_proved += 1
+        else:
+            tt_failed.append(_pt(a))
+    control, control_ok = None, False
+    for a1 in G.points:
+        for a2 in G.points:
+            if None in (a1, a2) or a1 == a2:
+                continue
+            if not prove(u.symbol([a1, a2]), lattice).member:
+                control, control_ok = (_pt(a1), _pt(a2)), True
+                break
+        if control_ok:
+            break
+    record = {
+        "n_points": len(G.points),
+        "generators": len(lattice),
+        "pairs_proved": proved,
+        "pairs_failed": [list(map(str, pr)) for pr in failed],
+        "two_torsion_proved": tt_proved,
+        "negative_control": {"pair": [str(x) for x in (control or ())], "certified": control_ok},
+        "all_proved": not failed and not tt_failed,
+    }
+    base = {"p": G.p, "r": r, "convention": convention, "generators": len(lattice)}
+    records = [dict(base, target=f"skew{pair}", certificate_length=length, status="proved")
+               for pair, length in lengths.items()]
+    records += [dict(base, target=f"skew{pair}", status="not-derivable") for pair in failed]
+    records.append(dict(base, target="negative-control", pair=repr(control),
+                        status="certified-non-member" if control_ok else "not-found"))
+    return record, records
+
+
+def _smooth_pairs(q):
+    """One (a, b) per smooth y^2 = x(x - a)(x - b) over F_q."""
+    return [(a, b) for a in range(1, q) for b in range(1, q) if a != b]
+
+
+def _skew_cases():
+    cases = [(a, b, q, 2) for q in (3, 5) for a, b in _smooth_pairs(q)]
+    cases += [(a, b, 5, 3) for a, b in _smooth_pairs(5)]
+    by_order = {}
+    for a, b in _smooth_pairs(7):
+        by_order.setdefault(len(rational_points_mod_p(curve_from_pair(a, b), 7).points), (a, b))
+    cases += [(*by_order[n], 7, 2) for n in (4, 8, 12)]
+    return cases
+
+
+def test_prove_skew_matches_one_proof_per_ordered_pair():
+    for a, b, q, r in _skew_cases():
+        G = rational_points_mod_p(curve_from_pair(a, b), q)
+        for conv in (MINUS, PLUS):
+            rep = prove_skew(G, r=r, convention=conv)
+            assert (rep.to_record(), rep.to_records()) == reference_skew(G, r, conv), (a, b, q, r)
+
+
+@pytest.mark.parametrize("point", [0, 2], ids=["zero", "point-2"])
+def test_prove_skew_failures_match_one_proof_per_ordered_pair(monkeypatch, point):
+    # refuse every target that touches one point, so both failure lists fill
+    G = E5
+    n, P = len(G.points), G.points[point]
+
+    def refusing(target, lattice):
+        if any(point in divmod(k, n) for k in target.coeffs):
+            return MembershipResult(False, None)
+        return prove_member(target, lattice)
+
+    monkeypatch.setattr(kgroup, "prove_member", refusing)
+    for conv in (MINUS, PLUS):
+        rep = prove_skew(G, r=2, convention=conv)
+        assert rep.two_torsion_failed == [_pt(P)]
+        assert len(rep.pairs_failed) == 2 * n - 1
+        assert rep.pairs_proved == n * n - len(rep.pairs_failed)
+        assert rep.negative_control_certified
+        assert (rep.to_record(), rep.to_records()) == reference_skew(G, 2, conv, refusing)
+
+
+def test_prove_skew_proves_each_distinct_target_once(monkeypatch):
+    # E(F_5) of y^2 = x^3 - x has 8 points: 8 * 9 / 2 = 36 distinct targets
+    targets = []
+
+    def counting(target, lattice):
+        res = prove_member(target, lattice)
+        targets.append((tuple(sorted(target.coeffs.items())), res.member))
+        return res
+
+    monkeypatch.setattr(kgroup, "prove_member", counting)
+    rep = prove_skew(E5, r=2)
+    assert rep.all_proved and rep.pairs_proved == 64 and rep.two_torsion_proved == 8
+    skew = [t for t, _ in targets if sum(c for _, c in t) == 2]
+    probes = targets[len(skew):]
+    assert len(skew) == len(set(skew)) == 36
+    assert all(sum(c for _, c in t) == 1 for t, _ in probes)
+    assert [member for _, member in probes] == [True] * (len(probes) - 1) + [False]
+    targets.clear()
+    reference_skew(E5, 2, MINUS, counting)
+    assert len(targets) == 72 + len(probes)

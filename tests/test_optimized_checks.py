@@ -55,7 +55,7 @@ from isogeny_forge import pontryagin
 from isogeny_forge.cli import main
 # modulo 2 the quotient Z/2 x Z/4 of Z[Z/2 x Z/4] reads Z/2 x Z/2
 invariant_factors_mod = pontryagin.invariant_factors_mod
-pontryagin.invariant_factors_mod = lambda rows, e: invariant_factors_mod(rows, e // 2)
+pontryagin.invariant_factors_mod = lambda rows, n, e: invariant_factors_mod(rows, n, e // 2)
 sys.exit(main(["filtration", "--group", "2,4", "--rmax", "2"]))
 """,
         "certificate error: quotient not killed by the group exponent",
@@ -184,6 +184,17 @@ sys.exit(main(["scholten", "build", "--params", "1,2,3,4"]))
 """,
         "certificate error: Res(S, S') is not divisible by the leading coefficient",
     ),
+    "tate": (
+        """
+import sys
+from isogeny_forge import reduction
+from isogeny_forge.cli import main
+# y^2 = x(x - 5)(x - 1) has its node at (0, 0) mod 5, not at (1, 0)
+reduction._singular_point = lambda *a: (1, 0)
+sys.exit(main(["analyze-curve", "--a", "5", "--b", "1", "--primes", "5"]))
+""",
+        "certificate error: singular point not moved to (0, 0)",
+    ),
     "resum": (
         """
 import sys
@@ -228,8 +239,7 @@ except ValueError as e:
     assert res.stdout == "model must be integral\n"
 
 
-# the Tate machine's per-step checks, until they become certificate checks
-ASSERT_ALLOWLIST = {"reduction.py": (14, 1)}  # file -> (asserts, raises)
+ASSERT_ALLOWLIST = {}  # file -> (asserts, raises)
 
 
 def _assertion_counts(tree: ast.AST) -> tuple[int, int]:

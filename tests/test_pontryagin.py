@@ -242,7 +242,7 @@ def test_echelon_mod_m_matches_integer_lattice(case, m):
         coords = _coordinates_mod(rows, dict(enumerate(t)), m)
         assert (coords is not None) == lattice.contains(t)
         if coords is not None:
-            back = [sum(q * rows[i].get(k, 0) for i, q in enumerate(coords)) for k in range(n)]
+            back = [sum(q * rows[i].get(k, 0) for i, q in coords.items()) for k in range(n)]
             assert all((b - x) % m == 0 for b, x in zip(back, t))
 
 
