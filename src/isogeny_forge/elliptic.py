@@ -387,7 +387,8 @@ class EllipticGroup:
 
     def structure(self) -> list[int]:
         """Invariant factors [n1, n2] (or [n]) with n1 | n2, certified by
-        torsion counts against the claimed decomposition."""
+        torsion counts against the claimed decomposition; the d-torsion is
+        counted from the point orders, each certified by order_of."""
         N = len(self.points)
         e = self.exponent()
         n1, rem = divmod(N, e)
@@ -395,7 +396,7 @@ class EllipticGroup:
             raise CertificateError(f"order {N} and exponent {e} fit no group of rank <= 2")
         for d in _divisors(e):
             want = gcd(d, n1) * gcd(d, e)
-            got = sum(1 for P in self.points if self.scalar(d, P) is None)
+            got = sum(1 for P in self.points if d % self.order_of(P) == 0)
             if got != want:
                 raise CertificateError(f"torsion count mismatch at d={d}")
         return [e] if n1 == 1 else [n1, e]

@@ -232,8 +232,10 @@ def invariant_factors_mod(rows: Sequence[dict[int, int]], ncols: int, e: int) ->
     Works modulo e: an entry that is a unit mod e is scaled to 1 and its
     column cleared from the other rows, and its row and column leave the
     matrix with a factor 1 (the column operations that clear the pivot row
-    change no factor).  What remains has no unit entry; its factors are the
-    Smith form of the residual stacked on e times the identity.
+    change no factor).  What remains has no unit entry.  A remaining column
+    that no row touches gives a factor e on its own; the others give the
+    Smith form of the rows restricted to them, stacked on e times the
+    identity.
     """
     if e < 1:
         raise ValueError("modulus must be >= 1")
@@ -248,7 +250,6 @@ def invariant_factors_mod(rows: Sequence[dict[int, int]], ncols: int, e: int) ->
             for j in v:
                 holders.setdefault(j, set()).add(i)
     units = 0
-    cleared: set[int] = set()
     unseen = set(active)  # rows that may hold a unit not yet looked for
     while unseen:
         i = unseen.pop()
@@ -260,7 +261,6 @@ def invariant_factors_mod(rows: Sequence[dict[int, int]], ncols: int, e: int) ->
             continue
         del active[i]
         units += 1
-        cleared.add(j)
         for k in v:
             holders[k].discard(i)
         inv = pow(v[j], -1, e)
@@ -281,10 +281,11 @@ def invariant_factors_mod(rows: Sequence[dict[int, int]], ncols: int, e: int) ->
                 unseen.add(t)
             else:
                 del active[t]
-    rest = [j for j in range(ncols) if j not in cleared]
-    stacked = [[w.get(j, 0) for j in rest] for w in active.values()]
-    stacked += [[e * (k == j) for k in rest] for j in rest]
-    return [1] * units + smith_normal_form_transforms(IntMatrix.from_rows(stacked)).factors
+    touched = [j for j in range(ncols) if holders.get(j)]
+    stacked = [[w.get(j, 0) for j in touched] for w in active.values()]
+    stacked += [[e * (k == j) for k in touched] for j in touched]
+    residual = smith_normal_form_transforms(IntMatrix.from_rows(stacked)).factors
+    return [1] * units + residual + [e] * (ncols - units - len(touched))
 
 
 def smith_normal_form_transforms(M: IntMatrix) -> SmithResult:

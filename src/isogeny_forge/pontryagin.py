@@ -3,43 +3,67 @@
 ideal, and invariant factors of its successive quotients.
 
 The degree map is the augmentation; its kernel I is spanned by the elements
-[a] - [0].  With e the exponent of G, e([a] - [0]) lies in I^2, so e^k I
-lies in I^(k+1): the ideal powers up to I^(r+1) all contain m I for
-m = e^r, and are kept modulo m over the basis [a] - [0] of I, after a check
-that e kills the group's generators.  Every quotient I^r / I^(r+1) is
-killed by e.  Its invariant factors are taken modulo e from the rows of the
-inner lattice written in coordinates of the outer one, and certified by the
-index of the inner lattice in the outer.
+[a] - [0].  For G = Z/n_1 x ... x Z/n_k, sending [g_i] to 1 + y_i gives
+Z[G] = Z[y_1..y_k] / (f_1..f_k) with f_i = (1 + y_i)^(n_i) - 1, and I is
+the image of (y).  So the quotients I^r / I^(r+1), r <= r_max, are read off
+the truncated model Z[y] / (f_1..f_k, (y)^(r_max+1)); they depend on the
+invariant factors alone, never on |G|.  Over the monomials of degree
+1..r_max, ordered by degree, the products y^a f_i span a lattice L, and
+I^r / I^(r+1) is the degree-r monomials modulo the degree-r part of the
+echelon rows of L that pivot in degree r.  With e the exponent, e I lies in
+I^2, so m = e^r_max kills the model and L is kept as an echelon modulo m.
+e kills every quotient, so its invariant factors are taken modulo e and
+certified by the index, the product of the pivots of its block.  Lattices
+inside the group ring itself (ideal_power_lattice, spans_same_lattice) serve
+checks on small groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
-from math import prod
-from typing import Iterable, Optional, Sequence
+from math import comb, prod
+from typing import Callable, Iterable, Optional, Sequence
 
 from .elliptic import EllipticGroup
 from .errors import BudgetExceededError, CertificateError
 from .exactnum import ColumnLattice, FormalSum, _add_multiple, invariant_factors_mod, xgcd
 
+# The truncated model has C(k + r_max, r_max) - 1 columns and works modulo
+# e^r_max; at these bounds the dearest inputs measured took up to 2.6 s
+# (README, "Filtration guards").
+MAX_R = 12
+MAX_COLUMNS = 500
+MAX_MODULUS_BITS = 512
+
 
 class FinAbGroup:
-    """A finite abelian group with explicit elements and operations.
+    """A finite abelian group of known order with explicit operations.
 
     Built either from an invariant-factor chain (elements are residue tuples,
-    componentwise arithmetic) or from an elliptic point group.
+    componentwise arithmetic) or from an elliptic point group.  The element
+    list and its index are made on first use; the filtration needs neither.
     """
 
-    def __init__(self, label, elements, add, neg, zero, invariant_factors, generators):
+    def __init__(self, label, elements: Callable[[], Iterable], order, add, zero,
+                 invariant_factors, generators):
         self.label = label
-        self.elements = list(elements)
+        self._list_elements = elements
+        self.order = order
         self.add = add
-        self.neg = neg
         self.zero = zero
         self.invariant_factors = list(invariant_factors)
         self.generators = list(generators)
-        self.index = {e: i for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def elements(self) -> list:
+        return list(self._list_elements())
+
+    @cached_property
+    def index(self) -> dict:
+        return {a: i for i, a in enumerate(self.elements)}
 
     @staticmethod
     def from_invariant_factors(ns: Sequence[int]) -> "FinAbGroup":
@@ -49,23 +73,17 @@ class FinAbGroup:
         for a, b in zip(ns, ns[1:]):
             if b % a:
                 raise ValueError(f"invariant factors must divide in order: {ns}")
-        elements = [tuple(t) for t in iproduct(*(range(n) for n in ns))]
+
+        def elements():
+            return iproduct(*(range(n) for n in ns))
 
         def add(x, y):
             return tuple((a + b) % n for a, b, n in zip(x, y, ns))
 
-        def neg(x):
-            return tuple((-a) % n for a, n in zip(x, ns))
-
-        zero = tuple(0 for _ in ns)
-        gens = []
-        for i, n in enumerate(ns):
-            if n > 1:
-                g = [0] * len(ns)
-                g[i] = 1
-                gens.append(tuple(g))
+        zero = (0,) * len(ns)
+        gens = [zero[:i] + (1,) + zero[i + 1:] for i, n in enumerate(ns) if n > 1]
         label = "Z/" + " x Z/".join(str(n) for n in ns)
-        return FinAbGroup(label, elements, add, neg, zero, ns, gens or [zero])
+        return FinAbGroup(label, elements, prod(ns), add, zero, ns, gens or [zero])
 
     @staticmethod
     def cyclic(n: int) -> "FinAbGroup":
@@ -74,12 +92,21 @@ class FinAbGroup:
     @staticmethod
     def from_elliptic(G: EllipticGroup) -> "FinAbGroup":
         inv = G.structure()
-        return FinAbGroup(
-            f"E(F_{G.p})", G.points, G.add, G.neg, None, inv, G.generators()
-        )
+        return FinAbGroup(f"E(F_{G.p})", lambda: G.points, len(G), G.add, None, inv,
+                          G.generators())
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
+
+    def multiple(self, n: int, a):
+        """n a for n >= 0, by doubling."""
+        out = self.zero
+        while n:
+            if n & 1:
+                out = self.add(out, a)
+            a = self.add(a, a)
+            n >>= 1
+        return out
 
     def nontrivial_invariants(self) -> list[int]:
         return [n for n in self.invariant_factors if n > 1]
@@ -152,66 +179,28 @@ def gr_generators(group: FinAbGroup, r: int, over: str = "all") -> list[FormalSu
 
 
 def ideal_power_lattice(group: FinAbGroup, r: int) -> ColumnLattice:
-    """The lattice I^r inside the group ring, r >= 1."""
+    """The lattice I^r inside the group ring, r >= 1.  I is spanned by the
+    [a] - [0]; I^(s+1) by a basis of I^s times each [g] - [0], g a
+    generator, as I^s is an ideal and those differences generate I."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    _, lattices = _ideal_power_lattices(group, r)
-    nonzero = [a for a in group.elements if a != group.zero]
-    zero_idx = group.index[group.zero]
-    lat = ColumnLattice(len(group))
-    for row in lattices[r - 1]:
-        # sum c_k ([a_k] - [0]) in group-ring coordinates
-        v = {group.index[nonzero[k]]: c for k, c in row.items()}
-        v[zero_idx] = -sum(row.values())
-        lat.add_generator(v)
+
+    def lattice(elems: Iterable[FormalSum]) -> ColumnLattice:
+        lat = ColumnLattice(len(group))
+        for z in elems:
+            lat.add_generator(group.vector(z))
+        return lat
+
+    one = FormalSum.term(group, group.zero)
+    diffs = [FormalSum.term(group, g) - one for g in group.generators if g != group.zero]
+    lat = lattice(FormalSum.term(group, a) - one for a in group.elements if a != group.zero)
+    for _ in range(r - 1):
+        lat = lattice(
+            pontryagin_product(FormalSum(group, dict(zip(group.elements, b))), d)
+            for b in lat.basis
+            for d in diffs
+        )
     return lat
-
-
-def _ideal_power_lattices(
-    group: FinAbGroup, r_max: int
-) -> tuple[int, list[list[dict[int, int]]]]:
-    """(m, [I^1, ..., I^(r_max + 1)]) with m = e^r_max, e the group exponent.
-
-    Each power is an echelon modulo m (see _insert_mod) over the basis
-    [a] - [0], a != 0, of I.  That is exact because m I lies in
-    I^(r_max + 1), once e is checked to kill every generator, which comes
-    first.  I^1 is all of I; deeper powers multiply the previous rows by
-    the generator differences.  That suffices: a product of r+1 arbitrary
-    differences expands integrally into products of generator differences
-    of length >= r+1, and one generator factor can always be split off the
-    front of such a word.
-    """
-    e = group.invariant_factors[-1]
-    for s in group.generators:
-        t = group.zero
-        for _ in range(e):
-            t = group.add(t, s)
-        if t != group.zero:
-            raise CertificateError("the group exponent does not kill a generator")
-    m = e**r_max
-    nonzero = [a for a in group.elements if a != group.zero]
-    pos = {a: k for k, a in enumerate(nonzero)}
-    dim = len(nonzero)
-    # per generator s: (column of [s] - [0], column of a + s for each column a)
-    shifts = [
-        (pos[s], [pos.get(group.add(a, s)) for a in nonzero])
-        for s in group.generators
-        if s != group.zero
-    ]
-    lattices = [[{j: 1} for j in range(dim)]]
-    for _ in range(r_max):
-        nxt = [{j: m} for j in range(dim)]
-        for row in lattices[-1]:
-            for s_col, shift in shifts:
-                # row * ([s] - [0]) = sum c_k (([a_k + s] - [0]) - ([a_k] - [0]) - ([s] - [0]))
-                v = {s_col: -sum(row.values())}
-                for k, c in row.items():
-                    v[k] = v.get(k, 0) - c
-                    if shift[k] is not None:
-                        v[shift[k]] = v.get(shift[k], 0) + c
-                _insert_mod(nxt, v, m)
-        lattices.append(nxt)
-    return m, lattices
 
 
 def _insert_mod(rows: list[dict[int, int]], v: dict[int, int], m: int) -> None:
@@ -257,28 +246,6 @@ def _insert_mod(rows: list[dict[int, int]], v: dict[int, int], m: int) -> None:
         v = rest
 
 
-def _coordinates_mod(
-    rows: list[dict[int, int]], v: dict[int, int], m: int
-) -> Optional[dict[int, int]]:
-    """Nonzero coordinates {row: coordinate} of v over the rows of an echelon
-    modulo m, by back-substitution with every entry reduced mod m, or None
-    when v is outside the lattice."""
-    w = [0] * len(rows)
-    for k, c in v.items():
-        w[k] = c % m
-    out = {}
-    for j, row in enumerate(rows):
-        x = w[j]
-        if not x:
-            continue
-        if x % row[j]:
-            return None
-        out[j] = q = x // row[j]
-        for k, c in row.items():
-            w[k] = (w[k] - q * c) % m
-    return out
-
-
 def spans_same_lattice(
     group: FinAbGroup, elems_a: Iterable[FormalSum], elems_b: Iterable[FormalSum]
 ) -> bool:
@@ -317,40 +284,60 @@ class FiltrationReport:
 def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
     """Invariant factors of I^r / I^(r+1) for r = 1..r_max.
 
-    The rows of I^(r+1) are written over those of I^r by back-substitution
-    modulo m = e^r_max; lifts that differ by m Z^n differ by an element of
-    m I, inside e I^r, so their coordinates agree mod e.  e kills every
-    quotient, so its invariant factors are computed modulo e from those
-    coordinates and certified by the index [I^r : I^(r+1)], the product of
-    the pivots of I^(r+1) over that of I^r.  A row of I^(r+1) outside I^r
-    or a failed index check raises CertificateError.
+    The premise comes first: e kills every generator and the invariant
+    factors multiply to |G|.  Each y^a f_i, |a| <= r_max - 1, is inserted
+    modulo m = e^r_max over the monomials of degree 1..r_max, the columns
+    ordered by ascending degree.  The degree-r block is the echelon rows
+    pivoting in degree r, cut to the degree-r columns; its factors modulo e
+    must multiply to its pivots, the index [I^r : I^(r+1)], or
+    CertificateError is raised.
     """
-    n = len(group)
-    if n > 10**4:
-        raise BudgetExceededError(f"|G| = {n} exceeds the 10^4 contract")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    if r_max > 12:
-        raise BudgetExceededError(f"r_max = {r_max} exceeds 12")
-    m, lattices = _ideal_power_lattices(group, r_max)
+    if r_max > MAX_R:
+        raise BudgetExceededError(f"r_max = {r_max} exceeds {MAX_R}")
+    ns = group.nontrivial_invariants()
+    k = len(ns)
+    width = comb(k + r_max, r_max) - 1  # monomials of degree 1..r_max
+    if width > MAX_COLUMNS:
+        raise BudgetExceededError(
+            f"{width} monomials of degree 1..{r_max} in {k} variables "
+            f"exceed {MAX_COLUMNS} columns"
+        )
     e = group.invariant_factors[-1]
+    m = e**r_max
+    if m.bit_length() > MAX_MODULUS_BITS:
+        raise BudgetExceededError(
+            f"the modulus e^{r_max} has {m.bit_length()} bits, over {MAX_MODULUS_BITS}"
+        )
+    if any(group.multiple(e, g) != group.zero for g in group.generators):
+        raise CertificateError("the group exponent does not kill a generator")
+    if prod(group.invariant_factors) != group.order:
+        raise CertificateError(f"the invariant factors do not multiply to |G| = {group.order}")
+
+    monomials = [a for d in range(1, r_max + 1) for a in combinations_with_replacement(range(k), d)]
+    column = {a: j for j, a in enumerate(monomials)}
+    rows = [{j: m} for j in range(width)]
+    # the deepest multipliers first: their short rows keep the echelon sparse
+    for a in reversed([()] + [a for a in monomials if len(a) < r_max]):
+        for i, n in enumerate(ns):
+            # y^a ((1 + y_i)^n - 1), cut above degree r_max
+            top = min(n, r_max - len(a))
+            _insert_mod(rows, {column[tuple(sorted(a + (i,) * t))]: comb(n, t)
+                               for t in range(1, top + 1)}, m)
 
     quotients = []
+    lo = 0
     for r in range(1, r_max + 1):
-        outer, inner = lattices[r - 1], lattices[r]
-        rows = []
-        for v in inner:
-            coords = _coordinates_mod(outer, v, m)
-            if coords is None:
-                raise CertificateError("I^(r+1) escaped I^r: assembly bug")
-            rows.append(coords)
-        facs = invariant_factors_mod(rows, len(outer), e)
-        covolume_out = prod(row[j] for j, row in enumerate(outer))
-        if prod(facs) * covolume_out != prod(row[j] for j, row in enumerate(inner)):
+        hi = lo + comb(k + r - 1, r)
+        block = [{j - lo: x for j, x in rows[i].items() if j < hi} for i in range(lo, hi)]
+        facs = invariant_factors_mod(block, hi - lo, e)
+        if prod(facs) != prod(rows[i][i] for i in range(lo, hi)):
             raise CertificateError("quotient not killed by the group exponent")
         quotients.append((r, tuple(f for f in facs if f > 1)))
+        lo = hi
 
-    exact = list(quotients[0][1]) == group.nontrivial_invariants()
+    exact = list(quotients[0][1]) == ns
     stab = None
     for i in range(1, len(quotients)):
         if all(quotients[j][1] == quotients[i][1] for j in range(i, len(quotients))):

@@ -100,6 +100,9 @@ COMMANDS = [
     ["filtration", "--elliptic-p", "7", "--a", "3", "--b", "-5", "--rmax", "2"],
     # E(F_101) = Z/2 x Z/52: the ideal powers modulo 52^2 stay bounded
     ["filtration", "--elliptic-p", "101", "--rmax", "2"],
+    # |G| = 8192 and E(F_4001) = Z/8 x Z/488: the model's width does not follow |G|
+    ["filtration", "--group", "8192", "--rmax", "1"],
+    ["filtration", "--elliptic-p", "4001", "--rmax", "2"],
     ["analyze-curve", "--a", "1"],
     ["filtration", "--group", "2", "--elliptic-p", "5"],
 ]

@@ -368,3 +368,25 @@ def test_empty_or_negative_option_value_is_refused(args, code, prefix):
     assert res.returncode == code, res.stderr
     assert res.stdout == ""
     assert res.stderr.startswith(prefix)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["filtration", "--group", "2,2,2,2", "--rmax", "9"],
+     "714 monomials of degree 1..9 in 4 variables exceed 500 columns"),
+    (["filtration", "--group", ",".join([str(2**43)] * 3), "--rmax", "12"],
+     "the modulus e^12 has 517 bits, over 512"),
+    (["filtration", "--group", "2", "--rmax", "13"], "r_max = 13 exceeds 12"),
+    (["filtration", "--elliptic-p", "6007", "--rmax", "1"], "p = 6007 exceeds 6000"),
+], ids=["columns", "modulus", "rmax", "elliptic-p"])
+def test_filtration_guards_refuse_before_any_work(monkeypatch, capsys, args, message):
+    from isogeny_forge import cli, pontryagin
+
+    def forbidden(*args):
+        raise RuntimeError("a refused input began work")
+
+    monkeypatch.setattr(cli, "rational_points_mod_p", forbidden)
+    monkeypatch.setattr(pontryagin, "_insert_mod", forbidden)
+    assert cli.main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"analysis error: {message}\n"

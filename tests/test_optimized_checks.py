@@ -43,10 +43,12 @@ sys.exit(main(["kgroup", "prove-skew", "--q", "5"]))
 import sys
 from isogeny_forge import pontryagin
 from isogeny_forge.cli import main
-pontryagin._coordinates_mod = lambda rows, v, m: None
+# 2 f_i in place of each f_i = (1 + y_i)^n_i - 1: I/I^2 of Z/2 x Z/4 would read Z/4 x Z/8
+insert_mod = pontryagin._insert_mod
+pontryagin._insert_mod = lambda rows, v, m: insert_mod(rows, {j: 2 * c for j, c in v.items()}, m)
 sys.exit(main(["filtration", "--group", "2,4", "--rmax", "2"]))
 """,
-        "certificate error: I^(r+1) escaped I^r",
+        "certificate error: quotient not killed by the group exponent",
     ),
     "filtration-exponent": (
         """

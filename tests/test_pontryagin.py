@@ -1,16 +1,18 @@
 import random
 from itertools import product as iproduct
 from math import prod
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
-from isogeny_forge.errors import BudgetExceededError
-from isogeny_forge.exactnum import FormalSum, factorize
+from isogeny_forge.errors import BudgetExceededError, CertificateError
+from isogeny_forge.exactnum import FormalSum, factorize, invariant_factors_mod
 from isogeny_forge.pontryagin import (
     FinAbGroup,
+    _insert_mod,
     alternating_generator,
     aug_filtration,
     gr_generators,
@@ -194,7 +196,7 @@ def _merged(factor_lists):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(MIXED_CHAINS), st.integers(1, 3))
+@given(st.sampled_from(MIXED_CHAINS), st.integers(1, 4))
 def test_filtration_splits_over_sylow_subgroups(ns, r_max):
     # I^r / I^(r+1) of G is the direct sum of those of its Sylow subgroups
     # (Passi, Group Rings and Their Augmentation Ideals, LNM 715)
@@ -208,24 +210,126 @@ def test_filtration_splits_over_sylow_subgroups(ns, r_max):
     assert list(got) == want
 
 
+# The group-ring computation that aug_filtration replaced, kept as an
+# oracle: ideal powers as echelons modulo e^r_max over the basis [a] - [0]
+# of I, each quotient read from coordinates of I^(r+1) over I^r.
+
+
+def _ideal_power_lattices(
+    group: FinAbGroup, r_max: int
+) -> tuple[int, list[list[dict[int, int]]]]:
+    """(m, [I^1, ..., I^(r_max + 1)]) with m = e^r_max, e the group exponent.
+
+    Each power is an echelon modulo m (see _insert_mod) over the basis
+    [a] - [0], a != 0, of I.  That is exact because m I lies in
+    I^(r_max + 1), once e is checked to kill every generator, which comes
+    first.  I^1 is all of I; deeper powers multiply the previous rows by
+    the generator differences.  That suffices: a product of r+1 arbitrary
+    differences expands integrally into products of generator differences
+    of length >= r+1, and one generator factor can always be split off the
+    front of such a word.
+    """
+    e = group.invariant_factors[-1]
+    for s in group.generators:
+        t = group.zero
+        for _ in range(e):
+            t = group.add(t, s)
+        if t != group.zero:
+            raise CertificateError("the group exponent does not kill a generator")
+    m = e**r_max
+    nonzero = [a for a in group.elements if a != group.zero]
+    pos = {a: k for k, a in enumerate(nonzero)}
+    dim = len(nonzero)
+    # per generator s: (column of [s] - [0], column of a + s for each column a)
+    shifts = [
+        (pos[s], [pos.get(group.add(a, s)) for a in nonzero])
+        for s in group.generators
+        if s != group.zero
+    ]
+    lattices = [[{j: 1} for j in range(dim)]]
+    for _ in range(r_max):
+        nxt = [{j: m} for j in range(dim)]
+        for row in lattices[-1]:
+            for s_col, shift in shifts:
+                # row * ([s] - [0]) = sum c_k (([a_k + s] - [0]) - ([a_k] - [0]) - ([s] - [0]))
+                v = {s_col: -sum(row.values())}
+                for k, c in row.items():
+                    v[k] = v.get(k, 0) - c
+                    if shift[k] is not None:
+                        v[shift[k]] = v.get(shift[k], 0) + c
+                _insert_mod(nxt, v, m)
+        lattices.append(nxt)
+    return m, lattices
+
+
+def _coordinates_mod(
+    rows: list[dict[int, int]], v: dict[int, int], m: int
+) -> Optional[dict[int, int]]:
+    """Nonzero coordinates {row: coordinate} of v over the rows of an echelon
+    modulo m, by back-substitution with every entry reduced mod m, or None
+    when v is outside the lattice."""
+    w = [0] * len(rows)
+    for k, c in v.items():
+        w[k] = c % m
+    out = {}
+    for j, row in enumerate(rows):
+        x = w[j]
+        if not x:
+            continue
+        if x % row[j]:
+            return None
+        out[j] = q = x // row[j]
+        for k, c in row.items():
+            w[k] = (w[k] - q * c) % m
+    return out
+
+
+def _group_ring_quotients(group, r_max):
+    m, lattices = _ideal_power_lattices(group, r_max)
+    e = group.invariant_factors[-1]
+
+    quotients = []
+    for r in range(1, r_max + 1):
+        outer, inner = lattices[r - 1], lattices[r]
+        rows = []
+        for v in inner:
+            coords = _coordinates_mod(outer, v, m)
+            if coords is None:
+                raise CertificateError("I^(r+1) escaped I^r: assembly bug")
+            rows.append(coords)
+        facs = invariant_factors_mod(rows, len(outer), e)
+        covolume_out = prod(row[j] for j, row in enumerate(outer))
+        if prod(facs) * covolume_out != prod(row[j] for j, row in enumerate(inner)):
+            raise CertificateError("quotient not killed by the group exponent")
+        quotients.append((r, tuple(f for f in facs if f > 1)))
+    return quotients
+
+
+SMALL_CHAINS = list(_invariant_chains(72))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SMALL_CHAINS), st.integers(1, 4))
+def test_filtration_matches_group_ring_oracle(ns, r_max):
+    G = FinAbGroup.from_invariant_factors(list(ns))
+    assert list(aug_filtration(G, r_max).quotients) == _group_ring_quotients(G, r_max)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 5).flatmap(
         lambda n: st.tuples(
             st.just(n),
             st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), max_size=6),
-            st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), max_size=4),
         )
     ),
     st.integers(1, 60),
 )
 def test_echelon_mod_m_matches_integer_lattice(case, m):
-    # span(vectors) + m Z^n: the pivots multiply to its index, and a target
-    # has coordinates exactly when it lies in the lattice
+    # span(vectors) + m Z^n: the pivots divide m and multiply to its index
     from isogeny_forge.exactnum import ColumnLattice
-    from isogeny_forge.pontryagin import _coordinates_mod, _insert_mod
 
-    n, vectors, targets = case
+    n, vectors = case
     rows = [{j: m} for j in range(n)]
     lattice = ColumnLattice(n)
     for j in range(n):
@@ -238,12 +342,6 @@ def test_echelon_mod_m_matches_integer_lattice(case, m):
     assert prod(row[j] for j, row in enumerate(rows)) == prod(
         abs(b[j]) for j, b in enumerate(lattice.basis)
     )
-    for t in vectors + targets:
-        coords = _coordinates_mod(rows, dict(enumerate(t)), m)
-        assert (coords is not None) == lattice.contains(t)
-        if coords is not None:
-            back = [sum(q * rows[i].get(k, 0) for i, q in coords.items()) for k in range(n)]
-            assert all((b - x) % m == 0 for b, x in zip(back, t))
 
 
 def test_filtration_trivial_group():
@@ -255,6 +353,36 @@ def test_filtration_trivial_group():
 def test_filtration_budget():
     with pytest.raises(BudgetExceededError):
         aug_filtration(Z2, 13)
+
+
+def test_filtration_guard_edges():
+    # 495 columns are admitted and 527 refused; e^12 with 505 bits is
+    # admitted and with 517 refused
+    assert aug_filtration(FinAbGroup.from_invariant_factors([2] * 30), 2).exactness_ok
+    with pytest.raises(BudgetExceededError, match="527 monomials"):
+        aug_filtration(FinAbGroup.from_invariant_factors([2] * 31), 2)
+    assert aug_filtration(FinAbGroup.cyclic(2**42), 12).exactness_ok
+    with pytest.raises(BudgetExceededError, match="517 bits"):
+        aug_filtration(FinAbGroup.cyclic(2**43), 12)
+
+
+def test_filtration_never_lists_the_group():
+    # Z/400000 is one column at r_max 1; its element list is never built
+    G = FinAbGroup.cyclic(400000)
+    assert aug_filtration(G, 1).quotients == ((1, (400000,)),)
+    assert len(G) == 400000
+    assert "elements" not in vars(G)
+
+
+def test_filtration_premise_is_checked():
+    lying = FinAbGroup.from_invariant_factors([2, 4])
+    lying.invariant_factors = [2, 2]  # exponent 2 does not kill (0, 1)
+    with pytest.raises(CertificateError, match="does not kill a generator"):
+        aug_filtration(lying, 1)
+    miscounted = FinAbGroup.from_invariant_factors([2, 4])
+    miscounted.order = 16
+    with pytest.raises(CertificateError, match="do not multiply to"):
+        aug_filtration(miscounted, 1)
 
 
 @pytest.mark.parametrize("r_max", [0, -1])
