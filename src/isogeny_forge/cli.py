@@ -27,7 +27,7 @@ from .errors import (
     InsufficientPrimesError,
 )
 from .exactnum import is_prime, primes_up_to
-from .kgroup import MINUS, PLUS, prove_skew
+from .kgroup import MINUS, PLUS, check_skew_field, prove_skew
 from .pontryagin import FinAbGroup, aug_filtration
 from .reduction import classify_reduction, conductor
 from .scholten import (
@@ -409,6 +409,7 @@ def _cmd_scan_supersingular(ns: argparse.Namespace, sink: _Sink) -> int:
 
 def _cmd_kgroup_prove_skew(ns: argparse.Namespace, sink: _Sink) -> int:
     q = ns.q
+    check_skew_field(q)
     E = curve_from_pair(ns.a, ns.b)
     G = rational_points_mod_p(E, q)
     conventions = [MINUS, PLUS] if ns.convention == "both" else [ns.convention]

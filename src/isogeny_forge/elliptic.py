@@ -366,12 +366,16 @@ class EllipticGroup:
             n >>= 1
         return R
 
+    @cached_property
+    def _order_primes(self) -> list[int]:
+        """The primes dividing |E(F_p)|, factored once per group."""
+        return list(factorize(len(self.points)))
+
     def order_of(self, P: Point) -> int:
         if P in self._order_cache:
             return self._order_cache[P]
-        N = len(self.points)
-        o = N
-        for q, e in factorize(N).items():
+        o = len(self.points)
+        for q in self._order_primes:
             while o % q == 0 and self.scalar(o // q, P) is None:
                 o //= q
         if self.scalar(o, P) is not None:

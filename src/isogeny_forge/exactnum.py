@@ -2,19 +2,20 @@
 formal sums, and integer linear algebra (Smith normal form, lattice
 membership).
 
-All operations are pure and exact.  Matrices are immutable once built; the
-solvers return answers that re-verify by direct substitution, and a "no
-solution" answer is certified by echelon reduction rather than heuristics.
+All operations are pure and exact.  Matrices are immutable once built; a
+lattice membership answer carries coefficients over the generators that
+re-verify by direct substitution, and a "no" answer is certified by the
+nonzero canonical remainder of reduction against a Hermite normal form
+rather than by heuristics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Optional, Sequence
-
-from .errors import CertificateError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -151,14 +152,6 @@ class IntMatrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
-
-    def mul_vector(self, x: Sequence[int]) -> list[int]:
-        if len(x) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return [sum(r[j] * x[j] for j in range(self.ncols)) for r in self.entries]
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -448,31 +441,46 @@ class FormalSum:
 
 
 class ColumnLattice:
-    """Integer span of a growing set of generator vectors, kept in row-echelon
-    form with full bookkeeping of how each basis row was produced.
+    """Integer span of a growing set of generator vectors, kept in row Hermite
+    normal form (HNF) with full bookkeeping of how each basis row was produced.
 
     Each basis row is a sparse {column: entry} map holding only its nonzero
     entries, filed under its pivot (leading) column, beside its history: the
     {generator index: coefficient} map that rebuilds the row from the
-    generators.  A new generator is reduced at the smallest nonzero column of
-    the working vector, again and again: a pivot there that divides the entry
-    is subtracted; one that does not is replaced, through an extended-gcd
-    step, by the gcd combination of itself and the vector, which clears the
-    vector's entry.  The vector ends as a new pivot row or as zero.
+    generators.  The basis is the HNF of the lattice, which depends on the
+    lattice alone, not on the generators or their order:
+
+    - every pivot is positive;
+    - a row's entry at another row's pivot column k lies in [0, pivot_k).
+
+    A new generator is reduced at the smallest nonzero column of the working
+    vector, again and again: a pivot there that divides the entry is
+    subtracted; one that does not is replaced, through an extended-gcd step,
+    by the gcd combination of itself and the vector, which clears the
+    vector's entry.  The vector ends as a new pivot row or as zero.  The rows
+    this changed (the new row and each row an extended-gcd step replaced) are
+    then restored to HNF from the largest pivot down: each is made positive
+    and forward-reduced at the pivot columns right of its own, left to right,
+    and each row whose entry at its pivot column is out of range is queued
+    for the same treatment.  A column -> rows index finds those rows.  HNF
+    entries are bounded by the pivots, so rows stay short and histories
+    small.
 
     The generator's own history is deferred.  Until it is needed, reduction
     only records the (multiplier, pivot) subtractions, and the history is
     built by replaying them at one of two points: when the vector becomes a
     new pivot row, or just before its first extended-gcd step, which
     combines it into the pivot's history.  Pivot histories change only at
-    extended-gcd steps, so none changes before either point and the replay
-    equals the eager update, step for step.  A generator that reduces to zero
-    before any extended-gcd step never builds a history.
+    extended-gcd steps and in the restore that follows the insertion, so
+    none changes before either point and the replay equals the eager update,
+    step for step.  A generator that reduces to zero before any extended-gcd
+    step never builds a history and changes no row.
 
-    Membership queries reduce a target against the echelon basis; success
-    yields exact coefficients over the original generators, failure is
-    certified because reduction against an echelon basis of the lattice
-    leaves a nonzero canonical remainder exactly when the target is outside.
+    Membership queries reduce a target at its own nonzero pivot columns, left
+    to right, each entry into [0, pivot).  The remainder is the canonical
+    representative of the target's coset, so it is zero exactly when the
+    target is in the lattice; success yields exact coefficients over the
+    original generators.
     """
 
     def __init__(self, dimension: int):
@@ -480,17 +488,17 @@ class ColumnLattice:
         self.n_generators = 0
         self._rows: dict[int, dict[int, int]] = {}  # pivot column -> sparse row
         self._hist: dict[int, dict[int, int]] = {}  # pivot column -> generator coeffs
-        self._order: Optional[list[int]] = []  # sorted pivot columns, None when stale
+        self._holders: dict[int, set[int]] = {}  # column -> pivots of rows nonzero there
 
     @property
     def basis(self) -> list[list[int]]:
-        """The echelon rows as dense vectors, in pivot order."""
-        return [self._dense(self._rows[j]) for j in self._pivots()]
+        """The HNF rows as dense vectors, in pivot order."""
+        return [self._dense(self._rows[j]) for j in sorted(self._rows)]
 
     @property
     def history(self) -> list[dict[int, int]]:
         """Generator coefficients of each basis row, in pivot order."""
-        return [self._hist[j] for j in self._pivots()]
+        return [self._hist[j] for j in sorted(self._rows)]
 
     def add_generator(self, vec: Sequence[int] | dict[int, int]) -> int:
         """Insert one generator; returns its index for certificate purposes."""
@@ -517,23 +525,18 @@ class ColumnLattice:
             out[j] = c
         return out
 
-    def _pivots(self) -> list[int]:
-        if self._order is None:
-            self._order = sorted(self._rows)
-        return self._order
-
     def _insert(self, v: dict[int, int], idx: int) -> None:
         rows, hists = self._rows, self._hist
         pending: list[tuple[int, int]] = []  # (q, pivot column) not yet applied to h
         h: Optional[dict[int, int]] = None
+        changed: list[int] = []
         while v:
             j = min(v)
             row = rows.get(j)
             if row is None:
-                rows[j] = v
-                hists[j] = self._replay(idx, pending) if h is None else h
-                self._order = None
-                return
+                self._set_row(j, v, self._replay(idx, pending) if h is None else h)
+                changed.append(j)
+                break
             a, b = row[j], v[j]
             if b % a == 0:
                 q = b // a
@@ -559,10 +562,7 @@ class ColumnLattice:
                     rest[k] = rv
             hp = hists[j]
             new_hist: dict[int, int] = {}
-            # this union's iteration order fixes the key order of both
-            # histories, and so the order in which certificates list terms
-            keys = set(hp) | set(h)
-            for k in keys:
+            for k in hp.keys() | h.keys():
                 ca, cb = hp.get(k, 0), h.get(k, 0)
                 nv = x * ca + y * cb
                 if nv:
@@ -572,9 +572,11 @@ class ColumnLattice:
                     h[k] = rv
                 else:
                     h.pop(k, None)
-            rows[j] = new_row
-            hists[j] = new_hist
+            self._set_row(j, new_row, new_hist)
+            changed.append(j)
             v = rest  # zero at column j now; keep reducing
+        if changed:
+            self._restore(changed)
 
     def _replay(self, idx: int, pending: list[tuple[int, int]]) -> dict[int, int]:
         """History of generator idx after the recorded subtractions."""
@@ -583,48 +585,85 @@ class ColumnLattice:
             _add_multiple(h, self._hist[j], -q)
         return h
 
+    def _set_row(self, j: int, row: dict[int, int], hist: dict[int, int]) -> None:
+        """File row (with its history) under pivot column j, replacing any."""
+        holders = self._holders
+        for k in self._rows.get(j, ()):
+            holders[k].discard(j)
+        for k in row:
+            holders.setdefault(k, set()).add(j)
+        self._rows[j] = row
+        self._hist[j] = hist
+
+    def _sub_row(self, i: int, j: int, q: int) -> None:
+        """Row i -= q * row j, and its history with it."""
+        row, holders = self._rows[i], self._holders
+        for k, c in self._rows[j].items():
+            nc = row.get(k, 0) - q * c
+            if nc:
+                if k not in row:
+                    holders.setdefault(k, set()).add(i)
+                row[k] = nc
+            else:
+                del row[k]
+                holders[k].discard(i)
+        _add_multiple(self._hist[i], self._hist[j], -q)
+
+    def _restore(self, changed: list[int]) -> None:
+        """Bring the basis back to HNF after the rows at `changed` were set.
+
+        Rows are treated from the largest pivot down, so every row right of
+        the one at hand is final when it is forward-reduced; a row queued by
+        it has a smaller pivot and comes later.
+        """
+        rows, hists = self._rows, self._hist
+        queued = set(changed)
+        heap = [-j for j in queued]
+        heapify(heap)
+        while heap:
+            j = -heappop(heap)
+            row = rows[j]
+            if row[j] < 0:
+                for k in row:
+                    row[k] = -row[k]
+                hist = hists[j]
+                for k in hist:
+                    hist[k] = -hist[k]
+            while True:
+                k = min(
+                    (t for t, c in row.items() if t > j and t in rows and not 0 <= c < rows[t][t]),
+                    default=None,
+                )
+                if k is None:
+                    break
+                self._sub_row(j, k, row[k] // rows[k][k])
+            p = row[j]
+            for i in self._holders[j]:
+                if i != j and i not in queued and not 0 <= rows[i][j] < p:
+                    queued.add(i)
+                    heappush(heap, -i)
+
     def reduce(self, target: Sequence[int] | dict[int, int]):
         """Return (remainder, coefficients): remainder == 0 iff member.
 
         Coefficients are over generator indices and satisfy
         sum coeff_k * generator_k = target - remainder exactly.
         """
-        v = self._dense(self._sparse(target))
+        v = self._sparse(target)
+        rows = self._rows
         coeffs: dict[int, int] = {}
-        for j in self._pivots():
-            if not v[j]:
-                continue
-            row = self._rows[j]
-            if v[j] % row[j]:
-                continue  # leaves a nonzero entry at j: certified non-member
+        while True:
+            j = min(
+                (t for t, c in v.items() if t in rows and not 0 <= c < rows[t][t]),
+                default=None,
+            )
+            if j is None:
+                return self._dense(v), coeffs
+            row = rows[j]
             q = v[j] // row[j]
-            for k, c in row.items():
-                v[k] -= q * c
+            _add_multiple(v, row, -q)
             _add_multiple(coeffs, self._hist[j], q)
-        return v, coeffs
 
     def contains(self, target) -> bool:
         rem, _ = self.reduce(target)
         return not any(rem)
-
-
-def solve_integer_linear(M: IntMatrix, target: Sequence[int]) -> Optional[list[int]]:
-    """Solve M*x = target over the integers (columns of M are generators).
-
-    Returns one solution vector, or None when no integer solution exists.
-    Any returned solution satisfies M*x == target exactly.
-    """
-    if len(target) != M.nrows:
-        raise ValueError(
-            f"target length {len(target)} != row count {M.nrows}"
-        )
-    lat = ColumnLattice(M.nrows)
-    for j in range(M.ncols):
-        lat.add_generator(M.column(j))
-    rem, coeffs = lat.reduce(list(target))
-    if any(rem):
-        return None
-    x = [coeffs.get(j, 0) for j in range(M.ncols)]
-    if M.mul_vector(x) != list(target):
-        raise CertificateError("solver produced a non-solution")
-    return x

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .elliptic import EllipticGroup, Point
@@ -23,6 +24,12 @@ from .exactnum import ColumnLattice, FormalSum, _add_multiple
 
 PLUS = "plus"
 MINUS = "minus"
+
+# The skew prover's cost follows #E(F_q) = n alone (n^2 symbols, about n^3
+# bilinear columns, n(n+1)/2 targets; r only lengthens the fixed tail).  With
+# --convention both, the dearest of seven curves took 3.1 s at n = 40 and
+# 4.2 s at n = 44, against the 5 s a job may take.
+SKEW_MAX_POINTS = 40
 
 
 def _curve_key(G: EllipticGroup):
@@ -98,41 +105,41 @@ def bilinear_relations(
     every pair (a, a') in the slot and every combination of the other slots.
 
     The raw family ranges over ordered pairs; with dedupe the (a', a) copy and
-    vanishing columns are dropped.
+    vanishing columns are dropped.  Columns are built from point indices: the
+    slot's entries of a pair, sorted once, and each combination of the other
+    slots as an offset into the universe (the slot's stride keeps the order).
     """
     G = universe.slot_groups[slot]
+    pts = G.points
+    n = len(pts)
+    stride = universe._strides[slot]
     others = [
-        range(len(g.points)) if i != slot else [0]
-        for i, g in enumerate(universe.slot_groups)
+        [(pt, k * s) for k, pt in enumerate(g.points)]
+        for i, (g, s) in enumerate(zip(universe.slot_groups, universe._strides))
+        if i != slot
+    ]
+    combos = [
+        (sum(off for _, off in combo), tuple(pt for pt, _ in combo))
+        for combo in iproduct(*others)
     ]
     out = []
     seen = set()
-    pts = G.points
     for i, a in enumerate(pts):
-        pair_iter = pts if not dedupe else pts[i:]
-        for a2 in pair_iter:
-            s = G.add(a, a2)
-            for combo in iproduct(*others):
-                base = [universe.slot_groups[j].points[combo[j]] for j in range(len(combo))]
-
-                def with_slot(x):
-                    t = list(base)
-                    t[slot] = x
-                    return t
-
-                col = _column(
-                    universe,
-                    [(with_slot(s), 1), (with_slot(a), -1), (with_slot(a2), -1)],
-                    "bilinear",
-                    (slot, a, a2, tuple(b for j, b in enumerate(base) if j != slot)),
-                )
-                if not col.vector:
-                    continue
+        for i2 in range(i if dedupe else 0, n):
+            a2 = pts[i2]
+            acc = {G.index[G.add(a, a2)]: 1}
+            for k in (i, i2):
+                acc[k] = acc.get(k, 0) - 1
+            pattern = sorted((k * stride, c) for k, c in acc.items() if c)
+            if not pattern:
+                continue
+            for off, rest in combos:
+                vec = tuple((off + k, c) for k, c in pattern)
                 if dedupe:
-                    if col.vector in seen:
+                    if vec in seen:
                         continue
-                    seen.add(col.vector)
-                out.append(col)
+                    seen.add(vec)
+                out.append(RelationColumn("bilinear", (slot, a, a2, rest), vec))
     return out
 
 
@@ -198,11 +205,19 @@ def wr_line(
 
 
 class RelationLattice:
-    """Integer span of relation columns over a symbol universe."""
+    """Integer span of relation columns over a symbol universe.
+
+    The columns are kept, and inserted, by descending last index (stably), so
+    the engine's pivots appear from the right: a new pivot column is then
+    rarely held by an earlier row, and the Hermite-form restore after each
+    insertion has little to back-substitute.  Certificates index this order.
+    """
 
     def __init__(self, universe: SymbolUniverse, columns: Sequence[RelationColumn]):
         self.universe = universe
-        self.columns = list(columns)
+        self.columns = sorted(
+            columns, key=lambda col: col.vector[-1][0] if col.vector else -1, reverse=True
+        )
         self.engine = ColumnLattice(universe.dimension)
         for col in self.columns:
             self.engine.add_generator(col.as_dict())
@@ -323,6 +338,16 @@ class SkewReport:
         return recs
 
 
+def check_skew_field(q: int) -> None:
+    """Refuse F_q before any point is enumerated when the Hasse bound
+    #E(F_q) >= q + 1 - 2 sqrt(q) already exceeds SKEW_MAX_POINTS."""
+    least = q + 1 - isqrt(4 * q)
+    if least > SKEW_MAX_POINTS:
+        raise BudgetExceededError(
+            f"#E(F_{q}) >= {least} exceeds {SKEW_MAX_POINTS} points (Hasse bound)"
+        )
+
+
 def assemble_skew_lattice(
     G: EllipticGroup, r: int, tail: tuple = (), convention: str = MINUS
 ) -> RelationLattice:
@@ -331,8 +356,8 @@ def assemble_skew_lattice(
     if r < 2:
         raise InvalidConfigurationError("need r >= 2")
     n = len(G.points)
-    if n**r > 10**6:
-        raise BudgetExceededError(f"universe size {n}^{r} exceeds the 10^6 contract")
+    if n > SKEW_MAX_POINTS:
+        raise BudgetExceededError(f"#E(F_{G.p}) = {n} exceeds {SKEW_MAX_POINTS} points")
     if len(tail) != r - 2:
         raise InvalidConfigurationError(f"tail must have length {r - 2}")
     universe = SymbolUniverse([G, G], tail)

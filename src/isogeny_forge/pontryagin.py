@@ -249,16 +249,15 @@ def _insert_mod(rows: list[dict[int, int]], v: dict[int, int], m: int) -> None:
 def spans_same_lattice(
     group: FinAbGroup, elems_a: Iterable[FormalSum], elems_b: Iterable[FormalSum]
 ) -> bool:
-    """Double-inclusion lattice equality inside the group ring."""
+    """Lattice equality inside the group ring: the Hermite normal form of a
+    lattice depends on the lattice alone."""
     dim = len(group)
     la, lb = ColumnLattice(dim), ColumnLattice(dim)
-    va = [group.vector(e) for e in elems_a]
-    vb = [group.vector(e) for e in elems_b]
-    for v in va:
-        la.add_generator(v)
-    for v in vb:
-        lb.add_generator(v)
-    return all(lb.contains(v) for v in va) and all(la.contains(v) for v in vb)
+    for e in elems_a:
+        la.add_generator(group.vector(e))
+    for e in elems_b:
+        lb.add_generator(group.vector(e))
+    return la.basis == lb.basis
 
 
 @dataclass(frozen=True)

@@ -390,3 +390,18 @@ def test_filtration_guards_refuse_before_any_work(monkeypatch, capsys, args, mes
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"analysis error: {message}\n"
+
+
+def test_skew_guard_refuses_before_enumerating_points(monkeypatch, capsys):
+    from isogeny_forge import cli
+
+    def forbidden(*args):
+        raise RuntimeError("a refused input began work")
+
+    # #E(F_59) >= 60 - 15 = 45 for every curve
+    monkeypatch.setattr(cli, "rational_points_mod_p", forbidden)
+    assert cli.main(["kgroup", "prove-skew", "--q", "59"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "analysis error: #E(F_59) >= 45 exceeds 40 points (Hasse bound)\n"
+

@@ -1,6 +1,10 @@
 import random
+from itertools import product as iproduct
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeny_forge import kgroup
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
@@ -142,9 +146,28 @@ def test_prove_skew_default_tail_repeats_second_point():
     assert prove_skew(E5, r=3) == prove_skew(E5, r=3, tail=(E5.points[1],))
 
 
-def test_prove_skew_budget():
-    with pytest.raises(BudgetExceededError):
-        prove_skew(E5, r=8)
+def test_prove_skew_budget(monkeypatch):
+    # the cost follows #E alone: r only lengthens the fixed tail
+    assert prove_skew(E5, r=8).all_proved
+    E47 = rational_points_mod_p(curve_from_pair(1, -1), 47)  # supersingular: 48 points
+
+    def forbidden(*args):
+        raise RuntimeError("a refused group began work")
+
+    monkeypatch.setattr(kgroup, "bilinear_relations", forbidden)
+    with pytest.raises(BudgetExceededError, match=r"#E\(F_47\) = 48 exceeds 40 points"):
+        prove_skew(E47)
+
+
+@pytest.mark.parametrize("q, least", [(53, 40), (59, 45)])
+def test_skew_field_is_refused_by_the_hasse_bound(q, least):
+    # q + 1 - 2 sqrt(q) is the least #E(F_q) of any curve
+    assert least == q + 1 - isqrt(4 * q)
+    if least <= kgroup.SKEW_MAX_POINTS:
+        kgroup.check_skew_field(q)
+    else:
+        with pytest.raises(BudgetExceededError, match=f">= {least} exceeds 40 points"):
+            kgroup.check_skew_field(q)
 
 
 def test_skew_report_records():
@@ -362,3 +385,89 @@ def test_prove_skew_proves_each_distinct_target_once(monkeypatch):
     targets.clear()
     reference_skew(E5, 2, MINUS, counting)
     assert len(targets) == 72 + len(probes)
+
+
+# -- the skew guard probes ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("q, a, b", [(13, -7, -3), (19, 1, -1)], ids=["#E=16", "#E=20"])
+def test_prove_skew_guard_probes_finish_with_small_histories(q, a, b):
+    G = rational_points_mod_p(curve_from_pair(a, b), q)
+    rep = prove_skew(G)
+    assert rep.all_proved and rep.negative_control_certified
+    history = assemble_skew_lattice(G, 2).engine.history
+    assert max(abs(c).bit_length() for h in history for c in h.values()) <= 64
+
+
+# -- bilinear columns against the point-by-point builder ---------------------------
+
+
+def _bilinear_by_points(universe, slot, dedupe=True):
+    """The point-by-point builder that the index-table bilinear_relations
+    replaced, kept as its reference."""
+    G = universe.slot_groups[slot]
+    others = [
+        range(len(g.points)) if i != slot else [0]
+        for i, g in enumerate(universe.slot_groups)
+    ]
+    out = []
+    seen = set()
+    pts = G.points
+    for i, a in enumerate(pts):
+        pair_iter = pts if not dedupe else pts[i:]
+        for a2 in pair_iter:
+            s = G.add(a, a2)
+            for combo in iproduct(*others):
+                base = [universe.slot_groups[j].points[combo[j]] for j in range(len(combo))]
+
+                def with_slot(x):
+                    t = list(base)
+                    t[slot] = x
+                    return t
+
+                col = kgroup._column(
+                    universe,
+                    [(with_slot(s), 1), (with_slot(a), -1), (with_slot(a2), -1)],
+                    "bilinear",
+                    (slot, a, a2, tuple(b for j, b in enumerate(base) if j != slot)),
+                )
+                if not col.vector:
+                    continue
+                if dedupe:
+                    if col.vector in seen:
+                        continue
+                    seen.add(col.vector)
+                out.append(col)
+    return out
+
+
+# every smooth y^2 = x(x - a)(x - b) over F_q, q <= 13, with #E(F_q) <= 16
+_SMALL_CURVES = [
+    (a, b, q)
+    for q in (3, 5, 7, 11, 13)
+    for a in range(1, q)
+    for b in range(1, q)
+    if a != b and len(rational_points_mod_p(curve_from_pair(a, b), q).points) <= 16
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SMALL_CURVES), st.sampled_from([0, 1]), st.sampled_from([2, 3]),
+       st.booleans())
+def test_bilinear_relations_match_point_by_point_builder(curve, slot, r, dedupe):
+    a, b, q = curve
+    G = rational_points_mod_p(curve_from_pair(a, b), q)
+    u = SymbolUniverse([G, G], (G.points[1],) * (r - 2))
+    cols = bilinear_relations(u, slot, dedupe)
+    assert cols == _bilinear_by_points(u, slot, dedupe)
+    assert all(relation_is_instance(u, col) for col in cols)
+
+
+def test_bilinear_relations_on_three_slots_of_different_sizes():
+    G7 = rational_points_mod_p(curve_from_pair(2, 3), 7)
+    u = SymbolUniverse([E5, G7, G2_5])  # 8, 12 and 4 points: three strides
+    for slot in range(3):
+        for dedupe in (True, False):
+            cols = bilinear_relations(u, slot, dedupe)
+            assert cols == _bilinear_by_points(u, slot, dedupe)
+            assert all(relation_is_instance(u, col) for col in cols)

@@ -78,23 +78,6 @@ sys.exit(main(["filtration", "--group", "2,4", "--rmax", "1"]))
 """,
         "certificate error:",
     ),
-    "solve": (
-        """
-import sys
-from isogeny_forge import exactnum
-from isogeny_forge.errors import CertificateError
-reduce = exactnum.ColumnLattice.reduce
-def shifted(self, target):
-    rem, coeffs = reduce(self, target)
-    return rem, {0: coeffs.get(0, 0) + 1}
-exactnum.ColumnLattice.reduce = shifted
-try:
-    exactnum.solve_integer_linear(exactnum.IntMatrix.from_rows([[1, 0], [0, 1]]), [2, 3])
-except CertificateError as e:
-    sys.exit(f"certificate error: {e}")
-""",
-        "certificate error: solver produced a non-solution",
-    ),
     "hasse": (
         """
 import sys
