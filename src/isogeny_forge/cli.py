@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exactnum import is_prime, primes_up_to
 from .kgroup import MINUS, PLUS, check_skew_field, prove_skew
-from .pontryagin import FinAbGroup, aug_filtration
+from .pontryagin import FinAbGroup, aug_filtration, check_filtration_field
 from .reduction import classify_reduction, conductor
 from .scholten import (
     Predicate,
@@ -42,11 +42,6 @@ from .scholten import (
     torsion_orbit_report,
     verify_split_jacobian,
 )
-
-
-# filtration --elliptic-p enumerates E(F_p) point by point and certifies its
-# structure; at p = 5987 the dearest of 30 curves took 1.9 s at --rmax 12
-FILTRATION_MAX_P = 6000
 
 
 class UsageError(Exception):
@@ -441,8 +436,7 @@ def _cmd_filtration(ns: argparse.Namespace, sink: _Sink) -> int:
         inputs = {"group": ns.group, "rmax": ns.rmax}
     else:
         p = ns.elliptic_p
-        if p > FILTRATION_MAX_P:
-            raise BudgetExceededError(f"p = {p} exceeds {FILTRATION_MAX_P}")
+        check_filtration_field(p)
         E = curve_from_pair(ns.a, ns.b)
         G = FinAbGroup.from_elliptic(rational_points_mod_p(E, p))
         inputs = {"elliptic_p": p, "a": ns.a, "b": ns.b, "rmax": ns.rmax}

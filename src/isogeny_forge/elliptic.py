@@ -42,13 +42,11 @@ class WeierstrassModel:
 
     @property
     def c4(self) -> Fraction:
-        b2, b4, _ = _b246(*self.coeffs())
-        return b2 * b2 - 24 * b4
+        return _c4c6(*self.coeffs())[0]
 
     @property
     def c6(self) -> Fraction:
-        b2, b4, b6 = _b246(*self.coeffs())
-        return -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+        return _c4c6(*self.coeffs())[1]
 
     @property
     def disc(self) -> Fraction:
@@ -66,13 +64,8 @@ class WeierstrassModel:
         u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
         if u == 0:
             raise ValueError("u must be nonzero")
-        a1, a2, a3, a4, a6 = self.coeffs()
-        na1 = (a1 + 2 * s) / u
-        na2 = (a2 - s * a1 + 3 * r - s * s) / u ** 2
-        na3 = (a3 + r * a1 + 2 * t) / u ** 3
-        na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u ** 4
-        na6 = (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) / u ** 6
-        return WeierstrassModel(na1, na2, na3, na4, na6)
+        moved = _translated(self.coeffs(), r, s, t)
+        return WeierstrassModel(*(c / u**i for c, i in zip(moved, _WEIGHTS)))
 
 
 @dataclass(frozen=True)
@@ -120,6 +113,24 @@ class TwoTorsionCurve:
 def _b246(a1, a2, a3, a4, a6):
     """(b2, b4, b6) of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
     return a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+
+
+def _c4c6(a1, a2, a3, a4, a6):
+    b2, b4, b6 = _b246(a1, a2, a3, a4, a6)
+    return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+
+
+_WEIGHTS = (1, 2, 3, 4, 6)  # a_i has weight i: the change of model u divides it by u^i
+
+
+def _translated(coeffs, r, s, t):
+    """The coefficients after x = x' + r, y = y' + s x' + t: integer polynomials."""
+    a1, a2, a3, a4, a6 = coeffs
+    return (a1 + 2 * s,
+            a2 - s * a1 + 3 * r - s * s,
+            a3 + r * a1 + 2 * t,
+            a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+            a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1)
 
 
 def _b8(a1, a2, a3, a4, a6):

@@ -9,7 +9,9 @@ are handled without a separate ramification computation.
 Normalizing translations are found by small exhaustive search at p = 2, 3 and
 by closed formulas modulo a high power of p at odd primes; every normalization
 is re-checked, and a misnavigated step raises CertificateError instead of
-misclassifying.
+misclassifying.  The machine runs on the integer coefficients of a p-integral
+model and composes an integer change of model; every outcome re-verifies that
+this change carries the start model to the one reported.
 
 A repeated root rho of a cubic f = T^3 + A2 T^2 + A4 T + A6 over F_p is
 rational (Silverman, Advanced Topics, IV.9, steps 6-8).  Writing
@@ -30,13 +32,17 @@ from typing import Optional, Union
 from .elliptic import (
     TwoTorsionCurve,
     WeierstrassModel,
+    _WEIGHTS,
     _as_model,
     _b246,
     _b246_mod_p,
     _b8,
+    _c4c6,
     _char_sum,
+    _discriminant,
     _integral_model,
     _split_char_sum,
+    _translated,
 )
 from .errors import CertificateError, UnsupportedPrimeError
 from .exactnum import factorize, is_prime, legendre_symbol
@@ -135,58 +141,56 @@ def _repeated_root_of_cubic(A2: int, A4: int, A6: int, p: int):
 # -- the step machine ----------------------------------------------------------
 
 
-def _ints(W: WeierstrassModel) -> tuple[int, int, int, int, int]:
-    cs = W.coeffs()
-    _require(all(c.denominator == 1 for c in cs), "machine requires an integral model")
-    return tuple(int(c) for c in cs)
-
-
-def _singular_point(W: WeierstrassModel, p: int) -> tuple[int, int]:
+def _singular_point(a: tuple[int, ...], p: int) -> tuple[int, int]:
     """The unique singular point of the reduction mod p, as lifts in [0, p)."""
-    a1, a2, a3, a4, a6 = (c % p for c in _ints(W))
     if p == 2:
+        # (x0, y0) is singular iff moving it to (0, 0) makes a3, a4 and a6 even
         for x0 in (0, 1):
             for y0 in (0, 1):
-                F = (y0 * y0 + a1 * x0 * y0 + a3 * y0 - (x0**3 + a2 * x0 * x0 + a4 * x0 + a6)) % 2
-                Fx = (a1 * y0 - (3 * x0 * x0 + 2 * a2 * x0 + a4)) % 2
-                Fy = (2 * y0 + a1 * x0 + a3) % 2
-                if F == 0 and Fx == 0 and Fy == 0:
+                if all(c % 2 == 0 for c in _translated(a, x0, 0, y0)[2:]):
                     return x0, y0
         raise CertificateError("no singular point found mod 2")
-    b2, b4, b6 = _b246_mod_p(a1, a2, a3, a4, a6, p)
+    b2, b4, b6 = _b246_mod_p(*a, p)
     # x0 is the repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6, made monic
     inv4 = pow(4, -1, p)
     kind, x0 = _repeated_root_of_cubic(b2 * inv4, 2 * b4 * inv4, b6 * inv4, p)
     _require(kind != "separable", "singular reduction without a repeated root")
-    y0 = (-(a1 * x0 + a3)) * pow(2, -1, p) % p
+    y0 = (-(a[0] * x0 + a[2])) * pow(2, -1, p) % p
     return x0, y0
 
 
 _STEP6_BUFFER = 12  # odd p: zero a1, a3 modulo p^buffer; decisions only probe v <= 11
+_STEP6_VALUATIONS = (1, 1, 2, 2, 3)  # the v_p(a_i) that step 6 arranges
 
 
 class _Machine:
-    def __init__(self, W: WeierstrassModel, p: int):
+    """The model a = (a1, ..., a6) and the change (u, r, s, t) from start to it, in ints."""
+
+    def __init__(self, a: tuple[int, ...], p: int, k: int):
         self.p = p
-        self.cur = W
-        self.u = Fraction(1)
-        self.r = Fraction(0)
-        self.s = Fraction(0)
-        self.t = Fraction(0)
+        self.k = k  # the input was scaled by u0 = p^-k to make it p-integral
+        self.start = self.a = a
+        self.u, self.r, self.s, self.t = 1, 0, 0, 0
         self.restarts = 0
 
-    def apply(self, u, r, s, t) -> None:
-        u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
-        self.cur = self.cur.transform(u, r, s, t)
-        # compose (self.u, ...) followed by (u, r, s, t)
-        self.r = self.u**2 * r + self.r
-        self.t = self.u**3 * t + self.s * self.u**2 * r + self.t
-        self.s = self.u * s + self.s
-        self.u = self.u * u
+    def apply(self, r: int, s: int, t: int) -> None:
+        """Translate by (1, r, s, t), composed after the change so far."""
+        self.a = _translated(self.a, r, s, t)
+        u2 = self.u * self.u
+        self.t += u2 * (self.u * t + self.s * r)
+        self.r += u2 * r
+        self.s += self.u * s
 
     def outcome(self, kodaira: str, n: int, f: int, split: Optional[bool] = None) -> TateOutcome:
-        transform = (self.u, self.r, self.s, self.t)
-        return TateOutcome(kodaira, n, f, split, self.cur, transform, self.restarts)
+        u, r, s, t = self.u, self.r, self.s, self.t
+        _require(
+            _translated(self.start, r, s, t) == tuple(u**i * c for c, i in zip(self.a, _WEIGHTS)),
+            "change of model does not carry the start model to the final one",
+        )
+        u0 = Fraction(1, self.p**self.k)
+        transform = (u0 * u, u0**2 * r, u0 * s, u0**3 * t)
+        model = WeierstrassModel(*map(Fraction, self.a))
+        return TateOutcome(kodaira, n, f, split, model, transform, self.restarts)
 
 
 def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
@@ -198,41 +202,39 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
     W = _as_model(curve)
     if p < 2 or not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    m = _Machine(W, p)
     # make the model p-integral
     worst = 0
-    for i, c in zip((1, 2, 3, 4, 6), W.coeffs()):
+    for i, c in zip(_WEIGHTS, W.coeffs()):
         v = _vp_frac(c, p)
         if v < 0:
             worst = max(worst, (-v + i - 1) // i)
     if worst:
-        m.apply(Fraction(1, p**worst), 0, 0, 0)
-    if any(c.denominator != 1 for c in m.cur.coeffs()):
+        W = W.transform(Fraction(1, p**worst), 0, 0, 0)
+    if any(c.denominator != 1 for c in W.coeffs()):
         raise ValueError("model must be integral")
+    m = _Machine(tuple(c.numerator for c in W.coeffs()), p, worst)
 
     guard = 0
     while True:
         guard += 1
         _require(guard < 64, "step machine failed to terminate")
-        a1, a2, a3, a4, a6 = _ints(m.cur)
-        delta = int(m.cur.disc)
-        n = _vp(delta, p)
+        n = _vp(_discriminant(*m.a), p)
         if n == 0:
             return m.outcome("I0", 0, 0)
 
-        r0, t0 = _singular_point(m.cur, p)
-        m.apply(1, r0, 0, t0)
-        a1, a2, a3, a4, a6 = _ints(m.cur)
+        r0, t0 = _singular_point(m.a, p)
+        m.apply(r0, 0, t0)
+        a1, a2, a3, a4, a6 = m.a
         _require(a3 % p == a4 % p == a6 % p == 0, "singular point not moved to (0, 0)")
 
-        c4 = int(m.cur.c4)
+        c4, c6 = _c4c6(*m.a)
         if _vp(c4, p) == 0:
             # multiplicative: the tangent cone at the node is
             # y^2 + a1 xy - a2 x^2; rational slopes <=> split
             if p == 2:
                 split = a2 % 2 == 0
             else:
-                split = legendre_symbol(-int(m.cur.c6) % p, p) == 1
+                split = legendre_symbol(-c6 % p, p) == 1
             return m.outcome(f"I{n}", n, 1, split)
 
         if _vp(a6, p) < 2:
@@ -243,7 +245,7 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
             return m.outcome("IV", n, n - 2)
 
         _normalize_step6(m)
-        a1, a2, a3, a4, a6 = _ints(m.cur)
+        a1, a2, a3, a4, a6 = m.a
         p2, p3 = p * p, p**3
         kind, rho = _repeated_root_of_cubic(
             (a2 // p) % p, (a4 // p2) % p, (a6 // p3) % p, p
@@ -254,55 +256,51 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
             mm = _istar_subloop(m, rho)
             return m.outcome(f"I{mm}*", n, n - 4 - mm)
         # triple root
-        m.apply(1, p * rho, 0, 0)
-        a1, a2, a3, a4, a6 = _ints(m.cur)
+        m.apply(p * rho, 0, 0)
+        a1, a2, a3, a4, a6 = m.a
         _require(_vp(a2, p) >= 2 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4, "triple root not moved")
         A3 = (a3 // p2) % p
         A6 = (a6 // p**4) % p
         if (A3 * A3 + 4 * A6) % p != 0:
             return m.outcome("IV*", n, n - 6)
         y0 = _double_root_of_quadratic(1, A3, (-A6) % p, p)
-        m.apply(1, 0, 0, p2 * y0)
-        a1, a2, a3, a4, a6 = _ints(m.cur)
+        m.apply(0, 0, p2 * y0)
+        a1, a2, a3, a4, a6 = m.a
         _require(_vp(a3, p) >= 3 and _vp(a6, p) >= 5, "Y double root not moved")
         if _vp(a4, p) < 4:
             return m.outcome("III*", n, n - 7)
         if _vp(a6, p) < 6:
             return m.outcome("II*", n, n - 8)
         # non-minimal: all a_i divisible by p^i after the normalizations
-        _require(_vp(a1, p) >= 1 and _vp(a2, p) >= 2, "non-minimal model not divisible")
-        m.apply(p, 0, 0, 0)
+        scales = [p**i for i in _WEIGHTS]
+        _require(all(c % q == 0 for c, q in zip(m.a, scales)), "non-minimal model not divisible")
+        m.a = tuple(c // q for c, q in zip(m.a, scales))
+        m.u *= p
         m.restarts += 1
 
 
 def _normalize_step6(m: _Machine) -> None:
     """Arrange p | a1, a2; p^2 | a3, a4; p^3 | a6 by an (s, t) translation."""
     p = m.p
-    a1, a2, a3, a4, a6 = _ints(m.cur)
     if p > 3:
         pk = p**_STEP6_BUFFER
         inv2 = pow(2, -1, pk)
-        s = (-a1 * inv2) % pk
-        t = (-a3 * inv2) % pk
-        m.apply(1, 0, s, t)
+        s = (-m.a[0] * inv2) % pk
+        t = (-m.a[2] * inv2) % pk
+        m.apply(0, s, t)
     else:
         found = next(
             (
                 (s, t)
                 for s in range(p)
                 for t in range(p**3)
-                if (a1 + 2 * s) % p == 0
-                and (a2 - s * a1 - s * s) % p == 0
-                and (a3 + 2 * t) % p**2 == 0
-                and (a4 - s * a3 - t * a1 - 2 * s * t) % p**2 == 0
-                and (a6 - t * a3 - t * t) % p**3 == 0
+                if all(c % p**k == 0 for c, k in zip(_translated(m.a, 0, s, t), _STEP6_VALUATIONS))
             ),
             None,
         )
         _require(found, "step-6 normalization not found (machine bug)")
-        m.apply(1, 0, *found)
-    a1, a2, a3, a4, a6 = _ints(m.cur)
-    _require(all(_vp(a, p) >= k for a, k in zip((a1, a2, a3, a4, a6), (1, 1, 2, 2, 3))),
+        m.apply(0, *found)
+    _require(all(_vp(a, p) >= k for a, k in zip(m.a, _STEP6_VALUATIONS)),
              "step-6 valuations failed")
 
 
@@ -313,12 +311,12 @@ def _istar_subloop(m: _Machine, rho: int) -> int:
     away until a separable one appears.
     """
     p = m.p
-    m.apply(1, p * rho, 0, 0)
-    a1, a2, a3, a4, a6 = _ints(m.cur)
+    m.apply(p * rho, 0, 0)
+    a1, a2, a3, a4, a6 = m.a
     _require(_vp(a2, p) == 1 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4, "double root not moved")
     mm = 1
     while True:
-        a1, a2, a3, a4, a6 = _ints(m.cur)
+        a1, a2, a3, a4, a6 = m.a
         if mm % 2 == 1:
             k = (mm + 3) // 2
             A3 = (a3 // p**k) % p
@@ -326,9 +324,8 @@ def _istar_subloop(m: _Machine, rho: int) -> int:
             if (A3 * A3 + 4 * A6) % p != 0:
                 return mm
             y0 = _double_root_of_quadratic(1, A3, (-A6) % p, p)
-            m.apply(1, 0, 0, p**k * y0)
-            na = _ints(m.cur)
-            _require(_vp(na[2], p) >= k + 1 and _vp(na[4], p) >= mm + 4, "I_m* Y root not moved")
+            m.apply(0, 0, p**k * y0)
+            _require(_vp(m.a[2], p) >= k + 1 and _vp(m.a[4], p) >= mm + 4, "I_m* Y root not moved")
         else:
             k = (mm + 4) // 2
             A2 = (a2 // p) % p
@@ -337,9 +334,8 @@ def _istar_subloop(m: _Machine, rho: int) -> int:
             if (A4 * A4 - 4 * A2 * A6) % p != 0:
                 return mm
             x0 = _double_root_of_quadratic(A2, A4, A6, p)
-            m.apply(1, p ** (k - 1) * x0, 0, 0)
-            na = _ints(m.cur)
-            _require(_vp(na[3], p) >= k + 1 and _vp(na[4], p) >= mm + 4, "I_m* X root not moved")
+            m.apply(p ** (k - 1) * x0, 0, 0)
+            _require(_vp(m.a[3], p) >= k + 1 and _vp(m.a[4], p) >= mm + 4, "I_m* X root not moved")
         mm += 1
         _require(mm < 64, "I_m* chain failed to terminate")
 

@@ -180,6 +180,23 @@ sys.exit(main(["analyze-curve", "--a", "5", "--b", "1", "--primes", "5"]))
 """,
         "certificate error: singular point not moved to (0, 0)",
     ),
+    "tate-transform": (
+        """
+import sys
+from isogeny_forge import reduction
+from isogeny_forge.cli import main
+from isogeny_forge.elliptic import _translated
+# y^2 = x(x - 1)(x + 3) is moved by a t-translation at 2; an apply that
+# composes r and s but drops t reports a change of model that misses the model
+def apply(self, r, s, t):
+    self.a = _translated(self.a, r, s, t)
+    self.r += self.u * self.u * r
+    self.s += self.u * s
+reduction._Machine.apply = apply
+sys.exit(main(["analyze-curve", "--a", "1", "--b", "-3", "--primes", "2"]))
+""",
+        "certificate error: change of model does not carry the start model to the final one",
+    ),
     "resum": (
         """
 import sys

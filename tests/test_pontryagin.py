@@ -11,10 +11,12 @@ from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.errors import BudgetExceededError, CertificateError
 from isogeny_forge.exactnum import FormalSum, factorize, invariant_factors_mod
 from isogeny_forge.pontryagin import (
+    FILTRATION_MAX_P,
     FinAbGroup,
     _insert_mod,
     alternating_generator,
     aug_filtration,
+    check_filtration_field,
     gr_generators,
     pontryagin_product,
     spans_same_lattice,
@@ -364,6 +366,14 @@ def test_filtration_guard_edges():
     assert aug_filtration(FinAbGroup.cyclic(2**42), 12).exactness_ok
     with pytest.raises(BudgetExceededError, match="517 bits"):
         aug_filtration(FinAbGroup.cyclic(2**43), 12)
+
+
+def test_check_filtration_field_refuses_past_the_bound():
+    # the largest prime admitted and the first refused; nothing is enumerated
+    assert FILTRATION_MAX_P == 6000
+    check_filtration_field(5987)
+    with pytest.raises(BudgetExceededError, match=r"^p = 6007 exceeds 6000$"):
+        check_filtration_field(6007)
 
 
 def test_filtration_never_lists_the_group():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from isogeny_forge.elliptic import TwoTorsionCurve, WeierstrassModel, curve_from_pair, is_supersingular_at
+from isogeny_forge.elliptic import (
+    TwoTorsionCurve,
+    WeierstrassModel,
+    _discriminant,
+    curve_from_pair,
+    is_supersingular_at,
+)
 from isogeny_forge.errors import DegenerateCurveError, UnsupportedPrimeError
 from isogeny_forge.exactnum import factorize, primes_up_to
 from isogeny_forge.reduction import (
@@ -119,10 +125,10 @@ def test_all_additive_types_against_tame_oracle():
             cases[f"I{m}*"] = (-3 * p * p, (2 + p**m) * p**3)
         for expected, (A, B) in cases.items():
             model = W(0, 0, 0, A, B)
-            typ, f = tame_oracle(model, p)
+            typ, f, n = tame_oracle(model, p)
             assert typ == expected, (p, expected, typ)
             out = tate_algorithm(model, p)
-            assert (out.kodaira_type, out.conductor_exponent) == (typ, f), (p, expected)
+            assert (out.kodaira_type, out.conductor_exponent, out.v_delta_min) == (typ, f, n)
 
 
 def test_good_prime_report():
@@ -199,22 +205,22 @@ TAME_TYPES = {
 
 
 def tame_oracle(model: WeierstrassModel, p: int):
-    """Independent Kodaira/exponent oracle for p >= 5 from invariant
-    valuations of the p-minimalized (c4, c6, Delta)."""
+    """Independent (Kodaira type, conductor exponent, v(Delta_min)) oracle for
+    p >= 5 from invariant valuations of the p-minimalized (c4, c6, Delta)."""
     assert p >= 5
     c4, c6, delta = int(model.c4), int(model.c6), int(model.disc)
     vc4, vc6, vd = _vp(c4, p) if c4 else 10**9, _vp(c6, p) if c6 else 10**9, _vp(delta, p)
     k = min(vc4 // 4, vc6 // 6, vd // 12)
     vc4, vd = vc4 - 4 * k, vd - 12 * k
     if vd == 0:
-        return "I0", 0
+        return "I0", 0, 0
     if vc4 == 0:
-        return f"I{vd}", 1
+        return f"I{vd}", 1, vd
     if vd == 6:
-        return "I0*", 2
+        return "I0*", 2, vd
     if vd > 6 and vc4 == 2:
-        return f"I{vd - 6}*", 2
-    return TAME_TYPES[vd], 2
+        return f"I{vd - 6}*", 2, vd
+    return TAME_TYPES[vd], 2, vd
 
 
 def random_model_corpus(seed, n):
@@ -247,8 +253,8 @@ def test_machine_matches_tame_oracle():
             if p < 5:
                 continue
             out = tate_algorithm(model, p)
-            typ, f = tame_oracle(model, p)
-            assert (out.kodaira_type, out.conductor_exponent) == (typ, f), (model, p)
+            got = (out.kodaira_type, out.conductor_exponent, out.v_delta_min)
+            assert got == tame_oracle(model, p), (model, p)
 
 
 def test_consistency_triple_on_corpus():
@@ -431,6 +437,71 @@ def test_minimal_model_transform_verifies():
             u, r, s, t = out.transform
             assert blow.transform(u, r, s, t) == out.model, (model, p)
             assert all(c.denominator % p for c in out.model.coeffs()), (model, p)
+
+
+# coefficients c_i * p^e_i: large e_i make additive and non-minimal models common
+_SCALED_MODELS = st.tuples(
+    st.tuples(*(st.integers(-b, b) for b in (2, 6, 2, 40, 80))),
+    st.tuples(*[st.integers(0, 7)] * 5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _SCALED_MODELS,
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.integers(0, 2),
+    st.tuples(st.integers(-60, 60), st.integers(-6, 6), st.integers(-60, 60)),
+)
+@example(((0, 0, 0, 1, 1), (0, 0, 0, 4, 6)), 5, 2, (7, -3, 11))  # already non-minimal
+@example(((0, 0, 0, 1, 0), (0, 0, 0, 0, 0)), 2, 1, (1, 1, 1))
+def test_machine_is_invariant_under_integral_changes_of_model(scaled, p, k, rst):
+    """The model p^-k blown up and moved by an integer (r, s, t) has the same
+    type, f and v(Delta_min), k more restarts, and a transform that carries it
+    to the model reached."""
+    cs, es = scaled
+    coeffs = [c * p**e for c, e in zip(cs, es)]
+    assume(_discriminant(*coeffs) != 0)
+    model = W(*coeffs)
+    moved = model.transform(Fraction(1, p**k), 0, 0, 0).transform(1, *rst)
+    base = tate_algorithm(model, p)
+    out = tate_algorithm(moved, p)
+    got = (out.kodaira_type, out.conductor_exponent, out.v_delta_min)
+    if p >= 5:
+        assert got == tame_oracle(model, p)
+    assert got == (base.kodaira_type, base.conductor_exponent, base.v_delta_min)
+    assert moved.transform(*out.transform) == out.model
+    assert out.restarts == k + base.restarts
+
+
+def test_machine_builds_one_model_and_transforms_only_to_integralize(monkeypatch):
+    """The step machine runs on ints: one WeierstrassModel per run (the
+    reported model) and one transform, for a non-integral input alone."""
+    cases = [
+        (W(0, 0, 0, 4, 0), 2, 0),  # I3*, several translations
+        (W(0, 0, 0, 5**4, 2 * 5**6), 5, 0),  # one restart
+        (W(0, 0, 0, 7**8, 7**12), 7, 0),  # two restarts
+        (W(0, 0, 0, Fraction(1, 3), 1), 3, 1),  # p-integralized first
+    ]
+    counts = {}
+    transform, init = WeierstrassModel.transform, WeierstrassModel.__init__
+
+    def counted_transform(self, *args):
+        counts["transform"] += 1
+        return transform(self, *args)
+
+    def counted_init(self, *args):
+        counts["model"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(WeierstrassModel, "transform", counted_transform)
+    monkeypatch.setattr(WeierstrassModel, "__init__", counted_init)
+    restarts = []
+    for model, p, transforms in cases:
+        counts.update(transform=0, model=0)
+        restarts.append(tate_algorithm(model, p).restarts)
+        assert counts == {"transform": transforms, "model": 1 + transforms}, (model, p)
+    assert restarts == [0, 1, 2, 0]
 
 
 def test_report_invariants_actual_type_coherence():
