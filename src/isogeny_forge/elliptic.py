@@ -2,11 +2,14 @@
 exact point counting and group structure over prime fields.
 
 Counting is character-sum based, which is the right tool at desk scale;
-nothing here ever rounds.  A general model costs (p - 1)/2 interpreted steps
-per prime (_char_sum).  A curve y^2 = x(x - a)(x - b) costs a handful of
-p-bit integer operations (_split_char_sum).  Both kernels read one
-quadratic-residue table per prime (_chi_table), built by one pass over the
-squares.
+nothing here ever rounds.  There are two kernels.  _char_sum takes the sum
+of chi(f(x)) for any f of degree <= 6 in (p - 1)/2 interpreted steps over
+the pairs {x, -x}.  _split_char_sum takes it for f = prod (x - r) with the
+roots r known, in a handful of p-bit integer operations on a non-residue
+mask; a curve y^2 = x(x - a)(x - b) and a genus-2 curve given by its even
+factors (genus2.py) are counted this way, and every other model by
+_char_sum.  Both kernels read one quadratic-residue table per prime
+(_chi_table), built by one pass over the squares.
 """
 
 from __future__ import annotations

@@ -348,7 +348,7 @@ def classify_reduction(curve: Curve, p: int) -> ReductionReport:
     W = _as_model(curve)
     out = tate_algorithm(W, p)
     f = out.conductor_exponent
-    pot = potential_type(W, p) if p != 2 else None
+    pot = potential_type(curve, p) if p != 2 else None
     if f == 0:
         if p == 2:
             # supersingular at 2 iff j = c4^3 / Delta = 0 mod 2, and c4 = a1^4 mod 2

@@ -17,7 +17,7 @@ from .checkers import main1_check
 from .elliptic import TwoTorsionCurve, ap_trace, curve_from_pair
 from .errors import CertificateError, DegenerateCurveError, InsufficientPrimesError
 from .exactnum import primes_up_to
-from .genus2 import HyperellipticCurve
+from .genus2 import HyperellipticCurve, _even_sextic
 
 SMOOTH = "SmoothGenus2"
 
@@ -36,22 +36,6 @@ class ScholtenCurve:
         return self.status == SMOOTH
 
 
-def _sextic_coeffs(a: int, b: int, c: int, d: int) -> tuple[int, ...]:
-    # ((a-b)x^2 - (c-d)) (a x^2 - c) (b x^2 - d): cubic in u = x^2
-    q = [(a - b, -(c - d)), (a, -c), (b, -d)]
-    cu = [1]
-    for lead, const in q:
-        nxt = [0] * (len(cu) + 1)
-        for i, v in enumerate(cu):
-            nxt[i + 1] += v * lead
-            nxt[i] += v * const
-        cu = nxt
-    out = [0] * 7
-    for i, v in enumerate(cu):
-        out[2 * i] = v
-    return tuple(out)
-
-
 def build_scholten(a: int, b: int, c: int, d: int) -> ScholtenCurve:
     """Assemble the curve; degeneracy is diagnosed, never raised.
 
@@ -68,7 +52,8 @@ def build_scholten(a: int, b: int, c: int, d: int) -> ScholtenCurve:
     if c == 0 or d == 0 or c == d:
         return ScholtenCurve(params, "Degenerate(second pair: cd(c-d) = 0)")
     # c6 = (a - b)ab is nonzero here, so the sextic has exact degree 6
-    curve = HyperellipticCurve(lam, _sextic_coeffs(a, b, c, d))
+    factors = ((a - b, c - d), (a, c), (b, d))
+    curve = HyperellipticCurve(lam, _even_sextic(factors), factors)
     if curve.disc == 0:
         return ScholtenCurve(params, "Degenerate(repeated roots)")
     return ScholtenCurve(
@@ -228,9 +213,12 @@ def verify_split_jacobian(
 ) -> SplitJacobianCertificate:
     """Check #C(F_p) = p + 1 - a_p(E1) - a_p(E2) at every usable prime.
 
-    The two sides come from different kernels: #C(F_p) from the {x, -x}
-    pair sum of the sextic, a_p of a TwoTorsionCurve from its non-residue
-    mask, so one kernel bug cannot cancel on both sides.
+    Both sides are sums of elliptic._split_char_sum, the non-residue mask
+    primitive, over different root sets: #C(F_p) over the roots of S as a
+    cubic in x^2 (with and without 0), a_p(E_i) over (0, a, b) and (0, c, d).
+    What is independent of that primitive is the test oracle: the tests
+    check the genus-2 count against the {x, -x} pair sum (elliptic._char_sum)
+    of the same sextic and against enumeration.
 
     Passing e1/e2 overrides the elliptic factors (useful as a negative
     control; a wrong factor must fail at some prime).

@@ -268,13 +268,15 @@ def test_ap_trace_of_two_torsion_curve_reduces_no_model(monkeypatch):
 
 
 def test_general_models_stay_on_char_sum(monkeypatch):
-    """Only a TwoTorsionCurve takes the split kernel; its model, potential
-    types through the model and genus-2 counts take _char_sum."""
-    from isogeny_forge import elliptic, reduction
+    """Only a TwoTorsionCurve and a genus-2 curve with even factors take the
+    split kernel; a Weierstrass model, potential types through the model and
+    a genus-2 curve without factors take _char_sum, with the same answers."""
+    from isogeny_forge import elliptic, genus2, reduction
     from isogeny_forge.scholten import build_scholten
 
     E = curve_from_pair(2, 7)
     C = build_scholten(3, -7, 11, 5).curve
+    assert C.even_factors is not None
     want = (ap_trace(E, 101), reduction.potential_type(E, 101), C.point_count(101))
 
     def refuse(roots, p):
@@ -282,8 +284,12 @@ def test_general_models_stay_on_char_sum(monkeypatch):
 
     monkeypatch.setattr(elliptic, "_split_char_sum", refuse)
     monkeypatch.setattr(reduction, "_split_char_sum", refuse)
-    got = (ap_trace(E.model, 101), reduction.potential_type(E.model, 101), C.point_count(101))
+    monkeypatch.setattr(genus2, "_split_char_sum", refuse)
+    plain = genus2.HyperellipticCurve(C.lam, C.coeffs)
+    got = (ap_trace(E.model, 101), reduction.potential_type(E.model, 101), plain.point_count(101))
     assert got == want
+    with pytest.raises(AssertionError, match="split kernel"):
+        C.point_count(101)
     assert want[0] == 101 + 1 - brute_count(E.model, 101)
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isogeny_forge import genus2
-from isogeny_forge.errors import BadPrimeError, SingularCurveError
+from isogeny_forge.errors import BadPrimeError, CertificateError, SingularCurveError
 from isogeny_forge.exactnum import primes_up_to
 from isogeny_forge.genus2 import (
     HyperellipticCurve,
@@ -312,3 +312,44 @@ def test_split_identity_rows_against_enumeration(quad):
         assert ok
     tested = {r[0] for r in cert.rows} | {p for p, _ in cert.skipped}
     assert tested == set(primes_up_to(61))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.integers(-40, 40)] * 4), st.sampled_from(primes_up_to(300)[1:]))
+def test_factored_count_matches_the_loop_and_enumeration(quad, p):
+    """The count of a Scholten curve from its even factors (the mask kernel)
+    equals the {x, -x} loop on the same sextic without factors, and the
+    enumeration of its points for p <= 60."""
+    C = build_scholten(*quad)
+    assume(C.is_smooth)
+    curve = C.curve
+    assume((curve.lam * curve.disc * curve.coeffs[6]) % p)
+    assert curve.even_factors is not None
+    plain = HyperellipticCurve(curve.lam, curve.coeffs)
+    count = hyperelliptic_point_count(curve, p)
+    assert count == hyperelliptic_point_count(plain, p)
+    if p <= 60:
+        assert count == brute_projective_count(curve, p)
+
+
+def test_even_factors_must_multiply_out_to_the_sextic():
+    C = build_scholten(1, 2, 3, 4).curve
+    assert C == HyperellipticCurve(C.lam, C.coeffs)  # the factors are not compared
+    (l1, k1), (l2, k2), (l3, k3) = C.even_factors
+    for wrong in [((l1, k1), (l2, k2), (l3, k3 + 1)),
+                  ((l1, k1), (l2, k2)),
+                  ((l1, k1), (l2, k2), (l3, k3), (1, 1))]:
+        with pytest.raises(ValueError, match="do not multiply out"):
+            HyperellipticCurve(C.lam, C.coeffs, wrong)
+
+
+@pytest.mark.parametrize("factored", [True, False])
+def test_count_outside_the_hasse_weil_bound_is_refused(monkeypatch, factored):
+    C = build_scholten(1, 2, 3, 4).curve
+    if not factored:
+        C = HyperellipticCurve(C.lam, C.coeffs)
+    kernel = "_split_char_sum" if factored else "_char_sum"
+    assert hyperelliptic_point_count(C, 101) > 0
+    monkeypatch.setattr(genus2, kernel, lambda coeffs, p: p)
+    with pytest.raises(CertificateError, match="Hasse-Weil"):
+        hyperelliptic_point_count(C, 101)

@@ -141,6 +141,24 @@ def test_good_prime_report():
     assert rep7.actual_type == GOOD_SUPERSINGULAR
 
 
+def test_good_two_torsion_curve_classifies_by_its_split_kernel(monkeypatch):
+    """classify_reduction passes the TwoTorsionCurve itself to potential_type,
+    so at an odd good prime no reference curve is counted by _char_sum."""
+    from isogeny_forge import reduction
+
+    E = curve_from_pair(1, -1)  # y^2 = x^3 - x: supersingular iff p = 3 mod 4
+    primes = (5, 7, 13, 499)
+    want = [classify_reduction(E.model, p) for p in primes]
+
+    def refuse(coeffs, p):
+        raise AssertionError("general kernel reached from a good TwoTorsionCurve")
+
+    monkeypatch.setattr(reduction, "_char_sum", refuse)
+    assert [classify_reduction(E, p) for p in primes] == want
+    assert [r.actual_type for r in want] == [GOOD_ORDINARY, GOOD_SUPERSINGULAR,
+                                             GOOD_ORDINARY, GOOD_SUPERSINGULAR]
+
+
 def test_multiplicative_example_e_1_11():
     E = curve_from_pair(1, 11)
     rep = classify_reduction(E, 11)

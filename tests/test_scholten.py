@@ -5,6 +5,7 @@ import pytest
 
 from isogeny_forge.elliptic import curve_from_pair
 from isogeny_forge.errors import DegenerateCurveError, InsufficientPrimesError
+from isogeny_forge.exactnum import primes_up_to
 from isogeny_forge.genus2 import sextic_discriminant
 from isogeny_forge.scholten import (
     SMOOTH,
@@ -154,6 +155,24 @@ def test_split_jacobian_skips_bad_primes():
     skipped = {p for p, _ in cert.skipped}
     assert 2 in skipped
     assert cert.verdict
+
+
+def test_split_jacobian_counts_once_per_row(monkeypatch):
+    """One genus-2 count and two a_p per certificate row, none for a
+    skipped prime."""
+    from isogeny_forge import genus2, scholten
+
+    counted, traced = [], []
+    real_count, real_ap = genus2.hyperelliptic_point_count, scholten.ap_trace
+    monkeypatch.setattr(genus2, "hyperelliptic_point_count",
+                        lambda C, p: counted.append(p) or real_count(C, p))
+    monkeypatch.setattr(scholten, "ap_trace", lambda E, p: traced.append(p) or real_ap(E, p))
+    C = build_scholten(1, 2, 3, 4)
+    cert = verify_split_jacobian(C, primes_up_to(60))
+    rows = [row[0] for row in cert.rows]
+    assert {p for p, _ in cert.skipped} == {2, 3}
+    assert counted == rows
+    assert traced == [p for p in rows for _ in range(2)]
 
 
 def test_split_jacobian_insufficient_primes():
