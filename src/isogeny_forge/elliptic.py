@@ -9,7 +9,8 @@ roots r known, in a handful of p-bit integer operations on a non-residue
 mask; a curve y^2 = x(x - a)(x - b) and a genus-2 curve given by its even
 factors (genus2.py) are counted this way, and every other model by
 _char_sum.  Both kernels read one quadratic-residue table per prime
-(_chi_table), built by one pass over the squares.
+(_chi_table, a non-residue mask built by one pass over the squares);
+_char_sum reads it through the tuple view _chi_values.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def _char_sum(coeffs, p: int) -> int:
     E + xO and E - xO are reduced once each.
     """
     c0, c1, c2, c3, c4, c5, c6 = [c % p for c in coeffs] + [0] * (7 - len(coeffs))
-    chi = _chi_table(p)[0]
+    chi = _chi_values(p)
     total = chi[c0]
     for x in range(1, (p + 1) // 2):
         u = x * x
@@ -247,16 +248,25 @@ def _char_sum(coeffs, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _chi_table(p: int) -> tuple[tuple[int, ...], int]:
+def _chi_table(p: int) -> int:
     """The quadratic character mod an odd prime p, from one pass over the
-    squares, in two views: the tuple chi with chi[x] in {-1, 0, 1}, and the
-    p-bit integer whose bit x is set iff chi[x] = -1."""
-    sym = bytearray(b"\xff") * p  # chi[x] as a signed byte
-    sym[0] = 0
+    squares, as its non-residue mask: the p-bit integer whose bit x is set
+    iff chi(x) = -1."""
+    digits = bytearray(b"1") * p  # digit x is "1" iff x is a non-residue
+    zero = digits[0] = ord("0")
     for t in range(1, (p + 1) // 2):
-        sym[t * t % p] = 1
-    nonres = int(sym.translate(bytes.maketrans(b"\xff\x00\x01", b"100"))[::-1], 2)
-    return tuple(memoryview(sym).cast("b")), nonres
+        digits[t * t % p] = zero
+    return int(digits[::-1], 2)
+
+
+@lru_cache(maxsize=None)
+def _chi_values(p: int) -> tuple[int, ...]:
+    """chi(x) in {-1, 0, 1} for x in 0..p-1, read off the mask of
+    _chi_table: the view _char_sum indexes."""
+    sym = bytearray(format(_chi_table(p), f"0{p}b")[::-1].encode().translate(
+        bytes.maketrans(b"01", b"\x01\xff")))
+    sym[0] = 0
+    return tuple(memoryview(sym).cast("b"))
 
 
 def _split_char_sum(roots, p: int) -> int:
@@ -268,7 +278,7 @@ def _split_char_sum(roots, p: int) -> int:
     are non-residues, i.e. at the set bits of the XOR of the rotations, and 0
     at the roots; every other x contributes +1.
     """
-    nonres = _chi_table(p)[1]
+    nonres = _chi_table(p)
     full = (1 << p) - 1
     odd = root_bits = 0
     for r in roots:
@@ -376,22 +386,32 @@ class EllipticGroup:
         while n:
             if n & 1:
                 R = self.add(R, Q)
-            Q = self.add(Q, Q)
             n >>= 1
+            if n:
+                Q = self.add(Q, Q)
         return R
 
     @cached_property
-    def _order_primes(self) -> list[int]:
-        """The primes dividing |E(F_p)|, factored once per group."""
-        return list(factorize(len(self.points)))
+    def _order_factors(self) -> dict[int, int]:
+        """|E(F_p)| factored, once per group."""
+        return factorize(len(self.points))
 
     def order_of(self, P: Point) -> int:
+        """The order of P: for each prime power q^e exactly dividing N =
+        |E(F_p)|, the q-part is the least q^k that kills (N / q^e) P, found by
+        one scalar multiplication and then repeated multiplication by q.  The
+        product is checked to kill P."""
         if P in self._order_cache:
             return self._order_cache[P]
-        o = len(self.points)
-        for q in self._order_primes:
-            while o % q == 0 and self.scalar(o // q, P) is None:
-                o //= q
+        N = len(self.points)
+        o = 1
+        for q, e in self._order_factors.items():
+            R = self.scalar(N // q**e, P)
+            for _ in range(e):
+                if R is None:
+                    break
+                R = self.scalar(q, R)
+                o *= q
         if self.scalar(o, P) is not None:
             raise CertificateError(f"claimed order {o} does not kill the point {P}")
         self._order_cache[P] = o

@@ -11,13 +11,31 @@ rather than by heuristics.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The first _MR_PREFIX[i] witnesses decide every n below _MR_LIMITS[i], and
+# no shorter prefix does: each limit is the least strong pseudoprime to all
+# of those bases (Jaeschke 1993; Sorenson and Webster 2017).  Past the last
+# limit all 13 are used.
+_MR_LIMITS = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+_MR_PREFIX = (1, 2, 3, 4, 5, 6, 7, 9, 12, 13, 13)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -51,7 +69,11 @@ def primes_up_to(bound: int) -> list[int]:
 
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers well past 64 bits.
+    """Miller-Rabin with the shortest proven prefix of the first 13 primes as
+    witnesses: {2} below 2,047, {2, 3} below 1,373,653, and so on, up to all
+    13 below 3,317,044,064,679,887,385,961,981, where the answer is proven.
+    Past that bound it is a strong probable-prime test to those 13 bases: a
+    prime is never refused, but a composite could pass.
 
     Memoized: each row of a split-Jacobian certificate tests its prime three
     times (one genus-2 count and two traces of Frobenius)."""
@@ -65,7 +87,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: _MR_PREFIX[bisect_right(_MR_LIMITS, n)]]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -505,14 +527,15 @@ class ColumnLattice:
         v = self._sparse(vec)
         idx = self.n_generators
         self.n_generators += 1
-        self._insert(v, idx)
+        if v:
+            self._insert(v, idx)
         return idx
 
     def _sparse(self, vec: Sequence[int] | dict[int, int]) -> dict[int, int]:
         """A fresh {column: entry} copy of a list or dict vector, zeros dropped."""
         dim = self.dimension
         if isinstance(vec, dict):
-            if not all(0 <= j < dim for j in vec):
+            if vec and (min(vec) < 0 or max(vec) >= dim):
                 raise ValueError("dimension mismatch")
             return {j: c for j, c in vec.items() if c}
         if len(vec) != dim:

@@ -217,7 +217,8 @@ def hyperelliptic_point_count(C: HyperellipticCurve, p: int) -> int:
     if C.disc % p == 0:
         raise BadPrimeError(f"p = {p} divides disc(S)")
     lam = C.lam % p
-    at_infinity = _chi_table(p)[0][lam * C.coeffs[6] % p]
+    # chi(lam c6), from bit lam c6 of the non-residue mask (lam c6 != 0 mod p)
+    at_infinity = -1 if _chi_table(p) >> (lam * C.coeffs[6] % p) & 1 else 1
     if C.even_factors is None:
         total = p + _char_sum([lam * c for c in C.coeffs], p)
     else:

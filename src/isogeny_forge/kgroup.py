@@ -6,6 +6,21 @@ families coming from vertical lines and chords) generate an integer lattice,
 and statements like skew-symmetry become lattice-membership questions with
 exact, re-verifiable certificates.
 
+The skew prover decides membership in E (x) E coordinates.  Modulo the
+bilinear relations the two-slot symbols are E (x) E, the sum of
+Z/gcd(m_i, m_j) over the invariant factors of E(F_q) = Z/m_1 x Z/m_2; it is
+the finite-field, one-level shadow of the Somekawa K-group K(k; E, E).  A
+discrete-log table, checked to be an isomorphism onto Z/m_1 x Z/m_2 by the
+carries of the pairs the bilinear columns add, sends {a, b, X} to the
+integer vector x(a) (x) x(b) of at most four entries.  Every column is built
+and its image is inserted into a Hermite-form lattice over Z^(d^2), d <= 2.
+Because the bilinear columns of both slots are all present, the kernel of
+that map lies in the relation lattice, so a target is a member iff its image
+is in the span of the column images.  A member certificate gives integer
+multipliers over the original columns and is re-verified by substitution in
+those coordinates; it lifts to the symbol coordinates by a telescoping chain
+of bilinear columns.  A nonzero remainder certifies a non-member.
+
 Nothing here claims to compute a full symbol group: success certifies that a
 target lies in the span of the explicitly generated relations, and failure is
 a statement about that generated subset only (certified by echelon reduction).
@@ -16,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .elliptic import EllipticGroup, Point
 from .errors import BudgetExceededError, CertificateError, InvalidConfigurationError
@@ -28,7 +43,7 @@ MINUS = "minus"
 # The skew prover's cost follows #E(F_q) = n alone (n^2 symbols, about n^3
 # bilinear columns, n(n+1)/2 targets; r only lengthens the fixed tail).  With
 # --convention both, the dearest of seven curves took 3.1 s at n = 40 and
-# 4.2 s at n = 44, against the 5 s a job may take.
+# 4.2 s at n = 44 in the Z^(n^2) lattice, against the 5 s a job may take.
 SKEW_MAX_POINTS = 40
 
 
@@ -78,8 +93,9 @@ class SymbolUniverse:
         return FormalSum.term(self, self.index_of(pts), c)
 
 
-@dataclass(frozen=True)
-class RelationColumn:
+class RelationColumn(NamedTuple):
+    """One relation; a tuple, as a skew run builds about n^3 of them."""
+
     kind: str  # "bilinear" | "wr-vertical" | "wr-line"
     data: tuple
     vector: tuple[tuple[int, int], ...]  # sorted sparse (index, coeff)
@@ -98,17 +114,24 @@ def _column(universe: SymbolUniverse, entries: Iterable[tuple[Sequence[Point], i
     return RelationColumn(kind, data, vec)
 
 
-def bilinear_relations(
-    universe: SymbolUniverse, slot: int, dedupe: bool = True
-) -> list[RelationColumn]:
-    """Columns { ..., a+a', ... } - { ..., a, ... } - { ..., a', ... } for
-    every pair (a, a') in the slot and every combination of the other slots.
+def _sum_table(G: EllipticGroup) -> list[list[int]]:
+    """s[i][j] is the index of points[i] + points[j], from one addition per
+    unordered pair."""
+    pts, index = G.points, G.index
+    n = len(pts)
+    s = [[0] * n for _ in range(n)]
+    for i, a in enumerate(pts):
+        for j in range(i, n):
+            s[i][j] = s[j][i] = index[G.add(a, pts[j])]
+    return s
 
-    The raw family ranges over ordered pairs; with dedupe the (a', a) copy and
-    vanishing columns are dropped.  Columns are built from point indices: the
-    slot's entries of a pair, sorted once, and each combination of the other
-    slots as an offset into the universe (the slot's stride keeps the order).
-    """
+
+def _bilinear_blocks(
+    universe: SymbolUniverse, slot: int, dedupe: bool, sums: list[list[int]]
+) -> list[tuple[int, int, list[RelationColumn]]]:
+    """(i, i2, columns) for each pair (a, a') = (points[i], points[i2]) of the
+    slot that bilinear_relations keeps, with its columns in the order of the
+    combinations of the other slots; sums is the slot group's _sum_table."""
     G = universe.slot_groups[slot]
     pts = G.points
     n = len(pts)
@@ -122,25 +145,48 @@ def bilinear_relations(
         (sum(off for _, off in combo), tuple(pt for pt, _ in combo))
         for combo in iproduct(*others)
     ]
-    out = []
+    # one (index, coefficient) pair object per value, shared by the columns
+    # (coefficients are 1, -1 or -2): about 3 n^2 pairs instead of 3 n^3
+    shared_pairs = {c: [(j, c) for j in range(universe.dimension)] for c in (1, -1, -2)}
+    blocks = []
     seen = set()
     for i, a in enumerate(pts):
         for i2 in range(i if dedupe else 0, n):
-            a2 = pts[i2]
-            acc = {G.index[G.add(a, a2)]: 1}
+            acc = {sums[i][i2]: 1}
             for k in (i, i2):
                 acc[k] = acc.get(k, 0) - 1
-            pattern = sorted((k * stride, c) for k, c in acc.items() if c)
-            if not pattern:
-                continue
-            for off, rest in combos:
-                vec = tuple((off + k, c) for k, c in pattern)
-                if dedupe:
-                    if vec in seen:
-                        continue
-                    seen.add(vec)
-                out.append(RelationColumn("bilinear", (slot, a, a2, rest), vec))
-    return out
+            # the coefficients sum to -1, so the pattern is never empty
+            pattern = tuple(sorted((k * stride, c) for k, c in acc.items() if c))
+            if dedupe:
+                # an index is a mixed-radix number, so two columns are equal
+                # exactly when their patterns and combinations are
+                if pattern in seen:
+                    continue
+                seen.add(pattern)
+            a2 = pts[i2]
+            cols = [
+                RelationColumn("bilinear", (slot, a, a2, rest),
+                               tuple([shared_pairs[c][off + k] for k, c in pattern]))
+                for off, rest in combos
+            ]
+            blocks.append((i, i2, cols))
+    return blocks
+
+
+def bilinear_relations(
+    universe: SymbolUniverse, slot: int, dedupe: bool = True
+) -> list[RelationColumn]:
+    """Columns { ..., a+a', ... } - { ..., a, ... } - { ..., a', ... } for
+    every pair (a, a') in the slot and every combination of the other slots.
+
+    The raw family ranges over ordered pairs; with dedupe the (a', a) copy and
+    repeated columns are dropped (the pairs (0, a') all give -{ ..., 0, ... }).
+    Columns are built from point indices: the slot's entries of a pair, sorted
+    once, and each combination of the other slots as an offset into the
+    universe (the slot's stride keeps the order).
+    """
+    sums = _sum_table(universe.slot_groups[slot])
+    return [col for _, _, cols in _bilinear_blocks(universe, slot, dedupe, sums) for col in cols]
 
 
 def _require_pair_slots(universe: SymbolUniverse) -> EllipticGroup:
@@ -201,26 +247,150 @@ def wr_line(
     )
 
 
-# -- membership ------------------------------------------------------------------
+# -- membership in E (x) E coordinates ----------------------------------------------
+
+
+def discrete_log(G: EllipticGroup) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """A claimed isomorphism x: E(F_q) -> Z/m_1 x Z/m_2 with m_1 | m_2, or
+    x: E(F_q) -> Z/n when the group is cyclic: the moduli, and the
+    coordinates x(P), each in [0, m_i), of every point by point index.
+
+    From G.generators(): P of order m_2 = exp(G), and Q spanning G with it.
+    m_1 Q lies in <P>, say m_1 Q = kP, and m_1 | k because m_2 kills Q, so
+    Q - (k / m_1) P has order m_1 and spans a complement of <P>.
+    SkewBilinear checks the table before any decision rests on it.
+    """
+    gens = G.generators()
+    P = gens[0]
+    e = G.order_of(P)
+    multiples: list[Point] = [None]
+    for _ in range(e - 1):
+        multiples.append(G.add(multiples[-1], P))
+    coords: list = [None] * len(G.points)
+    if len(gens) == 1:
+        for v, S in enumerate(multiples):
+            coords[G.index[S]] = (v,)
+        return (e,), coords
+    m = len(G.points) // e
+    k = multiples.index(G.scalar(m, gens[1]))
+    Q = G.add(gens[1], G.scalar(-(k // m), P))
+    R: Point = None
+    for u in range(m):
+        for v, S in enumerate(multiples):
+            coords[G.index[G.add(R, S)]] = (u, v)
+        R = G.add(R, Q)
+    return (m, e), coords
+
+
+class SkewBilinear:
+    """The part of a skew relation lattice that both conventions share: the
+    two-slot symbol universe, a discrete-log map x: E(F_q) -> Z/m_1 x Z/m_2
+    checked to be an isomorphism, and the deduplicated bilinear columns of
+    both slots.
+
+    The symbol {a, b, X} maps to x(a) (x) x(b) in Z^(d^2), d <= 2 the number
+    of moduli: coordinate s*d + t holds x_s(a) x_t(b), the coordinates taken
+    as integers in [0, m_s).  Modulo gcd(m_s, m_t) these are the coordinates
+    of a (x) b in E (x) E.  The bilinear column of (a, a') in slot 0 maps to
+    -carry(a, a') (x) x(b), and in slot 1 to -x(b) (x) carry(a, a'), where
+    carry = x(a) + x(a') - x(a + a') has entries 0 or m_s: zero unless a
+    coordinate wraps.  The map is certified by the carries: x must be a
+    bijection, and every carry of the pairs the bilinear columns add must
+    be 0 mod m, else CertificateError.
+
+    A carry takes at most 2^d values, so the column images are built once,
+    as at most 2^(d+1) rows of one image per point (the combinations of the
+    other slot, in point order), and each block of columns names its row.
+    No image is stored per column.
+    """
+
+    def __init__(self, G: EllipticGroup, r: int = 2, tail: Optional[tuple] = None):
+        if r < 2:
+            raise InvalidConfigurationError("need r >= 2")
+        n = len(G.points)
+        if n > SKEW_MAX_POINTS:
+            raise BudgetExceededError(f"#E(F_{G.p}) = {n} exceeds {SKEW_MAX_POINTS} points")
+        if tail is None:
+            tail = (G.points[1],) * (r - 2)
+        if len(tail) != r - 2:
+            raise InvalidConfigurationError(f"tail must have length {r - 2}")
+        self.universe = SymbolUniverse([G, G], tail)
+        self.moduli, self.coords = discrete_log(G)
+        coords, moduli = self.coords, self.moduli
+        if len(set(coords)) != n or set(coords) != set(iproduct(*map(range, moduli))):
+            raise CertificateError("discrete-log table is not a bijection")
+        sums = _sum_table(G)
+        carries = [[()] * n for _ in range(n)]
+        for i, x in enumerate(coords):
+            for i2 in range(i, n):
+                c = tuple(u + v - w for u, v, w in zip(x, coords[i2], coords[sums[i][i2]]))
+                if any(u % m for u, m in zip(c, moduli)):
+                    raise CertificateError("discrete-log table is not a homomorphism")
+                carries[i][i2] = c
+        rows: dict[tuple, list[dict[int, int]]] = {}
+        self.columns: list[RelationColumn] = []
+        self.image_rows: list[list[dict[int, int]]] = []  # one per block of n columns
+        for slot in (0, 1):
+            for i, i2, cols in _bilinear_blocks(self.universe, slot, True, sums):
+                key = (slot, carries[i][i2])
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = [self._carry_image(slot, key[1], xb) for xb in coords]
+                self.columns.extend(cols)
+                self.image_rows.append(row)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.moduli) ** 2
+
+    def _carry_image(self, slot: int, carry: tuple, xb: tuple) -> dict[int, int]:
+        d = len(self.moduli)
+        left, right = (carry, xb) if slot == 0 else (xb, carry)
+        return {s * d + t: -u * v for s, u in enumerate(left) if u
+                for t, v in enumerate(right) if v}
+
+    def image(self, entries: Iterable[tuple[int, int]]) -> dict[int, int]:
+        """The sum of c * x(a) (x) x(b) over (index of {a, b, X}, c) entries."""
+        n, d, coords = len(self.coords), len(self.moduli), self.coords
+        out: dict[int, int] = {}
+        for k, c in entries:
+            i, j = divmod(k, n)
+            for s, u in enumerate(coords[i]):
+                if u:
+                    for t, v in enumerate(coords[j]):
+                        if v:
+                            out[s * d + t] = out.get(s * d + t, 0) + c * u * v
+        return {k: v for k, v in out.items() if v}
+
+    def serves(self, G: EllipticGroup, r: int, tail: Optional[tuple]) -> bool:
+        """Whether these columns belong to the skew run (G, r, tail)."""
+        u = self.universe
+        return u.slot_groups[0] is G and u.r == r and (tail is None or tuple(tail) == u.tail)
 
 
 class RelationLattice:
-    """Integer span of relation columns over a symbol universe.
+    """The span L of a skew run's relation columns, decided in E (x) E
+    coordinates.
 
-    The columns are kept, and inserted, by descending last index (stably), so
-    the engine's pivots appear from the right: a new pivot column is then
-    rarely held by an earlier row, and the Hermite-form restore after each
-    insertion has little to back-substitute.  Certificates index this order.
+    The engine is a ColumnLattice over Z^(d^2), d <= 2, holding the image of
+    every column under {a, b, X} -> x(a) (x) x(b) (see SkewBilinear), the
+    bilinear columns first; its generator indices are the column indices.
+    The bilinear columns of both slots span the kernel K of the map from
+    Z^(n^2) onto E (x) E.  That map is the image followed by reduction mod
+    gcd(m_s, m_t), so the kernel of the image lies in K, inside L.  A target
+    is therefore in L iff its image is in the span of the column images.
     """
 
-    def __init__(self, universe: SymbolUniverse, columns: Sequence[RelationColumn]):
-        self.universe = universe
-        self.columns = sorted(
-            columns, key=lambda col: col.vector[-1][0] if col.vector else -1, reverse=True
-        )
-        self.engine = ColumnLattice(universe.dimension)
-        for col in self.columns:
-            self.engine.add_generator(col.as_dict())
+    def __init__(self, bilinear: SkewBilinear, reciprocity: Sequence[RelationColumn]):
+        self.universe = bilinear.universe
+        self.bilinear = bilinear
+        self.columns = bilinear.columns + list(reciprocity)
+        self.engine = ColumnLattice(bilinear.dimension)
+        for row in bilinear.image_rows:
+            for image in row:
+                self.engine.add_generator(image)
+        for col in reciprocity:
+            self.engine.add_generator(bilinear.image(col.vector))
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -237,23 +407,30 @@ class MembershipResult:
 
 
 def prove_member(target: FormalSum, lattice: RelationLattice) -> MembershipResult:
-    """Certified membership of target in the relation lattice.
+    """Certified membership of target in the relation lattice, decided on
+    its image in E (x) E coordinates (at most four integers).
 
-    A positive answer carries exact integer multipliers over the columns and
-    is re-verified by substitution; a negative answer is certified by the
-    nonzero canonical remainder of echelon reduction.
+    The image is reduced against the column images.  A zero remainder gives
+    integer multipliers over the columns; they are re-verified by
+    substitution in those coordinates, with each named column's image
+    recomputed from its vector, else CertificateError.  The target differs
+    from the combination of columns by an element of the kernel of the
+    image, which the bilinear columns span, so the answer is membership in
+    L.  A nonzero remainder (the canonical representative of the image's
+    coset) certifies that the target lies outside L, as L maps into the
+    span of the images.
     """
     if not target.space.same_universe(lattice.universe):
         raise ValueError("target and lattice live on different symbol universes")
-    rem, coeffs = lattice.engine.reduce(target.coeffs)
+    bilinear = lattice.bilinear
+    image = bilinear.image(target.coeffs.items())
+    rem, coeffs = lattice.engine.reduce(image)
     if any(rem):
         return MembershipResult(False, None)
     rebuilt: dict[int, int] = {}
     for ci, mult in coeffs.items():
-        for k, v in lattice.columns[ci].vector:
-            rebuilt[k] = rebuilt.get(k, 0) + mult * v
-    rebuilt = {k: v for k, v in rebuilt.items() if v}
-    if rebuilt != target.coeffs:
+        _add_multiple(rebuilt, bilinear.image(lattice.columns[ci].vector), mult)
+    if rebuilt != image:
         raise CertificateError("certificate failed re-verification")
     return MembershipResult(True, dict(coeffs))
 
@@ -349,21 +526,25 @@ def check_skew_field(q: int) -> None:
 
 
 def assemble_skew_lattice(
-    G: EllipticGroup, r: int, tail: tuple = (), convention: str = MINUS
+    G: EllipticGroup,
+    r: int,
+    tail: Optional[tuple] = None,
+    convention: str = MINUS,
+    bilinear: Optional[SkewBilinear] = None,
 ) -> RelationLattice:
     """Bilinearity on the first two slots plus both reciprocity families, over
-    a universe with two enumerated slots and a fixed tail of length r - 2."""
-    if r < 2:
-        raise InvalidConfigurationError("need r >= 2")
-    n = len(G.points)
-    if n > SKEW_MAX_POINTS:
-        raise BudgetExceededError(f"#E(F_{G.p}) = {n} exceeds {SKEW_MAX_POINTS} points")
-    if len(tail) != r - 2:
-        raise InvalidConfigurationError(f"tail must have length {r - 2}")
-    universe = SymbolUniverse([G, G], tail)
+    a universe with two enumerated slots and a fixed tail of length r - 2
+    (by default G.points[1] repeated), decided in E (x) E coordinates.
+
+    bilinear, the convention-free part, is built here unless given; one
+    SkewBilinear serves the lattices of both conventions.
+    """
+    if bilinear is None:
+        bilinear = SkewBilinear(G, r, tail)
+    elif not bilinear.serves(G, r, tail):
+        raise InvalidConfigurationError("bilinear columns of another symbol universe")
+    universe = bilinear.universe
     cols: list[RelationColumn] = []
-    cols.extend(bilinear_relations(universe, 0))
-    cols.extend(bilinear_relations(universe, 1))
     seen = set()
     for a in G.points:
         col = wr_vertical(universe, a)
@@ -376,11 +557,15 @@ def assemble_skew_lattice(
             if col.vector and col.vector not in seen:
                 seen.add(col.vector)
                 cols.append(col)
-    return RelationLattice(universe, cols)
+    return RelationLattice(bilinear, cols)
 
 
 def prove_skew(
-    G: EllipticGroup, r: int = 2, tail: Optional[tuple] = None, convention: str = MINUS
+    G: EllipticGroup,
+    r: int = 2,
+    tail: Optional[tuple] = None,
+    convention: str = MINUS,
+    bilinear: Optional[SkewBilinear] = None,
 ) -> SkewReport:
     """Certify {a1,a2,X} + {a2,a1,X} = 0 and 2{a,a,X} = 0 against the
     generated relation lattice, for every ordered pair of E(F_q) points.
@@ -390,11 +575,10 @@ def prove_skew(
     {a,a,X} + {a,a,X} is 2{a,a,X}, so each of the n(n+1)/2 distinct targets
     is proved once.  Also locates one pair whose lone symbol {a1,a2,X} is
     certified to lie outside the lattice (so the certified relations are not
-    degenerate).
+    degenerate).  A given bilinear part (see SkewBilinear) is shared, not
+    rebuilt.
     """
-    if tail is None:
-        tail = (G.points[1],) * (r - 2) if r > 2 else ()
-    lattice = assemble_skew_lattice(G, r, tail, convention)
+    lattice = assemble_skew_lattice(G, r, tail, convention, bilinear)
     universe = lattice.universe
     proofs = {}  # (i, j) with i <= j -> certificate length, None if not derivable
     failed = []
@@ -561,130 +745,3 @@ def phi_r(universe: SymbolUniverse, cycle: Sequence[tuple[Point, int]]) -> Forma
         out = out + universe.symbol([pt] * nslots, mult)
     return out
 
-
-# -- product decomposition -----------------------------------------------------------
-
-
-ProductPoint = tuple  # one Point per coordinate curve
-
-
-def product_zero(d: int) -> ProductPoint:
-    return (None,) * d
-
-
-def embed(i: int, x: Point, d: int) -> ProductPoint:
-    t = [None] * d
-    t[i] = x
-    return tuple(t)
-
-
-def project(i: int, P: ProductPoint) -> Point:
-    return P[i]
-
-
-def product_add(groups: Sequence[EllipticGroup], P: ProductPoint, Q: ProductPoint) -> ProductPoint:
-    return tuple(g.add(x, y) for g, x, y in zip(groups, P, Q))
-
-
-@dataclass
-class DecompositionResult:
-    original: tuple[ProductPoint, ...]
-    terms: dict[tuple[int, ...], tuple[Point, ...]]  # index tuple -> slot points
-    certificate: list[tuple[int, dict]]  # (multiplier, bilinear column dict)
-    verified: bool
-    roundtrip_ok: bool
-
-
-def product_decompose(
-    groups: Sequence[EllipticGroup], symbol_points: Sequence[ProductPoint]
-) -> DecompositionResult:
-    """Expand a symbol on a product of curves into coordinate symbols.
-
-    Each slot point decomposes as a sum of its embedded coordinates; slot
-    bilinearity expands the symbol into one term per index tuple (terms with a
-    zero coordinate vanish).  The emitted certificate lists the bilinear
-    columns used, and the decomposition identity is re-checked exactly.
-    """
-    d = len(groups)
-    r = len(symbol_points)
-    original = tuple(tuple(P) for P in symbol_points)
-    work: dict[tuple[ProductPoint, ...], int] = {original: 1}
-    cert: list[tuple[int, dict]] = []
-
-    def col_dict(entries):
-        acc: dict[tuple[ProductPoint, ...], int] = {}
-        for tup, c in entries:
-            _add_multiple(acc, {tup: c}, 1)
-        return acc
-
-    for slot in range(r):
-        nxt: dict[tuple[ProductPoint, ...], int] = {}
-        for tup, coeff in work.items():
-            P = tup[slot]
-            pieces = [embed(i, P[i], d) for i in range(d)]
-            # suffix sums s_k = pieces[k] + ... + pieces[d-1]
-            suffix = [pieces[-1]]
-            for k in range(d - 2, -1, -1):
-                suffix.append(product_add(groups, pieces[k], suffix[-1]))
-            suffix.reverse()
-            if suffix[0] != P:
-                raise CertificateError("coordinate expansion does not resum")
-
-            def with_slot(x):
-                t = list(tup)
-                t[slot] = x
-                return tuple(t)
-
-            for k in range(d - 1):
-                col = col_dict(
-                    [
-                        (with_slot(suffix[k]), 1),
-                        (with_slot(pieces[k]), -1),
-                        (with_slot(suffix[k + 1]), -1),
-                    ]
-                )
-                if col:
-                    cert.append((coeff, col))
-            for piece in pieces:
-                _add_multiple(nxt, {with_slot(piece): coeff}, 1)
-        work = nxt
-
-    # drop terms with a vanishing coordinate: {..., 0, ...} = 0 is derivable
-    # from the bilinear column at (0, 0), which equals -{..., 0, ...}
-    zero = product_zero(d)
-    final: dict[tuple[ProductPoint, ...], int] = {}
-    for tup, coeff in work.items():
-        if any(pt == zero for pt in tup):
-            col = col_dict([(tup, 1), (tup, -1), (tup, -1)])
-            cert.append((-coeff, col))
-            continue
-        final[tup] = final.get(tup, 0) + coeff
-
-    # exact re-verification: original = sum(final) + sum(mult * column)
-    check: dict[tuple[ProductPoint, ...], int] = dict(final)
-    for mult, col in cert:
-        _add_multiple(check, col, mult)
-    verified = check == {original: 1}
-
-    terms: dict[tuple[int, ...], tuple[Point, ...]] = {}
-    roundtrip = True
-    for tup in final:
-        idx = []
-        comps = []
-        for pt in tup:
-            nz = [i for i in range(d) if pt[i] is not None]
-            if len(nz) != 1:
-                roundtrip = False
-                break
-            i = nz[0]
-            x = project(i, pt)
-            if embed(i, x, d) != pt:
-                roundtrip = False
-                break
-            idx.append(i)
-            comps.append(x)
-        else:
-            terms[tuple(idx)] = tuple(comps)
-            continue
-        break
-    return DecompositionResult(original, terms, cert, verified, roundtrip)

@@ -14,13 +14,14 @@ import pytest
 from isogeny_forge.checkers import global2_prime_filter, supersingular_scan
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.exactnum import primes_up_to
-from isogeny_forge.kgroup import MINUS, PLUS, embed, product_decompose, prove_skew
+from isogeny_forge.kgroup import MINUS, PLUS, prove_skew
 from isogeny_forge.pontryagin import (
     FinAbGroup,
     aug_filtration,
     gr_generators,
     ideal_power_lattice,
 )
+from isogeny_forge.product import embed, product_decompose
 from isogeny_forge.reduction import classify_reduction, conductor, tate_algorithm
 from isogeny_forge.scholten import (
     build_scholten,

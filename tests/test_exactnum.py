@@ -42,6 +42,42 @@ def test_is_prime_small_range():
         assert is_prime(n) == naive, n
 
 
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+def test_is_prime_matches_the_sieve_below_a_million():
+    primes = primes_up_to(10**6)
+    assert [n for n in range(10**6) if is_prime.__wrapped__(n)] == primes
+
+
+# the least strong pseudoprime to all of the first k primes, for the k used below it
+_EDGES = [
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+]
+
+
+@pytest.mark.parametrize("n, k", _EDGES)
+def test_is_prime_refuses_each_witness_bound(n, k):
+    # n fools the witness prefix used below it, so the prefix must grow at n
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    assert all(_strong_probable_prime(n, a) for a in witnesses[:k])
+    assert not is_prime(n)
+    assert factorize(n) != {n: 1}
+
+
 def test_factorize():
     assert factorize(1) == {}
     assert factorize(-360) == {2: 3, 3: 2, 5: 1}

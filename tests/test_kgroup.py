@@ -1,3 +1,4 @@
+import os
 import random
 from itertools import product as iproduct
 from math import isqrt
@@ -7,32 +8,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogeny_forge import kgroup
-from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
-from isogeny_forge.errors import BudgetExceededError, InvalidConfigurationError
-from isogeny_forge.exactnum import FormalSum
+from isogeny_forge.cli import main
+from isogeny_forge.elliptic import WeierstrassModel, curve_from_pair, rational_points_mod_p
+from isogeny_forge.errors import BudgetExceededError, CertificateError, InvalidConfigurationError
+from isogeny_forge.exactnum import ColumnLattice, FormalSum, _add_multiple
 from isogeny_forge.kgroup import (
     MINUS,
     PLUS,
     MembershipResult,
-    RelationLattice,
+    SkewBilinear,
     SymbolUniverse,
     assemble_skew_lattice,
     bilinear_relations,
-    embed,
     phi_r,
-    product_decompose,
     prove_member,
     prove_skew,
     relation_is_instance,
     wr_line,
     wr_vertical,
 )
+from isogeny_forge.product import embed, product_decompose
 
 E5 = rational_points_mod_p(curve_from_pair(1, -1), 5)  # 8 points
 
 
 def universe2(G=E5, tail=()):
     return SymbolUniverse([G, G], tail)
+
+
+class SymbolLattice:
+    """The relation lattice in the symbol coordinates Z^(n^2): the oracle for
+    the E (x) E decision.  Columns are inserted by descending last index,
+    so the Hermite-form pivots appear from the right."""
+
+    def __init__(self, universe, columns):
+        self.universe = universe
+        self.columns = sorted(
+            columns, key=lambda col: col.vector[-1][0] if col.vector else -1, reverse=True
+        )
+        self.engine = ColumnLattice(universe.dimension)
+        for col in self.columns:
+            self.engine.add_generator(col.as_dict())
+
+
+def symbol_member(target, lattice):
+    """Membership in a SymbolLattice, re-verified by substitution in Z^(n^2)."""
+    rem, coeffs = lattice.engine.reduce(target.coeffs)
+    if any(rem):
+        return MembershipResult(False, None)
+    rebuilt = {}
+    for ci, mult in coeffs.items():
+        _add_multiple(rebuilt, lattice.columns[ci].as_dict(), mult)
+    assert rebuilt == target.coeffs
+    return MembershipResult(True, coeffs)
 
 
 def test_bilinear_raw_count_r1():
@@ -44,10 +72,10 @@ def test_bilinear_raw_count_r1():
 def test_bilinear_derives_zero_symbol():
     # a' = 0 reduces the column to -{0, b}: so {0, b} = 0 is derivable
     u = universe2()
-    lat = RelationLattice(u, bilinear_relations(u, 0) + bilinear_relations(u, 1))
     b = E5.points[3]
     target = u.symbol([None, b])
-    assert prove_member(target, lat).member
+    assert symbol_member(target, SymbolLattice(u, bilinear_relations(u, 0))).member
+    assert prove_member(target, assemble_skew_lattice(E5, 2)).member
 
 
 def test_wr_vertical_degenerate_cases():
@@ -92,30 +120,30 @@ def test_wr_slot_mismatch_rejected():
 
 
 def test_prove_member_trivial_and_unit():
-    u = universe2()
-    cols = bilinear_relations(u, 0)
-    lat = RelationLattice(u, cols[:1])
-    zero = FormalSum(u)
-    res = prove_member(zero, lat)
+    lat = assemble_skew_lattice(E5, 2)
+    u = lat.universe
+    res = prove_member(FormalSum(u), lat)
     assert res.member and res.coefficients == {}
-    single = FormalSum(u, cols[0].as_dict())
-    res = prove_member(single, lat)
+    # every column is a member, with a certificate re-verified inside prove_member
+    for col in lat.columns:
+        assert prove_member(FormalSum(u, col.as_dict()), lat).member
+    single = SymbolLattice(u, lat.columns[:1])
+    res = symbol_member(FormalSum(u, lat.columns[0].as_dict()), single)
     assert res.member and res.coefficients == {0: 1}
 
 
 def test_prove_member_universe_mismatch():
-    u1 = universe2()
+    lat = assemble_skew_lattice(E5, 2)
     u2 = universe2(tail=(E5.points[1],))
-    lat = RelationLattice(u1, bilinear_relations(u1, 0))
     with pytest.raises(ValueError):
         prove_member(FormalSum(u2), lat)
 
 
 def test_prove_member_fuzz_recovery():
     rng = random.Random(5)
-    u = universe2()
-    cols = bilinear_relations(u, 0) + bilinear_relations(u, 1)
-    lat = RelationLattice(u, cols)
+    lat = assemble_skew_lattice(E5, 2)
+    u = lat.universe
+    cols = [col for col in lat.columns if col.kind == "bilinear"]
     for _ in range(25):
         picks = rng.sample(range(len(cols)), 3)
         mults = [rng.randint(-4, 4) for _ in picks]
@@ -154,7 +182,8 @@ def test_prove_skew_budget(monkeypatch):
     def forbidden(*args):
         raise RuntimeError("a refused group began work")
 
-    monkeypatch.setattr(kgroup, "bilinear_relations", forbidden)
+    monkeypatch.setattr(kgroup, "discrete_log", forbidden)
+    monkeypatch.setattr(kgroup, "_bilinear_blocks", forbidden)
     with pytest.raises(BudgetExceededError, match=r"#E\(F_47\) = 48 exceeds 40 points"):
         prove_skew(E47)
 
@@ -190,8 +219,8 @@ def test_soundness_spot_checker():
 
 
 def test_phi_r_examples():
-    u = universe2()
-    lat = RelationLattice(u, bilinear_relations(u, 0) + bilinear_relations(u, 1))
+    lat = assemble_skew_lattice(E5, 2)
+    u = lat.universe
     z = phi_r(u, [(None, 1)])
     assert prove_member(z, lat).member  # {0,0} reduces to 0
     a = E5.points[2]
@@ -471,3 +500,190 @@ def test_bilinear_relations_on_three_slots_of_different_sizes():
             cols = bilinear_relations(u, slot, dedupe)
             assert cols == _bilinear_by_points(u, slot, dedupe)
             assert all(relation_is_instance(u, col) for col in cols)
+
+
+# -- E (x) E decisions against the symbol lattice ------------------------------------
+
+
+def _targets(G, u):
+    """Every skew target, every 2{a,a} target and every lone symbol."""
+    pts = G.points
+    out = [u.symbol([a1, a2]) + u.symbol([a2, a1]) for i, a1 in enumerate(pts) for a2 in pts[i:]]
+    out += [u.symbol([a, a], 2) for a in pts]
+    out += [u.symbol([a1, a2]) for a1 in pts for a2 in pts]
+    return out
+
+
+# #E = 16 over F_11 and F_13, both Z/2 x Z/8
+_SIXTEEN = [(-12, -9, 11, r) for r in (2, 3)] + [(-7, -3, 13, r) for r in (2, 3)]
+
+
+@pytest.mark.parametrize("a, b, q, r", _skew_cases() + _SIXTEEN)
+def test_tensor_membership_matches_the_symbol_lattice(a, b, q, r):
+    G = rational_points_mod_p(curve_from_pair(a, b), q)
+    bilinear = SkewBilinear(G, r)
+    for conv in (MINUS, PLUS):
+        lat = assemble_skew_lattice(G, r, None, conv, bilinear)
+        oracle = SymbolLattice(lat.universe, lat.columns)
+        for target in _targets(G, lat.universe):
+            want = symbol_member(target, oracle).member
+            assert prove_member(target, lat).member == want, (a, b, q, r, conv, target)
+
+
+def _lift(lattice, target, coefficients):
+    """Multipliers over lattice.columns whose combination is the target in
+    Z^(n^2).  The target minus the certified combination has image 0; each
+    of its symbols {a, b} telescopes, one basis point g_s at a time in each
+    slot, to sum x_s(a) x_t(b) {g_s, g_t} plus bilinear columns, and those
+    sums cancel because the image is 0."""
+    bil = lattice.bilinear
+    u = lattice.universe
+    G = u.slot_groups[0]
+    n, d = len(G.points), len(bil.moduli)
+    basis = [G.points[bil.coords.index(tuple(int(s == t) for t in range(d)))] for s in range(d)]
+    by_vector = {col.vector: ci for ci, col in enumerate(lattice.columns) if col.kind == "bilinear"}
+    mults = dict(coefficients)
+    rest = dict(target.coeffs)
+    for ci, m in coefficients.items():
+        _add_multiple(rest, lattice.columns[ci].as_dict(), -m)
+
+    def symbol(slot, p, other):
+        return u.index_of([p, other] if slot == 0 else [other, p])
+
+    def use(slot, p1, p2, other, c):
+        # the bilinear column {p1 + p2} - {p1} - {p2} of the slot, c times
+        acc = {}
+        _add_multiple(acc, {symbol(slot, G.add(p1, p2), other): 1}, 1)
+        _add_multiple(acc, {symbol(slot, p1, other): 1}, -1)
+        _add_multiple(acc, {symbol(slot, p2, other): 1}, -1)
+        _add_multiple(mults, {by_vector[tuple(sorted(acc.items()))]: c}, 1)
+
+    def telescope(slot, p, other, c):
+        """c {p, other} (p in the slot) as sum_s c x_s(p) {g_s, other} + columns."""
+        x = bil.coords[G.index[p]]
+        cur = p
+        for g, times in zip(basis, x):
+            for _ in range(times):
+                nxt = G.add(cur, G.neg(g))
+                use(slot, nxt, g, other, c)  # {cur} = {nxt} + {g} + column
+                cur = nxt
+        assert cur is None
+        use(slot, None, None, other, -c)  # {0, other} = -column(0, 0)
+        return x
+
+    normal = {}
+    for k, c in rest.items():
+        a, b = G.points[k // n], G.points[k % n]
+        xa = telescope(0, a, b, c)
+        for s, g in enumerate(basis):
+            if xa[s]:
+                xb = telescope(1, b, g, c * xa[s])
+                for t in range(d):
+                    _add_multiple(normal, {(s, t): c * xa[s] * xb[t]}, 1)
+    assert normal == {}
+    return {ci: m for ci, m in mults.items() if m}
+
+
+_LIFT_CASES = _skew_cases() + [(-12, -9, 11, 2)]
+
+
+@pytest.mark.parametrize("a, b, q, r", _LIFT_CASES)
+def test_member_certificates_lift_to_symbol_coordinates(a, b, q, r):
+    G = rational_points_mod_p(curve_from_pair(a, b), q)
+    for conv in (MINUS, PLUS):
+        lat = assemble_skew_lattice(G, r, None, conv)
+        for target in _targets(G, lat.universe):
+            res = prove_member(target, lat)
+            if not res.member:
+                continue
+            lifted = _lift(lat, target, res.coefficients)
+            rebuilt = {}
+            for ci, m in lifted.items():
+                _add_multiple(rebuilt, lat.columns[ci].as_dict(), m)
+            assert rebuilt == target.coeffs, (a, b, q, r, conv)
+
+
+def test_cyclic_group_decides_in_one_coordinate():
+    # y^2 = x^3 + x + 1 over F_5 has 9 points; Z/3 x Z/3 would need 3 | 5 - 1
+    G = rational_points_mod_p(WeierstrassModel.from_coeffs(0, 0, 0, 1, 1), 5)
+    assert kgroup.discrete_log(G)[0] == (9,)
+    for conv in (MINUS, PLUS):
+        lat = assemble_skew_lattice(G, 2, None, conv)
+        assert lat.engine.dimension == 1
+        oracle = SymbolLattice(lat.universe, lat.columns)
+        for target in _targets(G, lat.universe):
+            res = prove_member(target, lat)
+            assert res.member == symbol_member(target, oracle).member
+            if res.member:
+                rebuilt = {}
+                for ci, m in _lift(lat, target, res.coefficients).items():
+                    _add_multiple(rebuilt, lat.columns[ci].as_dict(), m)
+                assert rebuilt == target.coeffs
+        # here the relations span every symbol, so no negative control exists
+        rep = prove_skew(G, convention=conv)
+        assert rep.all_proved and not rep.negative_control_certified
+
+
+_SPARSE_CURVES = [
+    (a, b, q) for a, b, q in _SMALL_CURVES
+    if len(rational_points_mod_p(curve_from_pair(a, b), q).points) <= 12
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SPARSE_CURVES), st.sampled_from([MINUS, PLUS]), st.sampled_from([2, 3]),
+       st.lists(st.tuples(st.integers(0, 143), st.integers(-3, 3)), min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(-3, 3)), max_size=4))
+def test_tensor_membership_matches_on_sparse_targets(curve, conv, r, symbols, columns):
+    a, b, q = curve
+    G = rational_points_mod_p(curve_from_pair(a, b), q)
+    lat = assemble_skew_lattice(G, r, None, conv)
+    u = lat.universe
+    coeffs = {}
+    for k, c in symbols:
+        _add_multiple(coeffs, {k % u.dimension: c}, 1)
+    for k, c in columns:  # plus a combination of columns, which keeps the answer
+        _add_multiple(coeffs, lat.columns[k % len(lat.columns)].as_dict(), c)
+    target = FormalSum(u, coeffs)
+    oracle = SymbolLattice(u, lat.columns)
+    assert prove_member(target, lat).member == symbol_member(target, oracle).member
+
+
+def test_discrete_log_table_is_checked(monkeypatch):
+    discrete_log = kgroup.discrete_log
+
+    def swapped(G):
+        moduli, coords = discrete_log(G)
+        coords[0], coords[1] = coords[1], coords[0]
+        return moduli, coords
+
+    def repeated(G):
+        moduli, coords = discrete_log(G)
+        coords[1] = coords[2]
+        return moduli, coords
+
+    monkeypatch.setattr(kgroup, "discrete_log", swapped)
+    with pytest.raises(CertificateError, match="not a homomorphism"):
+        prove_skew(E5)
+    monkeypatch.setattr(kgroup, "discrete_log", repeated)
+    with pytest.raises(CertificateError, match="not a bijection"):
+        prove_skew(E5)
+
+
+def test_both_conventions_share_one_bilinear_part(monkeypatch):
+    calls = []
+    blocks = kgroup._bilinear_blocks
+
+    def counting(*args):
+        calls.append(args[1])
+        return blocks(*args)
+
+    monkeypatch.setattr(kgroup, "_bilinear_blocks", counting)
+    assert main(["--output", os.devnull, "kgroup", "prove-skew", "--q", "5",
+                 "--convention", "both"]) == 0
+    assert calls == [0, 1]
+    bilinear = SkewBilinear(E5)
+    for conv in (MINUS, PLUS):
+        assert prove_skew(E5, convention=conv, bilinear=bilinear) == prove_skew(E5, convention=conv)
+    with pytest.raises(InvalidConfigurationError):
+        prove_skew(E5, r=3, bilinear=bilinear)

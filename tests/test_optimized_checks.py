@@ -38,6 +38,22 @@ sys.exit(main(["kgroup", "prove-skew", "--q", "5"]))
 """,
         "certificate error: certificate failed re-verification",
     ),
+    "prove-skew-dlog": (
+        """
+import sys
+from isogeny_forge import kgroup
+from isogeny_forge.cli import main
+# swapping the logs of 0 and one other point gives a bijection that is no homomorphism
+discrete_log = kgroup.discrete_log
+def swapped(G):
+    moduli, coords = discrete_log(G)
+    coords[0], coords[1] = coords[1], coords[0]
+    return moduli, coords
+kgroup.discrete_log = swapped
+sys.exit(main(["kgroup", "prove-skew", "--q", "5"]))
+""",
+        "certificate error: discrete-log table is not a homomorphism",
+    ),
     "filtration": (
         """
 import sys
@@ -200,14 +216,14 @@ sys.exit(main(["analyze-curve", "--a", "1", "--b", "-3", "--primes", "2"]))
     "resum": (
         """
 import sys
-from isogeny_forge import kgroup
+from isogeny_forge import product
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.errors import CertificateError
 groups = [rational_points_mod_p(curve_from_pair(1, b), 5) for b in (-1, 3)]
-kgroup.product_add = lambda groups, P, Q: P
+product.product_add = lambda groups, P, Q: P
 P = (groups[0].points[1], groups[1].points[1])
 try:
-    kgroup.product_decompose(groups, [P, P])
+    product.product_decompose(groups, [P, P])
 except CertificateError as e:
     sys.exit(f"certificate error: {e}")
 """,

@@ -1,12 +1,24 @@
-"""The benchmark tracer (perfbench/tracing.py) patches the package's layers by
-name, from its TARGETS table.  A target that no longer resolves is skipped
-there and listed under `missing_targets`, and its per-layer metrics then read
-0.  This test pins that list, so a refactor that renames or deletes a traced
-function fails here instead of silently emptying a metric."""
+"""The benchmark (perfbench/) reaches into the package by name.
+
+Its tracer (perfbench/tracing.py) patches the package's layers from its
+TARGETS table.  A target that no longer resolves is skipped there and listed
+under `missing_targets`, and its per-layer metrics then read 0.  A test pins
+that list, so a refactor that renames or deletes a traced function fails
+here instead of silently emptying a metric.
+
+Before each job, perfbench/run.py clears every functools cache of the
+package modules that `import isogeny_forge.cli` loaded.  A test checks that
+this import loads every module that defines one."""
 
 import importlib
 import importlib.util
+import json
 import os
+import pkgutil
+import subprocess
+import sys
+
+import isogeny_forge
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -38,3 +50,24 @@ def test_every_traced_name_resolves_in_the_package():
         else:
             assert callable(raw) or isinstance(raw, property), (mod_name, path)
     assert missing == KNOWN_MISSING
+
+
+def test_the_cli_import_loads_every_module_with_a_cache():
+    # a module imported later would keep its tables warm from job to job, and
+    # the benchmark would show a gain that a fresh CLI process never gets
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isogeny_forge.__file__)))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, isogeny_forge.cli; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert res.returncode == 0, res.stderr
+    loaded = set(json.loads(res.stdout))
+    cached = set()
+    for info in pkgutil.iter_modules(isogeny_forge.__path__, "isogeny_forge."):
+        module = importlib.import_module(info.name)
+        if any(hasattr(value, "cache_clear") and getattr(value, "__module__", None) == info.name
+               for value in vars(module).values()):
+            cached.add(info.name)
+    assert {"isogeny_forge.exactnum", "isogeny_forge.elliptic"} <= cached
+    assert cached <= loaded, cached - loaded
