@@ -496,7 +496,10 @@ class ColumnLattice:
     extended-gcd steps and in the restore that follows the insertion, so
     none changes before either point and the replay equals the eager update,
     step for step.  A generator that reduces to zero before any extended-gcd
-    step never builds a history and changes no row.
+    step never builds a history and changes no row.  In particular a lattice
+    member reduces to zero that way: its smallest nonzero column is always a
+    pivot column, with an entry the pivot divides.  So a generator equal to
+    an earlier one only takes its index.
 
     Membership queries reduce a target at its own nonzero pivot columns, left
     to right, each entry into [0, pivot).  The remainder is the canonical
@@ -511,6 +514,7 @@ class ColumnLattice:
         self._rows: dict[int, dict[int, int]] = {}  # pivot column -> sparse row
         self._hist: dict[int, dict[int, int]] = {}  # pivot column -> generator coeffs
         self._holders: dict[int, set[int]] = {}  # column -> pivots of rows nonzero there
+        self._seen: set[tuple] = set()  # keys of the generators inserted so far
 
     @property
     def basis(self) -> list[list[int]]:
@@ -523,10 +527,18 @@ class ColumnLattice:
         return [self._hist[j] for j in sorted(self._rows)]
 
     def add_generator(self, vec: Sequence[int] | dict[int, int]) -> int:
-        """Insert one generator; returns its index for certificate purposes."""
-        v = self._sparse(vec)
+        """Insert one generator; returns its index for certificate purposes.
+        A repeat of an earlier generator only takes its index."""
+        # a list's key starts with None, so it never equals a dict's key, not
+        # even for an empty dict, and an unchecked list is never skipped
+        key = tuple(vec.items()) if isinstance(vec, dict) else (None, *vec)
         idx = self.n_generators
+        if key in self._seen:
+            self.n_generators += 1
+            return idx
+        v = self._sparse(vec)
         self.n_generators += 1
+        self._seen.add(key)
         if v:
             self._insert(v, idx)
         return idx

@@ -12,14 +12,15 @@ Z/gcd(m_i, m_j) over the invariant factors of E(F_q) = Z/m_1 x Z/m_2; it is
 the finite-field, one-level shadow of the Somekawa K-group K(k; E, E).  A
 discrete-log table, checked to be an isomorphism onto Z/m_1 x Z/m_2 by the
 carries of the pairs the bilinear columns add, sends {a, b, X} to the
-integer vector x(a) (x) x(b) of at most four entries.  Every column is built
-and its image is inserted into a Hermite-form lattice over Z^(d^2), d <= 2.
-Because the bilinear columns of both slots are all present, the kernel of
-that map lies in the relation lattice, so a target is a member iff its image
-is in the span of the column images.  A member certificate gives integer
-multipliers over the original columns and is re-verified by substitution in
-those coordinates; it lifts to the symbol coordinates by a telescoping chain
-of bilinear columns.  A nonzero remainder certifies a non-member.
+integer vector x(a) (x) x(b) of at most four entries.  Every column's image
+is inserted into a Hermite-form lattice over Z^(d^2), d <= 2; a column is
+built when read (ColumnView).  Because the bilinear columns of both slots
+are all present, the kernel of that map lies in the relation lattice, so a
+target is a member iff its image is in the span of the column images.  A
+member certificate gives integer multipliers over the original columns and
+is re-verified by substitution in those coordinates; it lifts to the symbol
+coordinates by a telescoping chain of bilinear columns.  A nonzero
+remainder certifies a non-member.
 
 Nothing here claims to compute a full symbol group: success certifies that a
 target lies in the span of the explicitly generated relations, and failure is
@@ -31,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import isqrt
-from typing import Iterable, NamedTuple, Optional, Sequence
+from collections.abc import Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .elliptic import EllipticGroup, Point
 from .errors import BudgetExceededError, CertificateError, InvalidConfigurationError
@@ -40,10 +42,11 @@ from .exactnum import ColumnLattice, FormalSum, _add_multiple
 PLUS = "plus"
 MINUS = "minus"
 
-# The skew prover's cost follows #E(F_q) = n alone (n^2 symbols, about n^3
-# bilinear columns, n(n+1)/2 targets; r only lengthens the fixed tail).  With
-# --convention both, the dearest of seven curves took 3.1 s at n = 40 and
-# 4.2 s at n = 44 in the Z^(n^2) lattice, against the 5 s a job may take.
+# The skew prover's cost follows #E(F_q) = n alone (about n^3 bilinear
+# column images inserted, n(n+1)/2 targets; r only lengthens the fixed tail).
+# With --convention both, the dearest of seven curves took 0.26-0.34 s at
+# n = 40 and 0.38-0.39 s at n = 44 (README, "Skew guard"), against the 5 s a
+# job may take; the bound stays while the inserts grow as n^3.
 SKEW_MAX_POINTS = 40
 
 
@@ -94,7 +97,8 @@ class SymbolUniverse:
 
 
 class RelationColumn(NamedTuple):
-    """One relation; a tuple, as a skew run builds about n^3 of them."""
+    """One relation.  Reciprocity columns are built with their lattice; a
+    bilinear column is built by ColumnView when it is read."""
 
     kind: str  # "bilinear" | "wr-vertical" | "wr-line"
     data: tuple
@@ -128,29 +132,16 @@ def _sum_table(G: EllipticGroup) -> list[list[int]]:
 
 def _bilinear_blocks(
     universe: SymbolUniverse, slot: int, dedupe: bool, sums: list[list[int]]
-) -> list[tuple[int, int, list[RelationColumn]]]:
-    """(i, i2, columns) for each pair (a, a') = (points[i], points[i2]) of the
-    slot that bilinear_relations keeps, with its columns in the order of the
-    combinations of the other slots; sums is the slot group's _sum_table."""
-    G = universe.slot_groups[slot]
-    pts = G.points
-    n = len(pts)
+) -> list[tuple[int, int, int, tuple]]:
+    """(slot, i, i2, pattern) for each pair (a, a') = (points[i], points[i2])
+    of the slot that bilinear_relations keeps: pattern holds the sorted
+    (index, coefficient) entries of {a+a'} - {a} - {a'} with the other slots
+    at point 0, and sums is the slot group's _sum_table."""
+    n = len(universe.slot_groups[slot].points)
     stride = universe._strides[slot]
-    others = [
-        [(pt, k * s) for k, pt in enumerate(g.points)]
-        for i, (g, s) in enumerate(zip(universe.slot_groups, universe._strides))
-        if i != slot
-    ]
-    combos = [
-        (sum(off for _, off in combo), tuple(pt for pt, _ in combo))
-        for combo in iproduct(*others)
-    ]
-    # one (index, coefficient) pair object per value, shared by the columns
-    # (coefficients are 1, -1 or -2): about 3 n^2 pairs instead of 3 n^3
-    shared_pairs = {c: [(j, c) for j in range(universe.dimension)] for c in (1, -1, -2)}
     blocks = []
     seen = set()
-    for i, a in enumerate(pts):
+    for i in range(n):
         for i2 in range(i if dedupe else 0, n):
             acc = {sums[i][i2]: 1}
             for k in (i, i2):
@@ -163,14 +154,51 @@ def _bilinear_blocks(
                 if pattern in seen:
                     continue
                 seen.add(pattern)
-            a2 = pts[i2]
-            cols = [
-                RelationColumn("bilinear", (slot, a, a2, rest),
-                               tuple([shared_pairs[c][off + k] for k, c in pattern]))
-                for off, rest in combos
-            ]
-            blocks.append((i, i2, cols))
+            blocks.append((slot, i, i2, pattern))
     return blocks
+
+
+class ColumnView(Sequence):
+    """Relation columns by index, each built only when it is read: the
+    bilinear columns of the blocks in turn, then the explicit columns.
+
+    A block (slot, i, i2, pattern) of _bilinear_blocks stands for one column
+    per combination of the other slots, in index order: the pattern shifted
+    by the combination's offset.  Every slot of the blocks must have the same
+    number of combinations.  A skew run has about n^3 bilinear columns, and
+    only certificate checks read any of them.
+    """
+
+    def __init__(self, universe: SymbolUniverse, blocks: Sequence[tuple],
+                 explicit: Iterable[RelationColumn] = ()):
+        self.universe = universe
+        self._blocks = blocks
+        self._explicit = tuple(explicit)
+        self._combos = {}  # slot -> (offset, points) of each combination
+        for slot in {b[0] for b in blocks}:
+            others = [[(pt, k * s) for k, pt in enumerate(g.points)]
+                      for j, (g, s) in enumerate(zip(universe.slot_groups, universe._strides))
+                      if j != slot]
+            self._combos[slot] = [(sum(off for _, off in c), tuple(pt for pt, _ in c))
+                                  for c in iproduct(*others)]
+        self._width = len(next(iter(self._combos.values()), ()))
+        self._n_bilinear = self._width * len(blocks)
+
+    def __len__(self) -> int:
+        return self._n_bilinear + len(self._explicit)
+
+    def __getitem__(self, ci):
+        ci = range(len(self))[ci]  # a slice gives a range; IndexError past either end
+        if isinstance(ci, range):
+            return [self[k] for k in ci]
+        if ci >= self._n_bilinear:
+            return self._explicit[ci - self._n_bilinear]
+        b, t = divmod(ci, self._width)
+        slot, i, i2, pattern = self._blocks[b]
+        off, rest = self._combos[slot][t]
+        pts = self.universe.slot_groups[slot].points
+        return RelationColumn("bilinear", (slot, pts[i], pts[i2], rest),
+                              tuple([(off + k, c) for k, c in pattern]))
 
 
 def bilinear_relations(
@@ -181,12 +209,10 @@ def bilinear_relations(
 
     The raw family ranges over ordered pairs; with dedupe the (a', a) copy and
     repeated columns are dropped (the pairs (0, a') all give -{ ..., 0, ... }).
-    Columns are built from point indices: the slot's entries of a pair, sorted
-    once, and each combination of the other slots as an offset into the
-    universe (the slot's stride keeps the order).
+    Columns are built from point indices, by ColumnView.
     """
     sums = _sum_table(universe.slot_groups[slot])
-    return [col for _, _, cols in _bilinear_blocks(universe, slot, dedupe, sums) for col in cols]
+    return list(ColumnView(universe, _bilinear_blocks(universe, slot, dedupe, sums)))
 
 
 def _require_pair_slots(universe: SymbolUniverse) -> EllipticGroup:
@@ -298,10 +324,11 @@ class SkewBilinear:
     bijection, and every carry of the pairs the bilinear columns add must
     be 0 mod m, else CertificateError.
 
-    A carry takes at most 2^d values, so the column images are built once,
-    as at most 2^(d+1) rows of one image per point (the combinations of the
-    other slot, in point order), and each block of columns names its row.
-    No image is stored per column.
+    The columns are kept as their blocks (see ColumnView), one per pair of
+    the slot, for each of the two slots.  A carry takes at most 2^d values,
+    so the column images are built once, as at most 2^(d+1) rows of one
+    image per point (the combinations of the other slot, in point order),
+    and each block names its row.  No column or image is stored per column.
     """
 
     def __init__(self, G: EllipticGroup, r: int = 2, tail: Optional[tuple] = None):
@@ -328,16 +355,15 @@ class SkewBilinear:
                     raise CertificateError("discrete-log table is not a homomorphism")
                 carries[i][i2] = c
         rows: dict[tuple, list[dict[int, int]]] = {}
-        self.columns: list[RelationColumn] = []
+        self.blocks = [b for slot in (0, 1)
+                       for b in _bilinear_blocks(self.universe, slot, True, sums)]
         self.image_rows: list[list[dict[int, int]]] = []  # one per block of n columns
-        for slot in (0, 1):
-            for i, i2, cols in _bilinear_blocks(self.universe, slot, True, sums):
-                key = (slot, carries[i][i2])
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = [self._carry_image(slot, key[1], xb) for xb in coords]
-                self.columns.extend(cols)
-                self.image_rows.append(row)
+        for slot, i, i2, _ in self.blocks:
+            key = (slot, carries[i][i2])
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [self._carry_image(slot, key[1], xb) for xb in coords]
+            self.image_rows.append(row)
 
     @property
     def dimension(self) -> int:
@@ -374,7 +400,8 @@ class RelationLattice:
 
     The engine is a ColumnLattice over Z^(d^2), d <= 2, holding the image of
     every column under {a, b, X} -> x(a) (x) x(b) (see SkewBilinear), the
-    bilinear columns first; its generator indices are the column indices.
+    bilinear columns first; its generator indices are the column indices,
+    and columns is a ColumnView that builds a column when it is read.
     The bilinear columns of both slots span the kernel K of the map from
     Z^(n^2) onto E (x) E.  That map is the image followed by reduction mod
     gcd(m_s, m_t), so the kernel of the image lies in K, inside L.  A target
@@ -384,7 +411,7 @@ class RelationLattice:
     def __init__(self, bilinear: SkewBilinear, reciprocity: Sequence[RelationColumn]):
         self.universe = bilinear.universe
         self.bilinear = bilinear
-        self.columns = bilinear.columns + list(reciprocity)
+        self.columns = ColumnView(self.universe, bilinear.blocks, reciprocity)
         self.engine = ColumnLattice(bilinear.dimension)
         for row in bilinear.image_rows:
             for image in row:
@@ -543,21 +570,14 @@ def assemble_skew_lattice(
         bilinear = SkewBilinear(G, r, tail)
     elif not bilinear.serves(G, r, tail):
         raise InvalidConfigurationError("bilinear columns of another symbol universe")
-    universe = bilinear.universe
-    cols: list[RelationColumn] = []
-    seen = set()
-    for a in G.points:
-        col = wr_vertical(universe, a)
-        if col.vector and col.vector not in seen:
-            seen.add(col.vector)
-            cols.append(col)
-    for i, a1 in enumerate(G.points):
-        for a2 in G.points[i:]:
-            col = wr_line(universe, a1, a2, convention)
-            if col.vector and col.vector not in seen:
-                seen.add(col.vector)
-                cols.append(col)
-    return RelationLattice(bilinear, cols)
+    universe, pts = bilinear.universe, G.points
+    distinct: dict[tuple, RelationColumn] = {}  # the first nonzero column of each vector
+    for col in [wr_vertical(universe, a) for a in pts] + [
+        wr_line(universe, a1, a2, convention) for i, a1 in enumerate(pts) for a2 in pts[i:]
+    ]:
+        if col.vector:
+            distinct.setdefault(col.vector, col)
+    return RelationLattice(bilinear, list(distinct.values()))
 
 
 def prove_skew(
@@ -640,24 +660,13 @@ def relation_is_instance(universe: SymbolUniverse, col: RelationColumn) -> bool:
     rest = [g.points[0] for g in universe.slot_groups[2:]]
     if col.kind == "bilinear":
         slot, a, a2, others = col.data
-        Gs = universe.slot_groups[slot]
-        s = Gs.add(a, a2)
-        base: list[Point] = [None] * len(universe.slot_groups)
-        oi = iter(others)
-        for j in range(len(universe.slot_groups)):
-            if j != slot:
-                base[j] = next(oi)
 
         def with_slot(x):
-            t = list(base)
-            t[slot] = x
-            return t
+            return [*others[:slot], x, *others[slot:]]
 
-        want = _column(
-            universe,
-            [(with_slot(s), 1), (with_slot(a), -1), (with_slot(a2), -1)],
-            "", (),
-        )
+        s = universe.slot_groups[slot].add(a, a2)
+        want = _column(universe, [(with_slot(s), 1), (with_slot(a), -1), (with_slot(a2), -1)],
+                       "", ())
         return want.vector == col.vector
     if col.kind == "wr-vertical":
         (a,) = col.data

@@ -315,6 +315,16 @@ def test_column_lattice_rejects_wrong_dimension():
     assert lat.n_generators == 1
 
 
+def test_column_lattice_checks_a_list_after_an_equal_looking_dict():
+    # the zero dict and the empty list have equal items, but only one fits
+    lat = ColumnLattice(3)
+    assert lat.add_generator({}) == 0
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lat.add_generator([])
+    assert lat.add_generator({}) == 1 and lat.add_generator([0, 0, 0]) == 2
+    assert lat.basis == [] and lat.n_generators == 3
+
+
 # -- formal sums --------------------------------------------------------------------
 
 _coeff_dicts = st.dictionaries(st.integers(0, 9), st.integers(-5, 5))
@@ -528,4 +538,36 @@ def test_column_lattice_is_the_hermite_form_of_the_reference(case, rnd):
         assert rem == _reduced(list(t), hermite)
         assert [t[j] - rem[j] for j in range(dim)] == [
             sum(c * gens[k][j] for k, c in coeffs.items()) for j in range(dim)
+        ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists(), st.data())
+def test_column_lattice_skips_repeated_generators(case, data):
+    dim, gens, as_dict, targets = case
+    if not gens:
+        return
+    # insert the generators in a drawn order with repeats, each always in its
+    # own list or dict form, so that a repeat has the key of its first copy
+    order = data.draw(st.lists(st.integers(0, len(gens) - 1), max_size=3 * len(gens)))
+    order = list(range(len(gens))) + order
+    data.draw(st.randoms(use_true_random=False)).shuffle(order)
+    inserted = [gens[k] for k in order]
+    lat, ref = ColumnLattice(dim), _DenseReference(dim)
+    for k in order:
+        vec = {j: c for j, c in enumerate(gens[k]) if c} if as_dict[k] else list(gens[k])
+        assert lat.add_generator(vec) == ref.n_generators
+        ref.add_generator(vec)
+    assert lat.n_generators == len(order)
+    assert lat.basis == _hermite_form(ref.basis)
+    # a generator equal to an earlier one is named by no history
+    repeats = {i for i, g in enumerate(inserted) if g in inserted[:i]}
+    for row, hist in zip(lat.basis, lat.history):
+        assert not repeats & hist.keys()
+        assert row == [sum(c * inserted[k][j] for k, c in hist.items()) for j in range(dim)]
+    for t in targets + [[sum(col) for col in zip(*inserted)]]:
+        rem, coeffs = lat.reduce(t)
+        assert not repeats & coeffs.keys()
+        assert [t[j] - rem[j] for j in range(dim)] == [
+            sum(c * inserted[k][j] for k, c in coeffs.items()) for j in range(dim)
         ]

@@ -502,6 +502,54 @@ def test_bilinear_relations_on_three_slots_of_different_sizes():
             assert all(relation_is_instance(u, col) for col in cols)
 
 
+# -- the column view against the eagerly built columns -----------------------------
+
+
+def _eager_reciprocity(u, convention):
+    """The distinct nonzero reciprocity columns, vertical ones first."""
+    pts = u.slot_groups[0].points
+    cols, seen = [], set()
+    for col in [wr_vertical(u, a) for a in pts] + [
+        wr_line(u, a1, a2, convention) for i, a1 in enumerate(pts) for a2 in pts[i:]
+    ]:
+        if col.vector and col.vector not in seen:
+            seen.add(col.vector)
+            cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_column_view_matches_the_eager_columns(q):
+    curves = [(a, b) for a, b in _smooth_pairs(q)
+              if len(rational_points_mod_p(curve_from_pair(a, b), q).points) <= 16]
+    orders = set()
+    for a, b in curves:
+        G = rational_points_mod_p(curve_from_pair(a, b), q)
+        # the point-by-point builder never reads the tail, so one eager build
+        # of the bilinear columns, slot 0 then slot 1, serves r = 2 and r = 3
+        bilinear_cols = _bilinear_by_points(universe2(G), 0) + _bilinear_by_points(universe2(G), 1)
+        # index by index at r = 2 with one convention, by iteration at r = 3
+        # with the other
+        for r, conv, read in ((2, MINUS, lambda v: [v[ci] for ci in range(len(v))]),
+                              (3, PLUS, list)):
+            lat = assemble_skew_lattice(G, r, None, conv)
+            view = lat.columns
+            eager = bilinear_cols + _eager_reciprocity(lat.universe, conv)
+            n = len(eager)
+            assert len(view) == len(lat) == lat.engine.n_generators == n, (a, b, r)
+            assert read(view) == eager, (a, b, r)
+            assert [view[-k] for k in (1, n // 2, n)] == [eager[-k] for k in (1, n // 2, n)]
+            for cut in (slice(3, 40), slice(-n, 5), slice(-5, None), slice(n, None),
+                        slice(1, None, 97), slice(None, None, -89)):
+                assert view[cut] == eager[cut]
+            for bad in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    view[bad]
+            if (len(G.points), r) not in orders:
+                orders.add((len(G.points), r))
+                assert prove_skew(G, r, convention=conv).to_record()["generators"] == n
+
+
 # -- E (x) E decisions against the symbol lattice ------------------------------------
 
 
@@ -530,18 +578,23 @@ def test_tensor_membership_matches_the_symbol_lattice(a, b, q, r):
             assert prove_member(target, lat).member == want, (a, b, q, r, conv, target)
 
 
-def _lift(lattice, target, coefficients):
+def _bilinear_index(lattice):
+    """The index of each bilinear column of the lattice, by its vector."""
+    return {col.vector: ci for ci, col in enumerate(lattice.columns) if col.kind == "bilinear"}
+
+
+def _lift(lattice, target, coefficients, by_vector):
     """Multipliers over lattice.columns whose combination is the target in
-    Z^(n^2).  The target minus the certified combination has image 0; each
-    of its symbols {a, b} telescopes, one basis point g_s at a time in each
-    slot, to sum x_s(a) x_t(b) {g_s, g_t} plus bilinear columns, and those
+    Z^(n^2), with by_vector the lattice's _bilinear_index.  The target minus
+    the certified combination has image 0; each of its symbols {a, b}
+    telescopes, one basis point g_s at a time in each slot, to sum
+    x_s(a) x_t(b) {g_s, g_t} plus bilinear columns, and those
     sums cancel because the image is 0."""
     bil = lattice.bilinear
     u = lattice.universe
     G = u.slot_groups[0]
     n, d = len(G.points), len(bil.moduli)
     basis = [G.points[bil.coords.index(tuple(int(s == t) for t in range(d)))] for s in range(d)]
-    by_vector = {col.vector: ci for ci, col in enumerate(lattice.columns) if col.kind == "bilinear"}
     mults = dict(coefficients)
     rest = dict(target.coeffs)
     for ci, m in coefficients.items():
@@ -592,11 +645,12 @@ def test_member_certificates_lift_to_symbol_coordinates(a, b, q, r):
     G = rational_points_mod_p(curve_from_pair(a, b), q)
     for conv in (MINUS, PLUS):
         lat = assemble_skew_lattice(G, r, None, conv)
+        by_vector = _bilinear_index(lat)
         for target in _targets(G, lat.universe):
             res = prove_member(target, lat)
             if not res.member:
                 continue
-            lifted = _lift(lat, target, res.coefficients)
+            lifted = _lift(lat, target, res.coefficients, by_vector)
             rebuilt = {}
             for ci, m in lifted.items():
                 _add_multiple(rebuilt, lat.columns[ci].as_dict(), m)
@@ -611,12 +665,13 @@ def test_cyclic_group_decides_in_one_coordinate():
         lat = assemble_skew_lattice(G, 2, None, conv)
         assert lat.engine.dimension == 1
         oracle = SymbolLattice(lat.universe, lat.columns)
+        by_vector = _bilinear_index(lat)
         for target in _targets(G, lat.universe):
             res = prove_member(target, lat)
             assert res.member == symbol_member(target, oracle).member
             if res.member:
                 rebuilt = {}
-                for ci, m in _lift(lat, target, res.coefficients).items():
+                for ci, m in _lift(lat, target, res.coefficients, by_vector).items():
                     _add_multiple(rebuilt, lat.columns[ci].as_dict(), m)
                 assert rebuilt == target.coeffs
         # here the relations span every symbol, so no negative control exists

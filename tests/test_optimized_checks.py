@@ -38,6 +38,18 @@ sys.exit(main(["kgroup", "prove-skew", "--q", "5"]))
 """,
         "certificate error: certificate failed re-verification",
     ),
+    "prove-skew-column": (
+        """
+import sys
+from isogeny_forge import kgroup
+from isogeny_forge.cli import main
+# each column index reads its neighbour, whose image is not the one inserted
+getitem = kgroup.ColumnView.__getitem__
+kgroup.ColumnView.__getitem__ = lambda self, ci: getitem(self, ci - 1)
+sys.exit(main(["kgroup", "prove-skew", "--q", "5"]))
+""",
+        "certificate error: certificate failed re-verification",
+    ),
     "prove-skew-dlog": (
         """
 import sys

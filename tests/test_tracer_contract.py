@@ -8,7 +8,11 @@ here instead of silently emptying a metric.
 
 Before each job, perfbench/run.py clears every functools cache of the
 package modules that `import isogeny_forge.cli` loaded.  A test checks that
-this import loads every module that defines one."""
+this import loads every module that defines one.
+
+On the skew workload, perfbench/run.py cross-checks two traced counts: one
+lattice insert per relation column, and one lattice reduce per membership
+query.  A test makes the same check on one prove-skew run."""
 
 import importlib
 import importlib.util
@@ -17,8 +21,10 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 
 import isogeny_forge
+from isogeny_forge.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -71,3 +77,21 @@ def test_the_cli_import_loads_every_module_with_a_cache():
             cached.add(info.name)
     assert {"isogeny_forge.exactnum", "isogeny_forge.elliptic"} <= cached
     assert cached <= loaded, cached - loaded
+
+
+def test_prove_skew_inserts_once_per_column_and_reduces_once_per_query(tmp_path):
+    tracer = _tracing().Tracer()
+    out = tmp_path / "skew.jsonl"
+    tracer.install()
+    try:
+        missed = tracer.missed_bindings()
+        code = main(["--output", str(out), "kgroup", "prove-skew", "--q", "7",
+                     "--convention", "both", "--r", "3"])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and missed == []
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    calls = Counter(span[0] for span in tracer.spans)
+    assert calls["kgroup.prove_skew"] == len(records) == 2
+    assert calls["exactnum.lattice_insert"] == sum(r["outputs"]["generators"] for r in records)
+    assert calls["exactnum.lattice_reduce"] == calls["kgroup.member"] > 0
