@@ -11,6 +11,11 @@ factors (genus2.py) are counted this way, and every other model by
 _char_sum.  Both kernels read one quadratic-residue table per prime
 (_chi_table, a non-residue mask built by one pass over the squares);
 _char_sum reads it through the tuple view _chi_values.
+
+E(F_p) (EllipticGroup) is enumerated point by point.  Its invariant factors,
+point orders, generators and discrete_log all come off one discrete-log
+table, built from the generators in about |E| point additions and certified
+as a bijective homomorphism onto Z/m x Z/e.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Optional
 
 from .errors import BadPrimeError, CertificateError, DegenerateCurveError, UnsupportedPrimeError
@@ -311,7 +316,8 @@ class EllipticGroup:
 
     Points are (x, y) tuples with None as identity; the chord-tangent law is
     implemented for the general Weierstrass shape so reduced minimal models
-    can be used directly.
+    can be used directly.  Structure, orders and generators are read off one
+    certified discrete-log table (_table).
     """
 
     def __init__(self, W: WeierstrassModel, p: int):
@@ -319,7 +325,6 @@ class EllipticGroup:
         self.a1, self.a2, self.a3, self.a4, self.a6 = _counting_coeffs(W, p)
         self.points = self._enumerate()
         self.index = {pt: i for i, pt in enumerate(self.points)}
-        self._order_cache: dict[Point, int] = {}
 
     def _enumerate(self) -> list[Point]:
         p = self.p
@@ -401,8 +406,6 @@ class EllipticGroup:
         |E(F_p)|, the q-part is the least q^k that kills (N / q^e) P, found by
         one scalar multiplication and then repeated multiplication by q.  The
         product is checked to kill P."""
-        if P in self._order_cache:
-            return self._order_cache[P]
         N = len(self.points)
         o = 1
         for q, e in self._order_factors.items():
@@ -414,68 +417,93 @@ class EllipticGroup:
                 o *= q
         if self.scalar(o, P) is not None:
             raise CertificateError(f"claimed order {o} does not kill the point {P}")
-        self._order_cache[P] = o
         return o
 
-    def exponent(self) -> int:
-        e = 1
-        for P in self.points:
-            e = lcm(e, self.order_of(P))
-        return e
+    def _basis(self) -> tuple[list[Point], Point, int, int]:
+        """The claimed generators [P] or [P, Q] as (generators, Q', m, e), for
+        _table to certify: P of order e = exp(E(F_p)), m = N / e, and Q' =
+        Q - (k / m) P for mQ = kP (None when cyclic).  P is the first point, in
+        index order, of order e, the lcm of the orders read so far.  Once m
+        divides e and p - 1 (E[m] needs the m-th roots of unity in F_p), Q is
+        the first point generating E(F_p) / <P>: no (m / q) Q, q a prime
+        factor of m, lies in <P>.  If e is the exponent, Q exists and m | k;
+        else more points are read."""
+        N = len(self.points)
+        e, P = 1, None
+        for R in self.points:
+            o = self.order_of(R)
+            if e % o:
+                e, P = lcm(e, o), None
+            if P is not None or o != e:
+                continue
+            P, m = R, N // e
+            if m == 1:
+                return [P], None, 1, e
+            if e % m or (self.p - 1) % m:
+                continue
+            multiples, S = {}, None
+            for v in range(e):
+                multiples[S] = v
+                S = self.add(S, P)
+            primes = [q for q in self._order_factors if m % q == 0]
+            Q = next((Q for Q in self.points
+                      if all(self.scalar(m // q, Q) not in multiples for q in primes)), None)
+            k = multiples.get(self.scalar(m, Q))
+            if Q is not None and k is not None and k % m == 0:
+                return [P, Q], self.add(Q, self.scalar(-(k // m), P)), m, e
+        raise CertificateError(f"no pair of generators found for E(F_{self.p})")
+
+    @cached_property
+    def _table(self) -> tuple[tuple[int, int], list[tuple[int, int]], list[Point]]:
+        """The moduli (m, e), the coordinates (u, v) of each point uQ' + vP by
+        point index, and the generators, certifying the claim of _basis: m e =
+        N, m | e, P has order e, mQ' = O, and the N values uQ' + vP (u < m,
+        v < e) are distinct enumerated points.  Then (u, v) -> uQ' + vP is a
+        bijective homomorphism Z/m x Z/e -> E(F_p), so the invariant factors
+        are [m, e] and the generators span.  Else CertificateError."""
+        gens, Q, m, e = self._basis()
+        N = len(self.points)
+        if m * e != N or e % m:
+            raise CertificateError(f"order {N} and exponent {e} fit no group of rank <= 2")
+        row: list[Point] = [None]
+        for _ in range(e):
+            row.append(self.add(row[-1], gens[0]))
+        if row.pop() is not None or None in row[1:]:
+            raise CertificateError(f"claimed exponent {e} is not the order of the generator")
+        coords: list = [None] * N
+        for u in range(m):
+            if u:
+                row = [self.add(S, Q) for S in row]
+            for v, S in enumerate(row):
+                i = self.index.get(S)
+                if i is None or coords[i] is not None:
+                    raise CertificateError(f"the table is not a bijection at (u, v) = ({u}, {v}):"
+                                           " the generators do not span")
+                coords[i] = (u, v)
+        if self.add(row[0], Q) is not None:
+            raise CertificateError(f"claimed order {m} does not kill the second generator")
+        return (m, e), coords, gens
 
     def structure(self) -> list[int]:
-        """Invariant factors [n1, n2] (or [n]) with n1 | n2, certified by
-        torsion counts against the claimed decomposition; the d-torsion is
-        counted from the point orders, each certified by order_of."""
-        N = len(self.points)
-        e = self.exponent()
-        n1, rem = divmod(N, e)
-        if rem or e % n1:
-            raise CertificateError(f"order {N} and exponent {e} fit no group of rank <= 2")
-        for d in _divisors(e):
-            want = gcd(d, n1) * gcd(d, e)
-            got = sum(1 for P in self.points if d % self.order_of(P) == 0)
-            if got != want:
-                raise CertificateError(f"torsion count mismatch at d={d}")
-        return [e] if n1 == 1 else [n1, e]
+        """Invariant factors [m, e] with m | e, or [e] when cyclic."""
+        m, e = self._table[0]
+        return [e] if m == 1 else [m, e]
 
     def generators(self) -> list[Point]:
-        """A minimal generating set (one or two points)."""
-        e = self.exponent()
-        P = next(pt for pt in self.points if self.order_of(pt) == e)
-        if e == len(self.points):
-            return [P]
-        span = self._span([P])
-        for Q in self.points:
-            if Q in span:
-                continue
-            if len(self._span([P, Q])) == len(self.points):
-                return [P, Q]
-        raise CertificateError("no two-element generating set found")
-
-    def _span(self, gens: list[Point]) -> set[Point]:
-        seen: set[Point] = {None}
-        frontier = [None]
-        while frontier:
-            nxt = []
-            for R in frontier:
-                for g in gens:
-                    S = self.add(R, g)
-                    if S not in seen:
-                        seen.add(S)
-                        nxt.append(S)
-            frontier = nxt
-        return seen
-
-    def two_torsion(self) -> list[Point]:
-        return [P for P in self.points if P is not None and self.add(P, P) is None]
+        """A minimal generating set: P, the first point of order e, and,
+        unless the group is cyclic, Q, the first point with <P, Q> = E(F_p)."""
+        return list(self._table[2])
 
 
-def _divisors(n: int) -> list[int]:
-    ds = [1]
-    for q, e in factorize(n).items():
-        ds = [d * q ** k for d in ds for k in range(e + 1)]
-    return sorted(ds)
+def discrete_log(G: EllipticGroup) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The isomorphism x: E(F_q) -> Z/m x Z/e (m | e), or Z/e when cyclic, of
+    G's table: the moduli, and x(S) of every point S by point index, with
+    x(uQ' + vP) = (u, v) for G.generators() = [P, Q] and Q' = Q - (k / m) P,
+    mQ = kP.  kgroup.SkewBilinear checks it again before relying on it."""
+    moduli, coords = tuple(G.structure()), G._table[1]
+    if len(moduli) == 1:
+        return moduli, [(v,) for _, v in coords]
+    return moduli, list(coords)
 
 
 def rational_points_mod_p(curve, p: int) -> EllipticGroup:

@@ -9,18 +9,18 @@ exact, re-verifiable certificates.
 The skew prover decides membership in E (x) E coordinates.  Modulo the
 bilinear relations the two-slot symbols are E (x) E, the sum of
 Z/gcd(m_i, m_j) over the invariant factors of E(F_q) = Z/m_1 x Z/m_2; it is
-the finite-field, one-level shadow of the Somekawa K-group K(k; E, E).  A
-discrete-log table, checked to be an isomorphism onto Z/m_1 x Z/m_2 by the
-carries of the pairs the bilinear columns add, sends {a, b, X} to the
-integer vector x(a) (x) x(b) of at most four entries.  Every column's image
-is inserted into a Hermite-form lattice over Z^(d^2), d <= 2; a column is
-built when read (ColumnView).  Because the bilinear columns of both slots
-are all present, the kernel of that map lies in the relation lattice, so a
-target is a member iff its image is in the span of the column images.  A
-member certificate gives integer multipliers over the original columns and
-is re-verified by substitution in those coordinates; it lifts to the symbol
-coordinates by a telescoping chain of bilinear columns.  A nonzero
-remainder certifies a non-member.
+the finite-field, one-level shadow of the Somekawa K-group K(k; E, E).  The
+discrete-log table of elliptic.discrete_log, checked again to be an
+isomorphism onto Z/m_1 x Z/m_2 by the carries of the pairs the bilinear
+columns add, sends {a, b, X} to the integer vector x(a) (x) x(b) of at most
+four entries.  Every column's image is inserted into a Hermite-form lattice
+over Z^(d^2), d <= 2; a column is built when read (ColumnView).  Because the
+bilinear columns of both slots are all present, the kernel of that map lies
+in the relation lattice, so a target is a member iff its image is in the
+span of the column images.  A member certificate gives integer multipliers
+over the original columns and is re-verified by substitution in those
+coordinates; it lifts to the symbol coordinates by a telescoping chain of
+bilinear columns.  A nonzero remainder certifies a non-member.
 
 Nothing here claims to compute a full symbol group: success certifies that a
 target lies in the span of the explicitly generated relations, and failure is
@@ -35,7 +35,7 @@ from math import isqrt
 from collections.abc import Sequence
 from typing import Iterable, NamedTuple, Optional
 
-from .elliptic import EllipticGroup, Point
+from .elliptic import EllipticGroup, Point, discrete_log
 from .errors import BudgetExceededError, CertificateError, InvalidConfigurationError
 from .exactnum import ColumnLattice, FormalSum, _add_multiple
 
@@ -276,43 +276,11 @@ def wr_line(
 # -- membership in E (x) E coordinates ----------------------------------------------
 
 
-def discrete_log(G: EllipticGroup) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """A claimed isomorphism x: E(F_q) -> Z/m_1 x Z/m_2 with m_1 | m_2, or
-    x: E(F_q) -> Z/n when the group is cyclic: the moduli, and the
-    coordinates x(P), each in [0, m_i), of every point by point index.
-
-    From G.generators(): P of order m_2 = exp(G), and Q spanning G with it.
-    m_1 Q lies in <P>, say m_1 Q = kP, and m_1 | k because m_2 kills Q, so
-    Q - (k / m_1) P has order m_1 and spans a complement of <P>.
-    SkewBilinear checks the table before any decision rests on it.
-    """
-    gens = G.generators()
-    P = gens[0]
-    e = G.order_of(P)
-    multiples: list[Point] = [None]
-    for _ in range(e - 1):
-        multiples.append(G.add(multiples[-1], P))
-    coords: list = [None] * len(G.points)
-    if len(gens) == 1:
-        for v, S in enumerate(multiples):
-            coords[G.index[S]] = (v,)
-        return (e,), coords
-    m = len(G.points) // e
-    k = multiples.index(G.scalar(m, gens[1]))
-    Q = G.add(gens[1], G.scalar(-(k // m), P))
-    R: Point = None
-    for u in range(m):
-        for v, S in enumerate(multiples):
-            coords[G.index[G.add(R, S)]] = (u, v)
-        R = G.add(R, Q)
-    return (m, e), coords
-
-
 class SkewBilinear:
     """The part of a skew relation lattice that both conventions share: the
-    two-slot symbol universe, a discrete-log map x: E(F_q) -> Z/m_1 x Z/m_2
-    checked to be an isomorphism, and the deduplicated bilinear columns of
-    both slots.
+    two-slot symbol universe, the discrete-log map x: E(F_q) -> Z/m_1 x Z/m_2
+    of elliptic.discrete_log, checked again here to be an isomorphism, and
+    the deduplicated bilinear columns of both slots.
 
     The symbol {a, b, X} maps to x(a) (x) x(b) in Z^(d^2), d <= 2 the number
     of moduli: coordinate s*d + t holds x_s(a) x_t(b), the coordinates taken

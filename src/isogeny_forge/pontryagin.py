@@ -38,9 +38,9 @@ MAX_R = 12
 MAX_COLUMNS = 500
 MAX_MODULUS_BITS = 512
 # FinAbGroup.from_elliptic needs E(F_p) enumerated point by point and its
-# structure certified; at p = 5987 and rmax 12, (a, b) = (-4, 3) took 1.0-1.2 s
-# and the dearest of 28 curves with 0 < |a|, |b| <= 4, (-3, 1), took 1.5-1.8 s
-FILTRATION_MAX_P = 6000
+# discrete-log table built, each O(p); at rmax 12 the dearest of 28 curves with
+# 0 < |a|, |b| <= 4 took 1.4-1.5 s at p = 149993 and 2.1-2.4 s at p = 199999
+FILTRATION_MAX_P = 150000
 
 
 def check_filtration_field(p: int) -> None:

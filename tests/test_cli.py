@@ -376,7 +376,7 @@ def test_empty_or_negative_option_value_is_refused(args, code, prefix):
     (["filtration", "--group", ",".join([str(2**43)] * 3), "--rmax", "12"],
      "the modulus e^12 has 517 bits, over 512"),
     (["filtration", "--group", "2", "--rmax", "13"], "r_max = 13 exceeds 12"),
-    (["filtration", "--elliptic-p", "6007", "--rmax", "1"], "p = 6007 exceeds 6000"),
+    (["filtration", "--elliptic-p", "150001", "--rmax", "1"], "p = 150001 exceeds 150000"),
 ], ids=["columns", "modulus", "rmax", "elliptic-p"])
 def test_filtration_guards_refuse_before_any_work(monkeypatch, capsys, args, message):
     from isogeny_forge import cli, pontryagin

@@ -1,13 +1,15 @@
 import pickle
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from isogeny_forge import elliptic, kgroup
 from isogeny_forge.elliptic import (
+    EllipticGroup,
     TwoTorsionCurve,
     WeierstrassModel,
     _char_sum,
@@ -17,10 +19,16 @@ from isogeny_forge.elliptic import (
     ap_trace,
     count_points,
     curve_from_pair,
+    discrete_log,
     is_supersingular_at,
     rational_points_mod_p,
 )
-from isogeny_forge.errors import BadPrimeError, DegenerateCurveError, UnsupportedPrimeError
+from isogeny_forge.errors import (
+    BadPrimeError,
+    CertificateError,
+    DegenerateCurveError,
+    UnsupportedPrimeError,
+)
 from isogeny_forge.exactnum import legendre_symbol, primes_up_to
 
 
@@ -358,7 +366,7 @@ def test_two_torsion_points_are_the_roots():
                 continue
             G = rational_points_mod_p(E, p)
             expected = {(0, 0), (a % p, 0), (b % p, 0)}
-            assert set(G.two_torsion()) == expected
+            assert {P for P, o in zip(G.points, table_orders(G)) if o == 2} == expected
 
 
 def test_two_torsion_sum_example():
@@ -372,7 +380,7 @@ def test_structure_example_and_certification():
     assert G.structure() == [2, 4]
     gens = G.generators()
     assert len(gens) == 2
-    assert len(G._span(gens)) == 8
+    assert len(oracle_span(G, gens)) == 8
 
 
 def test_structure_random_consistency():
@@ -403,3 +411,188 @@ def test_transform_roundtrip():
     assert W3.j == W.j
     assert W2.j == W.j
     assert W2.disc == W.disc / Fraction(2 ** 12)
+
+
+# -- the per-point oracle of the group structure --------------------------------
+# EllipticGroup reads orders, structure and generators off one discrete-log
+# table.  The oracle is the engine it replaced: the order of every point, the
+# exponent as their lcm, the structure certified by d-torsion counts, and the
+# generators found by spanning.  Orders come by repeated addition.
+
+
+def brute_orders(G) -> list[int]:
+    """The order of every point, by point index: walk the multiples kP of each
+    point not yet reached until O; kP then has order o / gcd(k, o)."""
+    orders = [0] * len(G)
+    for i, P in enumerate(G.points):
+        if orders[i]:
+            continue
+        walk = [P]
+        while walk[-1] is not None:
+            walk.append(G.add(walk[-1], P))
+        o = len(walk)
+        for k, S in enumerate(walk, 1):
+            orders[G.index[S]] = o // gcd(k, o)
+    return orders
+
+
+def oracle_span(G, gens) -> set:
+    seen = {None}
+    frontier = [None]
+    while frontier:
+        frontier = [S for S in {G.add(R, g) for R in frontier for g in gens} if S not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def oracle_structure(G, orders) -> list[int]:
+    N, e = len(G), lcm(*orders)
+    n1, rem = divmod(N, e)
+    assert rem == 0 and e % n1 == 0
+    for d in range(1, e + 1):
+        if e % d == 0:
+            assert sum(d % o == 0 for o in orders) == gcd(d, n1) * gcd(d, e)
+    return [e] if n1 == 1 else [n1, e]
+
+
+def oracle_generators(G, orders) -> list:
+    """P, the first point of maximal order; then the first Q outside <P> with
+    <P, Q> = G."""
+    e = lcm(*orders)
+    P = G.points[orders.index(e)]
+    if e == len(G):
+        return [P]
+    inside = oracle_span(G, [P])
+    return [P, next(Q for Q in G.points
+                    if Q not in inside and len(oracle_span(G, [P, Q])) == len(G))]
+
+
+def oracle_discrete_log(G, orders, gens):
+    """x(uQ' + vP) = (u, v) (or (v,) when cyclic) for the oracle generators
+    [P, Q], with Q' = Q - (k / m) P for mQ = kP; the points are located by
+    walking <P> and adding Q'."""
+    P, e = gens[0], lcm(*orders)
+    multiples = [None]
+    for _ in range(e - 1):
+        multiples.append(G.add(multiples[-1], P))
+    coords = [None] * len(G)
+    if len(gens) == 1:
+        for v, S in enumerate(multiples):
+            coords[G.index[S]] = (v,)
+        return (e,), coords
+    m = len(G) // e
+    k = multiples.index(G.scalar(m, gens[1]))
+    Q = G.add(gens[1], G.scalar(-(k // m), P))
+    R = None
+    for u in range(m):
+        for v, S in enumerate(multiples):
+            coords[G.index[G.add(R, S)]] = (u, v)
+        R = G.add(R, Q)
+    return (m, e), coords
+
+
+def table_orders(G) -> list[int]:
+    """The order of every point, read off its discrete-log coordinates x:
+    the lcm of m_i / gcd(x_i, m_i)."""
+    moduli, coords = discrete_log(G)
+    return [lcm(*(m // gcd(c, m) for c, m in zip(x, moduli))) for x in coords]
+
+
+def assert_matches_oracle(G):
+    orders = brute_orders(G)
+    assert table_orders(G) == orders
+    assert G.structure() == oracle_structure(G, orders)
+    gens = oracle_generators(G, orders)
+    assert G.generators() == gens
+    assert discrete_log(G) == oracle_discrete_log(G, orders, gens)
+
+
+@pytest.mark.parametrize("p", [p for p in primes_up_to(199) if p > 2])
+def test_group_engine_matches_oracle_on_two_torsion_curves(p):
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            if a and b and a != b and curve_from_pair(a, b).good_at(p):
+                assert_matches_oracle(rational_points_mod_p(curve_from_pair(a, b), p))
+
+
+GENERAL_MODELS = [
+    (0, 0, 0, 1, 1),  # Z/9 at p = 5: cyclic of square order
+    (0, -1, 1, -10, -20),  # conductor 11
+    (1, 0, 1, 0, 0),
+    (1, 1, 1, -1, 0),
+    (0, 0, 1, -1, 0),  # conductor 37
+    (1, -1, 0, -3, 2),
+    (0, 0, 0, 2, 2),  # the trivial group at p = 3
+]
+
+
+@pytest.mark.parametrize("coeffs", GENERAL_MODELS)
+def test_group_engine_matches_oracle_on_general_models(coeffs):
+    W = WeierstrassModel.from_coeffs(*coeffs)
+    for p in primes_up_to(199)[1:]:
+        if W.disc % p:
+            assert_matches_oracle(rational_points_mod_p(W, p))
+
+
+def test_cyclic_group_of_square_order():
+    # y^2 = x^3 + x + 1 has 9 points over F_5; Z/3 x Z/3 would need 3 | 5 - 1
+    G = rational_points_mod_p(WeierstrassModel.from_coeffs(0, 0, 0, 1, 1), 5)
+    assert G.structure() == [9]
+    assert len(G.generators()) == 1
+    assert discrete_log(G)[0] == (9,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-200, 200), st.integers(-200, 200), st.sampled_from(primes_up_to(300)[1:]))
+def test_group_engine_matches_oracle_on_drawn_curves(a, b, p):
+    assume(a and b and a != b and curve_from_pair(a, b).good_at(p))
+    assert_matches_oracle(rational_points_mod_p(curve_from_pair(a, b), p))
+
+
+def test_discrete_log_has_one_copy():
+    assert kgroup.discrete_log is elliptic.discrete_log
+
+
+def test_group_engine_cost_is_linear(monkeypatch):
+    # the per-point engine made 447,331 additions here, one scalar
+    # multiplication per point and prime; the table needs about 1.6 |E|
+    G = rational_points_mod_p(curve_from_pair(-4, 3), 5987)
+    calls = []
+    add = EllipticGroup.add
+
+    def counting(self, P, Q):
+        calls.append(None)
+        return add(self, P, Q)
+
+    monkeypatch.setattr(EllipticGroup, "add", counting)
+    assert G.structure() == [2, 3042]
+    G.generators()
+    assert len(calls) <= 3 * len(G) == 18252
+
+
+def _second_point_of_order_4(G, P):
+    inside = oracle_span(G, [P])
+    return next(Q for Q in G.points if Q not in inside and G.order_of(Q) == 4)
+
+
+@pytest.mark.parametrize("claim, message", [
+    (lambda G, gens, Q, m, e: (gens, Q, 4, 2), "order 8 and exponent 2 fit no group of rank <= 2"),
+    (lambda G, gens, Q, m, e: (gens[:1], None, 1, 8), "claimed exponent 8 is not the order"),
+    (lambda G, gens, Q, m, e: (gens, G.add(gens[0], gens[0]), m, e),
+     "the generators do not span"),
+    (lambda G, gens, Q, m, e: (gens, _second_point_of_order_4(G, gens[0]), m, e),
+     "claimed order 2 does not kill the second generator"),
+], ids=["rank", "exponent", "span", "second-order"])
+def test_table_certifies_the_pair(monkeypatch, claim, message):
+    # E(F_5) of y^2 = x^3 - x is Z/2 x Z/4
+    basis = EllipticGroup._basis
+    monkeypatch.setattr(EllipticGroup, "_basis", lambda G: claim(G, *basis(G)))
+    G = rational_points_mod_p(X3_MINUS_X, 5)
+    with pytest.raises(CertificateError, match=message):
+        G.structure()
+
+
+def test_search_without_a_pair_is_refused(monkeypatch):
+    monkeypatch.setattr(EllipticGroup, "order_of", lambda G, P: 1)
+    with pytest.raises(CertificateError, match=r"no pair of generators found for E\(F_5\)"):
+        rational_points_mod_p(X3_MINUS_X, 5).generators()

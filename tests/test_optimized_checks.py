@@ -134,10 +134,14 @@ import sys
 from isogeny_forge import elliptic
 from isogeny_forge.cli import main
 # E(F_5) of y^2 = x^3 - x is Z/2 x Z/4, so 8 is not its exponent
-elliptic.EllipticGroup.exponent = lambda self: len(self.points)
+basis = elliptic.EllipticGroup._basis
+def cyclic(self):
+    gens, Q, m, e = basis(self)
+    return gens[:1], None, 1, m * e
+elliptic.EllipticGroup._basis = cyclic
 sys.exit(main(["filtration", "--elliptic-p", "5", "--rmax", "2"]))
 """,
-        "certificate error: torsion count mismatch",
+        "certificate error: claimed exponent 8 is not the order of the generator",
     ),
     "orbit": (
         """
@@ -169,7 +173,11 @@ import sys
 from isogeny_forge import elliptic
 from isogeny_forge.cli import main
 # exponent 2 on a group of order 8 would need three cyclic factors
-elliptic.EllipticGroup.exponent = lambda self: 2
+basis = elliptic.EllipticGroup._basis
+def exponent_2(self):
+    gens, Q, m, e = basis(self)
+    return gens, Q, 4, 2
+elliptic.EllipticGroup._basis = exponent_2
 sys.exit(main(["filtration", "--elliptic-p", "5", "--rmax", "2"]))
 """,
         "certificate error: order 8 and exponent 2 fit no group of rank <= 2",
@@ -179,11 +187,15 @@ sys.exit(main(["filtration", "--elliptic-p", "5", "--rmax", "2"]))
 import sys
 from isogeny_forge import elliptic
 from isogeny_forge.cli import main
-# a span that never grows past its generators makes every pair look too small
-elliptic.EllipticGroup._span = lambda self, gens: {None, *gens}
+# a second generator inside <P> spans no complement: 2P has order 2 in Z/2 x Z/4
+basis = elliptic.EllipticGroup._basis
+def inside(self):
+    gens, Q, m, e = basis(self)
+    return gens, self.add(gens[0], gens[0]), m, e
+elliptic.EllipticGroup._basis = inside
 sys.exit(main(["filtration", "--elliptic-p", "5", "--rmax", "2"]))
 """,
-        "certificate error: no two-element generating set found",
+        "certificate error: the table is not a bijection at (u, v) = (1, 0): the generators do not span",
     ),
     "sextic-disc": (
         """

@@ -370,10 +370,10 @@ def test_filtration_guard_edges():
 
 def test_check_filtration_field_refuses_past_the_bound():
     # the largest prime admitted and the first refused; nothing is enumerated
-    assert FILTRATION_MAX_P == 6000
-    check_filtration_field(5987)
-    with pytest.raises(BudgetExceededError, match=r"^p = 6007 exceeds 6000$"):
-        check_filtration_field(6007)
+    assert FILTRATION_MAX_P == 150000
+    check_filtration_field(149993)
+    with pytest.raises(BudgetExceededError, match=r"^p = 150001 exceeds 150000$"):
+        check_filtration_field(150001)
 
 
 def test_filtration_never_lists_the_group():
