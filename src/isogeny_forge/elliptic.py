@@ -367,18 +367,17 @@ class EllipticGroup:
         if Q is None:
             return P
         p = self.p
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
+        a1, a2, a3, a4 = self.a1, self.a2, self.a3, self.a4
         x1, y1 = P
         x2, y2 = Q
         if x1 == x2 and (y1 + y2 + a1 * x2 + a3) % p == 0:
             return None
         if x1 != x2:
             lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-            nu = (y1 * x2 - y2 * x1) * pow(x2 - x1, -1, p) % p
         else:
             den = (2 * y1 + a1 * x1 + a3) % p
             lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(den, -1, p) % p
-            nu = (-(x1 ** 3) + a4 * x1 + 2 * a6 - a3 * y1) * pow(den, -1, p) % p
+        nu = (y1 - lam * x1) % p
         x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % p
         y3 = (-(lam + a1) * x3 - nu - a3) % p
         return (x3, y3)

@@ -19,8 +19,9 @@ bilinear columns of both slots are all present, the kernel of that map lies
 in the relation lattice, so a target is a member iff its image is in the
 span of the column images.  A member certificate gives integer multipliers
 over the original columns and is re-verified by substitution in those
-coordinates; it lifts to the symbol coordinates by a telescoping chain of
-bilinear columns.  A nonzero remainder certifies a non-member.
+coordinates.  Lifted by a telescoping chain of bilinear columns, it is a
+certificate in the symbol coordinates too; the tests do that lift and check
+it there (tests/test_kgroup.py).  A nonzero remainder certifies a non-member.
 
 Nothing here claims to compute a full symbol group: success certifies that a
 target lies in the span of the explicitly generated relations, and failure is
@@ -134,9 +135,13 @@ def _bilinear_blocks(
     universe: SymbolUniverse, slot: int, dedupe: bool, sums: list[list[int]]
 ) -> list[tuple[int, int, int, tuple]]:
     """(slot, i, i2, pattern) for each pair (a, a') = (points[i], points[i2])
-    of the slot that bilinear_relations keeps: pattern holds the sorted
-    (index, coefficient) entries of {a+a'} - {a} - {a'} with the other slots
-    at point 0, and sums is the slot group's _sum_table."""
+    of the slot whose bilinear columns
+    { ..., a+a', ... } - { ..., a, ... } - { ..., a', ... } are kept: pattern
+    holds the sorted (index, coefficient) entries of {a+a'} - {a} - {a'} with
+    the other slots at point 0, and sums is the slot group's _sum_table.
+    Without dedupe every ordered pair is kept; with it the (a', a) copy and
+    repeated columns are dropped (the pairs (0, a') all give
+    -{ ..., 0, ... })."""
     n = len(universe.slot_groups[slot].points)
     stride = universe._strides[slot]
     blocks = []
@@ -199,20 +204,6 @@ class ColumnView(Sequence):
         pts = self.universe.slot_groups[slot].points
         return RelationColumn("bilinear", (slot, pts[i], pts[i2], rest),
                               tuple([(off + k, c) for k, c in pattern]))
-
-
-def bilinear_relations(
-    universe: SymbolUniverse, slot: int, dedupe: bool = True
-) -> list[RelationColumn]:
-    """Columns { ..., a+a', ... } - { ..., a, ... } - { ..., a', ... } for
-    every pair (a, a') in the slot and every combination of the other slots.
-
-    The raw family ranges over ordered pairs; with dedupe the (a', a) copy and
-    repeated columns are dropped (the pairs (0, a') all give -{ ..., 0, ... }).
-    Columns are built from point indices, by ColumnView.
-    """
-    sums = _sum_table(universe.slot_groups[slot])
-    return list(ColumnView(universe, _bilinear_blocks(universe, slot, dedupe, sums)))
 
 
 def _require_pair_slots(universe: SymbolUniverse) -> EllipticGroup:
@@ -611,114 +602,3 @@ def prove_skew(
 
 def _pt(P: Point):
     return "0" if P is None else P
-
-
-# -- soundness spot checks ----------------------------------------------------------
-
-
-def relation_is_instance(universe: SymbolUniverse, col: RelationColumn) -> bool:
-    """Independently re-derive the column from its provenance.
-
-    Bilinear columns are rebuilt from the slot group law; reciprocity columns
-    are checked against the actual zero set of the generating function on the
-    curve (vertical line x - x(a), or the chord through the two points), so a
-    column that does not match an honest divisor is rejected.
-    """
-    G = universe.slot_groups[0]
-    rest = [g.points[0] for g in universe.slot_groups[2:]]
-    if col.kind == "bilinear":
-        slot, a, a2, others = col.data
-
-        def with_slot(x):
-            return [*others[:slot], x, *others[slot:]]
-
-        s = universe.slot_groups[slot].add(a, a2)
-        want = _column(universe, [(with_slot(s), 1), (with_slot(a), -1), (with_slot(a2), -1)],
-                       "", ())
-        return want.vector == col.vector
-    if col.kind == "wr-vertical":
-        (a,) = col.data
-        if a is None:
-            return col.vector == ()
-        zeros = [P for P in G.points if P is not None and P[0] == a[0]]
-        if set(zeros) != {a, G.neg(a)}:
-            return False
-        mult = 2 if a == G.neg(a) else 1
-        entries = [([z, z] + rest, mult) for z in sorted(set(zeros))]
-        entries.append(([None, None] + rest, -2))
-        return _column(universe, entries, "", ()).vector == col.vector
-    if col.kind == "wr-line":
-        a1, a2, s, convention = col.data
-        if convention != MINUS:
-            # the alternative sign is a configured variant, not a divisor
-            return False
-        third = G.neg(G.add(a1, a2))
-        if s != third:
-            return False
-        want = _column(
-            universe,
-            [
-                ([a1, a1] + rest, 1),
-                ([a2, a2] + rest, 1),
-                ([third, third] + rest, 1),
-                ([None, None] + rest, -3),
-            ],
-            "", (),
-        )
-        if want.vector != col.vector:
-            return False
-        return _chord_zero_set_matches(G, a1, a2, third)
-    return False
-
-
-def _chord_zero_set_matches(G: EllipticGroup, a1: Point, a2: Point, third: Point) -> bool:
-    """The affine zero set of the chord function must be exactly the nonzero
-    members of {a1, a2, third}."""
-    pts = [P for P in (a1, a2, third) if P is not None]
-    if not pts:
-        return True  # constant configuration, nothing to check
-    p = G.p
-    if len(pts) < 3:
-        # vertical line x - x(c) through c and -c
-        c = pts[0]
-        zeros = {P for P in G.points if P is not None and P[0] == c[0]}
-        return zeros == set(pts)
-    if a1 != a2:
-        if a1[0] == a2[0]:
-            # vertical chord: third must be 0, handled above
-            return False
-        lam = (a2[1] - a1[1]) * pow(a2[0] - a1[0], -1, p) % p
-    else:
-        den = (2 * a1[1] + G.a1 * a1[0] + G.a3) % p
-        if den == 0:
-            return False  # tangent at a 2-torsion point is vertical
-        lam = (3 * a1[0] ** 2 + 2 * G.a2 * a1[0] + G.a4 - G.a1 * a1[1]) * pow(den, -1, p) % p
-    nu = (a1[1] - lam * a1[0]) % p
-    zeros = {
-        P
-        for P in G.points
-        if P is not None and (P[1] - lam * P[0] - nu) % p == 0
-    }
-    return zeros == set(pts)
-
-
-# -- diagonal map ------------------------------------------------------------------
-
-
-def phi_r(universe: SymbolUniverse, cycle: Sequence[tuple[Point, int]]) -> FormalSum:
-    """Linear extension of [a] -> {a, a, ..., a} onto the universe's slots.
-
-    Requires a tail-free universe whose slots all carry one curve (the
-    diagonal symbol constrains every slot).
-    """
-    if universe.tail:
-        raise InvalidConfigurationError("diagonal symbols need a tail-free universe")
-    keys = {_curve_key(g) for g in universe.slot_groups}
-    if len(keys) != 1:
-        raise InvalidConfigurationError("diagonal symbols need equal slot curves")
-    out = FormalSum(universe)
-    nslots = len(universe.slot_groups)
-    for pt, mult in cycle:
-        out = out + universe.symbol([pt] * nslots, mult)
-    return out
-

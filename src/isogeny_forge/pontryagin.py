@@ -1,6 +1,6 @@
-"""Group rings of finite abelian groups with the convolution product
-[a] * [b] = [a + b], the augmentation filtration by powers of the augmentation
-ideal, and invariant factors of its successive quotients.
+"""The augmentation filtration of the group ring Z[G] of a finite abelian
+group, with the convolution product [a] * [b] = [a + b]: the invariant
+factors of the successive quotients of powers of the augmentation ideal.
 
 The degree map is the augmentation; its kernel I is spanned by the elements
 [a] - [0].  For G = Z/n_1 x ... x Z/n_k, sending [g_i] to 1 + y_i gives
@@ -13,23 +13,21 @@ I^r / I^(r+1) is the degree-r monomials modulo the degree-r part of the
 echelon rows of L that pivot in degree r.  With e the exponent, e I lies in
 I^2, so m = e^r_max kills the model and L is kept as an echelon modulo m.
 e kills every quotient, so its invariant factors are taken modulo e and
-certified by the index, the product of the pivots of its block.  Lattices
-inside the group ring itself (ideal_power_lattice, spans_same_lattice) serve
-checks on small groups.
+certified by the index, the product of the pivots of its block.  The group
+ring itself is never built here; the tests write it out element by element
+(tests/group_ring.py) as the reference for small groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations_with_replacement
-from itertools import product as iproduct
 from math import comb, prod
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .elliptic import EllipticGroup
 from .errors import BudgetExceededError, CertificateError
-from .exactnum import ColumnLattice, FormalSum, _add_multiple, invariant_factors_mod, xgcd
+from .exactnum import invariant_factors_mod, xgcd
 
 # The truncated model has C(k + r_max, r_max) - 1 columns and works modulo
 # e^r_max; at these bounds the dearest inputs measured took up to 2.6 s
@@ -50,30 +48,20 @@ def check_filtration_field(p: int) -> None:
 
 
 class FinAbGroup:
-    """A finite abelian group of known order with explicit operations.
+    """A finite abelian group of known order, given by its addition, zero,
+    invariant-factor chain and generators; its elements are never listed.
 
     Built either from an invariant-factor chain (elements are residue tuples,
-    componentwise arithmetic) or from an elliptic point group.  The element
-    list and its index are made on first use; the filtration needs neither.
+    componentwise arithmetic) or from an elliptic point group.
     """
 
-    def __init__(self, label, elements: Callable[[], Iterable], order, add, zero,
-                 invariant_factors, generators):
+    def __init__(self, label, order, add, zero, invariant_factors, generators):
         self.label = label
-        self._list_elements = elements
         self.order = order
         self.add = add
         self.zero = zero
         self.invariant_factors = list(invariant_factors)
         self.generators = list(generators)
-
-    @cached_property
-    def elements(self) -> list:
-        return list(self._list_elements())
-
-    @cached_property
-    def index(self) -> dict:
-        return {a: i for i, a in enumerate(self.elements)}
 
     @staticmethod
     def from_invariant_factors(ns: Sequence[int]) -> "FinAbGroup":
@@ -84,16 +72,13 @@ class FinAbGroup:
             if b % a:
                 raise ValueError(f"invariant factors must divide in order: {ns}")
 
-        def elements():
-            return iproduct(*(range(n) for n in ns))
-
         def add(x, y):
             return tuple((a + b) % n for a, b, n in zip(x, y, ns))
 
         zero = (0,) * len(ns)
         gens = [zero[:i] + (1,) + zero[i + 1:] for i, n in enumerate(ns) if n > 1]
         label = "Z/" + " x Z/".join(str(n) for n in ns)
-        return FinAbGroup(label, elements, prod(ns), add, zero, ns, gens or [zero])
+        return FinAbGroup(label, prod(ns), add, zero, ns, gens or [zero])
 
     @staticmethod
     def cyclic(n: int) -> "FinAbGroup":
@@ -102,8 +87,7 @@ class FinAbGroup:
     @staticmethod
     def from_elliptic(G: EllipticGroup) -> "FinAbGroup":
         inv = G.structure()
-        return FinAbGroup(f"E(F_{G.p})", lambda: G.points, len(G), G.add, None, inv,
-                          G.generators())
+        return FinAbGroup(f"E(F_{G.p})", len(G), G.add, None, inv, G.generators())
 
     def __len__(self) -> int:
         return self.order
@@ -120,97 +104,6 @@ class FinAbGroup:
 
     def nontrivial_invariants(self) -> list[int]:
         return [n for n in self.invariant_factors if n > 1]
-
-    def vector(self, z: FormalSum) -> list[int]:
-        """Coefficients of a group-ring element, in element order."""
-        if z.space is not self:
-            raise ValueError("element of a different group ring")
-        out = [0] * len(self)
-        for k, v in z.coeffs.items():
-            out[self.index[k]] = v
-        return out
-
-
-def pontryagin_product(z1: FormalSum, z2: FormalSum) -> FormalSum:
-    """Bilinear extension of [a] * [b] = [a + b] (convolution)."""
-    G = z1.space
-    if z2.space is not G:
-        raise ValueError("elements of different group rings")
-    out: dict = {}
-    for a, ca in z1.coeffs.items():
-        # translation by a is injective, so the shifted keys do not collide
-        _add_multiple(out, {G.add(a, b): cb for b, cb in z2.coeffs.items()}, ca)
-    return FormalSum(G, out)
-
-
-def zero_based_generator(group: FinAbGroup, pts: Sequence) -> FormalSum:
-    """The product ([a_1] - [0]) * ... * ([a_r] - [0])."""
-    one = FormalSum.term(group, group.zero)
-    acc = one
-    for a in pts:
-        acc = pontryagin_product(acc, FormalSum.term(group, a) - one)
-    return acc
-
-
-def alternating_generator(group: FinAbGroup, pts: Sequence) -> FormalSum:
-    """The same element written as the alternating subset sum
-    sum_j (-1)^(r-j) sum_{nu_1<...<nu_j} [a_nu_1 + ... + a_nu_j]."""
-    from itertools import combinations
-
-    r = len(pts)
-    out: dict = {}
-    for j in range(r + 1):
-        sign = (-1) ** (r - j)
-        for subset in combinations(range(r), j):
-            s = group.zero
-            for i in subset:
-                s = group.add(s, pts[i])
-            _add_multiple(out, {s: sign}, 1)
-    return FormalSum(group, out)
-
-
-def gr_generators(group: FinAbGroup, r: int, over: str = "all") -> list[FormalSum]:
-    """The alternating-sum element for each r-tuple; together they span I^r.
-
-    over="generators" restricts tuples to a generating set.  Those tuples
-    alone span a sublattice of I^r in general ([2]-[0] is not an integer
-    multiple of [1]-[0] in Z[Z/4]); the full ideal-power lattice is produced
-    by ideal_power_lattice, which multiplies iteratively instead.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    pool = group.generators if over == "generators" else group.elements
-    out = []
-    for pts in iproduct(pool, repeat=r):
-        g = alternating_generator(group, pts)
-        if g.coeffs:
-            out.append(g)
-    return out
-
-
-def ideal_power_lattice(group: FinAbGroup, r: int) -> ColumnLattice:
-    """The lattice I^r inside the group ring, r >= 1.  I is spanned by the
-    [a] - [0]; I^(s+1) by a basis of I^s times each [g] - [0], g a
-    generator, as I^s is an ideal and those differences generate I."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-
-    def lattice(elems: Iterable[FormalSum]) -> ColumnLattice:
-        lat = ColumnLattice(len(group))
-        for z in elems:
-            lat.add_generator(group.vector(z))
-        return lat
-
-    one = FormalSum.term(group, group.zero)
-    diffs = [FormalSum.term(group, g) - one for g in group.generators if g != group.zero]
-    lat = lattice(FormalSum.term(group, a) - one for a in group.elements if a != group.zero)
-    for _ in range(r - 1):
-        lat = lattice(
-            pontryagin_product(FormalSum(group, dict(zip(group.elements, b))), d)
-            for b in lat.basis
-            for d in diffs
-        )
-    return lat
 
 
 def _insert_mod(rows: list[dict[int, int]], v: dict[int, int], m: int) -> None:
@@ -254,20 +147,6 @@ def _insert_mod(rows: list[dict[int, int]], v: dict[int, int], m: int) -> None:
                 rest[k] = rv
         rows[j] = new_row
         v = rest
-
-
-def spans_same_lattice(
-    group: FinAbGroup, elems_a: Iterable[FormalSum], elems_b: Iterable[FormalSum]
-) -> bool:
-    """Lattice equality inside the group ring: the Hermite normal form of a
-    lattice depends on the lattice alone."""
-    dim = len(group)
-    la, lb = ColumnLattice(dim), ColumnLattice(dim)
-    for e in elems_a:
-        la.add_generator(group.vector(e))
-    for e in elems_b:
-        lb.add_generator(group.vector(e))
-    return la.basis == lb.basis
 
 
 @dataclass(frozen=True)

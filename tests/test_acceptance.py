@@ -15,12 +15,7 @@ from isogeny_forge.checkers import global2_prime_filter, supersingular_scan
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.exactnum import primes_up_to
 from isogeny_forge.kgroup import MINUS, PLUS, prove_skew
-from isogeny_forge.pontryagin import (
-    FinAbGroup,
-    aug_filtration,
-    gr_generators,
-    ideal_power_lattice,
-)
+from isogeny_forge.pontryagin import FinAbGroup, aug_filtration
 from isogeny_forge.product import embed, product_decompose
 from isogeny_forge.reduction import classify_reduction, conductor, tate_algorithm
 from isogeny_forge.scholten import (
@@ -29,6 +24,8 @@ from isogeny_forge.scholten import (
     torsion_forms_orbit,
     verify_split_jacobian,
 )
+
+from group_ring import gr_generators, ideal_power_lattice, vector
 
 
 @contextmanager
@@ -182,12 +179,12 @@ def test_criterion_7_filtration_quotients():
             for r in (1, 2):
                 via_products = ideal_power_lattice(G, r)
                 full = gr_generators(G, r, over="all")
-                assert all(via_products.contains(G.vector(g)) for g in full)
+                assert all(via_products.contains(vector(G, g)) for g in full)
                 from isogeny_forge.exactnum import ColumnLattice
 
                 enum = ColumnLattice(len(G))
                 for g in full:
-                    enum.add_generator(G.vector(g))
+                    enum.add_generator(vector(G, g))
                 assert all(enum.contains(v) for v in via_products.basis)
 
 

@@ -1,0 +1,86 @@
+"""Product code keeps only what a command, demo or benchmark reaches.  A scan
+of the source lists every module-level def and non-dunder method of the
+package that no module of src/, demos/ or perfbench/ names; each one left is
+pinned here with the reason it stays.  The group-ring and symbol-provenance
+oracles live in the tests (tests/group_ring.py, tests/test_kgroup.py)."""
+
+import ast
+import os
+import re
+
+import isogeny_forge
+
+PACKAGE = os.path.dirname(os.path.abspath(isogeny_forge.__file__))
+REPO = os.path.dirname(os.path.dirname(PACKAGE))
+
+UNREFERENCED = {
+    "ColumnLattice.contains": "membership as a yes/no, the reading of reduce the oracles test with",
+    "EllipticGroup.on_curve": "the curve equation as a predicate, which enumerated points obey",
+    "FormalSum.degree": "the augmentation of a group-ring element, whose kernel is the ideal I",
+    "RelationColumn.as_dict": "a column as the sparse dict ColumnLattice takes (symbol oracle)",
+    "WeierstrassModel.from_coeffs": "the checked constructor of a model from its five coefficients",
+    "count_points": "#E(F_p) = p + 1 - a_p, the library form of the count the checks compare",
+    "is_supersingular_at": "the supersingularity predicate a_p = 0 mod p of the library",
+    "product_decompose": "acceptance criterion 8 is its behaviour",
+}
+
+# test oracles and a capability no caller needed; none may come back
+MOVED = {
+    "pontryagin_product", "zero_based_generator", "alternating_generator", "gr_generators",
+    "ideal_power_lattice", "spans_same_lattice", "FinAbGroup.elements", "FinAbGroup.index",
+    "FinAbGroup.vector", "relation_is_instance", "_chord_zero_set_matches",
+    "bilinear_relations", "phi_r",
+}
+
+# the tracer names its targets as dotted strings ("EllipticGroup.structure")
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
+
+
+def _trees(top: str):
+    for root, _, files in os.walk(os.path.join(REPO, top)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path) as fh:
+                    yield ast.parse(fh.read(), path)
+
+
+def _definitions(tree: ast.Module) -> dict[str, str]:
+    """Qualified name -> bare name of each module-level def and class, and of
+    each non-dunder method of a module-level class."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node.name
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not re.fullmatch(r"__\w+__", m.name):
+                    out[f"{node.name}.{m.name}"] = m.name
+    return out
+
+
+def _references(tree: ast.Module, strings: bool) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.match(node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_product_names_are_reached_or_pinned():
+    defined, referenced = {}, set()
+    for top in ("src", "demos", "perfbench"):
+        for tree in _trees(top):
+            if top == "src":
+                defined.update(_definitions(tree))
+            referenced |= _references(tree, strings=top == "perfbench")
+    unreferenced = {q for q, name in defined.items() if name not in referenced}
+    assert unreferenced == set(UNREFERENCED)
+    assert not MOVED & set(defined)

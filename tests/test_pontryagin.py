@@ -14,12 +14,19 @@ from isogeny_forge.pontryagin import (
     FILTRATION_MAX_P,
     FinAbGroup,
     _insert_mod,
-    alternating_generator,
     aug_filtration,
     check_filtration_field,
+)
+
+from group_ring import (
+    _ideal_power_lattices,
+    alternating_generator,
+    elements,
     gr_generators,
+    ideal_power_lattice,
     pontryagin_product,
     spans_same_lattice,
+    vector,
     zero_based_generator,
 )
 
@@ -42,12 +49,37 @@ def test_group_construction_validates():
     assert Z2xZ4.generators == [(1, 0), (0, 1)]
 
 
+def _chain_elements(ns):
+    return FinAbGroup.from_invariant_factors(ns), set(iproduct(*(range(n) for n in ns)))
+
+
+def _curve_elements(p):
+    E = rational_points_mod_p(curve_from_pair(1, -1), p)
+    return FinAbGroup.from_elliptic(E), set(E.points)
+
+
+# every group the group-ring oracle serves here and in criterion 7, with its
+# elements listed independently: residue tuples, or the enumerated points
+ORACLE_GROUPS = [_chain_elements(ns) for ns in ([1], [2], [3], [4], [6], [2, 4], [2, 6])] + [
+    _curve_elements(p) for p in (5, 11)
+]
+
+
+@pytest.mark.parametrize("G, want", ORACLE_GROUPS, ids=[G.label for G, _ in ORACLE_GROUPS])
+def test_oracle_lists_each_element_once(G, want):
+    listed = elements(G)
+    found = set(listed)
+    assert len(found) == len(listed) == G.order
+    assert all(G.add(a, b) in found for a in listed for b in listed)
+    assert found == want
+
+
 def test_product_identity_and_translation():
     G = Z2xZ4
     rng = random.Random(1)
     for _ in range(20):
         z = FormalSum(
-            G, {rng.choice(G.elements): rng.randint(-3, 3) for _ in range(3)}
+            G, {rng.choice(elements(G)): rng.randint(-3, 3) for _ in range(3)}
         )
         assert pontryagin_product(delta(G, G.zero), z) == z
     a, b = (1, 2), (0, 3)
@@ -76,7 +108,7 @@ def test_alternating_equals_zero_based_product():
     for G in (Z2, Z4, Z2xZ4):
         for r in (1, 2, 3):
             for _ in range(15):
-                pts = [rng.choice(G.elements) for _ in range(r)]
+                pts = [rng.choice(elements(G)) for _ in range(r)]
                 assert alternating_generator(G, pts) == zero_based_generator(G, pts)
 
 
@@ -84,7 +116,7 @@ def test_gr_generator_forms():
     G = Z4
     r1 = gr_generators(G, 1, over="all")
     want = [
-        delta(G, a) - delta(G, G.zero) for a in G.elements if a != G.zero
+        delta(G, a) - delta(G, G.zero) for a in elements(G) if a != G.zero
     ]
     assert r1 == [w for w in want if w.coeffs]
     for g in gr_generators(G, 2, over="all"):
@@ -101,29 +133,27 @@ def test_generator_tuples_alone_are_not_enough():
 
 
 def test_iterated_product_lattice_matches_full_enumeration():
-    from isogeny_forge.pontryagin import ideal_power_lattice
-
     # Z/6 and Z/2 x Z/6 are not p-groups
     Z6, Z2xZ6 = FinAbGroup.cyclic(6), FinAbGroup.from_invariant_factors([2, 6])
     for G in (Z2, Z3, Z4, Z2xZ4, Z6, Z2xZ6):
         for r in (1, 2, 3):
             via_products = ideal_power_lattice(G, r)
             full = gr_generators(G, r, over="all")
-            assert all(via_products.contains(G.vector(g)) for g in full)
+            assert all(via_products.contains(vector(G, g)) for g in full)
             dim = len(G)
             from isogeny_forge.exactnum import ColumnLattice
 
             enum = ColumnLattice(dim)
             for g in full:
-                enum.add_generator(G.vector(g))
+                enum.add_generator(vector(G, g))
             assert all(enum.contains(v) for v in via_products.basis)
 
 
 def test_alternating_and_product_lattices_agree():
     for G in (Z2, Z3, Z4, Z2xZ4):
         for r in (1, 2):
-            alt = [alternating_generator(G, t) for t in iproduct(G.elements, repeat=r)]
-            prod = [zero_based_generator(G, t) for t in iproduct(G.elements, repeat=r)]
+            alt = [alternating_generator(G, t) for t in iproduct(elements(G), repeat=r)]
+            prod = [zero_based_generator(G, t) for t in iproduct(elements(G), repeat=r)]
             alt = [g for g in alt if g.coeffs]
             prod = [g for g in prod if g.coeffs]
             assert spans_same_lattice(G, alt, prod)
@@ -213,55 +243,8 @@ def test_filtration_splits_over_sylow_subgroups(ns, r_max):
 
 
 # The group-ring computation that aug_filtration replaced, kept as an
-# oracle: ideal powers as echelons modulo e^r_max over the basis [a] - [0]
-# of I, each quotient read from coordinates of I^(r+1) over I^r.
-
-
-def _ideal_power_lattices(
-    group: FinAbGroup, r_max: int
-) -> tuple[int, list[list[dict[int, int]]]]:
-    """(m, [I^1, ..., I^(r_max + 1)]) with m = e^r_max, e the group exponent.
-
-    Each power is an echelon modulo m (see _insert_mod) over the basis
-    [a] - [0], a != 0, of I.  That is exact because m I lies in
-    I^(r_max + 1), once e is checked to kill every generator, which comes
-    first.  I^1 is all of I; deeper powers multiply the previous rows by
-    the generator differences.  That suffices: a product of r+1 arbitrary
-    differences expands integrally into products of generator differences
-    of length >= r+1, and one generator factor can always be split off the
-    front of such a word.
-    """
-    e = group.invariant_factors[-1]
-    for s in group.generators:
-        t = group.zero
-        for _ in range(e):
-            t = group.add(t, s)
-        if t != group.zero:
-            raise CertificateError("the group exponent does not kill a generator")
-    m = e**r_max
-    nonzero = [a for a in group.elements if a != group.zero]
-    pos = {a: k for k, a in enumerate(nonzero)}
-    dim = len(nonzero)
-    # per generator s: (column of [s] - [0], column of a + s for each column a)
-    shifts = [
-        (pos[s], [pos.get(group.add(a, s)) for a in nonzero])
-        for s in group.generators
-        if s != group.zero
-    ]
-    lattices = [[{j: 1} for j in range(dim)]]
-    for _ in range(r_max):
-        nxt = [{j: m} for j in range(dim)]
-        for row in lattices[-1]:
-            for s_col, shift in shifts:
-                # row * ([s] - [0]) = sum c_k (([a_k + s] - [0]) - ([a_k] - [0]) - ([s] - [0]))
-                v = {s_col: -sum(row.values())}
-                for k, c in row.items():
-                    v[k] = v.get(k, 0) - c
-                    if shift[k] is not None:
-                        v[shift[k]] = v.get(shift[k], 0) + c
-                _insert_mod(nxt, v, m)
-        lattices.append(nxt)
-    return m, lattices
+# oracle: the ideal powers of group_ring._ideal_power_lattices, each quotient
+# read from coordinates of I^(r+1) over I^r.
 
 
 def _coordinates_mod(
@@ -403,7 +386,6 @@ def test_filtration_needs_r_max_at_least_one(r_max):
 
 @pytest.mark.parametrize("r", [0, -1])
 def test_ideal_power_lattice_needs_r_at_least_one(r):
-    from isogeny_forge.pontryagin import ideal_power_lattice
     with pytest.raises(ValueError, match="r must be >= 1"):
         ideal_power_lattice(FinAbGroup.cyclic(4), r)
 
