@@ -325,6 +325,7 @@ class EllipticGroup:
         self.a1, self.a2, self.a3, self.a4, self.a6 = _counting_coeffs(W, p)
         self.points = self._enumerate()
         self.index = {pt: i for i, pt in enumerate(self.points)}
+        self._walk: dict = {}  # (P, e) -> [O, P, ..., eP], the last walk only
 
     def _enumerate(self) -> list[Point]:
         p = self.p
@@ -418,6 +419,17 @@ class EllipticGroup:
             raise CertificateError(f"claimed order {o} does not kill the point {P}")
         return o
 
+    def _multiples(self, P: Point, e: int) -> list[Point]:
+        """[O, P, 2P, ..., eP], by e additions; the walk _basis makes for its
+        <P> test is kept, so _table reads it again without adding."""
+        row = self._walk.get((P, e))
+        if row is None:
+            row = [None]
+            for _ in range(e):
+                row.append(self.add(row[-1], P))
+            self._walk = {(P, e): row}
+        return row
+
     def _basis(self) -> tuple[list[Point], Point, int, int]:
         """The claimed generators [P] or [P, Q] as (generators, Q', m, e), for
         _table to certify: P of order e = exp(E(F_p)), m = N / e, and Q' =
@@ -440,10 +452,7 @@ class EllipticGroup:
                 return [P], None, 1, e
             if e % m or (self.p - 1) % m:
                 continue
-            multiples, S = {}, None
-            for v in range(e):
-                multiples[S] = v
-                S = self.add(S, P)
+            multiples = {S: v for v, S in enumerate(self._multiples(P, e)[:e])}
             primes = [q for q in self._order_factors if m % q == 0]
             Q = next((Q for Q in self.points
                       if all(self.scalar(m // q, Q) not in multiples for q in primes)), None)
@@ -464,11 +473,11 @@ class EllipticGroup:
         N = len(self.points)
         if m * e != N or e % m:
             raise CertificateError(f"order {N} and exponent {e} fit no group of rank <= 2")
-        row: list[Point] = [None]
-        for _ in range(e):
-            row.append(self.add(row[-1], gens[0]))
-        if row.pop() is not None or None in row[1:]:
+        row = self._multiples(gens[0], e)
+        self._walk = {}  # the table is the last reader of the walk
+        if row[e] is not None or None in row[1:e]:
             raise CertificateError(f"claimed exponent {e} is not the order of the generator")
+        row = row[:e]
         coords: list = [None] * N
         for u in range(m):
             if u:

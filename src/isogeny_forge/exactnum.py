@@ -415,6 +415,22 @@ def _add_multiple(dst: dict, src: dict, q: int) -> None:
             dst.pop(k, None)
 
 
+def _gcd_step(a: dict, b: dict, x: int, y: int, ag: int, bg: int) -> tuple[dict, dict]:
+    """(x*a + y*b, ag*b - bg*a) on sparse maps, zeros dropped.  With
+    x*a_j + y*b_j = g = gcd(a_j, b_j), a_j = ag*g and b_j = bg*g at the pivot
+    column j, the first has g at j, the second 0, and the step is unimodular,
+    so the pair spans what a and b span."""
+    top: dict = {}
+    rest: dict = {}
+    for k in a.keys() | b.keys():
+        ca, cb = a.get(k, 0), b.get(k, 0)
+        if t := x * ca + y * cb:
+            top[k] = t
+        if t := ag * cb - bg * ca:
+            rest[k] = t
+    return top, rest
+
+
 class FormalSum:
     """Finite integer combination sum c_k [k] of keys of one space (sparse).
 
@@ -475,31 +491,21 @@ class ColumnLattice:
     - every pivot is positive;
     - a row's entry at another row's pivot column k lies in [0, pivot_k).
 
-    A new generator is reduced at the smallest nonzero column of the working
-    vector, again and again: a pivot there that divides the entry is
-    subtracted; one that does not is replaced, through an extended-gcd step,
-    by the gcd combination of itself and the vector, which clears the
-    vector's entry.  The vector ends as a new pivot row or as zero.  The rows
-    this changed (the new row and each row an extended-gcd step replaced) are
-    then restored to HNF from the largest pivot down: each is made positive
-    and forward-reduced at the pivot columns right of its own, left to right,
-    and each row whose entry at its pivot column is out of range is queued
-    for the same treatment.  A column -> rows index finds those rows.  HNF
-    entries are bounded by the pivots, so rows stay short and histories
-    small.
-
-    The generator's own history is deferred.  Until it is needed, reduction
-    only records the (multiplier, pivot) subtractions, and the history is
-    built by replaying them at one of two points: when the vector becomes a
-    new pivot row, or just before its first extended-gcd step, which
-    combines it into the pivot's history.  Pivot histories change only at
-    extended-gcd steps and in the restore that follows the insertion, so
-    none changes before either point and the replay equals the eager update,
-    step for step.  A generator that reduces to zero before any extended-gcd
-    step never builds a history and changes no row.  In particular a lattice
-    member reduces to zero that way: its smallest nonzero column is always a
-    pivot column, with an entry the pivot divides.  So a generator equal to
-    an earlier one only takes its index.
+    A new generator, with history {index: 1}, is reduced at the smallest
+    nonzero column of the working vector, again and again: a pivot there
+    that divides the entry is subtracted; one that does not is replaced,
+    through an extended-gcd step, by the gcd combination of itself and the
+    vector, which clears the vector's entry.  Every step is applied to the
+    histories alike.  The vector ends as a new pivot row or as zero.  The
+    rows this changed (the new row and each row an extended-gcd step
+    replaced) are then restored to HNF from the largest pivot down: each is
+    made positive and forward-reduced at the pivot columns right of its own,
+    left to right, and each row of smaller pivot whose entry at its pivot
+    column is out of range is queued for the same treatment.  HNF entries are
+    bounded by the pivots, so rows stay short and histories small.  The
+    lattice is sized for the skew prover's Z^(d^2), d <= 2: a scan of the
+    rows finds those to queue, and a generator equal to an earlier one only
+    takes its index.
 
     Membership queries reduce a target at its own nonzero pivot columns, left
     to right, each entry into [0, pivot).  The remainder is the canonical
@@ -513,7 +519,6 @@ class ColumnLattice:
         self.n_generators = 0
         self._rows: dict[int, dict[int, int]] = {}  # pivot column -> sparse row
         self._hist: dict[int, dict[int, int]] = {}  # pivot column -> generator coeffs
-        self._holders: dict[int, set[int]] = {}  # column -> pivots of rows nonzero there
         self._seen: set[tuple] = set()  # keys of the generators inserted so far
 
     @property
@@ -562,87 +567,26 @@ class ColumnLattice:
 
     def _insert(self, v: dict[int, int], idx: int) -> None:
         rows, hists = self._rows, self._hist
-        pending: list[tuple[int, int]] = []  # (q, pivot column) not yet applied to h
-        h: Optional[dict[int, int]] = None
+        h = {idx: 1}
         changed: list[int] = []
         while v:
             j = min(v)
             row = rows.get(j)
             if row is None:
-                self._set_row(j, v, self._replay(idx, pending) if h is None else h)
+                rows[j], hists[j] = v, h
                 changed.append(j)
                 break
             a, b = row[j], v[j]
             if b % a == 0:
-                q = b // a
-                _add_multiple(v, row, -q)
-                if h is None:
-                    pending.append((q, j))
-                else:
-                    _add_multiple(h, hists[j], -q)
+                _add_multiple(v, row, -(b // a))
+                _add_multiple(h, hists[j], -(b // a))
                 continue
-            if h is None:
-                h = self._replay(idx, pending)
             g, x, y = xgcd(a, b)
-            ag, bg = a // g, b // g
-            new_row: dict[int, int] = {}
-            rest: dict[int, int] = {}
-            for k in row.keys() | v.keys():
-                ra, rb = row.get(k, 0), v.get(k, 0)
-                nv = x * ra + y * rb
-                if nv:
-                    new_row[k] = nv
-                rv = -bg * ra + ag * rb
-                if rv:
-                    rest[k] = rv
-            hp = hists[j]
-            new_hist: dict[int, int] = {}
-            for k in hp.keys() | h.keys():
-                ca, cb = hp.get(k, 0), h.get(k, 0)
-                nv = x * ca + y * cb
-                if nv:
-                    new_hist[k] = nv
-                rv = -bg * ca + ag * cb
-                if rv:
-                    h[k] = rv
-                else:
-                    h.pop(k, None)
-            self._set_row(j, new_row, new_hist)
+            rows[j], v = _gcd_step(row, v, x, y, a // g, b // g)
+            hists[j], h = _gcd_step(hists[j], h, x, y, a // g, b // g)
             changed.append(j)
-            v = rest  # zero at column j now; keep reducing
         if changed:
             self._restore(changed)
-
-    def _replay(self, idx: int, pending: list[tuple[int, int]]) -> dict[int, int]:
-        """History of generator idx after the recorded subtractions."""
-        h = {idx: 1}
-        for q, j in pending:
-            _add_multiple(h, self._hist[j], -q)
-        return h
-
-    def _set_row(self, j: int, row: dict[int, int], hist: dict[int, int]) -> None:
-        """File row (with its history) under pivot column j, replacing any."""
-        holders = self._holders
-        for k in self._rows.get(j, ()):
-            holders[k].discard(j)
-        for k in row:
-            holders.setdefault(k, set()).add(j)
-        self._rows[j] = row
-        self._hist[j] = hist
-
-    def _sub_row(self, i: int, j: int, q: int) -> None:
-        """Row i -= q * row j, and its history with it."""
-        row, holders = self._rows[i], self._holders
-        for k, c in self._rows[j].items():
-            nc = row.get(k, 0) - q * c
-            if nc:
-                if k not in row:
-                    holders.setdefault(k, set()).add(i)
-                row[k] = nc
-            else:
-                del row[k]
-                holders[k].discard(i)
-        _add_multiple(self._hist[i], self._hist[j], -q)
 
     def _restore(self, changed: list[int]) -> None:
         """Bring the basis back to HNF after the rows at `changed` were set.
@@ -657,11 +601,10 @@ class ColumnLattice:
         heapify(heap)
         while heap:
             j = -heappop(heap)
-            row = rows[j]
+            row, hist = rows[j], hists[j]
             if row[j] < 0:
                 for k in row:
                     row[k] = -row[k]
-                hist = hists[j]
                 for k in hist:
                     hist[k] = -hist[k]
             while True:
@@ -671,10 +614,12 @@ class ColumnLattice:
                 )
                 if k is None:
                     break
-                self._sub_row(j, k, row[k] // rows[k][k])
+                q = row[k] // rows[k][k]
+                _add_multiple(row, rows[k], -q)
+                _add_multiple(hist, hists[k], -q)
             p = row[j]
-            for i in self._holders[j]:
-                if i != j and i not in queued and not 0 <= rows[i][j] < p:
+            for i in rows:
+                if i < j and i not in queued and not 0 <= rows[i].get(j, 0) < p:
                     queued.add(i)
                     heappush(heap, -i)
 

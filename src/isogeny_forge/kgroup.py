@@ -1,10 +1,11 @@
 """Formal symbol algebra over E(F_q) with machine-checked derivations.
 
-Symbols {a_1, ..., a_r} over a finite symbol universe are modeled as integer
-vectors; relation families (slot bilinearity, plus the two reciprocity
-families coming from vertical lines and chords) generate an integer lattice,
-and statements like skew-symmetry become lattice-membership questions with
-exact, re-verifiable certificates.
+The symbols {a, b, X} have two enumerated slots a, b in E(F_q) and a fixed
+tail X of r - 2 points; they are modeled as integer vectors over Z^(n^2),
+n = #E(F_q).  Relation families (bilinearity in each slot, plus the two
+reciprocity families coming from vertical lines and chords) generate an
+integer lattice, and statements like skew-symmetry become
+lattice-membership questions with exact, re-verifiable certificates.
 
 The skew prover decides membership in E (x) E coordinates.  Modulo the
 bilinear relations the two-slot symbols are E (x) E, the sum of
@@ -14,14 +15,15 @@ discrete-log table of elliptic.discrete_log, checked again to be an
 isomorphism onto Z/m_1 x Z/m_2 by the carries of the pairs the bilinear
 columns add, sends {a, b, X} to the integer vector x(a) (x) x(b) of at most
 four entries.  Every column's image is inserted into a Hermite-form lattice
-over Z^(d^2), d <= 2; a column is built when read (ColumnView).  Because the
-bilinear columns of both slots are all present, the kernel of that map lies
-in the relation lattice, so a target is a member iff its image is in the
-span of the column images.  A member certificate gives integer multipliers
-over the original columns and is re-verified by substitution in those
-coordinates.  Lifted by a telescoping chain of bilinear columns, it is a
-certificate in the symbol coordinates too; the tests do that lift and check
-it there (tests/test_kgroup.py).  A nonzero remainder certifies a non-member.
+over Z^(d^2), d <= 2, where a repeated image only takes its index; a column
+is built when read (ColumnView).  Because the bilinear columns of both
+slots are all present, the kernel of that map lies in the relation lattice,
+so a target is a member iff its image is in the span of the column images.
+A member certificate gives integer multipliers over the original columns
+and is re-verified by substitution in those coordinates.  Lifted by a
+telescoping chain of bilinear columns, it is a certificate in the symbol
+coordinates too; the tests do that lift and check it there
+(tests/test_kgroup.py).  A nonzero remainder certifies a non-member.
 
 Nothing here claims to compute a full symbol group: success certifies that a
 target lies in the span of the explicitly generated relations, and failure is
@@ -43,11 +45,13 @@ from .exactnum import ColumnLattice, FormalSum, _add_multiple
 PLUS = "plus"
 MINUS = "minus"
 
-# The skew prover's cost follows #E(F_q) = n alone (about n^3 bilinear
-# column images inserted, n(n+1)/2 targets; r only lengthens the fixed tail).
-# With --convention both, the dearest of seven curves took 0.26-0.34 s at
-# n = 40 and 0.38-0.39 s at n = 44 (README, "Skew guard"), against the 5 s a
-# job may take; the bound stays while the inserts grow as n^3.
+# The skew prover's cost follows #E(F_q) = n alone (about n^3 add_generator
+# calls, one per bilinear column, and n(n+1)/2 targets; r only lengthens the
+# fixed tail).  Only the distinct column images reach the lattice engine:
+# about 1.4k of the 126k calls at n = 40 with --convention both.  The dearest
+# of seven curves took 0.26-0.34 s at n = 40 and 0.38-0.39 s at n = 44
+# (README, "Skew guard"), against the 5 s a job may take; the bound stays
+# while the calls grow as n^3.
 SKEW_MAX_POINTS = 40
 
 
@@ -56,44 +60,29 @@ def _curve_key(G: EllipticGroup):
 
 
 class SymbolUniverse:
-    """All symbols whose enumerated slots range over the given point groups,
-    with an optional tuple of fixed tail points (never enumerated)."""
+    """The symbols {a, b, X} with a, b in E(F_q) = G and X a fixed tuple of
+    tail points (never enumerated); {a, b, X} has index i(a)*n + i(b), with
+    i the index of a point in G.points and n = #G."""
 
-    def __init__(self, slot_groups: Sequence[EllipticGroup], tail: tuple = ()):
-        if not slot_groups:
-            raise ValueError("need at least one enumerated slot")
-        self.slot_groups = tuple(slot_groups)
+    def __init__(self, G: EllipticGroup, tail: tuple = ()):
+        self.group = G
         self.tail = tuple(tail)
-        self.sizes = tuple(len(g.points) for g in slot_groups)
-        self.dimension = 1
-        for n in self.sizes:
-            self.dimension *= n
-        self._strides = []
-        acc = 1
-        for n in reversed(self.sizes):
-            self._strides.append(acc)
-            acc *= n
-        self._strides.reverse()
+        self.n = len(G.points)
+        self.dimension = self.n**2
 
     @property
     def r(self) -> int:
-        return len(self.slot_groups) + len(self.tail)
+        return 2 + len(self.tail)
 
     def index_of(self, pts: Sequence[Point]) -> int:
-        idx = 0
-        for g, s, pt in zip(self.slot_groups, self._strides, pts):
-            idx += g.index[pt] * s
-        return idx
+        a, b = pts
+        return self.group.index[a] * self.n + self.group.index[b]
 
     def same_universe(self, other: "SymbolUniverse") -> bool:
-        return (
-            tuple(map(_curve_key, self.slot_groups))
-            == tuple(map(_curve_key, other.slot_groups))
-            and self.tail == other.tail
-        )
+        return _curve_key(self.group) == _curve_key(other.group) and self.tail == other.tail
 
     def symbol(self, pts: Sequence[Point], c: int = 1) -> FormalSum:
-        """c times the symbol whose enumerated slots hold pts."""
+        """c times the symbol {a, b, X} with (a, b) = pts."""
         return FormalSum.term(self, self.index_of(pts), c)
 
 
@@ -131,35 +120,28 @@ def _sum_table(G: EllipticGroup) -> list[list[int]]:
     return s
 
 
-def _bilinear_blocks(
-    universe: SymbolUniverse, slot: int, dedupe: bool, sums: list[list[int]]
-) -> list[tuple[int, int, int, tuple]]:
-    """(slot, i, i2, pattern) for each pair (a, a') = (points[i], points[i2])
-    of the slot whose bilinear columns
-    { ..., a+a', ... } - { ..., a, ... } - { ..., a', ... } are kept: pattern
-    holds the sorted (index, coefficient) entries of {a+a'} - {a} - {a'} with
-    the other slots at point 0, and sums is the slot group's _sum_table.
-    Without dedupe every ordered pair is kept; with it the (a', a) copy and
-    repeated columns are dropped (the pairs (0, a') all give
-    -{ ..., 0, ... })."""
-    n = len(universe.slot_groups[slot].points)
-    stride = universe._strides[slot]
+def _bilinear_blocks(n: int, slot: int, sums: list[list[int]]) -> list[tuple]:
+    """(slot, i, i2, pattern) for each pair (a, a') = (points[i], points[i2]),
+    i <= i2, of an n-point group whose bilinear columns
+    {a+a', b} - {a, b} - {a', b} (slot 0) or {b, a+a'} - {b, a} - {b, a'}
+    (slot 1) are kept: pattern holds the sorted (index, coefficient)
+    entries of the column at b = 0, and sums is the group's _sum_table.
+    The (a', a) copy and repeated columns are dropped (the pairs (0, a')
+    all give -{0, b}); two columns of a slot are equal exactly when their
+    patterns and points b are."""
+    stride = n if slot == 0 else 1
     blocks = []
     seen = set()
     for i in range(n):
-        for i2 in range(i if dedupe else 0, n):
+        for i2 in range(i, n):
             acc = {sums[i][i2]: 1}
             for k in (i, i2):
                 acc[k] = acc.get(k, 0) - 1
             # the coefficients sum to -1, so the pattern is never empty
             pattern = tuple(sorted((k * stride, c) for k, c in acc.items() if c))
-            if dedupe:
-                # an index is a mixed-radix number, so two columns are equal
-                # exactly when their patterns and combinations are
-                if pattern in seen:
-                    continue
+            if pattern not in seen:
                 seen.add(pattern)
-            blocks.append((slot, i, i2, pattern))
+                blocks.append((slot, i, i2, pattern))
     return blocks
 
 
@@ -167,11 +149,10 @@ class ColumnView(Sequence):
     """Relation columns by index, each built only when it is read: the
     bilinear columns of the blocks in turn, then the explicit columns.
 
-    A block (slot, i, i2, pattern) of _bilinear_blocks stands for one column
-    per combination of the other slots, in index order: the pattern shifted
-    by the combination's offset.  Every slot of the blocks must have the same
-    number of combinations.  A skew run has about n^3 bilinear columns, and
-    only certificate checks read any of them.
+    A block (slot, i, i2, pattern) of _bilinear_blocks stands for n columns,
+    one per point b = points[t] of the other slot, in point order: the
+    pattern shifted by t (slot 0) or t*n (slot 1).  A skew run has about n^3
+    bilinear columns, and only certificate checks read any of them.
     """
 
     def __init__(self, universe: SymbolUniverse, blocks: Sequence[tuple],
@@ -179,15 +160,7 @@ class ColumnView(Sequence):
         self.universe = universe
         self._blocks = blocks
         self._explicit = tuple(explicit)
-        self._combos = {}  # slot -> (offset, points) of each combination
-        for slot in {b[0] for b in blocks}:
-            others = [[(pt, k * s) for k, pt in enumerate(g.points)]
-                      for j, (g, s) in enumerate(zip(universe.slot_groups, universe._strides))
-                      if j != slot]
-            self._combos[slot] = [(sum(off for _, off in c), tuple(pt for pt, _ in c))
-                                  for c in iproduct(*others)]
-        self._width = len(next(iter(self._combos.values()), ()))
-        self._n_bilinear = self._width * len(blocks)
+        self._n_bilinear = universe.n * len(blocks)
 
     def __len__(self) -> int:
         return self._n_bilinear + len(self._explicit)
@@ -198,41 +171,24 @@ class ColumnView(Sequence):
             return [self[k] for k in ci]
         if ci >= self._n_bilinear:
             return self._explicit[ci - self._n_bilinear]
-        b, t = divmod(ci, self._width)
+        n = self.universe.n
+        b, t = divmod(ci, n)
         slot, i, i2, pattern = self._blocks[b]
-        off, rest = self._combos[slot][t]
-        pts = self.universe.slot_groups[slot].points
-        return RelationColumn("bilinear", (slot, pts[i], pts[i2], rest),
+        off = t if slot == 0 else t * n
+        pts = self.universe.group.points
+        return RelationColumn("bilinear", (slot, pts[i], pts[i2], (pts[t],)),
                               tuple([(off + k, c) for k, c in pattern]))
-
-
-def _require_pair_slots(universe: SymbolUniverse) -> EllipticGroup:
-    if len(universe.slot_groups) < 2:
-        raise InvalidConfigurationError("need two enumerated slots")
-    g0, g1 = universe.slot_groups[0], universe.slot_groups[1]
-    if _curve_key(g0) != _curve_key(g1):
-        raise InvalidConfigurationError("first two slots must carry the same curve")
-    return g0
 
 
 def wr_vertical(universe: SymbolUniverse, a: Point) -> RelationColumn:
     """{a,a,X} + {-a,-a,X} - 2{0,0,X}: the reciprocity instance of the
     function x - x(a), whose zeros are a and -a with a double pole at 0."""
-    G = _require_pair_slots(universe)
+    G = universe.group
     if a is not None and a not in G.index:
         raise InvalidConfigurationError(f"{a} is not a point of the slot curve")
-    rest = [g.points[0] for g in universe.slot_groups[2:]]
     na = G.neg(a)
-    return _column(
-        universe,
-        [
-            ([a, a] + rest, 1),
-            ([na, na] + rest, 1),
-            ([None, None] + rest, -2),
-        ],
-        "wr-vertical",
-        (a,),
-    )
+    return _column(universe, [([a, a], 1), ([na, na], 1), ([None, None], -2)],
+                   "wr-vertical", (a,))
 
 
 def wr_line(
@@ -247,21 +203,11 @@ def wr_line(
     """
     if convention not in (PLUS, MINUS):
         raise InvalidConfigurationError(f"unknown convention {convention!r}")
-    G = _require_pair_slots(universe)
-    rest = [g.points[0] for g in universe.slot_groups[2:]]
+    G = universe.group
     total = G.add(a1, a2)
     s = total if convention == PLUS else G.neg(total)
-    return _column(
-        universe,
-        [
-            ([a1, a1] + rest, 1),
-            ([a2, a2] + rest, 1),
-            ([s, s] + rest, 1),
-            ([None, None] + rest, -3),
-        ],
-        "wr-line",
-        (a1, a2, s, convention),
-    )
+    return _column(universe, [([a1, a1], 1), ([a2, a2], 1), ([s, s], 1), ([None, None], -3)],
+                   "wr-line", (a1, a2, s, convention))
 
 
 # -- membership in E (x) E coordinates ----------------------------------------------
@@ -283,11 +229,11 @@ class SkewBilinear:
     bijection, and every carry of the pairs the bilinear columns add must
     be 0 mod m, else CertificateError.
 
-    The columns are kept as their blocks (see ColumnView), one per pair of
-    the slot, for each of the two slots.  A carry takes at most 2^d values,
-    so the column images are built once, as at most 2^(d+1) rows of one
-    image per point (the combinations of the other slot, in point order),
-    and each block names its row.  No column or image is stored per column.
+    The columns are kept as their blocks (see ColumnView), one per distinct
+    pair of the slot, for each of the two slots.  A carry takes at most 2^d
+    values, so the column images are built once, as at most 2^(d+1) rows of
+    one image per point b of the other slot, in point order, and each block
+    names its row.  No column or image is stored per column.
     """
 
     def __init__(self, G: EllipticGroup, r: int = 2, tail: Optional[tuple] = None):
@@ -300,7 +246,7 @@ class SkewBilinear:
             tail = (G.points[1],) * (r - 2)
         if len(tail) != r - 2:
             raise InvalidConfigurationError(f"tail must have length {r - 2}")
-        self.universe = SymbolUniverse([G, G], tail)
+        self.universe = SymbolUniverse(G, tail)
         self.moduli, self.coords = discrete_log(G)
         coords, moduli = self.coords, self.moduli
         if len(set(coords)) != n or set(coords) != set(iproduct(*map(range, moduli))):
@@ -314,8 +260,7 @@ class SkewBilinear:
                     raise CertificateError("discrete-log table is not a homomorphism")
                 carries[i][i2] = c
         rows: dict[tuple, list[dict[int, int]]] = {}
-        self.blocks = [b for slot in (0, 1)
-                       for b in _bilinear_blocks(self.universe, slot, True, sums)]
+        self.blocks = [b for slot in (0, 1) for b in _bilinear_blocks(n, slot, sums)]
         self.image_rows: list[list[dict[int, int]]] = []  # one per block of n columns
         for slot, i, i2, _ in self.blocks:
             key = (slot, carries[i][i2])
@@ -350,7 +295,7 @@ class SkewBilinear:
     def serves(self, G: EllipticGroup, r: int, tail: Optional[tuple]) -> bool:
         """Whether these columns belong to the skew run (G, r, tail)."""
         u = self.universe
-        return u.slot_groups[0] is G and u.r == r and (tail is None or tuple(tail) == u.tail)
+        return u.group is G and u.r == r and (tail is None or tuple(tail) == u.tail)
 
 
 class RelationLattice:

@@ -85,7 +85,7 @@ COMMANDS = [
     ["scan", "supersingular", "--a", "-520251", "--b", "239738", "--bound", "200"],
     ["kgroup", "prove-skew", "--q", "5", "--convention", "both"],
     ["kgroup", "prove-skew", "--q", "7", "--convention", "plus", "--per-target"],
-    # #E = 12: the lattice takes extended-gcd steps and replays deferred histories
+    # #E = 12: the lattice takes extended-gcd steps and restores its Hermite form
     ["kgroup", "prove-skew", "--q", "7", "--a", "4", "--b", "6", "--convention", "plus",
      "--per-target"],
     ["kgroup", "prove-skew", "--q", "5", "--r", "3"],

@@ -555,7 +555,9 @@ def test_discrete_log_has_one_copy():
 
 def test_group_engine_cost_is_linear(monkeypatch):
     # the per-point engine made 447,331 additions here, one scalar
-    # multiplication per point and prime; the table needs about 1.6 |E|
+    # multiplication per point and prime; the table adds |E| + 1 times, its
+    # first row the walk of the e multiples of P that _basis made, so a
+    # second walk would pass |E| + e
     G = rational_points_mod_p(curve_from_pair(-4, 3), 5987)
     calls = []
     add = EllipticGroup.add
@@ -567,7 +569,7 @@ def test_group_engine_cost_is_linear(monkeypatch):
     monkeypatch.setattr(EllipticGroup, "add", counting)
     assert G.structure() == [2, 3042]
     G.generators()
-    assert len(calls) <= 3 * len(G) == 18252
+    assert len(calls) < len(G) + 3042 == 9126
 
 
 def _second_point_of_order_4(G, P):

@@ -329,7 +329,7 @@ def test_column_lattice_checks_a_list_after_an_equal_looking_dict():
 
 _coeff_dicts = st.dictionaries(st.integers(0, 9), st.integers(-5, 5))
 _E5 = rational_points_mod_p(curve_from_pair(1, -1), 5)
-_U1, _U2 = SymbolUniverse([_E5, _E5]), SymbolUniverse([_E5, _E5])
+_U1, _U2 = SymbolUniverse(_E5), SymbolUniverse(_E5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -363,9 +363,10 @@ def test_formal_sums_over_two_universes_do_not_mix(a, b):
 
 
 class _DenseReference:
-    """The dense, eager-history echelon engine that ColumnLattice replaced,
-    kept as the reference: its rows span the same lattice, in echelon form
-    but not reduced above the pivots."""
+    """The dense echelon engine that ColumnLattice replaced, kept as the
+    reference: its rows span the same lattice, in echelon form but not
+    reduced above the pivots, and its histories follow every row operation,
+    as ColumnLattice's do."""
 
     def __init__(self, dimension):
         self.dimension = dimension

@@ -24,12 +24,14 @@ UNREFERENCED = {
     "product_decompose": "acceptance criterion 8 is its behaviour",
 }
 
-# test oracles and a capability no caller needed; none may come back
+# test oracles, a capability no caller needed, and lattice and symbol machinery
+# sized for more than the E (x) E lattice; none may come back
 MOVED = {
     "pontryagin_product", "zero_based_generator", "alternating_generator", "gr_generators",
     "ideal_power_lattice", "spans_same_lattice", "FinAbGroup.elements", "FinAbGroup.index",
     "FinAbGroup.vector", "relation_is_instance", "_chord_zero_set_matches",
-    "bilinear_relations", "phi_r",
+    "bilinear_relations", "phi_r", "ColumnLattice._replay", "ColumnLattice._set_row",
+    "ColumnLattice._sub_row", "_require_pair_slots",
 }
 
 # the tracer names its targets as dotted strings ("EllipticGroup.structure")

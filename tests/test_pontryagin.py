@@ -360,11 +360,20 @@ def test_check_filtration_field_refuses_past_the_bound():
 
 
 def test_filtration_never_lists_the_group():
-    # Z/400000 is one column at r_max 1; its element list is never built
+    # Z/400000 is one column at r_max 1: the only additions are the premise
+    # check's doublings of e times each generator, never a walk of the group
     G = FinAbGroup.cyclic(400000)
+    calls = []
+    add = G.add
+
+    def counting(x, y):
+        calls.append(None)
+        return add(x, y)
+
+    G.add = counting
     assert aug_filtration(G, 1).quotients == ((1, (400000,)),)
     assert len(G) == 400000
-    assert "elements" not in vars(G)
+    assert 0 < len(calls) <= 2 * (400000).bit_length() * len(G.generators)
 
 
 def test_filtration_premise_is_checked():
