@@ -15,10 +15,9 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import __version__
-from .checkers import global2_prime_filter, main1_check, main2_check, supersingular_scan
 from .elliptic import curve_from_pair, rational_points_mod_p
 from .errors import (
     BudgetExceededError,
@@ -27,21 +26,16 @@ from .errors import (
     InsufficientPrimesError,
 )
 from .exactnum import is_prime, primes_up_to
-from .kgroup import MINUS, PLUS, SkewBilinear, check_skew_field, prove_skew
-from .pontryagin import FinAbGroup, aug_filtration, check_filtration_field
 from .reduction import classify_reduction, conductor
-from .scholten import (
-    Predicate,
-    at_most_one_supersingular,
-    box_grid,
-    build_scholten,
-    parameter_search,
-    quadruples_from_csv,
-    scholten_family,
-    split_jacobian_ok,
-    torsion_orbit_report,
-    verify_split_jacobian,
-)
+
+if TYPE_CHECKING:
+    from .scholten import Predicate
+
+# Each handler imports the command module it runs, so a process loads only
+# that one.  The three modules above that hold functools caches (elliptic,
+# exactnum, reduction) must stay imported here: before each in-process job,
+# perfbench/run.py clears the caches of the modules that importing this one
+# loaded, and a cache module imported later would stay warm from job to job.
 
 
 class UsageError(Exception):
@@ -98,6 +92,8 @@ def _parse_primes(spec: str) -> list[int]:
     spec = spec.strip()
     if ".." in spec:
         lo, hi = _int_list(spec.replace("..", ",", 1), "--primes", 2)
+        if lo > hi:
+            raise UsageError(f"--primes range {lo}..{hi} is empty")
         return [p for p in primes_up_to(hi) if p >= lo]
     if "," in spec:
         primes = _int_list(spec, "--primes")
@@ -205,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--a", type=int, default=1)
     ps.add_argument("--b", type=int, default=-1)
     ps.add_argument("--r", type=_int_at_least(2), default=2)
-    ps.add_argument("--convention", choices=[MINUS, PLUS, "both"], default=MINUS)
+    ps.add_argument("--convention", choices=["minus", "plus", "both"], default="minus")
     ps.add_argument("--per-target", action="store_true")
     ps.set_defaults(run=_cmd_kgroup_prove_skew)
 
@@ -253,6 +249,8 @@ def _cmd_analyze_curve(ns: argparse.Namespace, sink: _Sink) -> int:
 
 
 def _cmd_scholten_build(ns: argparse.Namespace, sink: _Sink) -> int:
+    from .scholten import build_scholten, torsion_orbit_report
+
     quad = _int_list(ns.params, "--params", 4)
     t0 = time.perf_counter()
     C = build_scholten(*quad)
@@ -267,6 +265,8 @@ def _cmd_scholten_build(ns: argparse.Namespace, sink: _Sink) -> int:
 
 
 def _cmd_scholten_family(ns: argparse.Namespace, sink: _Sink) -> int:
+    from .scholten import scholten_family
+
     quad = _int_list(ns.params, "--params", 4)
     t0 = time.perf_counter()
     rep = scholten_family(*quad)
@@ -286,6 +286,8 @@ def _cmd_scholten_family(ns: argparse.Namespace, sink: _Sink) -> int:
 
 
 def _cmd_scholten_verify(ns: argparse.Namespace, sink: _Sink) -> int:
+    from .scholten import build_scholten, verify_split_jacobian
+
     quad = _int_list(ns.params, "--params", 4)
     primes = _parse_primes(ns.primes)
     e1, e2 = (_int_list(spec, f"--{k}", 2) if spec is not None else None
@@ -307,6 +309,8 @@ def _cmd_scholten_verify(ns: argparse.Namespace, sink: _Sink) -> int:
 
 
 def _search_predicates(specs: Sequence[str]) -> list[Predicate]:
+    from .scholten import at_most_one_supersingular, split_jacobian_ok
+
     preds = []
     for spec in specs:
         name, colon, arg = spec.partition(":")
@@ -329,6 +333,8 @@ def _search_predicates(specs: Sequence[str]) -> list[Predicate]:
 
 
 def _cmd_scholten_search(ns: argparse.Namespace, sink: _Sink) -> int:
+    from .scholten import box_grid, parameter_search, quadruples_from_csv
+
     if ns.csv is not None:
         try:
             grid = quadruples_from_csv(ns.csv)
@@ -348,6 +354,8 @@ def _cmd_scholten_search(ns: argparse.Namespace, sink: _Sink) -> int:
 
 
 def _cmd_check_main1(ns: argparse.Namespace, sink: _Sink) -> int:
+    from .checkers import main1_check
+
     curves = [curve_from_pair(*_int_list(tok, "--curves", 2))
               for tok in ns.curves.split(";") if tok]
     if not curves:
@@ -359,6 +367,8 @@ def _cmd_check_main1(ns: argparse.Namespace, sink: _Sink) -> int:
 
 
 def _cmd_check_main2(ns: argparse.Namespace, sink: _Sink) -> int:
+    from .checkers import main2_check
+
     products = []
     for spec in ns.product:
         body, _, deg = spec.partition("@")
@@ -378,6 +388,8 @@ def _cmd_check_main2(ns: argparse.Namespace, sink: _Sink) -> int:
 
 
 def _cmd_check_global2(ns: argparse.Namespace, sink: _Sink) -> int:
+    from .checkers import global2_prime_filter
+
     E = curve_from_pair(ns.a, ns.b)
     t0 = time.perf_counter()
     primes = global2_prime_filter(E, ns.deg_phi, ns.bound)
@@ -392,6 +404,8 @@ def _cmd_check_global2(ns: argparse.Namespace, sink: _Sink) -> int:
 
 
 def _cmd_scan_supersingular(ns: argparse.Namespace, sink: _Sink) -> int:
+    from .checkers import supersingular_scan
+
     E = curve_from_pair(ns.a, ns.b)
     t0 = time.perf_counter()
     scan = supersingular_scan(E, ns.bound)
@@ -403,6 +417,8 @@ def _cmd_scan_supersingular(ns: argparse.Namespace, sink: _Sink) -> int:
 
 
 def _cmd_kgroup_prove_skew(ns: argparse.Namespace, sink: _Sink) -> int:
+    from .kgroup import MINUS, PLUS, SkewBilinear, check_skew_field, prove_skew
+
     q = ns.q
     check_skew_field(q)
     E = curve_from_pair(ns.a, ns.b)
@@ -430,6 +446,8 @@ def _cmd_kgroup_prove_skew(ns: argparse.Namespace, sink: _Sink) -> int:
 
 
 def _cmd_filtration(ns: argparse.Namespace, sink: _Sink) -> int:
+    from .pontryagin import FinAbGroup, aug_filtration, check_filtration_field
+
     if ns.group is not None:
         try:
             G = FinAbGroup.from_invariant_factors(_int_list(ns.group, "--group"))

@@ -1,9 +1,13 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import isogeny_forge
+from isogeny_forge import kgroup
 from isogeny_forge.elliptic import curve_from_pair
 
 CLI = [sys.executable, "-m", "isogeny_forge.cli"]
@@ -340,9 +344,14 @@ def test_filtration_rmax_below_one_is_a_usage_error(rmax):
      "usage error: --product names no curve: '@2'"),
     (["check", "main2", "--product", "1,-1@1", "--product", "|@2", "--p", "7"],
      "usage error: --product names no curve: '|@2'"),
+    (["analyze-curve", "--a", "3", "--b", "-5", "--primes", "10..2"],
+     "usage error: --primes range 10..2 is empty"),
+    (["scholten", "verify", "--params=3,-7,11,5", "--primes", "50..10"],
+     "usage error: --primes range 50..10 is empty"),
 ], ids=["main1-p", "main2-p", "q", "r", "elliptic-p", "group-order", "group-zero",
         "supersingular-4", "supersingular-9", "supersingular-2", "box", "limit",
-        "curves-empty", "curves-blank", "product-empty", "product-blank"])
+        "curves-empty", "curves-blank", "product-empty", "product-blank",
+        "primes-reversed", "verify-primes-reversed"])
 def test_caller_error_exits_2_before_any_record(args, message):
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr
@@ -405,3 +414,47 @@ def test_skew_guard_refuses_before_enumerating_points(monkeypatch, capsys):
     assert out == ""
     assert err == "analysis error: #E(F_59) >= 45 exceeds 40 points (Hasse bound)\n"
 
+
+def test_convention_choices_are_the_kgroup_conventions():
+    from isogeny_forge import cli
+
+    parser = cli._PARSER
+    for name in ("kgroup", "prove-skew"):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    (conv,) = [a for a in parser._actions if a.dest == "convention"]
+    assert set(conv.choices) == {kgroup.MINUS, kgroup.PLUS, "both"}
+    assert conv.default == kgroup.MINUS
+
+
+# what `import isogeny_forge.cli` loads: the modules the parser needs, and
+# every module with a functools cache (tests/test_tracer_contract.py)
+EAGER = {"cli", "elliptic", "errors", "exactnum", "reduction"}
+
+
+@pytest.mark.parametrize("args, command_modules", [
+    ([], set()),
+    (["check", "main1", "--curves", "1,-1", "--p", "7"], {"checkers"}),
+    (["analyze-curve", "--a", "1", "--b", "-1", "--primes", "5"], set()),
+    (["filtration", "--elliptic-p", "5", "--rmax", "2"], {"pontryagin"}),
+    (["kgroup", "prove-skew", "--q", "5"], {"kgroup"}),
+    (["scholten", "verify", "--params", "1,2,3,4", "--primes", "20"],
+     {"checkers", "genus2", "scholten"}),
+], ids=["import", "check-main1", "analyze-curve", "filtration", "prove-skew", "scholten-verify"])
+def test_a_fresh_process_loads_only_the_command_it_runs(args, command_modules):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isogeny_forge.__file__)))
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from isogeny_forge.cli import main\n"
+        "code = 0\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, [m for m in sys.modules if m.startswith('isogeny_forge.')]]))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                         text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert res.returncode == 0, res.stderr
+    code, modules = json.loads(res.stdout)
+    assert code == 0, res.stderr
+    assert {name.removeprefix("isogeny_forge.") for name in modules} == EAGER | command_modules
