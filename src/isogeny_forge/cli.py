@@ -94,14 +94,17 @@ def _parse_primes(spec: str) -> list[int]:
         lo, hi = _int_list(spec.replace("..", ",", 1), "--primes", 2)
         if lo > hi:
             raise UsageError(f"--primes range {lo}..{hi} is empty")
-        return [p for p in primes_up_to(hi) if p >= lo]
-    if "," in spec:
+        primes = [p for p in primes_up_to(hi) if p >= lo]
+    elif "," in spec:
         primes = _int_list(spec, "--primes")
         bad = [p for p in primes if not is_prime(p)]
         if bad:
             raise UsageError(f"--primes lists non-primes {bad}")
-        return primes
-    return primes_up_to(_int_list(spec, "--primes", 1)[0])
+    else:
+        primes = primes_up_to(_int_list(spec, "--primes", 1)[0])
+    if not primes:
+        raise UsageError(f"--primes {spec} names no prime")
+    return primes
 
 
 def _int_where(test: Callable[[int], bool], wanted: str) -> Callable[[str], int]:

@@ -1,6 +1,6 @@
-"""Exact integer/rational arithmetic support: primes, residue symbols, sparse
-formal sums, and integer linear algebra (Smith normal form, lattice
-membership).
+"""Exact integer/rational arithmetic support: primes, valuations, residue
+symbols, sparse formal sums, and integer linear algebra (invariant factors
+modulo a group exponent, lattice membership).
 
 All operations are pure and exact.  Matrices are immutable once built; a
 lattice membership answer carries coefficients over the generators that
@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The first _MR_PREFIX[i] witnesses decide every n below _MR_LIMITS[i], and
@@ -138,6 +139,22 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def valuation(x: int | Fraction, p: int) -> int:
+    """v_p(x) of a nonzero integer or rational x; 10**9, effectively +infinity
+    at desk scale, for x = 0."""
+    if not x:
+        return 10**9
+    n, d = x.numerator, x.denominator
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
 def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p."""
     if p < 3 or not is_prime(p):
@@ -160,13 +177,6 @@ class IntMatrix:
 
     entries: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        tup = tuple(tuple(int(x) for x in row) for row in rows)
-        if tup and any(len(r) != len(tup[0]) for r in tup):
-            raise ValueError("ragged rows")
-        return IntMatrix(tup)
-
     @property
     def nrows(self) -> int:
         return len(self.entries)
@@ -174,22 +184,6 @@ class IntMatrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n, k = len(a), len(b[0])
-    m = len(b)
-    out = [[0] * k for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(m):
-            v = ai[t]
-            if v:
-                bt = b[t]
-                for j in range(k):
-                    oi[j] += v * bt[j]
-    return out
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -217,29 +211,6 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-class SmithResult:
-    """Diagonalization U*M*V = D with U, V unimodular.
-
-    `factors` is the full diagonal of D (length min(nrows, ncols)),
-    nonnegative and satisfying d1 | d2 | ... .
-    """
-
-    def __init__(self, factors, U, V):
-        self.factors = factors
-        self.U = U
-        self.V = V
-
-    def verify(self, M: IntMatrix) -> bool:
-        rows, cols = M.nrows, M.ncols
-        prod = _mat_mul(_mat_mul(self.U, [list(r) for r in M.entries]), self.V)
-        for i in range(rows):
-            for j in range(cols):
-                want = self.factors[i] if i == j and i < len(self.factors) else 0
-                if prod[i][j] != want:
-                    return False
-        return abs(_det_bareiss(self.U)) == 1 and abs(_det_bareiss(self.V)) == 1
-
-
 def invariant_factors_mod(rows: Sequence[dict[int, int]], ncols: int, e: int) -> list[int]:
     """Invariant factors d1 | d2 | ... | d_ncols of Z^ncols / (span(rows) +
     e Z^ncols), each row a sparse map {column: entry}; each di divides e.
@@ -249,8 +220,7 @@ def invariant_factors_mod(rows: Sequence[dict[int, int]], ncols: int, e: int) ->
     matrix with a factor 1 (the column operations that clear the pivot row
     change no factor).  What remains has no unit entry.  A remaining column
     that no row touches gives a factor e on its own; the others give the
-    Smith form of the rows restricted to them, stacked on e times the
-    identity.
+    factors of the rows restricted to them (smith_normal_form_transforms).
     """
     if e < 1:
         raise ValueError("modulus must be >= 1")
@@ -297,107 +267,51 @@ def invariant_factors_mod(rows: Sequence[dict[int, int]], ncols: int, e: int) ->
             else:
                 del active[t]
     touched = [j for j in range(ncols) if holders.get(j)]
-    stacked = [[w.get(j, 0) for j in touched] for w in active.values()]
-    stacked += [[e * (k == j) for k in touched] for j in touched]
-    residual = smith_normal_form_transforms(IntMatrix.from_rows(stacked)).factors
-    return [1] * units + residual + [e] * (ncols - units - len(touched))
+    residual = IntMatrix(tuple(tuple(w.get(j, 0) for j in touched) for w in active.values()))
+    return ([1] * units + smith_normal_form_transforms(residual, e)
+            + [e] * (ncols - units - len(touched)))
 
 
-def smith_normal_form_transforms(M: IntMatrix) -> SmithResult:
-    """Smith normal form with the unimodular transforms.
+def smith_normal_form_transforms(M: IntMatrix, e: int) -> list[int]:
+    """Invariant factors d1 | d2 | ... | d_n of Z^n / (span(rows of M) +
+    e Z^n), n = M.ncols, by elimination modulo each prime power l^k of e.
 
-    Pivoting always picks the remaining entry of least absolute value, which
-    keeps intermediate growth tolerable at desk scale.
+    Modulo l^k, an entry of least l-valuation v divides every other entry,
+    so its row and column clear exactly and the column gives the exponent v;
+    the valuations left are at least v, so the exponents come out sorted.  A
+    column with no pivot gives k.  d_i is the product over l of l to its
+    i-th exponent.  e is factored only when M has a column.
+
+    The benchmark's tracer (perfbench/tracing.py) patches this function by
+    its name and reads the shape of M, its first argument, and perfbench
+    counts one call per filtration quotient; so the name and the IntMatrix
+    argument stay until the tracer reads the program's own spans.
     """
-    rows, cols = M.nrows, M.ncols
-    a = [list(r) for r in M.entries]
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, q):
-        # row_dst += q * row_src
-        ad, asr = a[dst], a[src]
-        for j in range(cols):
-            ad[j] += q * asr[j]
-        ud, us = U[dst], U[src]
-        for j in range(rows):
-            ud[j] += q * us[j]
-
-    def addmul_col(dst, src, q):
-        for r in a:
-            r[dst] += q * r[src]
-        for r in V:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
-    k = 0
-    limit = min(rows, cols)
-    while k < limit:
-        # locate pivot of least absolute value in the trailing block
-        piv = None
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                v = a[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
-            break
-        swap_rows(k, piv[0])
-        swap_cols(k, piv[1])
-        # clear row and column k
-        dirty = False
-        for i in range(k + 1, rows):
-            if a[i][k]:
-                q = a[i][k] // a[k][k]
-                addmul_row(i, k, -q)
-                if a[i][k]:
-                    dirty = True
-        for j in range(k + 1, cols):
-            if a[k][j]:
-                q = a[k][j] // a[k][k]
-                addmul_col(j, k, -q)
-                if a[k][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide the rest of the block
-        offender = None
-        pk = a[k][k]
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if a[i][j] % pk:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            addmul_row(k, offender, 1)
-            continue
-        if a[k][k] < 0:
-            negate_row(k)
-        k += 1
-
-    factors = [a[i][i] for i in range(limit)]
-    return SmithResult(factors, U, V)
+    n = M.ncols
+    if not n:
+        return []
+    factors = [1] * n
+    for l, k in factorize(e).items():
+        q = l**k
+        rows = [[x % q for x in row] for row in M.entries]
+        least = [gcd(q, *row) for row in rows]  # l^(least valuation) of each row
+        i = 0
+        while rows and (g := min(least)) < q:
+            r = least.index(g)
+            del least[r]
+            piv = rows.pop(r)
+            j = next(j for j, x in enumerate(piv) if gcd(x, q) == g)
+            inv = pow(piv[j] // g, -1, q)
+            piv = [x * inv % q for x in piv]
+            for t, row in enumerate(rows):
+                if c := row[j] // g:
+                    row[:] = [(x - c * y) % q for x, y in zip(row, piv)]
+                    least[t] = gcd(q, *row)
+            factors[i] *= g
+            i += 1
+        for t in range(i, n):
+            factors[t] *= q
+    return factors
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .elliptic import (
     _translated,
 )
 from .errors import CertificateError, UnsupportedPrimeError
-from .exactnum import factorize, is_prime, legendre_symbol
+from .exactnum import factorize, is_prime, legendre_symbol, valuation
 
 GOOD_ORDINARY = "GoodOrdinary"
 GOOD_SUPERSINGULAR = "GoodSupersingular"
@@ -85,22 +85,6 @@ class TateOutcome:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise CertificateError(message)
-
-
-def _vp(n: int, p: int) -> int:
-    if n == 0:
-        return 10**9  # effectively +infinity at desk scale
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _vp_frac(q: Fraction, p: int) -> int:
-    if q == 0:
-        return 10**9
-    return _vp(q.numerator, p) - _vp(q.denominator, p)
 
 
 def _double_root_of_quadratic(alpha: int, beta: int, gamma: int, p: int) -> int:
@@ -205,7 +189,7 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
     # make the model p-integral
     worst = 0
     for i, c in zip(_WEIGHTS, W.coeffs()):
-        v = _vp_frac(c, p)
+        v = valuation(c, p)
         if v < 0:
             worst = max(worst, (-v + i - 1) // i)
     if worst:
@@ -218,7 +202,7 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
     while True:
         guard += 1
         _require(guard < 64, "step machine failed to terminate")
-        n = _vp(_discriminant(*m.a), p)
+        n = valuation(_discriminant(*m.a), p)
         if n == 0:
             return m.outcome("I0", 0, 0)
 
@@ -228,7 +212,7 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
         _require(a3 % p == a4 % p == a6 % p == 0, "singular point not moved to (0, 0)")
 
         c4, c6 = _c4c6(*m.a)
-        if _vp(c4, p) == 0:
+        if valuation(c4, p) == 0:
             # multiplicative: the tangent cone at the node is
             # y^2 + a1 xy - a2 x^2; rational slopes <=> split
             if p == 2:
@@ -237,11 +221,11 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
                 split = legendre_symbol(-c6 % p, p) == 1
             return m.outcome(f"I{n}", n, 1, split)
 
-        if _vp(a6, p) < 2:
+        if valuation(a6, p) < 2:
             return m.outcome("II", n, n)
-        if _vp(_b8(a1, a2, a3, a4, a6), p) < 3:
+        if valuation(_b8(a1, a2, a3, a4, a6), p) < 3:
             return m.outcome("III", n, n - 1)
-        if _vp(_b246(a1, a2, a3, a4, a6)[2], p) < 3:
+        if valuation(_b246(a1, a2, a3, a4, a6)[2], p) < 3:
             return m.outcome("IV", n, n - 2)
 
         _normalize_step6(m)
@@ -258,7 +242,8 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
         # triple root
         m.apply(p * rho, 0, 0)
         a1, a2, a3, a4, a6 = m.a
-        _require(_vp(a2, p) >= 2 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4, "triple root not moved")
+        _require(valuation(a2, p) >= 2 and valuation(a4, p) >= 3 and valuation(a6, p) >= 4,
+                 "triple root not moved")
         A3 = (a3 // p2) % p
         A6 = (a6 // p**4) % p
         if (A3 * A3 + 4 * A6) % p != 0:
@@ -266,10 +251,10 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
         y0 = _double_root_of_quadratic(1, A3, (-A6) % p, p)
         m.apply(0, 0, p2 * y0)
         a1, a2, a3, a4, a6 = m.a
-        _require(_vp(a3, p) >= 3 and _vp(a6, p) >= 5, "Y double root not moved")
-        if _vp(a4, p) < 4:
+        _require(valuation(a3, p) >= 3 and valuation(a6, p) >= 5, "Y double root not moved")
+        if valuation(a4, p) < 4:
             return m.outcome("III*", n, n - 7)
-        if _vp(a6, p) < 6:
+        if valuation(a6, p) < 6:
             return m.outcome("II*", n, n - 8)
         # non-minimal: all a_i divisible by p^i after the normalizations
         scales = [p**i for i in _WEIGHTS]
@@ -300,7 +285,7 @@ def _normalize_step6(m: _Machine) -> None:
         )
         _require(found, "step-6 normalization not found (machine bug)")
         m.apply(0, *found)
-    _require(all(_vp(a, p) >= k for a, k in zip(m.a, _STEP6_VALUATIONS)),
+    _require(all(valuation(a, p) >= k for a, k in zip(m.a, _STEP6_VALUATIONS)),
              "step-6 valuations failed")
 
 
@@ -313,7 +298,8 @@ def _istar_subloop(m: _Machine, rho: int) -> int:
     p = m.p
     m.apply(p * rho, 0, 0)
     a1, a2, a3, a4, a6 = m.a
-    _require(_vp(a2, p) == 1 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4, "double root not moved")
+    _require(valuation(a2, p) == 1 and valuation(a4, p) >= 3 and valuation(a6, p) >= 4,
+             "double root not moved")
     mm = 1
     while True:
         a1, a2, a3, a4, a6 = m.a
@@ -325,7 +311,8 @@ def _istar_subloop(m: _Machine, rho: int) -> int:
                 return mm
             y0 = _double_root_of_quadratic(1, A3, (-A6) % p, p)
             m.apply(0, 0, p**k * y0)
-            _require(_vp(m.a[2], p) >= k + 1 and _vp(m.a[4], p) >= mm + 4, "I_m* Y root not moved")
+            _require(valuation(m.a[2], p) >= k + 1 and valuation(m.a[4], p) >= mm + 4,
+                     "I_m* Y root not moved")
         else:
             k = (mm + 4) // 2
             A2 = (a2 // p) % p
@@ -335,7 +322,8 @@ def _istar_subloop(m: _Machine, rho: int) -> int:
                 return mm
             x0 = _double_root_of_quadratic(A2, A4, A6, p)
             m.apply(p ** (k - 1) * x0, 0, 0)
-            _require(_vp(m.a[3], p) >= k + 1 and _vp(m.a[4], p) >= mm + 4, "I_m* X root not moved")
+            _require(valuation(m.a[3], p) >= k + 1 and valuation(m.a[4], p) >= mm + 4,
+                     "I_m* X root not moved")
         mm += 1
         _require(mm < 64, "I_m* chain failed to terminate")
 
@@ -403,7 +391,7 @@ def potential_type(curve: Curve, p: int) -> str:
         return POT_GOOD_SUPERSINGULAR if ap % p == 0 else POT_GOOD_ORDINARY
     W = _as_model(curve)
     j = W.j
-    if _vp_frac(j, p) < 0:
+    if valuation(j, p) < 0:
         return POT_MULTIPLICATIVE
     jbar = j.numerator * pow(j.denominator, -1, p) % p
     if p == 3:

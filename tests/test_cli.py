@@ -348,10 +348,17 @@ def test_filtration_rmax_below_one_is_a_usage_error(rmax):
      "usage error: --primes range 10..2 is empty"),
     (["scholten", "verify", "--params=3,-7,11,5", "--primes", "50..10"],
      "usage error: --primes range 50..10 is empty"),
+    (["analyze-curve", "--a", "3", "--b", "-5", "--primes", "24..28"],
+     "usage error: --primes 24..28 names no prime"),
+    (["analyze-curve", "--a", "3", "--b", "-5", "--primes", "1"],
+     "usage error: --primes 1 names no prime"),
+    (["scholten", "verify", "--params=3,-7,11,5", "--primes", "24..28"],
+     "usage error: --primes 24..28 names no prime"),
 ], ids=["main1-p", "main2-p", "q", "r", "elliptic-p", "group-order", "group-zero",
         "supersingular-4", "supersingular-9", "supersingular-2", "box", "limit",
         "curves-empty", "curves-blank", "product-empty", "product-blank",
-        "primes-reversed", "verify-primes-reversed"])
+        "primes-reversed", "verify-primes-reversed", "primes-no-prime", "primes-below-2",
+        "verify-primes-no-prime"])
 def test_caller_error_exits_2_before_any_record(args, message):
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr

@@ -1,5 +1,6 @@
 import operator
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from isogeny_forge.exactnum import (
     ColumnLattice,
     FormalSum,
     IntMatrix,
+    _det_bareiss,
     factorize,
     invariant_factors_mod,
     is_prime,
@@ -150,65 +152,85 @@ def test_xgcd():
             assert a % g == 0 and b % g == 0
 
 
-# -- Smith normal form -------------------------------------------------------
+# -- Invariant factors modulo e ------------------------------------------------
 
 
-def test_snf_zero_matrix():
-    M = IntMatrix.from_rows([[0, 0], [0, 0], [0, 0]])
-    assert smith_normal_form_transforms(M).factors == [0, 0]
+def _determinantal_factors(rows, n, e):
+    """Invariant factors of Z^n / (span(rows) + e Z^n) from the definition:
+    d1 * ... * dk is the gcd of the k x k minors of the rows, and each integer
+    factor is cut down by e; a zero factor and a missing one (more columns
+    than rows) both give e."""
+    out, previous = [], 1
+    for k in range(1, min(len(rows), n) + 1):
+        dk = 0
+        for picked in combinations(rows, k):
+            for cols in combinations(range(n), k):
+                dk = gcd(dk, _det_bareiss([[row[c] for c in cols] for row in picked]))
+        out.append(dk // previous if dk else 0)
+        previous = dk
+    return [gcd(d, e) for d in out] + [e] * (n - len(out))
 
 
-def test_snf_hand_examples():
-    assert smith_normal_form_transforms(IntMatrix.from_rows([[2, 0], [0, 3]])).factors == [1, 6]
-    assert smith_normal_form_transforms(IntMatrix.from_rows([[2, 4], [0, 2]])).factors == [2, 2]
+def _factors_both_ways(rows, n, e):
+    """The factors from invariant_factors_mod, checked against the routine
+    that takes the rows as they are, without the unit elimination first."""
+    facs = invariant_factors_mod([dict(enumerate(row)) for row in rows], n, e)
+    assert smith_normal_form_transforms(IntMatrix(tuple(map(tuple, rows))), e) == facs
+    return facs
 
 
-def test_snf_divisibility_chain_and_transforms():
-    rng = random.Random(1234)
-    for _ in range(60):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        M = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        )
-        res = smith_normal_form_transforms(M)
-        facs = res.factors
-        for d in facs:
-            assert d >= 0
-        for d1, d2 in zip(facs, facs[1:]):
-            if d1:
-                assert d2 % d1 == 0
-            else:
-                assert d2 == 0
-        assert res.verify(M)
+# e in [1, 400], and products of two or three prime powers
+EXPONENTS = st.integers(1, 400) | st.builds(
+    lambda a, b, c: 2**a * 3**b * 5**c, st.integers(1, 3), st.integers(1, 2), st.integers(0, 1)
+)
+# entries sharing a factor with e reach the elimination past the units
+ENTRIES = st.integers(-30, 30) | st.builds(operator.mul, st.sampled_from([2, 3, 4, 6, 9, 10]),
+                                            st.integers(-12, 12))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 5).flatmap(
         lambda cols: st.lists(
-            st.lists(st.integers(-30, 30), min_size=cols, max_size=cols), min_size=1, max_size=6
+            st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=1, max_size=6
         )
     ),
-    st.integers(1, 60),
+    EXPONENTS,
 )
-def test_invariant_factors_mod_matches_integer_smith_form(rows, e):
-    # Z^n / (span(A) + eZ^n) has the integer factors of A cut down by e;
-    # a zero factor and a missing one (more columns than rows) both give e
+def test_invariant_factors_mod_matches_determinantal_divisors(rows, e):
     n = len(rows[0])
-    factors = smith_normal_form_transforms(IntMatrix.from_rows(rows)).factors
-    want = [gcd(d, e) for d in factors] + [e] * (n - len(factors))
-    assert invariant_factors_mod([dict(enumerate(row)) for row in rows], n, e) == want
+    assert _factors_both_ways(rows, n, e) == _determinantal_factors(rows, n, e)
+
+
+def test_snf_zero_matrix():
+    zero = [[0, 0], [0, 0], [0, 0]]
+    assert _factors_both_ways(zero, 2, 12) == _determinantal_factors(zero, 2, 12) == [12, 12]
+    assert smith_normal_form_transforms(IntMatrix(()), 12) == []
+
+
+def test_snf_hand_examples():
+    # no entry is a unit modulo e, so invariant_factors_mod would pass on every row
+    for rows, e, want in (
+        ([[2, 0], [0, 3]], 36, [1, 6]),
+        ([[2, 4], [0, 2]], 36, [2, 2]),
+        ([[4, 6], [6, 9]], 36, [1, 36]),
+        ([[6, 0], [0, 4]], 8, [2, 4]),
+    ):
+        m = IntMatrix(tuple(map(tuple, rows)))
+        assert smith_normal_form_transforms(m, e) == _determinantal_factors(rows, 2, e) == want
 
 
 def test_invariant_factors_mod_hand_examples():
     def factors(rows, e):
         return invariant_factors_mod([dict(enumerate(row)) for row in rows], 2, e)
 
-    assert factors([[2, 0], [0, 3]], 6) == [1, 6]
-    assert factors([[2, 0], [0, 3]], 4) == [1, 2]
-    assert factors([[0, 0]], 5) == [5, 5]
-    assert factors([[7, 3]], 1) == [1, 1]
+    for rows, e, want in (
+        ([[2, 0], [0, 3]], 6, [1, 6]),
+        ([[2, 0], [0, 3]], 4, [1, 2]),
+        ([[0, 0]], 5, [5, 5]),
+        ([[7, 3]], 1, [1, 1]),
+    ):
+        assert factors(rows, e) == _determinantal_factors(rows, 2, e) == want
     assert invariant_factors_mod([], 0, 9) == []
     with pytest.raises(ValueError):
         invariant_factors_mod([{0: 1}], 1, 0)

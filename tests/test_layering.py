@@ -31,7 +31,8 @@ MOVED = {
     "ideal_power_lattice", "spans_same_lattice", "FinAbGroup.elements", "FinAbGroup.index",
     "FinAbGroup.vector", "relation_is_instance", "_chord_zero_set_matches",
     "bilinear_relations", "phi_r", "ColumnLattice._replay", "ColumnLattice._set_row",
-    "ColumnLattice._sub_row", "_require_pair_slots",
+    "ColumnLattice._sub_row", "_require_pair_slots", "SmithResult", "SmithResult.verify",
+    "_mat_mul",
 }
 
 # the tracer names its targets as dotted strings ("EllipticGroup.structure")

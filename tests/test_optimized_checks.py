@@ -90,6 +90,21 @@ sys.exit(main(["filtration", "--group", "2,4", "--rmax", "2"]))
 """,
         "certificate error: quotient not killed by the group exponent",
     ),
+    "filtration-residual": (
+        """
+import sys
+from isogeny_forge import exactnum
+from isogeny_forge.cli import main
+# one more factor 2 in the residual of a quotient of Z[Z/2 x Z/4]
+factors = exactnum.smith_normal_form_transforms
+def raised(M, e):
+    out = factors(M, e)
+    return [2 * out[0]] + out[1:] if out else out
+exactnum.smith_normal_form_transforms = raised
+sys.exit(main(["filtration", "--group", "2,4", "--rmax", "2"]))
+""",
+        "certificate error: quotient not killed by the group exponent",
+    ),
     "filtration-lying-exponent": (
         """
 import sys

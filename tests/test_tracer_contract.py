@@ -12,7 +12,9 @@ this import loads every module that defines one.
 
 On the skew workload, perfbench/run.py cross-checks two traced counts: one
 lattice insert per relation column, and one lattice reduce per membership
-query.  A test makes the same check on one prove-skew run."""
+query.  On the filtration workload it cross-checks one traced
+`exactnum.snf` span per quotient.  Tests make the same checks on one
+prove-skew run and on two filtrations."""
 
 import importlib
 import importlib.util
@@ -22,6 +24,8 @@ import pkgutil
 import subprocess
 import sys
 from collections import Counter
+
+import pytest
 
 import isogeny_forge
 from isogeny_forge.cli import main
@@ -95,3 +99,21 @@ def test_prove_skew_inserts_once_per_column_and_reduces_once_per_query(tmp_path)
     assert calls["kgroup.prove_skew"] == len(records) == 2
     assert calls["exactnum.lattice_insert"] == sum(r["outputs"]["generators"] for r in records)
     assert calls["exactnum.lattice_reduce"] == calls["kgroup.member"] > 0
+
+
+@pytest.mark.parametrize("group, rmax", [("2,4", "2"), ("2,2,4", "3")])
+def test_filtration_makes_one_snf_span_per_quotient(tmp_path, group, rmax):
+    tracer = _tracing().Tracer()
+    out = tmp_path / "filtration.jsonl"
+    tracer.install()
+    try:
+        missed = tracer.missed_bindings()
+        code = main(["--output", str(out), "filtration", "--group", group, "--rmax", rmax])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and missed == []
+    [record] = [json.loads(line) for line in out.read_text().splitlines()]
+    snf = [span for span in tracer.spans if span[0] == "exactnum.snf"]
+    assert len(snf) == len(record["outputs"]["quotients"]) == int(rmax)
+    # a nonempty residual: some quotient leaves the routine a matrix to reduce
+    assert max(span[5] for span in snf) > 0
