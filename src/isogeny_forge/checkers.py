@@ -8,9 +8,8 @@ computed or claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .elliptic import TwoTorsionCurve, WeierstrassModel, _as_model, _integral_model, ap_trace
 from .exactnum import factorize, primes_up_to
@@ -31,8 +30,7 @@ MAIN2_CONCLUSION = "F^2(X)_nd is torsion of finite exponent"
 MAIN2_CONCLUSION_UNRAMIFIED = "F^2(X)_nd is p-divisible"
 
 
-@dataclass(frozen=True)
-class HypothesisVerdict:
+class HypothesisVerdict(NamedTuple):
     theorem: str  # "main1" | "main2" | "global2"
     inputs: dict
     classifications: tuple
@@ -145,16 +143,16 @@ def global2_prime_filter(curve: Curve, deg_phi: int, bound: int) -> list[int]:
     return [p for p in primes_up_to(bound) if modulus % p != 0]
 
 
-@dataclass(frozen=True)
-class SupersingularScan:
+class SupersingularScan(NamedTuple):
     curve: str
     bound: int
     primes: tuple[int, ...]
     tested: int
 
     @property
-    def density(self) -> Fraction:
-        return Fraction(len(self.primes), self.tested) if self.tested else Fraction(0)
+    def density(self) -> Optional[Fraction]:
+        """Supersingular primes per good prime tested; None when none was tested."""
+        return Fraction(len(self.primes), self.tested) if self.tested else None
 
     def to_record(self) -> dict:
         return {
@@ -162,7 +160,7 @@ class SupersingularScan:
             "bound": self.bound,
             "primes": list(self.primes),
             "tested_good_primes": self.tested,
-            "density": str(self.density),
+            "density": None if self.density is None else str(self.density),
         }
 
 

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -42,15 +41,13 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
 class _Sink:
     """Records go to stdout or to the --output file.  The file is opened at
     the first record or when the command returns, so a run that stops
     before any record leaves an existing file as it was."""
 
-    path: Optional[str]
-    fh: object = None
-    count: int = 0
+    def __init__(self, path: Optional[str]):
+        self.path, self.fh, self.count = path, None, 0
 
     def stream(self):
         if self.fh is None:

@@ -20,25 +20,32 @@ as a bijective homomorphism onto Z/m x Z/e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BadPrimeError, CertificateError, DegenerateCurveError, UnsupportedPrimeError
 from .exactnum import factorize, is_prime
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with rational coefficients."""
+class WeierstrassModel(NamedTuple):
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with rational coefficients.
+    A model equals only a model, never the plain tuple of its coefficients."""
 
     a1: Fraction
     a2: Fraction
     a3: Fraction
     a4: Fraction
     a6: Fraction
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @staticmethod
     def from_coeffs(a1, a2, a3, a4, a6) -> "WeierstrassModel":
@@ -77,20 +84,30 @@ class WeierstrassModel:
         return WeierstrassModel(*(c / u**i for c, i in zip(moved, _WEIGHTS)))
 
 
-@dataclass(frozen=True)
 class TwoTorsionCurve:
-    """y^2 = x(x - a)(x - b): an elliptic curve with full rational 2-torsion."""
+    """y^2 = x(x - a)(x - b): an elliptic curve with full rational 2-torsion.
+    Immutable; equal and hashed by (a, b)."""
 
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a == 0:
+    def __init__(self, a: int, b: int):
+        if a == 0:
             raise DegenerateCurveError("a = 0 makes the cubic non-squarefree")
-        if self.b == 0:
+        if b == 0:
             raise DegenerateCurveError("b = 0 makes the cubic non-squarefree")
-        if self.a == self.b:
+        if a == b:
             raise DegenerateCurveError("a = b makes the cubic non-squarefree")
+        self.__dict__.update(a=a, b=b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __repr__(self):
+        return f"TwoTorsionCurve(a={self.a!r}, b={self.b!r})"
 
     @cached_property
     def model(self) -> WeierstrassModel:
@@ -303,11 +320,6 @@ def _sqrt_table(p: int) -> dict[int, tuple[int, ...]]:
     return roots
 
 
-def is_supersingular_at(curve, p: int) -> bool:
-    """True iff a_p = 0 mod p (equivalently a_p = 0 once p >= 5)."""
-    return ap_trace(curve, p) % p == 0
-
-
 Point = Optional[tuple[int, int]]  # None is the point at infinity
 
 
@@ -346,15 +358,6 @@ class EllipticGroup:
 
     def __iter__(self):
         return iter(self.points)
-
-    def on_curve(self, P: Point) -> bool:
-        if P is None:
-            return True
-        x, y = P
-        p = self.p
-        lhs = (y * y + self.a1 * x * y + self.a3 * y) % p
-        rhs = (((x + self.a2) * x + self.a4) * x + self.a6) % p
-        return lhs == rhs
 
     def neg(self, P: Point) -> Point:
         if P is None:
@@ -517,8 +520,3 @@ def discrete_log(G: EllipticGroup) -> tuple[tuple[int, ...], list[tuple[int, ...
 def rational_points_mod_p(curve, p: int) -> EllipticGroup:
     """Complete enumeration of E(F_p) with group law and structure."""
     return EllipticGroup(_as_model(curve), p)
-
-
-def count_points(curve, p: int) -> int:
-    """#E(F_p) = p + 1 - a_p."""
-    return p + 1 - ap_trace(curve, p)

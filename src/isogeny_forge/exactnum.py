@@ -12,12 +12,11 @@ rather than by heuristics.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The first _MR_PREFIX[i] witnesses decide every n below _MR_LIMITS[i], and
@@ -171,8 +170,7 @@ def legendre_symbol(a: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple):
     """Immutable integer matrix (tuple-of-rows)."""
 
     entries: tuple[tuple[int, ...], ...]

@@ -22,7 +22,6 @@ partir de leurs modules, 1991).  I10 is, by the same normalization,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, perm
@@ -152,26 +151,35 @@ def absolute_invariants(inv) -> tuple[Fraction, Fraction, Fraction]:
 # -- curves --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HyperellipticCurve:
-    """lam * y^2 = S(x) with S of exact degree 6.
+    """lam * y^2 = S(x) with S of exact degree 6, coeffs c0 .. c6 of S.
 
     even_factors, when given, is a factorization S(x) = prod (l x^2 - k)
     into three even quadratics, as pairs (l, k); it is checked against
     coeffs on construction, and lets the point count run on the roots of S
-    as a cubic in x^2.
+    as a cubic in x^2.  Immutable; equal and hashed by (lam, coeffs) alone.
     """
 
-    lam: int
-    coeffs: Sextic  # c0 .. c6
-    even_factors: Optional[EvenFactors] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.lam == 0:
+    def __init__(self, lam: int, coeffs: Sextic, even_factors: Optional[EvenFactors] = None):
+        if lam == 0:
             raise ValueError("lam must be nonzero")
-        cs = _as_sextic(self.coeffs)
-        if self.even_factors is not None and _even_sextic(self.even_factors) != cs:
-            raise ValueError(f"even factors {self.even_factors} do not multiply out to {cs}")
+        cs = _as_sextic(coeffs)
+        if even_factors is not None and _even_sextic(even_factors) != cs:
+            raise ValueError(f"even factors {even_factors} do not multiply out to {cs}")
+        self.__dict__.update(lam=lam, coeffs=coeffs, even_factors=even_factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.lam, self.coeffs) == (other.lam, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.lam, self.coeffs))
+
+    def __repr__(self):
+        return (f"HyperellipticCurve(lam={self.lam!r}, coeffs={self.coeffs!r}, "
+                f"even_factors={self.even_factors!r})")
 
     @cached_property
     def disc(self) -> int:

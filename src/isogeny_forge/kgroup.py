@@ -32,7 +32,6 @@ a statement about that generated subset only (certified by echelon reduction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import isqrt
 from collections.abc import Sequence
@@ -327,8 +326,7 @@ class RelationLattice:
         return len(self.columns)
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     member: bool
     coefficients: Optional[dict[int, int]]  # column index -> multiplier
 
@@ -369,8 +367,7 @@ def prove_member(target: FormalSum, lattice: RelationLattice) -> MembershipResul
 # -- the skew-symmetry prover ------------------------------------------------------
 
 
-@dataclass
-class SkewReport:
+class SkewReport(NamedTuple):
     p: int
     curve: tuple
     r: int

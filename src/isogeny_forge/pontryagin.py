@@ -20,10 +20,9 @@ ring itself is never built here; the tests write it out element by element
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb, prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .elliptic import EllipticGroup
 from .errors import BudgetExceededError, CertificateError
@@ -149,8 +148,7 @@ def _insert_mod(rows: list[dict[int, int]], v: dict[int, int], m: int) -> None:
         v = rest
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(NamedTuple):
     group_label: str
     group_invariants: tuple[int, ...]
     quotients: tuple[tuple[int, tuple[int, ...]], ...]  # (r, invariant factors)

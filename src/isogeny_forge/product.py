@@ -9,8 +9,7 @@ certificate and re-checks the identity exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .elliptic import EllipticGroup, Point
 from .errors import CertificateError
@@ -38,8 +37,7 @@ def product_add(groups: Sequence[EllipticGroup], P: ProductPoint, Q: ProductPoin
     return tuple(g.add(x, y) for g, x, y in zip(groups, P, Q))
 
 
-@dataclass
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     original: tuple[ProductPoint, ...]
     terms: dict[tuple[int, ...], tuple[Point, ...]]  # index tuple -> slot points
     certificate: list[tuple[int, dict]]  # (multiplier, bilinear column dict)

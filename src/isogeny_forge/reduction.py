@@ -24,10 +24,9 @@ iff (A2, A4, A6) = (-3 rho, 3 rho^2, -rho^3) mod p, in every characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .elliptic import (
     TwoTorsionCurve,
@@ -60,8 +59,7 @@ POT_MULTIPLICATIVE = "PotMultiplicative"
 Curve = Union[TwoTorsionCurve, WeierstrassModel]
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     prime: int
     kodaira_type: str
     v_delta_min: int
@@ -71,8 +69,7 @@ class ReductionReport:
     minimal_model: WeierstrassModel
 
 
-@dataclass(frozen=True)
-class TateOutcome:
+class TateOutcome(NamedTuple):
     kodaira_type: str
     v_delta_min: int
     conductor_exponent: int

@@ -9,9 +9,8 @@ Jacobian is certified numerically through the point-count identity
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .checkers import main1_check
 from .elliptic import TwoTorsionCurve, ap_trace, curve_from_pair
@@ -22,14 +21,23 @@ from .genus2 import HyperellipticCurve, _even_sextic
 SMOOTH = "SmoothGenus2"
 
 
-@dataclass(frozen=True)
-class ScholtenCurve:
+class ScholtenCurve(NamedTuple):
+    """C_{a,b,c,d} and its factors; equal only to a ScholtenCurve."""
+
     params: tuple[int, int, int, int]  # (a, b, c, d)
     status: str  # SMOOTH or "Degenerate(<reason>)"
     lam: Optional[int] = None
     curve: Optional[HyperellipticCurve] = None
     e1: Optional[TwoTorsionCurve] = None
     e2: Optional[TwoTorsionCurve] = None
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @property
     def is_smooth(self) -> bool:
@@ -105,8 +113,7 @@ _QUOTED_ORBIT_PATTERNS: tuple[Callable[[int, int], tuple[int, int]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     base: tuple[int, int]
     pairs: tuple[tuple[int, int], ...]
     mismatched_patterns: tuple[tuple[int, int], ...]  # quoted forms failing the j-check
@@ -130,8 +137,7 @@ def torsion_orbit_report(a: int, b: int) -> OrbitReport:
 # -- families ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     params: tuple[int, int, int, int]
     members: tuple[ScholtenCurve, ...]  # smooth members only
     classes: tuple[tuple[int, ...], ...]  # indices into members, one per class
@@ -177,8 +183,7 @@ def scholten_family(a: int, b: int, c: int, d: int) -> FamilyReport:
 # -- split-Jacobian certification ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitJacobianCertificate:
+class SplitJacobianCertificate(NamedTuple):
     params: tuple[int, int, int, int]
     rows: tuple[tuple[int, int, int, int, bool], ...]  # (p, #C, ap1, ap2, ok)
     skipped: tuple[tuple[int, str], ...]
@@ -250,8 +255,7 @@ def verify_split_jacobian(
 # -- parameter search ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(NamedTuple):
     curve: ScholtenCurve
     igusa_key: tuple
     predicate_names: tuple[str, ...]

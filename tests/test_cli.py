@@ -159,6 +159,16 @@ def test_scan_supersingular_pinned():
     assert rec["outputs"]["primes"] == [3, 7, 11, 19, 23, 31, 43, 47]
 
 
+@pytest.mark.parametrize("a, b, bound", [("3", "-3", "3"), ("1", "-1", "2")])
+def test_scan_that_tests_no_prime_states_no_density(a, b, bound):
+    """No odd good prime up to the bound: the density 0/0 is null, not 0."""
+    res = run_cli("scan", "supersingular", "--a", a, "--b", b, "--bound", bound)
+    assert res.returncode == 0
+    (rec,) = records_of(res.stdout)
+    assert rec["outputs"]["tested_good_primes"] == 0
+    assert rec["outputs"]["primes"] == [] and rec["outputs"]["density"] is None
+
+
 def test_kgroup_prove_skew():
     res = run_cli("kgroup", "prove-skew", "--q", "5", "--r", "2", "--convention", "both")
     assert res.returncode == 0
@@ -449,19 +459,25 @@ EAGER = {"cli", "elliptic", "errors", "exactnum", "reduction"}
      {"checkers", "genus2", "scholten"}),
 ], ids=["import", "check-main1", "analyze-curve", "filtration", "prove-skew", "scholten-verify"])
 def test_a_fresh_process_loads_only_the_command_it_runs(args, command_modules):
+    """Nor does it load dataclasses or inspect (about 7 ms of start-up),
+    beyond what the interpreter held before the package was imported."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(isogeny_forge.__file__)))
     script = (
         "import contextlib, io, json, sys\n"
+        "slow = {'dataclasses', 'inspect'}\n"
+        "bare = slow & set(sys.modules)\n"
         "from isogeny_forge.cli import main\n"
         "code = 0\n"
         "if sys.argv[1:]:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, [m for m in sys.modules if m.startswith('isogeny_forge.')]]))\n"
+        "print(json.dumps([code, [m for m in sys.modules if m.startswith('isogeny_forge.')],\n"
+        "                  sorted(slow & set(sys.modules) - bare)]))\n"
     )
     res = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert res.returncode == 0, res.stderr
-    code, modules = json.loads(res.stdout)
+    code, modules, loaded = json.loads(res.stdout)
     assert code == 0, res.stderr
     assert {name.removeprefix("isogeny_forge.") for name in modules} == EAGER | command_modules
+    assert loaded == []

@@ -15,12 +15,9 @@ REPO = os.path.dirname(os.path.dirname(PACKAGE))
 
 UNREFERENCED = {
     "ColumnLattice.contains": "membership as a yes/no, the reading of reduce the oracles test with",
-    "EllipticGroup.on_curve": "the curve equation as a predicate, which enumerated points obey",
     "FormalSum.degree": "the augmentation of a group-ring element, whose kernel is the ideal I",
     "RelationColumn.as_dict": "a column as the sparse dict ColumnLattice takes (symbol oracle)",
     "WeierstrassModel.from_coeffs": "the checked constructor of a model from its five coefficients",
-    "count_points": "#E(F_p) = p + 1 - a_p, the library form of the count the checks compare",
-    "is_supersingular_at": "the supersingularity predicate a_p = 0 mod p of the library",
     "product_decompose": "acceptance criterion 8 is its behaviour",
 }
 
@@ -32,7 +29,7 @@ MOVED = {
     "FinAbGroup.vector", "relation_is_instance", "_chord_zero_set_matches",
     "bilinear_relations", "phi_r", "ColumnLattice._replay", "ColumnLattice._set_row",
     "ColumnLattice._sub_row", "_require_pair_slots", "SmithResult", "SmithResult.verify",
-    "_mat_mul",
+    "_mat_mul", "count_points", "is_supersingular_at", "EllipticGroup.on_curve",
 }
 
 # the tracer names its targets as dotted strings ("EllipticGroup.structure")
@@ -87,3 +84,16 @@ def test_product_names_are_reached_or_pinned():
     unreferenced = {q for q, name in defined.items() if name not in referenced}
     assert unreferenced == set(UNREFERENCED)
     assert not MOVED & set(defined)
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    """Each command is one short process, and importing dataclasses (which
+    imports inspect) costs about 7 ms of its start-up."""
+    imported = set()
+    for tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+    assert not imported & {"dataclasses", "inspect"}
