@@ -12,9 +12,10 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .elliptic import TwoTorsionCurve, WeierstrassModel, _as_model, _integral_model, ap_trace
-from .exactnum import factorize, primes_up_to
+from .exactnum import primes_up_to
 from .reduction import (
     POT_GOOD_SUPERSINGULAR,
+    bad_primes,
     classify_reduction,
     conductor,
     potential_type,
@@ -174,7 +175,7 @@ def supersingular_scan(curve: Curve, bound: int) -> SupersingularScan:
     and takes the split kernel.
     """
     W = _integral_model(_as_model(curve))
-    local = {p: tate_algorithm(W, p) for p in factorize(int(W.disc))}
+    local = {p: tate_algorithm(W, p) for p in bad_primes(curve, W)}
     E = curve if isinstance(curve, TwoTorsionCurve) else W
     found = []
     tested = 0

@@ -5,11 +5,12 @@ Counting is character-sum based, which is the right tool at desk scale;
 nothing here ever rounds.  There are two kernels.  _char_sum takes the sum
 of chi(f(x)) for any f of degree <= 6 in (p - 1)/2 interpreted steps over
 the pairs {x, -x}.  _split_char_sum takes it for f = prod (x - r) with the
-roots r known, in a handful of p-bit integer operations on a non-residue
-mask; a curve y^2 = x(x - a)(x - b) and a genus-2 curve given by its even
+roots r known, in one shift and one XOR of a p-bit non-residue mask per
+root; a curve y^2 = x(x - a)(x - b) and a genus-2 curve given by its even
 factors (genus2.py) are counted this way, and every other model by
 _char_sum.  Both kernels read one quadratic-residue table per prime
-(_chi_table, a non-residue mask built by one pass over the squares);
+(_chi_table, a non-residue mask built by one pass over the squares, whose
+t^2 come from tables of squares shared by the primes of a run);
 _char_sum reads it through the tuple view _chi_values.
 
 E(F_p) (EllipticGroup) is enumerated point by point.  Its invariant factors,
@@ -269,14 +270,28 @@ def _char_sum(coeffs, p: int) -> int:
     return total
 
 
+_SQUARES = 2048  # the longest table of squares; it covers every t < p / 2 of p < 4096
+
+
+@lru_cache(maxsize=None)
+def _squares(n: int) -> list[int]:
+    """The squares t * t of t < n, n a power of two; the masks of all the
+    primes of a run share the table of each n."""
+    return [t * t for t in range(n)]
+
+
 @lru_cache(maxsize=None)
 def _chi_table(p: int) -> int:
     """The quadratic character mod an odd prime p, from one pass over the
     squares, as its non-residue mask: the p-bit integer whose bit x is set
-    iff chi(x) = -1."""
+    iff chi(x) = -1.  The t^2 of t < _SQUARES come from _squares."""
     digits = bytearray(b"1") * p  # digit x is "1" iff x is a non-residue
     zero = digits[0] = ord("0")
-    for t in range(1, (p + 1) // 2):
+    half = (p + 1) // 2
+    squares = _squares(min(_SQUARES, 1 << (half - 1).bit_length()))
+    for s in squares[1:half]:
+        digits[s % p] = zero
+    for t in range(len(squares), half):
         digits[t * t % p] = zero
     return int(digits[::-1], 2)
 
@@ -296,18 +311,20 @@ def _split_char_sum(roots, p: int) -> int:
     distinct mod p and an odd prime p.
 
     Bit x of the non-residue mask rotated left by r is set iff x - r is a
-    non-residue.  The product is -1 exactly where an odd number of factors
-    are non-residues, i.e. at the set bits of the XOR of the rotations, and 0
-    at the roots; every other x contributes +1.
+    non-residue; the low p bits of the doubled mask M | M << p shifted right
+    by p - r are that rotation.  The product is -1 exactly where an odd
+    number of factors are non-residues, i.e. at the set bits of the XOR of
+    the rotations, masked to p bits once, and 0 at the roots; every other x
+    contributes +1.
     """
     nonres = _chi_table(p)
-    full = (1 << p) - 1
+    doubled = nonres | nonres << p
     odd = root_bits = 0
     for r in roots:
         r %= p
-        odd ^= ((nonres << r) | (nonres >> (p - r))) & full
+        odd ^= doubled >> (p - r)
         root_bits |= 1 << r
-    return p - len(roots) - 2 * (odd & ~root_bits).bit_count()
+    return p - len(roots) - 2 * (odd & (((1 << p) - 1) ^ root_bits)).bit_count()
 
 
 @lru_cache(maxsize=None)

@@ -152,7 +152,8 @@ def absolute_invariants(inv) -> tuple[Fraction, Fraction, Fraction]:
 
 
 class HyperellipticCurve:
-    """lam * y^2 = S(x) with S of exact degree 6, coeffs c0 .. c6 of S.
+    """lam * y^2 = S(x) with S of exact degree 6, coeffs c0 .. c6 of S,
+    kept as the tuple of ints _as_sextic makes of any sequence.
 
     even_factors, when given, is a factorization S(x) = prod (l x^2 - k)
     into three even quadratics, as pairs (l, k); it is checked against
@@ -166,7 +167,7 @@ class HyperellipticCurve:
         cs = _as_sextic(coeffs)
         if even_factors is not None and _even_sextic(even_factors) != cs:
             raise ValueError(f"even factors {even_factors} do not multiply out to {cs}")
-        self.__dict__.update(lam=lam, coeffs=coeffs, even_factors=even_factors)
+        self.__dict__.update(lam=lam, coeffs=cs, even_factors=even_factors)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

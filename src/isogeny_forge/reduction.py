@@ -357,14 +357,32 @@ def classify_reduction(curve: Curve, p: int) -> ReductionReport:
     )
 
 
+def bad_primes(curve: Curve, W: WeierstrassModel) -> list[int]:
+    """The primes of Delta(W), in order, for W an integral model of curve.
+
+    When W is the model of a TwoTorsionCurve, Delta = 16 a^2 b^2 (a - b)^2,
+    so the primes are 2 and those of a, b and a - b, each factored on its
+    own; dividing them out of Delta must leave +-1.  Any other W has Delta
+    factored whole."""
+    delta = int(W.disc)
+    if not (isinstance(curve, TwoTorsionCurve) and W is curve.model):
+        return list(factorize(delta))
+    primes = sorted({2}.union(*(factorize(n) for n in (curve.a, curve.b, curve.a - curve.b))))
+    for q in primes:
+        _require(delta % q == 0, f"bad prime {q} does not divide the discriminant")
+        while delta % q == 0:
+            delta //= q
+    _require(abs(delta) == 1, f"the discriminant has a prime outside the bad primes {primes}")
+    return primes
+
+
 @lru_cache(maxsize=256)
 def conductor(curve: Curve) -> int:
     """N = prod p^{f_p} over the bad primes of the curve (memoized in
     process, keyed by the curve object)."""
     W = _integral_model(_as_model(curve))
-    delta = int(W.disc)
     N = 1
-    for p in factorize(delta):
+    for p in bad_primes(curve, W):
         N *= p ** tate_algorithm(W, p).conductor_exponent
     return N
 

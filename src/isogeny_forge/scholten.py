@@ -221,6 +221,7 @@ def verify_split_jacobian(
     Both sides are sums of elliptic._split_char_sum, the non-residue mask
     primitive, over different root sets: #C(F_p) over the roots of S as a
     cubic in x^2 (with and without 0), a_p(E_i) over (0, a, b) and (0, c, d).
+    Each sum reads the one mask of p, built once per prime, at one shift per root.
     What is independent of that primitive is the test oracle: the tests
     check the genus-2 count against the {x, -x} pair sum (elliptic._char_sum)
     of the same sextic and against enumeration.

@@ -12,10 +12,12 @@ from isogeny_forge.elliptic import (
     EllipticGroup,
     TwoTorsionCurve,
     WeierstrassModel,
+    _SQUARES,
     _char_sum,
     _chi_table,
     _chi_values,
     _split_char_sum,
+    _squares,
     ap_trace,
     curve_from_pair,
     discrete_log,
@@ -205,13 +207,22 @@ def test_char_sum_against_legendre_sum(coeffs, keep, p):
 
 
 def test_chi_table_views_against_legendre_symbol():
-    """Both sides of the split-Jacobian identity read this one table."""
-    for p in primes_up_to(300)[1:] + [10007]:
-        chi, nonres = _chi_values(p), _chi_table(p)
-        assert len(chi) == p and nonres >> p == 0, p
-        for x in range(p):
-            assert chi[x] == legendre_symbol(x, p), (p, x)
-            assert (nonres >> x & 1) == (legendre_symbol(x, p) == -1), (p, x)
+    """Both sides of the split-Jacobian identity read this one table.  The
+    mask reads t^2 off the shared tables of squares up to their bound and
+    computes it past it (4093 < 2 * _SQUARES < 4099).  Built in ascending
+    and in descending order from cleared caches, each table of squares is
+    first built for a different prime, and read by primes of every size."""
+    primes = primes_up_to(600)[1:] + [4093, 4099, 10007]
+    assert 4093 // 2 < _SQUARES < 4099 // 2
+    for order in (primes, primes[::-1]):
+        for cache in (_squares, _chi_table, _chi_values):
+            cache.cache_clear()
+        for p in order:
+            chi, nonres = _chi_values(p), _chi_table(p)
+            assert len(chi) == p and nonres >> p == 0, p
+            for x in range(p):
+                assert chi[x] == legendre_symbol(x, p), (p, x)
+                assert (nonres >> x & 1) == (legendre_symbol(x, p) == -1), (p, x)
 
 
 def test_two_torsion_model_is_built_once():

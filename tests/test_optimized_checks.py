@@ -252,6 +252,20 @@ sys.exit(main(["analyze-curve", "--a", "1", "--b", "-3", "--primes", "2"]))
 """,
         "certificate error: change of model does not carry the start model to the final one",
     ),
+    "bad-primes": (
+        """
+import sys
+from isogeny_forge import exactnum
+# without its largest prime the factorization of a = 5 is empty, so the bad
+# primes of y^2 = x(x - 5)(x - 1) miss the prime 5 of its discriminant;
+# patched before reduction binds it
+factorize = exactnum.factorize
+exactnum.factorize = lambda n: dict(list(factorize(n).items())[:-1])
+from isogeny_forge.cli import main
+sys.exit(main(["analyze-curve", "--a", "5", "--b", "1", "--primes", "5"]))
+""",
+        "certificate error: the discriminant has a prime outside the bad primes",
+    ),
     "resum": (
         """
 import sys

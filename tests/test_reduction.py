@@ -24,6 +24,7 @@ from isogeny_forge.reduction import (
     POT_MULTIPLICATIVE,
     SPLIT_MULTIPLICATIVE,
     _repeated_root_of_cubic,
+    bad_primes,
     classify_reduction,
     conductor,
     potential_type,
@@ -558,3 +559,56 @@ def test_repeated_root_of_cubic_separable(p, A2, A4, A6):
     disc = 18 * A2 * A4 * A6 - 4 * A2**3 * A6 + A2**2 * A4**2 - 4 * A4**3 - 27 * A6**2
     if disc % p:
         assert _repeated_root_of_cubic(A2, A4, A6, p) == ("separable", None)
+
+
+# -- bad primes of a two-torsion curve -----------------------------------------
+
+_BOUND = 10**9
+_NONZERO = st.integers(-_BOUND, _BOUND).filter(bool)
+_SMOOTH = st.builds(
+    lambda sign, n: sign * n,
+    st.sampled_from((1, -1)),
+    st.sampled_from([2**i * 3**j for i in range(30) for j in range(19) if 2**i * 3**j <= _BOUND]),
+)
+_PAIRS = st.one_of(
+    st.tuples(_NONZERO, _NONZERO),
+    st.builds(lambda k, m, n: (k * m, k * n), st.integers(1, 10**4),
+              st.integers(-10**5, 10**5).filter(bool), st.integers(-10**5, 10**5).filter(bool)),
+    st.tuples(_SMOOTH, _SMOOTH),
+    st.builds(lambda a, d: (a, a - d), _NONZERO, st.sampled_from((1, -1))),
+).filter(lambda ab: 0 != ab[0] != ab[1] != 0 and max(map(abs, ab)) <= _BOUND)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAIRS)
+@example((1, -1))
+@example((2**29, 3**18))
+@example((6, 12))  # a shared factor
+@example((-5, -4))  # a - b = -1
+def test_bad_primes_of_a_two_torsion_curve_are_those_of_its_discriminant(ab):
+    E = curve_from_pair(*ab)
+    assert bad_primes(E, E.model) == sorted(factorize(E.delta))
+
+
+def test_bad_primes_of_a_two_torsion_curve_never_factor_its_discriminant(monkeypatch):
+    """conductor and supersingular_scan factor a, b and a - b, each at most
+    max(|a|, |b|, |a - b|), instead of the 16 a^2 b^2 (a - b)^2 of Delta."""
+    import sys
+
+    from isogeny_forge.checkers import supersingular_scan
+
+    factored = []
+
+    def watched(n):
+        factored.append(abs(n))
+        return factorize(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("isogeny_forge") and getattr(module, "factorize", None) is factorize:
+            monkeypatch.setattr(module, "factorize", watched)
+    a, b = -520251, 239738
+    E = curve_from_pair(a, b)
+    conductor.cache_clear()
+    conductor(E)
+    supersingular_scan(E, 100)
+    assert factored and max(factored) <= max(abs(a), abs(b), abs(a - b))

@@ -61,6 +61,16 @@ def test_even_factors_are_left_out_of_comparison_and_hash():
     assert plain == C and hash(plain) == hash(C)
 
 
+def test_a_sextic_given_as_a_list_is_kept_as_a_tuple():
+    """The coefficients are stored as _as_sextic returns them, so a curve
+    built from a list hashes and equals the one built from the tuple."""
+    coeffs = (-6, 0, 11, 0, -6, 0, 1)
+    listed, plain = HyperellipticCurve(1, list(coeffs)), HyperellipticCurve(1, coeffs)
+    assert listed.coeffs == coeffs and type(listed.coeffs) is tuple
+    assert listed == plain and hash(listed) == hash(plain)
+    assert len({listed, plain}) == 1
+
+
 def test_curves_of_different_types_are_unequal():
     E = curve_from_pair(3, -5)
     assert E != E.model and E.model != E
