@@ -79,9 +79,13 @@ def main2_check(
 
     The unramified/all-good flags assert base-field facts the caller vouches
     for; all_good is additionally cross-checked against the classifications.
+    No product, a product without curves or a degree below 1 raises
+    ValueError; a degree divisible by p is a NotMet verdict.
     """
     if not products or not all(factors for factors, _ in products):
         raise ValueError("main2 needs at least one product, each with at least one curve")
+    if any(deg < 1 for _, deg in products):
+        raise ValueError("isogeny degrees must be >= 1")
     inputs = {
         "p": p,
         "products": [
@@ -94,10 +98,6 @@ def main2_check(
     if p == 2:
         return HypothesisVerdict("main2", inputs, (), False, "p must be odd", None)
     for _, deg in products:
-        if deg < 1:
-            return HypothesisVerdict(
-                "main2", inputs, (), False, f"invalid isogeny degree {deg}", None
-            )
         if deg % p == 0:
             return HypothesisVerdict(
                 "main2", inputs, (), False, f"degree {deg} not coprime to p", None

@@ -378,7 +378,10 @@ def _cmd_check_main2(ns: argparse.Namespace, sink: _Sink) -> int:
                    for tok in body.split("|") if tok]
         if not factors:
             raise UsageError(f"--product names no curve: {spec!r}")
-        products.append((factors, _int_list(deg, "--product degree", 1)[0]))
+        [n] = _int_list(deg, "--product degree", 1)
+        if n < 1:
+            raise UsageError(f"--product degree: expected an integer >= 1, got {n}")
+        products.append((factors, n))
     t0 = time.perf_counter()
     verdict = main2_check(
         products, ns.p, unramified=ns.unramified, all_good=ns.all_good
@@ -420,7 +423,7 @@ def _cmd_kgroup_prove_skew(ns: argparse.Namespace, sink: _Sink) -> int:
     from .kgroup import MINUS, PLUS, SkewBilinear, check_skew_field, prove_skew
 
     q = ns.q
-    check_skew_field(q)
+    check_skew_field(q, ns.r)
     E = curve_from_pair(ns.a, ns.b)
     G = rational_points_mod_p(E, q)
     conventions = [MINUS, PLUS] if ns.convention == "both" else [ns.convention]

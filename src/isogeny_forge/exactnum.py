@@ -1,6 +1,6 @@
 """Exact integer/rational arithmetic support: primes, valuations, residue
-symbols, sparse formal sums, and integer linear algebra (invariant factors
-modulo a group exponent, lattice membership).
+symbols, sparse formal sums, and integer linear algebra (an echelon modulo
+m, invariant factors modulo a group exponent, lattice membership).
 
 All operations are pure and exact.  Matrices are immutable once built; a
 lattice membership answer carries coefficients over the generators that
@@ -209,65 +209,82 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def _insert_mod(rows: list[dict[int, int]], v: dict[int, int], m: int) -> None:
+    """Add the vector v to the lattice of an echelon modulo m, in place.
+
+    Row j holds its pivot at column j, a divisor of m, and entries in
+    [0, m) elsewhere; the lattice is the span of the rows, which contains
+    m Z^n.  v is reduced at its first nonzero column: a pivot that divides
+    the entry is subtracted, one that does not is replaced by the extended
+    gcd combination of itself and v, whose other combination carries on.
+    That other combination holds m/g times the new row of pivot g, modulo
+    m and the old row's own such multiple, so the rows keep spanning m Z^n
+    and their pivots multiply to the index of the lattice.
+    """
+    v = {k: c % m for k, c in v.items() if c % m}
+    while v:
+        j = min(v)
+        row = rows[j]
+        a, b = row[j], v[j]
+        if b % a == 0:
+            q = b // a
+            for k, c in row.items():
+                x = (v.get(k, 0) - q * c) % m
+                if x:
+                    v[k] = x
+                else:
+                    v.pop(k, None)
+            continue
+        g, x, y = xgcd(a, b)
+        ag, bg = a // g, b // g
+        new_row, rest = {j: g}, {}
+        for k in row.keys() | v.keys():
+            if k == j:
+                continue
+            ra, rb = row.get(k, 0), v.get(k, 0)
+            nv = (x * ra + y * rb) % m
+            if nv:
+                new_row[k] = nv
+            rv = (ag * rb - bg * ra) % m
+            if rv:
+                rest[k] = rv
+        rows[j] = new_row
+        v = rest
+
+
 def invariant_factors_mod(rows: Sequence[dict[int, int]], ncols: int, e: int) -> list[int]:
     """Invariant factors d1 | d2 | ... | d_ncols of Z^ncols / (span(rows) +
     e Z^ncols), each row a sparse map {column: entry}; each di divides e.
 
-    Works modulo e: an entry that is a unit mod e is scaled to 1 and its
-    column cleared from the other rows, and its row and column leave the
-    matrix with a factor 1 (the column operations that clear the pivot row
-    change no factor).  What remains has no unit entry.  A remaining column
-    that no row touches gives a factor e on its own; the others give the
-    factors of the rows restricted to them (smith_normal_form_transforms).
+    The rows are inserted into an echelon modulo e (_insert_mod), which
+    starts as e Z^ncols.  A row of pivot 1 gives a factor 1: its column is
+    cleared from the other rows, smallest such column first, and the column
+    operations that clear the row itself change no factor.  A row of pivot e
+    is still e times a unit vector.  The rows in between, cut to the columns
+    they touch, give their factors by smith_normal_form_transforms, and each
+    other column gives a factor e on its own.
     """
     if e < 1:
         raise ValueError("modulus must be >= 1")
-    active: dict[int, dict[int, int]] = {}  # row index -> sparse row mod e
-    holders: dict[int, set[int]] = {}  # column -> rows with a nonzero entry there
-    for i, row in enumerate(rows):
+    echelon = [{j: e} for j in range(ncols)]
+    for row in rows:
         if any(not 0 <= j < ncols for j in row):
             raise ValueError(f"column out of range 0..{ncols - 1}")
-        v = {j: x % e for j, x in row.items() if x % e}
-        if v:
-            active[i] = v
-            for j in v:
-                holders.setdefault(j, set()).add(i)
-    units = 0
-    unseen = set(active)  # rows that may hold a unit not yet looked for
-    while unseen:
-        i = unseen.pop()
-        v = active.get(i)
-        if v is None:
-            continue
-        j = next((j for j, x in v.items() if gcd(x, e) == 1), None)
-        if j is None:
-            continue
-        del active[i]
-        units += 1
-        for k in v:
-            holders[k].discard(i)
-        inv = pow(v[j], -1, e)
-        piv = {k: x * inv % e for k, x in v.items() if k != j}
-        for t in holders.pop(j):
-            w = active[t]
-            c = w.pop(j)
-            for k, x in piv.items():
-                nx = (w.get(k, 0) - c * x) % e
-                if nx:
-                    if k not in w:
-                        holders[k].add(t)
-                    w[k] = nx
-                elif k in w:
-                    del w[k]
-                    holders[k].discard(t)
-            if w:
-                unseen.add(t)
-            else:
-                del active[t]
-    touched = [j for j in range(ncols) if holders.get(j)]
-    residual = IntMatrix(tuple(tuple(w.get(j, 0) for j in touched) for w in active.values()))
-    return ([1] * units + smith_normal_form_transforms(residual, e)
-            + [e] * (ncols - units - len(touched)))
+        _insert_mod(echelon, row, e)
+    units = [j for j, row in enumerate(echelon) if row[j] == 1]
+    rest = [row for j, row in enumerate(echelon) if 1 < row[j] < e]
+    for j in units:
+        for w in rest:
+            if c := w.get(j):
+                for k, x in echelon[j].items():
+                    if nx := (w.get(k, 0) - c * x) % e:
+                        w[k] = nx
+                    else:
+                        w.pop(k, None)
+    touched = sorted(set().union(*rest))
+    residual = IntMatrix(tuple(tuple(w.get(j, 0) for j in touched) for w in rest))
+    return ([1] * len(units) + smith_normal_form_transforms(residual, e)
+            + [e] * (ncols - len(units) - len(touched)))
 
 
 def smith_normal_form_transforms(M: IntMatrix, e: int) -> list[int]:

@@ -52,6 +52,10 @@ MINUS = "minus"
 # (README, "Skew guard"), against the 5 s a job may take; the bound stays
 # while the calls grow as n^3.
 SKEW_MAX_POINTS = 40
+# The tail is a tuple of r - 2 points, 8 bytes each: at this bound it adds
+# about 8 MB, and the run at n = 40 took 0.15 s in process (README, "Skew
+# guard"); at r = 10^7 the run at q = 5 peaked at 92 MB.
+SKEW_MAX_R = 10**6
 
 
 def _curve_key(G: EllipticGroup):
@@ -78,7 +82,11 @@ class SymbolUniverse:
         return self.group.index[a] * self.n + self.group.index[b]
 
     def same_universe(self, other: "SymbolUniverse") -> bool:
-        return _curve_key(self.group) == _curve_key(other.group) and self.tail == other.tail
+        # the same object first: a skew run asks once per target, and the
+        # tail comparison costs O(r)
+        return self is other or (
+            _curve_key(self.group) == _curve_key(other.group) and self.tail == other.tail
+        )
 
     def symbol(self, pts: Sequence[Point], c: int = 1) -> FormalSum:
         """c times the symbol {a, b, X} with (a, b) = pts."""
@@ -238,6 +246,8 @@ class SkewBilinear:
     def __init__(self, G: EllipticGroup, r: int = 2, tail: Optional[tuple] = None):
         if r < 2:
             raise InvalidConfigurationError("need r >= 2")
+        if r > SKEW_MAX_R:
+            raise BudgetExceededError(f"r = {r} exceeds {SKEW_MAX_R}")
         n = len(G.points)
         if n > SKEW_MAX_POINTS:
             raise BudgetExceededError(f"#E(F_{G.p}) = {n} exceeds {SKEW_MAX_POINTS} points")
@@ -443,9 +453,12 @@ class SkewReport(NamedTuple):
         return recs
 
 
-def check_skew_field(q: int) -> None:
+def check_skew_field(q: int, r: int = 2) -> None:
     """Refuse F_q before any point is enumerated when the Hasse bound
-    #E(F_q) >= q + 1 - 2 sqrt(q) already exceeds SKEW_MAX_POINTS."""
+    #E(F_q) >= q + 1 - 2 sqrt(q) already exceeds SKEW_MAX_POINTS, and r
+    above SKEW_MAX_R, as SkewBilinear does."""
+    if r > SKEW_MAX_R:
+        raise BudgetExceededError(f"r = {r} exceeds {SKEW_MAX_R}")
     least = q + 1 - isqrt(4 * q)
     if least > SKEW_MAX_POINTS:
         raise BudgetExceededError(

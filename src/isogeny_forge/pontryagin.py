@@ -11,8 +11,9 @@ invariant factors alone, never on |G|.  Over the monomials of degree
 1..r_max, ordered by degree, the products y^a f_i span a lattice L, and
 I^r / I^(r+1) is the degree-r monomials modulo the degree-r part of the
 echelon rows of L that pivot in degree r.  With e the exponent, e I lies in
-I^2, so m = e^r_max kills the model and L is kept as an echelon modulo m.
-e kills every quotient, so its invariant factors are taken modulo e and
+I^2, so m = e^r_max kills the model and L is kept as an echelon modulo m
+(exactnum._insert_mod).  e kills every quotient, so its invariant factors
+are taken modulo e, on an echelon modulo e built by the same insertion, and
 certified by the index, the product of the pivots of its block.  The group
 ring itself is never built here; the tests write it out element by element
 (tests/group_ring.py) as the reference for small groups.
@@ -26,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .elliptic import EllipticGroup
 from .errors import BudgetExceededError, CertificateError
-from .exactnum import invariant_factors_mod, xgcd
+from .exactnum import _insert_mod, invariant_factors_mod
 
 # The truncated model has C(k + r_max, r_max) - 1 columns and works modulo
 # e^r_max; at these bounds the dearest inputs measured took up to 1.9 s at the
@@ -105,49 +106,6 @@ class FinAbGroup:
         return [n for n in self.invariant_factors if n > 1]
 
 
-def _insert_mod(rows: list[dict[int, int]], v: dict[int, int], m: int) -> None:
-    """Add the vector v to the lattice of an echelon modulo m, in place.
-
-    Row j holds its pivot at column j, a divisor of m, and entries in
-    [0, m) elsewhere; the lattice is the span of the rows, which contains
-    m Z^n.  v is reduced at its first nonzero column: a pivot that divides
-    the entry is subtracted, one that does not is replaced by the extended
-    gcd combination of itself and v, whose other combination carries on.
-    That other combination holds m/g times the new row of pivot g, modulo
-    m and the old row's own such multiple, so the rows keep spanning m Z^n
-    and their pivots multiply to the index of the lattice.
-    """
-    v = {k: c % m for k, c in v.items() if c % m}
-    while v:
-        j = min(v)
-        row = rows[j]
-        a, b = row[j], v[j]
-        if b % a == 0:
-            q = b // a
-            for k, c in row.items():
-                x = (v.get(k, 0) - q * c) % m
-                if x:
-                    v[k] = x
-                else:
-                    v.pop(k, None)
-            continue
-        g, x, y = xgcd(a, b)
-        ag, bg = a // g, b // g
-        new_row, rest = {j: g}, {}
-        for k in row.keys() | v.keys():
-            if k == j:
-                continue
-            ra, rb = row.get(k, 0), v.get(k, 0)
-            nv = (x * ra + y * rb) % m
-            if nv:
-                new_row[k] = nv
-            rv = (ag * rb - bg * ra) % m
-            if rv:
-                rest[k] = rv
-        rows[j] = new_row
-        v = rest
-
-
 class FiltrationReport(NamedTuple):
     group_label: str
     group_invariants: tuple[int, ...]
@@ -224,12 +182,11 @@ def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
         lo = hi
 
     exact = list(quotients[0][1]) == ns
-    stab = None
-    for i in range(1, len(quotients)):
-        if all(quotients[j][1] == quotients[i][1] for j in range(i, len(quotients))):
-            if quotients[i][1] == quotients[i - 1][1]:
-                stab = quotients[i - 1][0]
-                break
+    # the start of the final run of equal quotients, if it is at least two long
+    s = len(quotients) - 1
+    while s and quotients[s - 1][1] == quotients[s][1]:
+        s -= 1
+    stab = quotients[s][0] if s < len(quotients) - 1 else None
     return FiltrationReport(
         group.label,
         tuple(group.invariant_factors),

@@ -16,8 +16,8 @@ from itertools import product as iproduct
 from typing import Iterable, Sequence
 
 from isogeny_forge.errors import CertificateError
-from isogeny_forge.exactnum import ColumnLattice, FormalSum, _add_multiple
-from isogeny_forge.pontryagin import FinAbGroup, _insert_mod
+from isogeny_forge.exactnum import ColumnLattice, FormalSum, _add_multiple, _insert_mod
+from isogeny_forge.pontryagin import FinAbGroup
 
 
 @cache

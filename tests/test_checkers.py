@@ -58,6 +58,12 @@ def test_hypothesis_check_naming_no_curve_is_refused(check, args):
         check(*args)
 
 
+@pytest.mark.parametrize("deg", [0, -3])
+def test_main2_degree_below_one_is_refused(deg):
+    with pytest.raises(ValueError, match="isogeny degrees must be >= 1"):
+        main2_check([([E1M1], 1), ([E13], deg)], 5)
+
+
 def test_main2_degree_not_coprime():
     v = main2_check([(([E13]), 3)], 3)
     assert not v.met

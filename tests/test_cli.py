@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -354,6 +355,10 @@ def test_filtration_rmax_below_one_is_a_usage_error(rmax):
      "usage error: --product names no curve: '@2'"),
     (["check", "main2", "--product", "1,-1@1", "--product", "|@2", "--p", "7"],
      "usage error: --product names no curve: '|@2'"),
+    (["check", "main2", "--product", "1,-1@0", "--p", "5"],
+     "usage error: --product degree: expected an integer >= 1, got 0"),
+    (["check", "main2", "--product", "1,-1@1", "--product", "1,3@-3", "--p", "5"],
+     "usage error: --product degree: expected an integer >= 1, got -3"),
     (["analyze-curve", "--a", "3", "--b", "-5", "--primes", "10..2"],
      "usage error: --primes range 10..2 is empty"),
     (["scholten", "verify", "--params=3,-7,11,5", "--primes", "50..10"],
@@ -367,6 +372,7 @@ def test_filtration_rmax_below_one_is_a_usage_error(rmax):
 ], ids=["main1-p", "main2-p", "q", "r", "elliptic-p", "group-order", "group-zero",
         "supersingular-4", "supersingular-9", "supersingular-2", "box", "limit",
         "curves-empty", "curves-blank", "product-empty", "product-blank",
+        "product-degree-0", "product-degree-negative",
         "primes-reversed", "verify-primes-reversed", "primes-no-prime", "primes-below-2",
         "verify-primes-no-prime"])
 def test_caller_error_exits_2_before_any_record(args, message):
@@ -430,6 +436,34 @@ def test_skew_guard_refuses_before_enumerating_points(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "analysis error: #E(F_59) >= 45 exceeds 40 points (Hasse bound)\n"
+
+
+def test_skew_r_guard_refuses_before_enumerating_points(monkeypatch, capsys):
+    from isogeny_forge import cli
+
+    def forbidden(*args):
+        raise RuntimeError("a refused input began work")
+
+    monkeypatch.setattr(cli, "rational_points_mod_p", forbidden)
+    r = kgroup.SKEW_MAX_R + 1
+    assert cli.main(["kgroup", "prove-skew", "--q", "5", "--r", str(r)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"analysis error: r = {r} exceeds {kgroup.SKEW_MAX_R}\n"
+
+
+def test_skew_r_guard_edge_finishes_within_a_job(capsys):
+    # #E = 40 and r at its bound, the dearest input the skew guards admit:
+    # the tail of r - 2 points must not be compared once per membership query
+    from isogeny_forge import cli
+
+    t0 = time.perf_counter()
+    assert cli.main(["kgroup", "prove-skew", "--q", "29", "--a", "-8", "--b", "-4",
+                 "--convention", "both", "--r", str(kgroup.SKEW_MAX_R)]) == 0
+    assert time.perf_counter() - t0 < 5
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [rec["inputs"]["r"] for rec in records] == [kgroup.SKEW_MAX_R] * 2
+    assert all(rec["outputs"]["all_proved"] for rec in records)
 
 
 def test_convention_choices_are_the_kgroup_conventions():

@@ -173,7 +173,7 @@ def _determinantal_factors(rows, n, e):
 
 def _factors_both_ways(rows, n, e):
     """The factors from invariant_factors_mod, checked against the routine
-    that takes the rows as they are, without the unit elimination first."""
+    that takes the rows as they are, without the echelon modulo e first."""
     facs = invariant_factors_mod([dict(enumerate(row)) for row in rows], n, e)
     assert smith_normal_form_transforms(IntMatrix(tuple(map(tuple, rows))), e) == facs
     return facs
@@ -226,6 +226,8 @@ def test_invariant_factors_mod_hand_examples():
 
     for rows, e, want in (
         ([[2, 0], [0, 3]], 6, [1, 6]),
+        # a unit that only a gcd combination of the two rows reaches
+        ([[2, 0], [3, 0]], 6, [1, 6]),
         ([[2, 0], [0, 3]], 4, [1, 2]),
         ([[0, 0]], 5, [5, 5]),
         ([[7, 3]], 1, [1, 1]),

@@ -280,6 +280,19 @@ def test_skew_field_is_refused_by_the_hasse_bound(q, least):
             kgroup.check_skew_field(q)
 
 
+def test_skew_r_is_refused_alike_by_the_cli_check_and_the_library():
+    edge = kgroup.SKEW_MAX_R
+    kgroup.check_skew_field(5, edge)
+    assert SkewBilinear(E5, edge).universe.r == edge
+    refused = f"r = {edge + 1} exceeds {edge}"
+    with pytest.raises(BudgetExceededError, match=refused):
+        kgroup.check_skew_field(5, edge + 1)
+    with pytest.raises(BudgetExceededError, match=refused):
+        SkewBilinear(E5, edge + 1)
+    with pytest.raises(BudgetExceededError, match=refused):
+        prove_skew(E5, r=edge + 1)
+
+
 def test_skew_report_records():
     rep = prove_skew(E5, r=2)
     recs = rep.to_records()

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.errors import BudgetExceededError, CertificateError
-from isogeny_forge.exactnum import FormalSum, factorize, invariant_factors_mod
+from isogeny_forge.exactnum import FormalSum, _insert_mod, factorize, invariant_factors_mod
 from isogeny_forge.pontryagin import (
     FILTRATION_MAX_P,
     FinAbGroup,
-    _insert_mod,
     aug_filtration,
     check_filtration_field,
 )
