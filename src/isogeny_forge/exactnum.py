@@ -1,6 +1,7 @@
 """Exact integer/rational arithmetic support: primes, valuations, residue
 symbols, sparse formal sums, and integer linear algebra (an echelon modulo
-m, invariant factors modulo a group exponent, lattice membership).
+m, invariant factors modulo a group exponent on that same echelon, never
+factoring the exponent, and lattice membership).
 
 All operations are pure and exact.  Matrices are immutable once built; a
 lattice membership answer carries coefficients over the generators that
@@ -171,17 +172,15 @@ def legendre_symbol(a: int, p: int) -> int:
 
 
 class IntMatrix(NamedTuple):
-    """Immutable integer matrix (tuple-of-rows)."""
+    """Immutable sparse integer matrix: each row a {column: entry} map, its
+    columns in [0, ncols)."""
 
-    entries: tuple[tuple[int, ...], ...]
+    rows: tuple[dict[int, int], ...]
+    ncols: int
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.rows)
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -252,81 +251,57 @@ def _insert_mod(rows: list[dict[int, int]], v: dict[int, int], m: int) -> None:
         v = rest
 
 
-def invariant_factors_mod(rows: Sequence[dict[int, int]], ncols: int, e: int) -> list[int]:
-    """Invariant factors d1 | d2 | ... | d_ncols of Z^ncols / (span(rows) +
-    e Z^ncols), each row a sparse map {column: entry}; each di divides e.
+def smith_normal_form_transforms(M: IntMatrix, e: int) -> list[int]:
+    """Invariant factors d1 | d2 | ... | d_n of Z^n / (span(rows of M) +
+    e Z^n), n = M.ncols; each di divides e.
 
-    The rows are inserted into an echelon modulo e (_insert_mod), which
-    starts as e Z^ncols.  A row of pivot 1 gives a factor 1: its column is
-    cleared from the other rows, smallest such column first, and the column
-    operations that clear the row itself change no factor.  A row of pivot e
-    is still e times a unit vector.  The rows in between, cut to the columns
-    they touch, give their factors by smith_normal_form_transforms, and each
-    other column gives a factor e on its own.
+    M's rows are inserted into an echelon modulo e (_insert_mod) that starts
+    as e Z^n.  Once each pivot divides every entry of its row, column
+    operations clear the rows from the top down, each touching no other row,
+    so the pivots are the factors up to order.  Until then, the echelon's
+    columns, in order, are inserted as the rows of a fresh echelon: a
+    square matrix and its transpose have the same invariant factors, and
+    the transpose's rows span e Z^n too.
+
+    The passes end.  In a pass that does not finish, let j be the first row
+    with an entry off the diagonal and d_j its pivot.  The columns before j
+    are diagonal, column j is d_j at j, and each later column meets row j
+    in an entry of that row.  If d_j divides them all, row j and column j
+    come out clear and stay clear in every later pass; else the new pivot
+    at j is a proper divisor of d_j.  Pivots divide e, so either happens
+    finitely often.  The pivots are then sorted into a chain by gcd/lcm
+    pairs, Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b).  Pivots 1 and e are in
+    place already, so only those in between are paired.
+
+    The benchmark's tracer (perfbench/tracing.py) patches this function by
+    its name and reads M.nrows and M.ncols, and perfbench counts one call
+    per filtration quotient; so the name and the IntMatrix argument stay
+    until the tracer reads the program's own spans.
     """
     if e < 1:
         raise ValueError("modulus must be >= 1")
-    echelon = [{j: e} for j in range(ncols)]
-    for row in rows:
-        if any(not 0 <= j < ncols for j in row):
-            raise ValueError(f"column out of range 0..{ncols - 1}")
-        _insert_mod(echelon, row, e)
-    units = [j for j, row in enumerate(echelon) if row[j] == 1]
-    rest = [row for j, row in enumerate(echelon) if 1 < row[j] < e]
-    for j in units:
-        for w in rest:
-            if c := w.get(j):
-                for k, x in echelon[j].items():
-                    if nx := (w.get(k, 0) - c * x) % e:
-                        w[k] = nx
-                    else:
-                        w.pop(k, None)
-    touched = sorted(set().union(*rest))
-    residual = IntMatrix(tuple(tuple(w.get(j, 0) for j in touched) for w in rest))
-    return ([1] * len(units) + smith_normal_form_transforms(residual, e)
-            + [e] * (ncols - len(units) - len(touched)))
-
-
-def smith_normal_form_transforms(M: IntMatrix, e: int) -> list[int]:
-    """Invariant factors d1 | d2 | ... | d_n of Z^n / (span(rows of M) +
-    e Z^n), n = M.ncols, by elimination modulo each prime power l^k of e.
-
-    Modulo l^k, an entry of least l-valuation v divides every other entry,
-    so its row and column clear exactly and the column gives the exponent v;
-    the valuations left are at least v, so the exponents come out sorted.  A
-    column with no pivot gives k.  d_i is the product over l of l to its
-    i-th exponent.  e is factored only when M has a column.
-
-    The benchmark's tracer (perfbench/tracing.py) patches this function by
-    its name and reads the shape of M, its first argument, and perfbench
-    counts one call per filtration quotient; so the name and the IntMatrix
-    argument stay until the tracer reads the program's own spans.
-    """
     n = M.ncols
-    if not n:
-        return []
-    factors = [1] * n
-    for l, k in factorize(e).items():
-        q = l**k
-        rows = [[x % q for x in row] for row in M.entries]
-        least = [gcd(q, *row) for row in rows]  # l^(least valuation) of each row
-        i = 0
-        while rows and (g := min(least)) < q:
-            r = least.index(g)
-            del least[r]
-            piv = rows.pop(r)
-            j = next(j for j, x in enumerate(piv) if gcd(x, q) == g)
-            inv = pow(piv[j] // g, -1, q)
-            piv = [x * inv % q for x in piv]
-            for t, row in enumerate(rows):
-                if c := row[j] // g:
-                    row[:] = [(x - c * y) % q for x, y in zip(row, piv)]
-                    least[t] = gcd(q, *row)
-            factors[i] *= g
-            i += 1
-        for t in range(i, n):
-            factors[t] *= q
-    return factors
+    rows = M.rows
+    if any(not 0 <= j < n for row in rows for j in row):
+        raise ValueError(f"column out of range 0..{n - 1}")
+    while True:
+        echelon = [{j: e} for j in range(n)]
+        for row in rows:
+            _insert_mod(echelon, row, e)
+        if all(x % row[j] == 0 for j, row in enumerate(echelon) for x in row.values()):
+            break
+        rows = [{} for _ in range(n)]
+        for i, row in enumerate(echelon):
+            for k, x in row.items():
+                rows[k][i] = x
+    diagonal = [row[j] for j, row in enumerate(echelon)]
+    mid = [d for d in diagonal if 1 < d < e]
+    for i in range(len(mid)):
+        for j in range(i + 1, len(mid)):
+            g = gcd(mid[i], mid[j])
+            mid[i], mid[j] = g, mid[i] // g * mid[j]
+    ones = diagonal.count(1)
+    return [1] * ones + mid + [e] * (n - ones - len(mid))
 
 
 # ---------------------------------------------------------------------------

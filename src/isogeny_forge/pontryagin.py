@@ -13,8 +13,9 @@ I^r / I^(r+1) is the degree-r monomials modulo the degree-r part of the
 echelon rows of L that pivot in degree r.  With e the exponent, e I lies in
 I^2, so m = e^r_max kills the model and L is kept as an echelon modulo m
 (exactnum._insert_mod).  e kills every quotient, so its invariant factors
-are taken modulo e, on an echelon modulo e built by the same insertion, and
-certified by the index, the product of the pivots of its block.  The group
+are taken modulo e by exactnum.smith_normal_form_transforms, on echelons
+modulo e built by the same insertion, and certified by the index, the
+product of the pivots of its block; e is never factored.  The group
 ring itself is never built here; the tests write it out element by element
 (tests/group_ring.py) as the reference for small groups.
 """
@@ -27,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .elliptic import EllipticGroup
 from .errors import BudgetExceededError, CertificateError
-from .exactnum import _insert_mod, invariant_factors_mod
+from .exactnum import IntMatrix, _insert_mod, smith_normal_form_transforms
 
 # The truncated model has C(k + r_max, r_max) - 1 columns and works modulo
 # e^r_max; at these bounds the dearest inputs measured took up to 1.9 s at the
@@ -111,6 +112,8 @@ class FiltrationReport(NamedTuple):
     group_invariants: tuple[int, ...]
     quotients: tuple[tuple[int, tuple[int, ...]], ...]  # (r, invariant factors)
     exactness_ok: bool  # I/I^2 matches the group's own invariants
+    # the start of the final run of equal quotients within r_max, if it is at
+    # least two long: what this r_max shows, not a proved stabilization
     stabilization: Optional[int]
 
     def to_record(self) -> dict:
@@ -174,8 +177,8 @@ def aug_filtration(group: FinAbGroup, r_max: int) -> FiltrationReport:
     lo = 0
     for r in range(1, r_max + 1):
         hi = lo + comb(k + r - 1, r)
-        block = [{j - lo: x for j, x in rows[i].items() if j < hi} for i in range(lo, hi)]
-        facs = invariant_factors_mod(block, hi - lo, e)
+        block = tuple({j - lo: x for j, x in rows[i].items() if j < hi} for i in range(lo, hi))
+        facs = smith_normal_form_transforms(IntMatrix(block, hi - lo), e)
         if prod(facs) != prod(rows[i][i] for i in range(lo, hi)):
             raise CertificateError("quotient not killed by the group exponent")
         quotients.append((r, tuple(f for f in facs if f > 1)))

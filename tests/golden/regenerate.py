@@ -94,7 +94,7 @@ COMMANDS = [
     ["filtration", "--group", "3", "--rmax", "2"],
     ["filtration", "--group", "2,2,2", "--rmax", "2"],
     ["filtration", "--group", "4,8", "--rmax", "2"],
-    # |G| = 64: the unit pivots mod exp(G) leave a residual of a few columns
+    # |G| = 64: pivots mod exp(G) strictly between 1 and exp(G), paired into a chain
     ["filtration", "--group", "2,2,16", "--rmax", "2"],
     ["filtration", "--elliptic-p", "5", "--rmax", "3"],
     ["filtration", "--elliptic-p", "7", "--a", "3", "--b", "-5", "--rmax", "2"],

@@ -14,7 +14,6 @@ from isogeny_forge.exactnum import (
     IntMatrix,
     _det_bareiss,
     factorize,
-    invariant_factors_mod,
     is_prime,
     legendre_symbol,
     primes_up_to,
@@ -171,19 +170,19 @@ def _determinantal_factors(rows, n, e):
     return [gcd(d, e) for d in out] + [e] * (n - len(out))
 
 
-def _factors_both_ways(rows, n, e):
-    """The factors from invariant_factors_mod, checked against the routine
-    that takes the rows as they are, without the echelon modulo e first."""
-    facs = invariant_factors_mod([dict(enumerate(row)) for row in rows], n, e)
-    assert smith_normal_form_transforms(IntMatrix(tuple(map(tuple, rows))), e) == facs
-    return facs
+def _snf(rows, n, e):
+    return smith_normal_form_transforms(IntMatrix(tuple(dict(enumerate(row)) for row in rows), n), e)
 
 
-# e in [1, 400], and products of two or three prime powers
+# the balanced 202-bit semiprime N of test_pontryagin, which no factoring
+# finishes at test scale
+N = 1267650600228229401496703217737 * 2535301200456458802993406411753
+
+# e in [1, 400], products of two or three prime powers, and 2^a 3^b N
 EXPONENTS = st.integers(1, 400) | st.builds(
     lambda a, b, c: 2**a * 3**b * 5**c, st.integers(1, 3), st.integers(1, 2), st.integers(0, 1)
-)
-# entries sharing a factor with e reach the elimination past the units
+) | st.builds(lambda a, b: 2**a * 3**b * N, st.integers(0, 3), st.integers(0, 2))
+# entries sharing a factor with e reach the passes past the first
 ENTRIES = st.integers(-30, 30) | st.builds(operator.mul, st.sampled_from([2, 3, 4, 6, 9, 10]),
                                             st.integers(-12, 12))
 
@@ -197,33 +196,18 @@ ENTRIES = st.integers(-30, 30) | st.builds(operator.mul, st.sampled_from([2, 3, 
     ),
     EXPONENTS,
 )
-def test_invariant_factors_mod_matches_determinantal_divisors(rows, e):
+def test_snf_matches_determinantal_divisors(rows, e):
     n = len(rows[0])
-    assert _factors_both_ways(rows, n, e) == _determinantal_factors(rows, n, e)
+    assert _snf(rows, n, e) == _determinantal_factors(rows, n, e)
 
 
 def test_snf_zero_matrix():
     zero = [[0, 0], [0, 0], [0, 0]]
-    assert _factors_both_ways(zero, 2, 12) == _determinantal_factors(zero, 2, 12) == [12, 12]
-    assert smith_normal_form_transforms(IntMatrix(()), 12) == []
+    assert _snf(zero, 2, 12) == _determinantal_factors(zero, 2, 12) == [12, 12]
+    assert smith_normal_form_transforms(IntMatrix((), 0), 12) == []
 
 
 def test_snf_hand_examples():
-    # no entry is a unit modulo e, so invariant_factors_mod would pass on every row
-    for rows, e, want in (
-        ([[2, 0], [0, 3]], 36, [1, 6]),
-        ([[2, 4], [0, 2]], 36, [2, 2]),
-        ([[4, 6], [6, 9]], 36, [1, 36]),
-        ([[6, 0], [0, 4]], 8, [2, 4]),
-    ):
-        m = IntMatrix(tuple(map(tuple, rows)))
-        assert smith_normal_form_transforms(m, e) == _determinantal_factors(rows, 2, e) == want
-
-
-def test_invariant_factors_mod_hand_examples():
-    def factors(rows, e):
-        return invariant_factors_mod([dict(enumerate(row)) for row in rows], 2, e)
-
     for rows, e, want in (
         ([[2, 0], [0, 3]], 6, [1, 6]),
         # a unit that only a gcd combination of the two rows reaches
@@ -231,15 +215,23 @@ def test_invariant_factors_mod_hand_examples():
         ([[2, 0], [0, 3]], 4, [1, 2]),
         ([[0, 0]], 5, [5, 5]),
         ([[7, 3]], 1, [1, 1]),
+        # no entry is a unit modulo e: the diagonal needs its gcd/lcm pairs
+        ([[2, 0], [0, 3]], 36, [1, 6]),
+        ([[2, 4], [0, 2]], 36, [2, 2]),
+        ([[4, 6], [6, 9]], 36, [1, 36]),
+        ([[6, 0], [0, 4]], 8, [2, 4]),
+        # the echelon [[2, 1], [0, 4]] modulo 8: a pivot that does not divide
+        # its row, so a second pass on the transpose
+        ([[2, 1]], 8, [1, 8]),
+        ([[2 * N, 3]], 4 * N, [1, 4 * N]),
     ):
-        assert factors(rows, e) == _determinantal_factors(rows, 2, e) == want
-    assert invariant_factors_mod([], 0, 9) == []
+        assert _snf(rows, 2, e) == _determinantal_factors(rows, 2, e) == want
     with pytest.raises(ValueError):
-        invariant_factors_mod([{0: 1}], 1, 0)
+        smith_normal_form_transforms(IntMatrix(({0: 1},), 1), 0)
     with pytest.raises(ValueError):
-        invariant_factors_mod([{0: 1, 2: 3}], 2, 5)
+        smith_normal_form_transforms(IntMatrix(({0: 1, 2: 3},), 2), 5)
     with pytest.raises(ValueError):
-        invariant_factors_mod([{-1: 1}], 2, 5)
+        smith_normal_form_transforms(IntMatrix(({-1: 1},), 2), 5)
 
 
 # -- Integer linear solving ---------------------------------------------------

@@ -17,6 +17,7 @@ UNREFERENCED = {
     "ColumnLattice.contains": "membership as a yes/no, the reading of reduce the oracles test with",
     "FormalSum.degree": "the augmentation of a group-ring element, whose kernel is the ideal I",
     "RelationColumn.as_dict": "a column as the sparse dict ColumnLattice takes (symbol oracle)",
+    "WeierstrassModel.c6": "the invariant c6 beside c4 and the discriminant, with 1728 disc = c4^3 - c6^2",
     "WeierstrassModel.from_coeffs": "the checked constructor of a model from its five coefficients",
     "product_decompose": "acceptance criterion 8 is its behaviour",
 }
@@ -30,6 +31,7 @@ MOVED = {
     "bilinear_relations", "phi_r", "ColumnLattice._replay", "ColumnLattice._set_row",
     "ColumnLattice._sub_row", "_require_pair_slots", "SmithResult", "SmithResult.verify",
     "_mat_mul", "count_points", "is_supersingular_at", "EllipticGroup.on_curve",
+    "invariant_factors_mod",
 }
 
 # the tracer names its targets as dotted strings ("EllipticGroup.structure")
@@ -59,11 +61,42 @@ def _definitions(tree: ast.Module) -> dict[str, str]:
     return out
 
 
+def _locals(fn) -> set[str]:
+    """Names a function or lambda binds itself: its parameters and the names
+    it assigns, less those it declares global or nonlocal.  Those of a def,
+    class or lambda nested in it are its own."""
+    a = fn.args
+    bound = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+             if arg is not None}
+    declared = set()
+    todo = [fn.body] if isinstance(fn, ast.Lambda) else list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        todo.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
 def _references(tree: ast.Module, strings: bool) -> set[str]:
+    """Every name, attribute and import the tree names, less a name read
+    where a function around it binds that name as its own local."""
     out = set()
-    for node in ast.walk(tree):
+    todo = [(tree, frozenset())]
+    while todo:
+        node, shadowed = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            shadowed = shadowed | _locals(node)
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            if node.id not in shadowed:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
@@ -71,6 +104,7 @@ def _references(tree: ast.Module, strings: bool) -> set[str]:
         elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
               and DOTTED.match(node.value)):
             out.update(node.value.split("."))
+        todo.extend((child, shadowed) for child in ast.iter_child_nodes(node))
     return out
 
 

@@ -84,8 +84,8 @@ import sys
 from isogeny_forge import pontryagin
 from isogeny_forge.cli import main
 # modulo 2 the quotient Z/2 x Z/4 of Z[Z/2 x Z/4] reads Z/2 x Z/2
-invariant_factors_mod = pontryagin.invariant_factors_mod
-pontryagin.invariant_factors_mod = lambda rows, n, e: invariant_factors_mod(rows, n, e // 2)
+factors = pontryagin.smith_normal_form_transforms
+pontryagin.smith_normal_form_transforms = lambda M, e: factors(M, e // 2)
 sys.exit(main(["filtration", "--group", "2,4", "--rmax", "2"]))
 """,
         "certificate error: quotient not killed by the group exponent",
@@ -95,7 +95,8 @@ sys.exit(main(["filtration", "--group", "2,4", "--rmax", "2"]))
 import sys
 from isogeny_forge import exactnum
 from isogeny_forge.cli import main
-# one more factor 2 in the residual of a quotient of Z[Z/2 x Z/4]
+# one more factor 2 in a quotient of Z[Z/2 x Z/4]; the filtration command
+# imports pontryagin, which binds the patched routine, only when it runs
 factors = exactnum.smith_normal_form_transforms
 def raised(M, e):
     out = factors(M, e)

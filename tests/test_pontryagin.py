@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.errors import BudgetExceededError, CertificateError
-from isogeny_forge.exactnum import FormalSum, _insert_mod, factorize, invariant_factors_mod
+from isogeny_forge.exactnum import (
+    FormalSum,
+    IntMatrix,
+    _insert_mod,
+    factorize,
+    smith_normal_form_transforms,
+)
 from isogeny_forge.pontryagin import (
     FILTRATION_MAX_P,
     FinAbGroup,
@@ -281,7 +287,7 @@ def _group_ring_quotients(group, r_max):
             if coords is None:
                 raise CertificateError("I^(r+1) escaped I^r: assembly bug")
             rows.append(coords)
-        facs = invariant_factors_mod(rows, len(outer), e)
+        facs = smith_normal_form_transforms(IntMatrix(tuple(rows), len(outer)), e)
         covolume_out = prod(row[j] for j, row in enumerate(outer))
         if prod(facs) * covolume_out != prod(row[j] for j, row in enumerate(inner)):
             raise CertificateError("quotient not killed by the group exponent")
@@ -332,6 +338,14 @@ def test_filtration_trivial_group():
     rep = aug_filtration(FinAbGroup.from_invariant_factors([1]), 3)
     assert all(fs == () for _, fs in rep.quotients)
     assert rep.exactness_ok
+
+
+def test_filtration_never_factors_the_exponent():
+    # e = 2N, N a balanced 202-bit semiprime: by the Sylow split the quotients
+    # are those of Z/2 x Z/2 and of Z/N x Z/N
+    N = 1267650600228229401496703217737 * 2535301200456458802993406411753
+    rep = aug_filtration(FinAbGroup.from_invariant_factors([2, 2 * N]), 2)
+    assert rep.quotients == ((1, (2, 2 * N)), (2, (2, 2, 2 * N)))
 
 
 def test_filtration_budget():
