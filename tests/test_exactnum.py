@@ -207,7 +207,7 @@ def test_snf_zero_matrix():
     assert smith_normal_form_transforms(IntMatrix((), 0), 12) == []
 
 
-def test_snf_hand_examples():
+def test_snf_unit_hand_examples():
     for rows, e, want in (
         ([[2, 0], [0, 3]], 6, [1, 6]),
         # a unit that only a gcd combination of the two rows reaches
@@ -215,6 +215,18 @@ def test_snf_hand_examples():
         ([[2, 0], [0, 3]], 4, [1, 2]),
         ([[0, 0]], 5, [5, 5]),
         ([[7, 3]], 1, [1, 1]),
+    ):
+        assert _snf(rows, 2, e) == _determinantal_factors(rows, 2, e) == want
+    with pytest.raises(ValueError):
+        smith_normal_form_transforms(IntMatrix(({0: 1},), 1), 0)
+    with pytest.raises(ValueError):
+        smith_normal_form_transforms(IntMatrix(({0: 1, 2: 3},), 2), 5)
+    with pytest.raises(ValueError):
+        smith_normal_form_transforms(IntMatrix(({-1: 1},), 2), 5)
+
+
+def test_snf_hand_examples():
+    for rows, e, want in (
         # no entry is a unit modulo e: the diagonal needs its gcd/lcm pairs
         ([[2, 0], [0, 3]], 36, [1, 6]),
         ([[2, 4], [0, 2]], 36, [2, 2]),
@@ -226,12 +238,6 @@ def test_snf_hand_examples():
         ([[2 * N, 3]], 4 * N, [1, 4 * N]),
     ):
         assert _snf(rows, 2, e) == _determinantal_factors(rows, 2, e) == want
-    with pytest.raises(ValueError):
-        smith_normal_form_transforms(IntMatrix(({0: 1},), 1), 0)
-    with pytest.raises(ValueError):
-        smith_normal_form_transforms(IntMatrix(({0: 1, 2: 3},), 2), 5)
-    with pytest.raises(ValueError):
-        smith_normal_form_transforms(IntMatrix(({-1: 1},), 2), 5)
 
 
 # -- Integer linear solving ---------------------------------------------------
