@@ -423,7 +423,7 @@ def _cmd_kgroup_prove_skew(ns: argparse.Namespace, sink: _Sink) -> int:
     from .kgroup import MINUS, PLUS, SkewBilinear, check_skew_field, prove_skew
 
     q = ns.q
-    check_skew_field(q, ns.r)
+    check_skew_field(q)
     E = curve_from_pair(ns.a, ns.b)
     G = rational_points_mod_p(E, q)
     conventions = [MINUS, PLUS] if ns.convention == "both" else [ns.convention]
@@ -431,7 +431,7 @@ def _cmd_kgroup_prove_skew(ns: argparse.Namespace, sink: _Sink) -> int:
     t0 = time.perf_counter()
     bilinear = SkewBilinear(G, ns.r)  # built once for every convention
     for conv in conventions:
-        rep = prove_skew(G, r=ns.r, convention=conv, bilinear=bilinear)
+        rep = prove_skew(bilinear, conv)
         sink.emit(
             "kgroup-skew",
             {"q": q, "a": E.a, "b": E.b, "r": ns.r, "convention": conv},

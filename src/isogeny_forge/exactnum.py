@@ -1,5 +1,5 @@
 """Exact integer/rational arithmetic support: primes, valuations, residue
-symbols, sparse formal sums, and integer linear algebra (an echelon modulo
+symbols, and integer linear algebra (an echelon modulo
 m, invariant factors modulo a group exponent on that same echelon, never
 factoring the exponent, and lattice membership).
 
@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The first _MR_PREFIX[i] witnesses decide every n below _MR_LIMITS[i], and
@@ -305,7 +305,7 @@ def smith_normal_form_transforms(M: IntMatrix, e: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Sparse formal sums and lattice membership with coefficient certificates
+# Sparse vectors and lattice membership with coefficient certificates
 # ---------------------------------------------------------------------------
 
 
@@ -333,53 +333,6 @@ def _gcd_step(a: dict, b: dict, x: int, y: int, ag: int, bg: int) -> tuple[dict,
         if t := ag * cb - bg * ca:
             rest[k] = t
     return top, rest
-
-
-class FormalSum:
-    """Finite integer combination sum c_k [k] of keys of one space (sparse).
-
-    The space is the object the keys belong to, such as a symbol universe or
-    a finite abelian group; sums over different space objects do not mix.
-    Zero coefficients are never stored.
-    """
-
-    def __init__(self, space, coeffs: Optional[dict] = None):
-        self.space = space
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
-
-    @staticmethod
-    def term(space, key, c: int = 1) -> "FormalSum":
-        return FormalSum(space, {key: c})
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        return self._plus_multiple(other, 1)
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self._plus_multiple(other, -1)
-
-    def _plus_multiple(self, other: "FormalSum", q: int) -> "FormalSum":
-        if self.space is not other.space:
-            raise ValueError("formal sums over different spaces")
-        out = dict(self.coeffs)
-        _add_multiple(out, other.coeffs, q)
-        return FormalSum(self.space, out)
-
-    def scale(self, n: int) -> "FormalSum":
-        return FormalSum(self.space, {k: n * v for k, v in self.coeffs.items()})
-
-    def degree(self) -> int:
-        """The coefficient sum (the augmentation, in a group ring)."""
-        return sum(self.coeffs.values())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FormalSum)
-            and self.space is other.space
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"FormalSum({self.coeffs!r})"
 
 
 class ColumnLattice:

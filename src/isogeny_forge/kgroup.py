@@ -1,7 +1,9 @@
 """Formal symbol algebra over E(F_q) with machine-checked derivations.
 
 The symbols {a, b, X} have two enumerated slots a, b in E(F_q) and a fixed
-tail X of r - 2 points; they are modeled as integer vectors over Z^(n^2),
+run X of r - 2 points that no relation reads, so X is left implicit and r is
+only the label a report carries: {a, b, X} is the point pair (a, b), with
+index i(a)*n + i(b) in Z^(n^2), i the index of a point in G.points and
 n = #E(F_q).  Relation families (bilinearity in each slot, plus the two
 reciprocity families coming from vertical lines and chords) generate an
 integer lattice, and statements like skew-symmetry become
@@ -32,65 +34,27 @@ a statement about that generated subset only (certified by echelon reduction).
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from itertools import product as iproduct
 from math import isqrt
-from collections.abc import Sequence
 from typing import Iterable, NamedTuple, Optional
 
 from .elliptic import EllipticGroup, Point, discrete_log
 from .errors import BudgetExceededError, CertificateError, InvalidConfigurationError
-from .exactnum import ColumnLattice, FormalSum, _add_multiple
+from .exactnum import ColumnLattice, _add_multiple
 
 PLUS = "plus"
 MINUS = "minus"
 
 # The skew prover's cost follows #E(F_q) = n alone (about n^3 add_generator
-# calls, one per bilinear column, and n(n+1)/2 targets; r only lengthens the
-# fixed tail).  Only the distinct column images reach the lattice engine:
+# calls, one per bilinear column, and n(n+1)/2 targets; r is a label and costs
+# nothing).  Only the distinct column images reach the lattice engine:
 # about 1.4k of the 126k calls at n = 40 with --convention both.  The dearest
 # of seven curves took 0.26-0.34 s at n = 40 and 0.38-0.39 s at n = 44
 # (README, "Skew guard"), against the 5 s a job may take; the bound stays
 # while the calls grow as n^3.
 SKEW_MAX_POINTS = 40
-# The tail is a tuple of r - 2 points, 8 bytes each: at this bound it adds
-# about 8 MB, and the run at n = 40 took 0.15 s in process (README, "Skew
-# guard"); at r = 10^7 the run at q = 5 peaked at 92 MB.
-SKEW_MAX_R = 10**6
-
-
-def _curve_key(G: EllipticGroup):
-    return (G.p, G.a1, G.a2, G.a3, G.a4, G.a6)
-
-
-class SymbolUniverse:
-    """The symbols {a, b, X} with a, b in E(F_q) = G and X a fixed tuple of
-    tail points (never enumerated); {a, b, X} has index i(a)*n + i(b), with
-    i the index of a point in G.points and n = #G."""
-
-    def __init__(self, G: EllipticGroup, tail: tuple = ()):
-        self.group = G
-        self.tail = tuple(tail)
-        self.n = len(G.points)
-        self.dimension = self.n**2
-
-    @property
-    def r(self) -> int:
-        return 2 + len(self.tail)
-
-    def index_of(self, pts: Sequence[Point]) -> int:
-        a, b = pts
-        return self.group.index[a] * self.n + self.group.index[b]
-
-    def same_universe(self, other: "SymbolUniverse") -> bool:
-        # the same object first: a skew run asks once per target, and the
-        # tail comparison costs O(r)
-        return self is other or (
-            _curve_key(self.group) == _curve_key(other.group) and self.tail == other.tail
-        )
-
-    def symbol(self, pts: Sequence[Point], c: int = 1) -> FormalSum:
-        """c times the symbol {a, b, X} with (a, b) = pts."""
-        return FormalSum.term(self, self.index_of(pts), c)
 
 
 class RelationColumn(NamedTuple):
@@ -101,15 +65,14 @@ class RelationColumn(NamedTuple):
     data: tuple
     vector: tuple[tuple[int, int], ...]  # sorted sparse (index, coeff)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.vector)
 
-
-def _column(universe: SymbolUniverse, entries: Iterable[tuple[Sequence[Point], int]],
+def _column(G: EllipticGroup, entries: Iterable[tuple[tuple[Point, Point], int]],
             kind: str, data: tuple) -> RelationColumn:
+    """The column sum c {a, b, X} over ((a, b), c) entries."""
+    n, index = len(G.points), G.index
     acc: dict[int, int] = {}
-    for pts, c in entries:
-        k = universe.index_of(pts)
+    for (a, b), c in entries:
+        k = index[a] * n + index[b]
         acc[k] = acc.get(k, 0) + c
     vec = tuple(sorted((k, v) for k, v in acc.items() if v))
     return RelationColumn(kind, data, vec)
@@ -162,12 +125,12 @@ class ColumnView(Sequence):
     bilinear columns, and only certificate checks read any of them.
     """
 
-    def __init__(self, universe: SymbolUniverse, blocks: Sequence[tuple],
+    def __init__(self, G: EllipticGroup, blocks: Sequence[tuple],
                  explicit: Iterable[RelationColumn] = ()):
-        self.universe = universe
+        self.group = G
         self._blocks = blocks
         self._explicit = tuple(explicit)
-        self._n_bilinear = universe.n * len(blocks)
+        self._n_bilinear = len(G.points) * len(blocks)
 
     def __len__(self) -> int:
         return self._n_bilinear + len(self._explicit)
@@ -178,29 +141,26 @@ class ColumnView(Sequence):
             return [self[k] for k in ci]
         if ci >= self._n_bilinear:
             return self._explicit[ci - self._n_bilinear]
-        n = self.universe.n
+        pts = self.group.points
+        n = len(pts)
         b, t = divmod(ci, n)
         slot, i, i2, pattern = self._blocks[b]
         off = t if slot == 0 else t * n
-        pts = self.universe.group.points
-        return RelationColumn("bilinear", (slot, pts[i], pts[i2], (pts[t],)),
+        return RelationColumn("bilinear", (slot, pts[i], pts[i2], pts[t]),
                               tuple([(off + k, c) for k, c in pattern]))
 
 
-def wr_vertical(universe: SymbolUniverse, a: Point) -> RelationColumn:
+def wr_vertical(G: EllipticGroup, a: Point) -> RelationColumn:
     """{a,a,X} + {-a,-a,X} - 2{0,0,X}: the reciprocity instance of the
     function x - x(a), whose zeros are a and -a with a double pole at 0."""
-    G = universe.group
     if a is not None and a not in G.index:
         raise InvalidConfigurationError(f"{a} is not a point of the slot curve")
     na = G.neg(a)
-    return _column(universe, [([a, a], 1), ([na, na], 1), ([None, None], -2)],
+    return _column(G, [((a, a), 1), ((na, na), 1), ((None, None), -2)],
                    "wr-vertical", (a,))
 
 
-def wr_line(
-    universe: SymbolUniverse, a1: Point, a2: Point, convention: str = MINUS
-) -> RelationColumn:
+def wr_line(G: EllipticGroup, a1: Point, a2: Point, convention: str = MINUS) -> RelationColumn:
     """{a1,a1,X} + {a2,a2,X} + {s,s,X} - 3{0,0,X} with s the configured third
     point of the chord through a1 and a2.
 
@@ -210,10 +170,9 @@ def wr_line(
     """
     if convention not in (PLUS, MINUS):
         raise InvalidConfigurationError(f"unknown convention {convention!r}")
-    G = universe.group
     total = G.add(a1, a2)
     s = total if convention == PLUS else G.neg(total)
-    return _column(universe, [([a1, a1], 1), ([a2, a2], 1), ([s, s], 1), ([None, None], -3)],
+    return _column(G, [((a1, a1), 1), ((a2, a2), 1), ((s, s), 1), ((None, None), -3)],
                    "wr-line", (a1, a2, s, convention))
 
 
@@ -222,9 +181,10 @@ def wr_line(
 
 class SkewBilinear:
     """The part of a skew relation lattice that both conventions share: the
-    two-slot symbol universe, the discrete-log map x: E(F_q) -> Z/m_1 x Z/m_2
-    of elliptic.discrete_log, checked again here to be an isomorphism, and
-    the deduplicated bilinear columns of both slots.
+    group G, the label r of the symbols {a, b, X}, the discrete-log map
+    x: E(F_q) -> Z/m_1 x Z/m_2 of elliptic.discrete_log, checked again here
+    to be an isomorphism, and the deduplicated bilinear columns of both
+    slots.
 
     The symbol {a, b, X} maps to x(a) (x) x(b) in Z^(d^2), d <= 2 the number
     of moduli: coordinate s*d + t holds x_s(a) x_t(b), the coordinates taken
@@ -243,19 +203,13 @@ class SkewBilinear:
     names its row.  No column or image is stored per column.
     """
 
-    def __init__(self, G: EllipticGroup, r: int = 2, tail: Optional[tuple] = None):
+    def __init__(self, G: EllipticGroup, r: int = 2):
         if r < 2:
             raise InvalidConfigurationError("need r >= 2")
-        if r > SKEW_MAX_R:
-            raise BudgetExceededError(f"r = {r} exceeds {SKEW_MAX_R}")
         n = len(G.points)
         if n > SKEW_MAX_POINTS:
             raise BudgetExceededError(f"#E(F_{G.p}) = {n} exceeds {SKEW_MAX_POINTS} points")
-        if tail is None:
-            tail = (G.points[1],) * (r - 2)
-        if len(tail) != r - 2:
-            raise InvalidConfigurationError(f"tail must have length {r - 2}")
-        self.universe = SymbolUniverse(G, tail)
+        self.group, self.r = G, r
         self.moduli, self.coords = discrete_log(G)
         coords, moduli = self.coords, self.moduli
         if len(set(coords)) != n or set(coords) != set(iproduct(*map(range, moduli))):
@@ -301,14 +255,10 @@ class SkewBilinear:
                             out[s * d + t] = out.get(s * d + t, 0) + c * u * v
         return {k: v for k, v in out.items() if v}
 
-    def serves(self, G: EllipticGroup, r: int, tail: Optional[tuple]) -> bool:
-        """Whether these columns belong to the skew run (G, r, tail)."""
-        u = self.universe
-        return u.group is G and u.r == r and (tail is None or tuple(tail) == u.tail)
-
 
 class RelationLattice:
-    """The span L of a skew run's relation columns, decided in E (x) E
+    """The span L in Z^(n^2) of a skew run's relation columns, each symbol
+    {a, b, X} indexed by its point pair (a, b), decided in E (x) E
     coordinates.
 
     The engine is a ColumnLattice over Z^(d^2), d <= 2, holding the image of
@@ -322,9 +272,8 @@ class RelationLattice:
     """
 
     def __init__(self, bilinear: SkewBilinear, reciprocity: Sequence[RelationColumn]):
-        self.universe = bilinear.universe
         self.bilinear = bilinear
-        self.columns = ColumnView(self.universe, bilinear.blocks, reciprocity)
+        self.columns = ColumnView(bilinear.group, bilinear.blocks, reciprocity)
         self.engine = ColumnLattice(bilinear.dimension)
         for row in bilinear.image_rows:
             for image in row:
@@ -345,9 +294,11 @@ class MembershipResult(NamedTuple):
         return len(self.coefficients or {})
 
 
-def prove_member(target: FormalSum, lattice: RelationLattice) -> MembershipResult:
-    """Certified membership of target in the relation lattice, decided on
-    its image in E (x) E coordinates (at most four integers).
+def prove_member(target: dict, lattice: RelationLattice) -> MembershipResult:
+    """Certified membership in the relation lattice of the target
+    sum c {a, b, X} over its {(a, b): c} items, decided on its image in
+    E (x) E coordinates (at most four integers).  A point off the lattice's
+    curve raises ValueError.
 
     The image is reduced against the column images.  A zero remainder gives
     integer multipliers over the columns; they are re-verified by
@@ -359,10 +310,13 @@ def prove_member(target: FormalSum, lattice: RelationLattice) -> MembershipResul
     coset) certifies that the target lies outside L, as L maps into the
     span of the images.
     """
-    if not target.space.same_universe(lattice.universe):
-        raise ValueError("target and lattice live on different symbol universes")
     bilinear = lattice.bilinear
-    image = bilinear.image(target.coeffs.items())
+    index, n = bilinear.group.index, len(bilinear.coords)
+    try:
+        entries = [(index[a] * n + index[b], c) for (a, b), c in target.items()]
+    except KeyError as e:
+        raise ValueError(f"{e.args[0]} is not a point of the lattice's curve") from None
+    image = bilinear.image(entries)
     rem, coeffs = lattice.engine.reduce(image)
     if any(rem):
         return MembershipResult(False, None)
@@ -453,12 +407,9 @@ class SkewReport(NamedTuple):
         return recs
 
 
-def check_skew_field(q: int, r: int = 2) -> None:
+def check_skew_field(q: int) -> None:
     """Refuse F_q before any point is enumerated when the Hasse bound
-    #E(F_q) >= q + 1 - 2 sqrt(q) already exceeds SKEW_MAX_POINTS, and r
-    above SKEW_MAX_R, as SkewBilinear does."""
-    if r > SKEW_MAX_R:
-        raise BudgetExceededError(f"r = {r} exceeds {SKEW_MAX_R}")
+    #E(F_q) >= q + 1 - 2 sqrt(q) already exceeds SKEW_MAX_POINTS."""
     least = q + 1 - isqrt(4 * q)
     if least > SKEW_MAX_POINTS:
         raise BudgetExceededError(
@@ -466,54 +417,34 @@ def check_skew_field(q: int, r: int = 2) -> None:
         )
 
 
-def assemble_skew_lattice(
-    G: EllipticGroup,
-    r: int,
-    tail: Optional[tuple] = None,
-    convention: str = MINUS,
-    bilinear: Optional[SkewBilinear] = None,
-) -> RelationLattice:
-    """Bilinearity on the first two slots plus both reciprocity families, over
-    a universe with two enumerated slots and a fixed tail of length r - 2
-    (by default G.points[1] repeated), decided in E (x) E coordinates.
-
-    bilinear, the convention-free part, is built here unless given; one
-    SkewBilinear serves the lattices of both conventions.
-    """
-    if bilinear is None:
-        bilinear = SkewBilinear(G, r, tail)
-    elif not bilinear.serves(G, r, tail):
-        raise InvalidConfigurationError("bilinear columns of another symbol universe")
-    universe, pts = bilinear.universe, G.points
+def assemble_skew_lattice(bilinear: SkewBilinear, convention: str = MINUS) -> RelationLattice:
+    """Bilinearity on the first two slots plus both reciprocity families,
+    decided in E (x) E coordinates.  bilinear is the convention-free part,
+    so one SkewBilinear is shared by the lattices of both conventions."""
+    G = bilinear.group
+    pts = G.points
     distinct: dict[tuple, RelationColumn] = {}  # the first nonzero column of each vector
-    for col in [wr_vertical(universe, a) for a in pts] + [
-        wr_line(universe, a1, a2, convention) for i, a1 in enumerate(pts) for a2 in pts[i:]
+    for col in [wr_vertical(G, a) for a in pts] + [
+        wr_line(G, a1, a2, convention) for i, a1 in enumerate(pts) for a2 in pts[i:]
     ]:
         if col.vector:
             distinct.setdefault(col.vector, col)
     return RelationLattice(bilinear, list(distinct.values()))
 
 
-def prove_skew(
-    G: EllipticGroup,
-    r: int = 2,
-    tail: Optional[tuple] = None,
-    convention: str = MINUS,
-    bilinear: Optional[SkewBilinear] = None,
-) -> SkewReport:
+def prove_skew(bilinear: SkewBilinear, convention: str = MINUS) -> SkewReport:
     """Certify {a1,a2,X} + {a2,a1,X} = 0 and 2{a,a,X} = 0 against the
-    generated relation lattice, for every ordered pair of E(F_q) points.
-    X is the fixed tail of r - 2 points, by default G.points[1] repeated.
+    generated relation lattice, for every ordered pair of E(F_q) points,
+    E(F_q) = bilinear.group; the report carries the label bilinear.r.
 
     Both orders of a pair share one target, and the diagonal target
     {a,a,X} + {a,a,X} is 2{a,a,X}, so each of the n(n+1)/2 distinct targets
     is proved once.  Also locates one pair whose lone symbol {a1,a2,X} is
     certified to lie outside the lattice (so the certified relations are not
-    degenerate).  A given bilinear part (see SkewBilinear) is shared, not
-    rebuilt.
+    degenerate).  The bilinear part is shared, not rebuilt.
     """
-    lattice = assemble_skew_lattice(G, r, tail, convention, bilinear)
-    universe = lattice.universe
+    lattice = assemble_skew_lattice(bilinear, convention)
+    G = bilinear.group
     proofs = {}  # (i, j) with i <= j -> certificate length, None if not derivable
     failed = []
     lengths = {}
@@ -522,7 +453,7 @@ def prove_skew(
             if j < i:
                 length = proofs[j, i]
             else:
-                res = prove_member(universe.symbol([a1, a2]) + universe.symbol([a2, a1]), lattice)
+                res = prove_member(Counter([(a1, a2), (a2, a1)]), lattice)
                 length = proofs[i, j] = res.certificate_length if res.member else None
             key = (_pt(a1), _pt(a2))
             if length is None:
@@ -536,7 +467,7 @@ def prove_skew(
         for a2 in G.points:
             if a2 is None or a2 == a1:
                 continue
-            if not prove_member(universe.symbol([a1, a2]), lattice).member:
+            if not prove_member({(a1, a2): 1}, lattice).member:
                 control_pair = (_pt(a1), _pt(a2))
                 break
         if control_pair is not None:
@@ -544,7 +475,7 @@ def prove_skew(
     return SkewReport(
         p=G.p,
         curve=(G.a1, G.a2, G.a3, G.a4, G.a6),
-        r=r,
+        r=bilinear.r,
         convention=convention,
         n_points=len(G.points),
         n_columns=len(lattice),

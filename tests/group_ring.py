@@ -13,11 +13,58 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 from itertools import product as iproduct
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from isogeny_forge.errors import CertificateError
-from isogeny_forge.exactnum import ColumnLattice, FormalSum, _add_multiple, _insert_mod
+from isogeny_forge.exactnum import ColumnLattice, _add_multiple, _insert_mod
 from isogeny_forge.pontryagin import FinAbGroup
+
+
+class FormalSum:
+    """Finite integer combination sum c_k [k] of keys of one space (sparse).
+
+    The space is the object the keys belong to, here a finite abelian group;
+    sums over different space objects do not mix.  Zero coefficients are
+    never stored.
+    """
+
+    def __init__(self, space, coeffs: Optional[dict] = None):
+        self.space = space
+        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+
+    @staticmethod
+    def term(space, key, c: int = 1) -> "FormalSum":
+        return FormalSum(space, {key: c})
+
+    def __add__(self, other: "FormalSum") -> "FormalSum":
+        return self._plus_multiple(other, 1)
+
+    def __sub__(self, other: "FormalSum") -> "FormalSum":
+        return self._plus_multiple(other, -1)
+
+    def _plus_multiple(self, other: "FormalSum", q: int) -> "FormalSum":
+        if self.space is not other.space:
+            raise ValueError("formal sums over different spaces")
+        out = dict(self.coeffs)
+        _add_multiple(out, other.coeffs, q)
+        return FormalSum(self.space, out)
+
+    def scale(self, n: int) -> "FormalSum":
+        return FormalSum(self.space, {k: n * v for k, v in self.coeffs.items()})
+
+    def degree(self) -> int:
+        """The coefficient sum (the augmentation, in a group ring)."""
+        return sum(self.coeffs.values())
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FormalSum)
+            and self.space is other.space
+            and self.coeffs == other.coeffs
+        )
+
+    def __repr__(self) -> str:
+        return f"FormalSum({self.coeffs!r})"
 
 
 @cache

@@ -14,7 +14,7 @@ import pytest
 from isogeny_forge.checkers import global2_prime_filter, supersingular_scan
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.exactnum import primes_up_to
-from isogeny_forge.kgroup import MINUS, PLUS, prove_skew
+from isogeny_forge.kgroup import MINUS, PLUS, SkewBilinear, prove_skew
 from isogeny_forge.pontryagin import FinAbGroup, aug_filtration
 from isogeny_forge.product import embed, product_decompose
 from isogeny_forge.reduction import classify_reduction, conductor, tate_algorithm
@@ -148,12 +148,12 @@ def test_criterion_6_skew_symmetry_prover():
             G = rational_points_mod_p(E, q)
             n = len(G.points)
             for conv in (MINUS, PLUS):
-                rep2 = prove_skew(G, r=2, convention=conv)
+                rep2 = prove_skew(SkewBilinear(G, 2), conv)
                 assert rep2.all_proved, (q, conv, rep2.pairs_failed)
                 assert rep2.pairs_proved == n * n
                 assert rep2.two_torsion_proved == n
                 assert rep2.negative_control_certified, (q, conv)
-                rep3 = prove_skew(G, r=3, convention=conv)
+                rep3 = prove_skew(SkewBilinear(G, 3), conv)
                 assert rep3.all_proved, (q, conv, "r=3")
                 assert rep3.negative_control_certified, (q, conv, "r=3")
 

@@ -438,32 +438,40 @@ def test_skew_guard_refuses_before_enumerating_points(monkeypatch, capsys):
     assert err == "analysis error: #E(F_59) >= 45 exceeds 40 points (Hasse bound)\n"
 
 
-def test_skew_r_guard_refuses_before_enumerating_points(monkeypatch, capsys):
-    from isogeny_forge import cli
-
-    def forbidden(*args):
-        raise RuntimeError("a refused input began work")
-
-    monkeypatch.setattr(cli, "rational_points_mod_p", forbidden)
-    r = kgroup.SKEW_MAX_R + 1
-    assert cli.main(["kgroup", "prove-skew", "--q", "5", "--r", str(r)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"analysis error: r = {r} exceeds {kgroup.SKEW_MAX_R}\n"
-
-
 def test_skew_r_guard_edge_finishes_within_a_job(capsys):
-    # #E = 40 and r at its bound, the dearest input the skew guards admit:
-    # the tail of r - 2 points must not be compared once per membership query
+    # #E = 40, the dearest curve the skew guard admits, with the r that was
+    # once the largest admitted: r is a label and adds no work
     from isogeny_forge import cli
 
+    r = 10**6
     t0 = time.perf_counter()
     assert cli.main(["kgroup", "prove-skew", "--q", "29", "--a", "-8", "--b", "-4",
-                 "--convention", "both", "--r", str(kgroup.SKEW_MAX_R)]) == 0
+                 "--convention", "both", "--r", str(r)]) == 0
     assert time.perf_counter() - t0 < 5
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [rec["inputs"]["r"] for rec in records] == [kgroup.SKEW_MAX_R] * 2
+    assert [rec["inputs"]["r"] for rec in records] == [r] * 2
     assert all(rec["outputs"]["all_proved"] for rec in records)
+
+
+def test_skew_r_is_a_label_at_any_size(capsys):
+    # no relation reads the fixed run of r - 2 points, so r = 10^12 costs
+    # what r = 2 costs, and only inputs.r tells the records apart
+    from isogeny_forge import cli
+
+    def run(r):
+        t0 = time.perf_counter()
+        assert cli.main(["kgroup", "prove-skew", "--q", "7", "--r", str(r)]) == 0
+        seconds = time.perf_counter() - t0
+        [record] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        record.pop("timing_ms")
+        return record, seconds
+
+    big, seconds = run(10**12)
+    assert seconds < 1
+    assert big["inputs"]["r"] == 10**12
+    small, _ = run(2)
+    big["inputs"]["r"] = 2
+    assert big == small
 
 
 def test_convention_choices_are_the_kgroup_conventions():

@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.exactnum import (
     ColumnLattice,
-    FormalSum,
     IntMatrix,
     _det_bareiss,
     factorize,
@@ -20,7 +18,9 @@ from isogeny_forge.exactnum import (
     smith_normal_form_transforms,
     xgcd,
 )
-from isogeny_forge.kgroup import SymbolUniverse
+from isogeny_forge.pontryagin import FinAbGroup
+
+from group_ring import FormalSum
 
 
 def test_primes_up_to_small():
@@ -347,11 +347,10 @@ def test_column_lattice_checks_a_list_after_an_equal_looking_dict():
     assert lat.basis == [] and lat.n_generators == 3
 
 
-# -- formal sums --------------------------------------------------------------------
+# -- formal sums (the group-ring elements of tests/group_ring.py) --------------------
 
 _coeff_dicts = st.dictionaries(st.integers(0, 9), st.integers(-5, 5))
-_E5 = rational_points_mod_p(curve_from_pair(1, -1), 5)
-_U1, _U2 = SymbolUniverse(_E5), SymbolUniverse(_E5)
+_U1, _U2 = FinAbGroup.cyclic(8), FinAbGroup.cyclic(8)
 
 
 @settings(max_examples=300, deadline=None)
@@ -376,9 +375,9 @@ def test_formal_sums_over_two_universes_do_not_mix(a, b):
         with pytest.raises(ValueError):
             op(x, y)
     assert x != FormalSum(_U2, a)
-    P = _E5.points[1]
+    g = _U1.generators[0]
     with pytest.raises(ValueError):
-        _U1.symbol([P, P]) + _U2.symbol([P, P])
+        FormalSum.term(_U1, g) + FormalSum.term(_U2, g)
 
 
 # -- differential test against the dense engine ----------------------------------

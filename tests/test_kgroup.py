@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from isogeny_forge import kgroup
 from isogeny_forge.cli import main
 from isogeny_forge.elliptic import WeierstrassModel, curve_from_pair, rational_points_mod_p
-from isogeny_forge.errors import BudgetExceededError, CertificateError, InvalidConfigurationError
-from isogeny_forge.exactnum import ColumnLattice, FormalSum, _add_multiple
+from isogeny_forge.errors import BudgetExceededError, CertificateError
+from isogeny_forge.exactnum import ColumnLattice, _add_multiple
 from isogeny_forge.kgroup import (
     MINUS,
     PLUS,
     MembershipResult,
     SkewBilinear,
-    SymbolUniverse,
     assemble_skew_lattice,
     prove_member,
     prove_skew,
@@ -30,8 +29,32 @@ from isogeny_forge.product import embed, product_decompose
 E5 = rational_points_mod_p(curve_from_pair(1, -1), 5)  # 8 points
 
 
-def universe2(G=E5, tail=()):
-    return SymbolUniverse(G, tail)
+def symbols(*pairs, c=1):
+    """c times the sum of the symbols {a, b, X} over the (a, b) pairs, as the
+    {(a, b): coefficient} map prove_member takes."""
+    out = {}
+    for pair in pairs:
+        out[pair] = out.get(pair, 0) + c
+    return out
+
+
+def index_of(G, a, b):
+    """The symbol coordinate of {a, b, X} in Z^(n^2)."""
+    return G.index[a] * len(G.points) + G.index[b]
+
+
+def coords(G, target):
+    """A {(a, b): c} target in the symbol coordinates Z^(n^2)."""
+    out = {}
+    for (a, b), c in target.items():
+        _add_multiple(out, {index_of(G, a, b): c}, 1)
+    return out
+
+
+def pairs(G, vector):
+    """Sparse symbol coordinates, or a column's vector, as a {(a, b): c} target."""
+    n, pts = len(G.points), G.points
+    return {(pts[k // n], pts[k % n]): c for k, c in dict(vector).items()}
 
 
 class SymbolLattice:
@@ -39,38 +62,38 @@ class SymbolLattice:
     the E (x) E decision.  Columns are inserted by descending last index,
     so the Hermite-form pivots appear from the right."""
 
-    def __init__(self, universe, columns):
-        self.universe = universe
+    def __init__(self, G, columns):
+        self.group = G
         self.columns = sorted(
             columns, key=lambda col: col.vector[-1][0] if col.vector else -1, reverse=True
         )
-        self.engine = ColumnLattice(universe.dimension)
+        self.engine = ColumnLattice(len(G.points) ** 2)
         for col in self.columns:
-            self.engine.add_generator(col.as_dict())
+            self.engine.add_generator(dict(col.vector))
 
 
 def symbol_member(target, lattice):
     """Membership in a SymbolLattice, re-verified by substitution in Z^(n^2)."""
-    rem, coeffs = lattice.engine.reduce(target.coeffs)
+    want = coords(lattice.group, target)
+    rem, coeffs = lattice.engine.reduce(want)
     if any(rem):
         return MembershipResult(False, None)
     rebuilt = {}
     for ci, mult in coeffs.items():
-        _add_multiple(rebuilt, lattice.columns[ci].as_dict(), mult)
-    assert rebuilt == target.coeffs
+        _add_multiple(rebuilt, dict(lattice.columns[ci].vector), mult)
+    assert rebuilt == want
     return MembershipResult(True, coeffs)
 
 
-def bilinear_relations(universe, slot):
+def bilinear_relations(G, slot):
     """The distinct columns {a+a', b} - {a, b} - {a', b} (slot 0) or
     {b, a+a'} - {b, a} - {b, a'} (slot 1) for every pair (a, a') and every
     point b, built from point indices by the program's ColumnView."""
-    G = universe.group
     blocks = kgroup._bilinear_blocks(len(G.points), slot, kgroup._sum_table(G))
-    return list(kgroup.ColumnView(universe, blocks))
+    return list(kgroup.ColumnView(G, blocks))
 
 
-def relation_is_instance(universe, col):
+def relation_is_instance(G, col):
     """Independently re-derive the column from its provenance.
 
     Bilinear columns are rebuilt from the slot group law; reciprocity columns
@@ -78,16 +101,15 @@ def relation_is_instance(universe, col):
     curve (vertical line x - x(a), or the chord through the two points), so a
     column that does not match an honest divisor is rejected.
     """
-    G = universe.group
     if col.kind == "bilinear":
-        slot, a, a2, others = col.data
+        slot, a, a2, b = col.data
 
         def with_slot(x):
-            return [*others[:slot], x, *others[slot:]]
+            return (x, b) if slot == 0 else (b, x)
 
         s = G.add(a, a2)
         want = kgroup._column(
-            universe, [(with_slot(s), 1), (with_slot(a), -1), (with_slot(a2), -1)], "", ()
+            G, [(with_slot(s), 1), (with_slot(a), -1), (with_slot(a2), -1)], "", ()
         )
         return want.vector == col.vector
     if col.kind == "wr-vertical":
@@ -98,9 +120,9 @@ def relation_is_instance(universe, col):
         if set(zeros) != {a, G.neg(a)}:
             return False
         mult = 2 if a == G.neg(a) else 1
-        entries = [([z, z], mult) for z in sorted(set(zeros))]
-        entries.append(([None, None], -2))
-        return kgroup._column(universe, entries, "", ()).vector == col.vector
+        entries = [((z, z), mult) for z in sorted(set(zeros))]
+        entries.append(((None, None), -2))
+        return kgroup._column(G, entries, "", ()).vector == col.vector
     if col.kind == "wr-line":
         a1, a2, s, convention = col.data
         if convention != MINUS:
@@ -110,12 +132,12 @@ def relation_is_instance(universe, col):
         if s != third:
             return False
         want = kgroup._column(
-            universe,
+            G,
             [
-                ([a1, a1], 1),
-                ([a2, a2], 1),
-                ([third, third], 1),
-                ([None, None], -3),
+                ((a1, a1), 1),
+                ((a2, a2), 1),
+                ((third, third), 1),
+                ((None, None), -3),
             ],
             "", (),
         )
@@ -159,35 +181,32 @@ def _chord_zero_set_matches(G, a1, a2, third):
 
 def test_bilinear_derives_zero_symbol():
     # a' = 0 reduces the column to -{0, b}: so {0, b} = 0 is derivable
-    u = universe2()
     b = E5.points[3]
-    target = u.symbol([None, b])
-    assert symbol_member(target, SymbolLattice(u, bilinear_relations(u, 0))).member
-    assert prove_member(target, assemble_skew_lattice(E5, 2)).member
+    target = symbols((None, b))
+    assert symbol_member(target, SymbolLattice(E5, bilinear_relations(E5, 0))).member
+    assert prove_member(target, assemble_skew_lattice(SkewBilinear(E5, 2))).member
 
 
 def test_wr_vertical_degenerate_cases():
-    u = universe2()
-    assert wr_vertical(u, None).vector == ()
+    assert wr_vertical(E5, None).vector == ()
     two_torsion = next(P for P in E5.points if P and E5.add(P, P) is None)
-    col = wr_vertical(u, two_torsion).as_dict()
+    col = dict(wr_vertical(E5, two_torsion).vector)
     want = {
-        u.index_of([two_torsion, two_torsion]): 2,
-        u.index_of([None, None]): -2,
+        index_of(E5, two_torsion, two_torsion): 2,
+        index_of(E5, None, None): -2,
     }
     assert col == want
     generic = next(P for P in E5.points if P and E5.add(P, P) is not None)
-    assert len(wr_vertical(u, generic).as_dict()) == 3
+    assert len(wr_vertical(E5, generic).vector) == 3
 
 
 def test_wr_line_degenerate_cases():
-    u = universe2()
     a = next(P for P in E5.points if P and E5.add(P, P) is not None)
     # a2 = 0 degenerates to the vertical column of a
-    assert wr_line(u, a, None, MINUS).as_dict() == wr_vertical(u, a).as_dict()
+    assert wr_line(E5, a, None, MINUS).vector == wr_vertical(E5, a).vector
     two = next(P for P in E5.points if P and E5.add(P, P) is None)
-    col = wr_line(u, two, two, MINUS).as_dict()
-    assert col == {u.index_of([two, two]): 2, u.index_of([None, None]): -2}
+    col = dict(wr_line(E5, two, two, MINUS).vector)
+    assert col == {index_of(E5, two, two): 2, index_of(E5, None, None): -2}
     # generic pair (no tangency coincidences) gives a four-term column
     b = next(
         P
@@ -197,47 +216,48 @@ def test_wr_line_degenerate_cases():
         and E5.add(P, a) is not None
         and E5.neg(E5.add(P, a)) not in (P, a)
     )
-    assert len(wr_line(u, a, b, MINUS).as_dict()) == 4
+    assert len(wr_line(E5, a, b, MINUS).vector) == 4
 
 
 def test_prove_member_trivial_and_unit():
-    lat = assemble_skew_lattice(E5, 2)
-    u = lat.universe
-    res = prove_member(FormalSum(u), lat)
+    lat = assemble_skew_lattice(SkewBilinear(E5, 2))
+    res = prove_member({}, lat)
     assert res.member and res.coefficients == {}
     # every column is a member, with a certificate re-verified inside prove_member
     for col in lat.columns:
-        assert prove_member(FormalSum(u, col.as_dict()), lat).member
-    single = SymbolLattice(u, lat.columns[:1])
-    res = symbol_member(FormalSum(u, lat.columns[0].as_dict()), single)
+        assert prove_member(pairs(E5, col.vector), lat).member
+    single = SymbolLattice(E5, lat.columns[:1])
+    res = symbol_member(pairs(E5, lat.columns[0].vector), single)
     assert res.member and res.coefficients == {0: 1}
 
 
-def test_prove_member_universe_mismatch():
-    lat = assemble_skew_lattice(E5, 2)
-    u2 = universe2(tail=(E5.points[1],))
-    with pytest.raises(ValueError):
-        prove_member(FormalSum(u2), lat)
+def test_prove_member_refuses_a_point_of_another_curve():
+    lat = assemble_skew_lattice(SkewBilinear(E5, 2))
+    other = rational_points_mod_p(curve_from_pair(1, 3), 5)
+    P = next(P for P in other.points if P is not None and P not in E5.index)
+    Q = E5.points[1]
+    for target in (symbols((P, Q)), symbols((Q, P), (Q, Q))):
+        with pytest.raises(ValueError, match="not a point of the lattice's curve"):
+            prove_member(target, lat)
 
 
 def test_prove_member_fuzz_recovery():
     rng = random.Random(5)
-    lat = assemble_skew_lattice(E5, 2)
-    u = lat.universe
+    lat = assemble_skew_lattice(SkewBilinear(E5, 2))
     cols = [col for col in lat.columns if col.kind == "bilinear"]
     for _ in range(25):
         picks = rng.sample(range(len(cols)), 3)
         mults = [rng.randint(-4, 4) for _ in picks]
-        target = FormalSum(u)
+        target = {}
         for i, m in zip(picks, mults):
-            target = target + FormalSum(u, cols[i].as_dict()).scale(m)
-        res = prove_member(target, lat)
+            _add_multiple(target, dict(cols[i].vector), m)
+        res = prove_member(pairs(E5, target), lat)
         assert res.member  # re-verification happens inside prove_member
 
 
 def test_prove_skew_f5_both_conventions():
     for conv in (MINUS, PLUS):
-        rep = prove_skew(E5, r=2, convention=conv)
+        rep = prove_skew(SkewBilinear(E5, 2), conv)
         assert rep.all_proved
         assert rep.pairs_proved == 64
         assert rep.two_torsion_proved == 8
@@ -245,19 +265,17 @@ def test_prove_skew_f5_both_conventions():
 
 
 def test_prove_skew_r3_with_tail():
-    tail_point = E5.points[1]
-    rep = prove_skew(E5, r=3, tail=(tail_point,), convention=MINUS)
+    # the fixed run X of r - 2 points is read by no relation: r = 3 is the
+    # r = 2 report under another label
+    rep = prove_skew(SkewBilinear(E5, 3), MINUS)
     assert rep.all_proved
     assert rep.negative_control_certified
-
-
-def test_prove_skew_default_tail_repeats_second_point():
-    assert prove_skew(E5, r=3) == prove_skew(E5, r=3, tail=(E5.points[1],))
+    assert rep.r == 3 and rep._replace(r=2) == prove_skew(SkewBilinear(E5, 2), MINUS)
 
 
 def test_prove_skew_budget(monkeypatch):
-    # the cost follows #E alone: r only lengthens the fixed tail
-    assert prove_skew(E5, r=8).all_proved
+    # the cost follows #E alone: r is a label
+    assert prove_skew(SkewBilinear(E5, 8)).all_proved
     E47 = rational_points_mod_p(curve_from_pair(1, -1), 47)  # supersingular: 48 points
 
     def forbidden(*args):
@@ -266,7 +284,7 @@ def test_prove_skew_budget(monkeypatch):
     monkeypatch.setattr(kgroup, "discrete_log", forbidden)
     monkeypatch.setattr(kgroup, "_bilinear_blocks", forbidden)
     with pytest.raises(BudgetExceededError, match=r"#E\(F_47\) = 48 exceeds 40 points"):
-        prove_skew(E47)
+        SkewBilinear(E47)
 
 
 @pytest.mark.parametrize("q, least", [(53, 40), (59, 45)])
@@ -280,21 +298,8 @@ def test_skew_field_is_refused_by_the_hasse_bound(q, least):
             kgroup.check_skew_field(q)
 
 
-def test_skew_r_is_refused_alike_by_the_cli_check_and_the_library():
-    edge = kgroup.SKEW_MAX_R
-    kgroup.check_skew_field(5, edge)
-    assert SkewBilinear(E5, edge).universe.r == edge
-    refused = f"r = {edge + 1} exceeds {edge}"
-    with pytest.raises(BudgetExceededError, match=refused):
-        kgroup.check_skew_field(5, edge + 1)
-    with pytest.raises(BudgetExceededError, match=refused):
-        SkewBilinear(E5, edge + 1)
-    with pytest.raises(BudgetExceededError, match=refused):
-        prove_skew(E5, r=edge + 1)
-
-
 def test_skew_report_records():
-    rep = prove_skew(E5, r=2)
+    rep = prove_skew(SkewBilinear(E5, 2))
     recs = rep.to_records()
     assert any(r["status"] == "certified-non-member" for r in recs)
     proved = [r for r in recs if r.get("status") == "proved"]
@@ -303,12 +308,12 @@ def test_skew_report_records():
 
 
 def test_soundness_spot_checker():
-    lat = assemble_skew_lattice(E5, 2, (), MINUS)
-    assert all(relation_is_instance(lat.universe, col) for col in lat.columns)
+    lat = assemble_skew_lattice(SkewBilinear(E5, 2), MINUS)
+    assert all(relation_is_instance(E5, col) for col in lat.columns)
     # plus-convention chord columns are a configured variant, not instances
-    lat_plus = assemble_skew_lattice(E5, 2, (), PLUS)
+    lat_plus = assemble_skew_lattice(SkewBilinear(E5, 2), PLUS)
     line_cols = [c for c in lat_plus.columns if c.kind == "wr-line"]
-    judged = [relation_is_instance(lat_plus.universe, c) for c in line_cols]
+    judged = [relation_is_instance(E5, c) for c in line_cols]
     assert not all(judged)
 
 
@@ -376,13 +381,11 @@ def reference_skew(G, r, convention, prove=prove_member):
     """(to_record(), to_records()) as computed by one membership proof per
     ordered pair plus a separate 2{a,a} loop, with every count kept apart
     from the lists it counts."""
-    tail = (G.points[1],) * (r - 2)
-    lattice = assemble_skew_lattice(G, r, tail, convention)
-    u = lattice.universe
+    lattice = assemble_skew_lattice(SkewBilinear(G, r), convention)
     proved, failed, lengths = 0, [], {}
     for a1 in G.points:
         for a2 in G.points:
-            res = prove(u.symbol([a1, a2]) + u.symbol([a2, a1]), lattice)
+            res = prove(symbols((a1, a2), (a2, a1)), lattice)
             if res.member:
                 proved += 1
                 lengths[(_pt(a1), _pt(a2))] = len(res.coefficients)
@@ -390,7 +393,7 @@ def reference_skew(G, r, convention, prove=prove_member):
                 failed.append((_pt(a1), _pt(a2)))
     tt_proved, tt_failed = 0, []
     for a in G.points:
-        if prove(u.symbol([a, a], 2), lattice).member:
+        if prove(symbols((a, a), c=2), lattice).member:
             tt_proved += 1
         else:
             tt_failed.append(_pt(a))
@@ -399,7 +402,7 @@ def reference_skew(G, r, convention, prove=prove_member):
         for a2 in G.points:
             if None in (a1, a2) or a1 == a2:
                 continue
-            if not prove(u.symbol([a1, a2]), lattice).member:
+            if not prove(symbols((a1, a2)), lattice).member:
                 control, control_ok = (_pt(a1), _pt(a2)), True
                 break
         if control_ok:
@@ -441,7 +444,7 @@ def test_prove_skew_matches_one_proof_per_ordered_pair():
     for a, b, q, r in _skew_cases():
         G = rational_points_mod_p(curve_from_pair(a, b), q)
         for conv in (MINUS, PLUS):
-            rep = prove_skew(G, r=r, convention=conv)
+            rep = prove_skew(SkewBilinear(G, r), conv)
             assert (rep.to_record(), rep.to_records()) == reference_skew(G, r, conv), (a, b, q, r)
 
 
@@ -452,13 +455,13 @@ def test_prove_skew_failures_match_one_proof_per_ordered_pair(monkeypatch, point
     n, P = len(G.points), G.points[point]
 
     def refusing(target, lattice):
-        if any(point in divmod(k, n) for k in target.coeffs):
+        if any(P in pair for pair in target):
             return MembershipResult(False, None)
         return prove_member(target, lattice)
 
     monkeypatch.setattr(kgroup, "prove_member", refusing)
     for conv in (MINUS, PLUS):
-        rep = prove_skew(G, r=2, convention=conv)
+        rep = prove_skew(SkewBilinear(G, 2), conv)
         assert rep.two_torsion_failed == [_pt(P)]
         assert len(rep.pairs_failed) == 2 * n - 1
         assert rep.pairs_proved == n * n - len(rep.pairs_failed)
@@ -472,11 +475,11 @@ def test_prove_skew_proves_each_distinct_target_once(monkeypatch):
 
     def counting(target, lattice):
         res = prove_member(target, lattice)
-        targets.append((tuple(sorted(target.coeffs.items())), res.member))
+        targets.append((frozenset(target.items()), res.member))
         return res
 
     monkeypatch.setattr(kgroup, "prove_member", counting)
-    rep = prove_skew(E5, r=2)
+    rep = prove_skew(SkewBilinear(E5, 2))
     assert rep.all_proved and rep.pairs_proved == 64 and rep.two_torsion_proved == 8
     skew = [t for t, _ in targets if sum(c for _, c in t) == 2]
     probes = targets[len(skew):]
@@ -494,9 +497,9 @@ def test_prove_skew_proves_each_distinct_target_once(monkeypatch):
 @pytest.mark.parametrize("q, a, b", [(13, -7, -3), (19, 1, -1)], ids=["#E=16", "#E=20"])
 def test_prove_skew_guard_probes_finish_with_small_histories(q, a, b):
     G = rational_points_mod_p(curve_from_pair(a, b), q)
-    rep = prove_skew(G)
+    rep = prove_skew(SkewBilinear(G))
     assert rep.all_proved and rep.negative_control_certified
-    history = assemble_skew_lattice(G, 2).engine.history
+    history = assemble_skew_lattice(SkewBilinear(G)).engine.history
     assert max(abs(c).bit_length() for h in history for c in h.values()) <= 64
 
 
@@ -520,10 +523,9 @@ def test_guard_edge_certificates_are_pinned(capsys):
 # -- bilinear columns against the point-by-point builder ---------------------------
 
 
-def _bilinear_by_points(universe, slot):
+def _bilinear_by_points(G, slot):
     """The point-by-point builder that the index-table columns of
     bilinear_relations replaced, kept as its reference."""
-    G = universe.group
     pts = G.points
     out = []
     seen = set()
@@ -533,13 +535,13 @@ def _bilinear_by_points(universe, slot):
             for b in pts:
 
                 def with_slot(x):
-                    return [x, b] if slot == 0 else [b, x]
+                    return (x, b) if slot == 0 else (b, x)
 
                 col = kgroup._column(
-                    universe,
+                    G,
                     [(with_slot(s), 1), (with_slot(a), -1), (with_slot(a2), -1)],
                     "bilinear",
-                    (slot, a, a2, (b,)),
+                    (slot, a, a2, b),
                 )
                 if col.vector and col.vector not in seen:
                     seen.add(col.vector)
@@ -558,25 +560,24 @@ _SMALL_CURVES = [
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(_SMALL_CURVES), st.sampled_from([0, 1]), st.sampled_from([2, 3]))
-def test_bilinear_relations_match_point_by_point_builder(curve, slot, r):
+@given(st.sampled_from(_SMALL_CURVES), st.sampled_from([0, 1]))
+def test_bilinear_relations_match_point_by_point_builder(curve, slot):
     a, b, q = curve
     G = rational_points_mod_p(curve_from_pair(a, b), q)
-    u = SymbolUniverse(G, (G.points[1],) * (r - 2))
-    cols = bilinear_relations(u, slot)
-    assert cols == _bilinear_by_points(u, slot)
-    assert all(relation_is_instance(u, col) for col in cols)
+    cols = bilinear_relations(G, slot)
+    assert cols == _bilinear_by_points(G, slot)
+    assert all(relation_is_instance(G, col) for col in cols)
 
 
 # -- the column view against the eagerly built columns -----------------------------
 
 
-def _eager_reciprocity(u, convention):
+def _eager_reciprocity(G, convention):
     """The distinct nonzero reciprocity columns, vertical ones first."""
-    pts = u.group.points
+    pts = G.points
     cols, seen = [], set()
-    for col in [wr_vertical(u, a) for a in pts] + [
-        wr_line(u, a1, a2, convention) for i, a1 in enumerate(pts) for a2 in pts[i:]
+    for col in [wr_vertical(G, a) for a in pts] + [
+        wr_line(G, a1, a2, convention) for i, a1 in enumerate(pts) for a2 in pts[i:]
     ]:
         if col.vector and col.vector not in seen:
             seen.add(col.vector)
@@ -591,16 +592,16 @@ def test_column_view_matches_the_eager_columns(q):
     orders = set()
     for a, b in curves:
         G = rational_points_mod_p(curve_from_pair(a, b), q)
-        # the point-by-point builder never reads the tail, so one eager build
-        # of the bilinear columns, slot 0 then slot 1, serves r = 2 and r = 3
-        bilinear_cols = _bilinear_by_points(universe2(G), 0) + _bilinear_by_points(universe2(G), 1)
+        # no column reads r, so one eager build of the bilinear columns,
+        # slot 0 then slot 1, serves r = 2 and r = 3
+        bilinear_cols = _bilinear_by_points(G, 0) + _bilinear_by_points(G, 1)
         # index by index at r = 2 with one convention, by iteration at r = 3
         # with the other
         for r, conv, read in ((2, MINUS, lambda v: [v[ci] for ci in range(len(v))]),
                               (3, PLUS, list)):
-            lat = assemble_skew_lattice(G, r, None, conv)
+            lat = assemble_skew_lattice(SkewBilinear(G, r), conv)
             view = lat.columns
-            eager = bilinear_cols + _eager_reciprocity(lat.universe, conv)
+            eager = bilinear_cols + _eager_reciprocity(G, conv)
             n = len(eager)
             assert len(view) == len(lat) == lat.engine.n_generators == n, (a, b, r)
             assert read(view) == eager, (a, b, r)
@@ -613,18 +614,18 @@ def test_column_view_matches_the_eager_columns(q):
                     view[bad]
             if (len(G.points), r) not in orders:
                 orders.add((len(G.points), r))
-                assert prove_skew(G, r, convention=conv).to_record()["generators"] == n
+                assert prove_skew(SkewBilinear(G, r), conv).to_record()["generators"] == n
 
 
 # -- E (x) E decisions against the symbol lattice ------------------------------------
 
 
-def _targets(G, u):
+def _targets(G):
     """Every skew target, every 2{a,a} target and every lone symbol."""
     pts = G.points
-    out = [u.symbol([a1, a2]) + u.symbol([a2, a1]) for i, a1 in enumerate(pts) for a2 in pts[i:]]
-    out += [u.symbol([a, a], 2) for a in pts]
-    out += [u.symbol([a1, a2]) for a1 in pts for a2 in pts]
+    out = [symbols((a1, a2), (a2, a1)) for i, a1 in enumerate(pts) for a2 in pts[i:]]
+    out += [symbols((a, a), c=2) for a in pts]
+    out += [symbols((a1, a2)) for a1 in pts for a2 in pts]
     return out
 
 
@@ -637,9 +638,9 @@ def test_tensor_membership_matches_the_symbol_lattice(a, b, q, r):
     G = rational_points_mod_p(curve_from_pair(a, b), q)
     bilinear = SkewBilinear(G, r)
     for conv in (MINUS, PLUS):
-        lat = assemble_skew_lattice(G, r, None, conv, bilinear)
-        oracle = SymbolLattice(lat.universe, lat.columns)
-        for target in _targets(G, lat.universe):
+        lat = assemble_skew_lattice(bilinear, conv)
+        oracle = SymbolLattice(G, lat.columns)
+        for target in _targets(G):
             want = symbol_member(target, oracle).member
             assert prove_member(target, lat).member == want, (a, b, q, r, conv, target)
 
@@ -657,17 +658,16 @@ def _lift(lattice, target, coefficients, by_vector):
     x_s(a) x_t(b) {g_s, g_t} plus bilinear columns, and those
     sums cancel because the image is 0."""
     bil = lattice.bilinear
-    u = lattice.universe
-    G = u.group
+    G = bil.group
     n, d = len(G.points), len(bil.moduli)
     basis = [G.points[bil.coords.index(tuple(int(s == t) for t in range(d)))] for s in range(d)]
     mults = dict(coefficients)
-    rest = dict(target.coeffs)
+    rest = coords(G, target)
     for ci, m in coefficients.items():
-        _add_multiple(rest, lattice.columns[ci].as_dict(), -m)
+        _add_multiple(rest, dict(lattice.columns[ci].vector), -m)
 
     def symbol(slot, p, other):
-        return u.index_of([p, other] if slot == 0 else [other, p])
+        return index_of(G, p, other) if slot == 0 else index_of(G, other, p)
 
     def use(slot, p1, p2, other, c):
         # the bilinear column {p1 + p2} - {p1} - {p2} of the slot, c times
@@ -710,17 +710,17 @@ _LIFT_CASES = _skew_cases() + [(-12, -9, 11, 2)]
 def test_member_certificates_lift_to_symbol_coordinates(a, b, q, r):
     G = rational_points_mod_p(curve_from_pair(a, b), q)
     for conv in (MINUS, PLUS):
-        lat = assemble_skew_lattice(G, r, None, conv)
+        lat = assemble_skew_lattice(SkewBilinear(G, r), conv)
         by_vector = _bilinear_index(lat)
-        for target in _targets(G, lat.universe):
+        for target in _targets(G):
             res = prove_member(target, lat)
             if not res.member:
                 continue
             lifted = _lift(lat, target, res.coefficients, by_vector)
             rebuilt = {}
             for ci, m in lifted.items():
-                _add_multiple(rebuilt, lat.columns[ci].as_dict(), m)
-            assert rebuilt == target.coeffs, (a, b, q, r, conv)
+                _add_multiple(rebuilt, dict(lat.columns[ci].vector), m)
+            assert rebuilt == coords(G, target), (a, b, q, r, conv)
 
 
 def test_cyclic_group_decides_in_one_coordinate():
@@ -728,20 +728,20 @@ def test_cyclic_group_decides_in_one_coordinate():
     G = rational_points_mod_p(WeierstrassModel.from_coeffs(0, 0, 0, 1, 1), 5)
     assert kgroup.discrete_log(G)[0] == (9,)
     for conv in (MINUS, PLUS):
-        lat = assemble_skew_lattice(G, 2, None, conv)
+        lat = assemble_skew_lattice(SkewBilinear(G, 2), conv)
         assert lat.engine.dimension == 1
-        oracle = SymbolLattice(lat.universe, lat.columns)
+        oracle = SymbolLattice(G, lat.columns)
         by_vector = _bilinear_index(lat)
-        for target in _targets(G, lat.universe):
+        for target in _targets(G):
             res = prove_member(target, lat)
             assert res.member == symbol_member(target, oracle).member
             if res.member:
                 rebuilt = {}
                 for ci, m in _lift(lat, target, res.coefficients, by_vector).items():
-                    _add_multiple(rebuilt, lat.columns[ci].as_dict(), m)
-                assert rebuilt == target.coeffs
+                    _add_multiple(rebuilt, dict(lat.columns[ci].vector), m)
+                assert rebuilt == coords(G, target)
         # here the relations span every symbol, so no negative control exists
-        rep = prove_skew(G, convention=conv)
+        rep = prove_skew(SkewBilinear(G), conv)
         assert rep.all_proved and not rep.negative_control_certified
 
 
@@ -755,18 +755,17 @@ _SPARSE_CURVES = [
 @given(st.sampled_from(_SPARSE_CURVES), st.sampled_from([MINUS, PLUS]), st.sampled_from([2, 3]),
        st.lists(st.tuples(st.integers(0, 143), st.integers(-3, 3)), min_size=1, max_size=4),
        st.lists(st.tuples(st.integers(0, 10**6), st.integers(-3, 3)), max_size=4))
-def test_tensor_membership_matches_on_sparse_targets(curve, conv, r, symbols, columns):
+def test_tensor_membership_matches_on_sparse_targets(curve, conv, r, entries, columns):
     a, b, q = curve
     G = rational_points_mod_p(curve_from_pair(a, b), q)
-    lat = assemble_skew_lattice(G, r, None, conv)
-    u = lat.universe
+    lat = assemble_skew_lattice(SkewBilinear(G, r), conv)
     coeffs = {}
-    for k, c in symbols:
-        _add_multiple(coeffs, {k % u.dimension: c}, 1)
+    for k, c in entries:
+        _add_multiple(coeffs, {k % len(G.points) ** 2: c}, 1)
     for k, c in columns:  # plus a combination of columns, which keeps the answer
-        _add_multiple(coeffs, lat.columns[k % len(lat.columns)].as_dict(), c)
-    target = FormalSum(u, coeffs)
-    oracle = SymbolLattice(u, lat.columns)
+        _add_multiple(coeffs, dict(lat.columns[k % len(lat.columns)].vector), c)
+    target = pairs(G, coeffs)
+    oracle = SymbolLattice(G, lat.columns)
     assert prove_member(target, lat).member == symbol_member(target, oracle).member
 
 
@@ -785,10 +784,10 @@ def test_discrete_log_table_is_checked(monkeypatch):
 
     monkeypatch.setattr(kgroup, "discrete_log", swapped)
     with pytest.raises(CertificateError, match="not a homomorphism"):
-        prove_skew(E5)
+        SkewBilinear(E5)
     monkeypatch.setattr(kgroup, "discrete_log", repeated)
     with pytest.raises(CertificateError, match="not a bijection"):
-        prove_skew(E5)
+        SkewBilinear(E5)
 
 
 def test_both_conventions_share_one_bilinear_part(monkeypatch):
@@ -805,6 +804,4 @@ def test_both_conventions_share_one_bilinear_part(monkeypatch):
     assert calls == [0, 1]
     bilinear = SkewBilinear(E5)
     for conv in (MINUS, PLUS):
-        assert prove_skew(E5, convention=conv, bilinear=bilinear) == prove_skew(E5, convention=conv)
-    with pytest.raises(InvalidConfigurationError):
-        prove_skew(E5, r=3, bilinear=bilinear)
+        assert prove_skew(bilinear, conv) == prove_skew(SkewBilinear(E5), conv)

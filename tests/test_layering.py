@@ -15,8 +15,6 @@ REPO = os.path.dirname(os.path.dirname(PACKAGE))
 
 UNREFERENCED = {
     "ColumnLattice.contains": "membership as a yes/no, the reading of reduce the oracles test with",
-    "FormalSum.degree": "the augmentation of a group-ring element, whose kernel is the ideal I",
-    "RelationColumn.as_dict": "a column as the sparse dict ColumnLattice takes (symbol oracle)",
     "WeierstrassModel.c6": "the invariant c6 beside c4 and the discriminant, with 1728 disc = c4^3 - c6^2",
     "WeierstrassModel.from_coeffs": "the checked constructor of a model from its five coefficients",
     "product_decompose": "acceptance criterion 8 is its behaviour",
@@ -31,7 +29,8 @@ MOVED = {
     "bilinear_relations", "phi_r", "ColumnLattice._replay", "ColumnLattice._set_row",
     "ColumnLattice._sub_row", "_require_pair_slots", "SmithResult", "SmithResult.verify",
     "_mat_mul", "count_points", "is_supersingular_at", "EllipticGroup.on_curve",
-    "invariant_factors_mod",
+    "invariant_factors_mod", "SymbolUniverse", "_curve_key", "SkewBilinear.serves",
+    "RelationColumn.as_dict", "FormalSum",
 }
 
 # the tracer names its targets as dotted strings ("EllipticGroup.structure")

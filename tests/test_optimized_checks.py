@@ -90,7 +90,7 @@ sys.exit(main(["filtration", "--group", "2,4", "--rmax", "2"]))
 """,
         "certificate error: quotient not killed by the group exponent",
     ),
-    "filtration-residual": (
+    "filtration-quotient": (
         """
 import sys
 from isogeny_forge import exactnum

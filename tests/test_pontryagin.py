@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.errors import BudgetExceededError, CertificateError
 from isogeny_forge.exactnum import (
-    FormalSum,
     IntMatrix,
     _insert_mod,
     factorize,
@@ -24,6 +23,7 @@ from isogeny_forge.pontryagin import (
 )
 
 from group_ring import (
+    FormalSum,
     _ideal_power_lattices,
     alternating_generator,
     elements,

@@ -83,10 +83,20 @@ def test_the_cli_import_loads_every_module_with_a_cache():
     assert cached <= loaded, cached - loaded
 
 
+def _install(tracer):
+    """Install the tracer once every package module is loaded.  A module
+    that a command imports while a tracer is installed binds that tracer's
+    wrappers, and keeps them after uninstall(), so a later tracer would not
+    see its calls."""
+    for info in pkgutil.iter_modules(isogeny_forge.__path__, "isogeny_forge."):
+        importlib.import_module(info.name)
+    tracer.install()
+
+
 def test_prove_skew_inserts_once_per_column_and_reduces_once_per_query(tmp_path):
     tracer = _tracing().Tracer()
     out = tmp_path / "skew.jsonl"
-    tracer.install()
+    _install(tracer)
     try:
         missed = tracer.missed_bindings()
         code = main(["--output", str(out), "kgroup", "prove-skew", "--q", "7",
@@ -101,11 +111,13 @@ def test_prove_skew_inserts_once_per_column_and_reduces_once_per_query(tmp_path)
     assert calls["exactnum.lattice_reduce"] == calls["kgroup.member"] > 0
 
 
-@pytest.mark.parametrize("group, rmax", [("2,4", "2"), ("2,2,4", "3")])
-def test_filtration_makes_one_snf_span_per_quotient(tmp_path, group, rmax):
+# the degree-r block of a group with k generators has C(k + r - 1, r) columns
+@pytest.mark.parametrize("group, rmax, sizes", [("2,4", "2", [2, 3]), ("2,2,4", "3", [3, 6, 10])],
+                         ids=["2,4-2", "2,2,4-3"])
+def test_filtration_makes_one_snf_span_per_quotient(tmp_path, group, rmax, sizes):
     tracer = _tracing().Tracer()
     out = tmp_path / "filtration.jsonl"
-    tracer.install()
+    _install(tracer)
     try:
         missed = tracer.missed_bindings()
         code = main(["--output", str(out), "filtration", "--group", group, "--rmax", rmax])
@@ -115,5 +127,5 @@ def test_filtration_makes_one_snf_span_per_quotient(tmp_path, group, rmax):
     [record] = [json.loads(line) for line in out.read_text().splitlines()]
     snf = [span for span in tracer.spans if span[0] == "exactnum.snf"]
     assert len(snf) == len(record["outputs"]["quotients"]) == int(rmax)
-    # a nonempty residual: some quotient leaves the routine a matrix to reduce
-    assert max(span[5] for span in snf) > 0
+    # each quotient hands the routine its whole degree-r block
+    assert [span[5] for span in snf] == sizes
