@@ -9,20 +9,18 @@ computed or claimed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
-from .elliptic import TwoTorsionCurve, WeierstrassModel, _as_model, _integral_model, ap_trace
+from .elliptic import TwoTorsionCurve, _as_model, _integral_model, ap_trace
 from .exactnum import primes_up_to
 from .reduction import (
     POT_GOOD_SUPERSINGULAR,
-    bad_primes,
+    Curve,
     classify_reduction,
     conductor,
     potential_type,
     tate_algorithm,
 )
-
-Curve = Union[TwoTorsionCurve, WeierstrassModel]
 
 MAIN1_CONCLUSION = (
     "F^2(A)_nd is torsion of finite exponent; finite when A is a surface"
@@ -169,20 +167,26 @@ def supersingular_scan(curve: Curve, bound: int) -> SupersingularScan:
     """All odd good primes p <= bound with a_p = 0 mod p, plus the observed
     density among the good primes tested.
 
-    a_p is taken on the integral model W when p does not divide its
-    discriminant, else on the p-minimal model of the one Tate run at p.  A
-    TwoTorsionCurve is integral, so it is handed to ap_trace itself there
-    and takes the split kernel.
+    Each p is tested against the discriminant of the integral model W, which
+    is never factored.  Where p does not divide it, a_p is taken on W; a
+    TwoTorsionCurve is integral, so it is handed to ap_trace itself and takes
+    the split kernel.  Where p divides it, one Tate run at p decides good
+    reduction and gives the p-minimal model to count on.
     """
     W = _integral_model(_as_model(curve))
-    local = {p: tate_algorithm(W, p) for p in bad_primes(curve, W)}
+    delta = int(W.disc)
     E = curve if isinstance(curve, TwoTorsionCurve) else W
     found = []
     tested = 0
     for p in primes_up_to(bound):
-        if p == 2 or (p in local and local[p].conductor_exponent > 0):
+        if p == 2:
             continue
-        model = local[p].model if p in local else E
+        model = E
+        if delta % p == 0:
+            local = tate_algorithm(W, p)
+            if local.conductor_exponent > 0:
+                continue
+            model = local.model
         tested += 1
         if ap_trace(model, p) % p == 0:
             found.append(p)

@@ -48,15 +48,6 @@ class WeierstrassModel(NamedTuple):
 
     __hash__ = tuple.__hash__
 
-    @staticmethod
-    def from_coeffs(a1, a2, a3, a4, a6) -> "WeierstrassModel":
-        W = WeierstrassModel(
-            Fraction(a1), Fraction(a2), Fraction(a3), Fraction(a4), Fraction(a6)
-        )
-        if W.disc == 0:
-            raise DegenerateCurveError("singular Weierstrass model (disc = 0)")
-        return W
-
     @property
     def c4(self) -> Fraction:
         return _c4c6(*self.coeffs())[0]
@@ -280,7 +271,10 @@ def _squares(n: int) -> list[int]:
     return [t * t for t in range(n)]
 
 
-@lru_cache(maxsize=None)
+# A command reads one prime's mask at a time, save a search, whose
+# split-jacobian predicate rereads the primes up to its bound for each curve:
+# 1024 masks cover the primes below 8,170, and hold at most 128 p bytes.
+@lru_cache(maxsize=1024)
 def _chi_table(p: int) -> int:
     """The quadratic character mod an odd prime p, from one pass over the
     squares, as its non-residue mask: the p-bit integer whose bit x is set
@@ -296,7 +290,8 @@ def _chi_table(p: int) -> int:
     return int(digits[::-1], 2)
 
 
-@lru_cache(maxsize=None)
+# a view takes 8 p bytes, and is read only while its prime is in use
+@lru_cache(maxsize=4)
 def _chi_values(p: int) -> tuple[int, ...]:
     """chi(x) in {-1, 0, 1} for x in 0..p-1, read off the mask of
     _chi_table: the view _char_sum indexes."""

@@ -500,7 +500,3 @@ class ColumnLattice:
             q = v[j] // row[j]
             _add_multiple(v, row, -q)
             _add_multiple(coeffs, self._hist[j], q)
-
-    def contains(self, target) -> bool:
-        rem, _ = self.reduce(target)
-        return not any(rem)

@@ -177,6 +177,12 @@ def ideal_power_lattice(group: FinAbGroup, r: int) -> ColumnLattice:
     return lat
 
 
+def contains(lat: ColumnLattice, target) -> bool:
+    """Membership as a yes/no: the remainder of the reduction is zero."""
+    rem, _ = lat.reduce(target)
+    return not any(rem)
+
+
 def spans_same_lattice(
     group: FinAbGroup, elems_a: Iterable[FormalSum], elems_b: Iterable[FormalSum]
 ) -> bool:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .elliptic import EllipticGroup, Point
-from .errors import CertificateError
-from .exactnum import _add_multiple
+from isogeny_forge.elliptic import EllipticGroup, Point
+from isogeny_forge.errors import CertificateError
+from isogeny_forge.exactnum import _add_multiple
 
 
 ProductPoint = tuple  # one Point per coordinate curve

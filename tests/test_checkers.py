@@ -13,6 +13,8 @@ from isogeny_forge.checkers import (
 from isogeny_forge.elliptic import ap_trace, curve_from_pair
 from isogeny_forge.exactnum import primes_up_to
 
+from models import from_coeffs
+
 E1M1 = curve_from_pair(1, -1)
 E13 = curve_from_pair(1, 3)
 
@@ -157,20 +159,20 @@ def test_scan_works_on_nonminimal_model():
 
 
 def test_scan_runs_tate_once_per_prime_of_the_discriminant(monkeypatch):
-    """One Tate run per p | disc decides bad reduction and gives the model to
-    count on; no potential type is computed."""
+    """One Tate run per odd p | disc up to the bound, in order, decides bad
+    reduction and gives the model to count on.  No potential type is
+    computed, and nothing is factored: disc mod p picks the primes."""
     from fractions import Fraction
 
-    from isogeny_forge import checkers, reduction
-    from isogeny_forge.elliptic import WeierstrassModel, _as_model
-    from isogeny_forge.exactnum import factorize
+    from isogeny_forge import checkers, exactnum, reduction
+    from isogeny_forge.elliptic import _as_model
 
     curves = [
         E1M1,
         curve_from_pair(50, 75),  # not minimal at 5
         curve_from_pair(-520251, 239738),
         # integral, not minimal at 2 and 3
-        WeierstrassModel.from_coeffs(1, -1, 0, -14, 29).transform(Fraction(1, 6), 0, 0, 0),
+        from_coeffs(1, -1, 0, -14, 29).transform(Fraction(1, 6), 0, 0, 0),
     ]
     want = [supersingular_scan(E, 200) for E in curves]
     tate = reduction.tate_algorithm
@@ -180,13 +182,17 @@ def test_scan_runs_tate_once_per_prime_of_the_discriminant(monkeypatch):
         primes.append(p)
         return tate(W, p)
 
-    def refuse(curve, p):
-        raise AssertionError("the scan computed a potential type")
+    def refuse(*args):
+        raise AssertionError("the scan computed a potential type or factored")
 
     monkeypatch.setattr(reduction, "tate_algorithm", counted)
     monkeypatch.setattr(checkers, "tate_algorithm", counted, raising=False)
     monkeypatch.setattr(reduction, "potential_type", refuse)
+    monkeypatch.setattr(reduction, "factorize", refuse)
+    monkeypatch.setattr(exactnum, "factorize", refuse)
     for E, scan in zip(curves, want):
         primes.clear()
         assert supersingular_scan(E, 200) == scan
-        assert sorted(primes) == sorted(factorize(int(_as_model(E).disc)))
+        disc = int(_as_model(E).disc)
+        assert primes == [q for q in primes_up_to(200) if q != 2 and disc % q == 0]
+

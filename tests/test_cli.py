@@ -170,6 +170,18 @@ def test_scan_that_tests_no_prime_states_no_density(a, b, bound):
     assert rec["outputs"]["primes"] == [] and rec["outputs"]["density"] is None
 
 
+def test_scan_of_a_hard_to_factor_discriminant_answers_at_once(capsys):
+    # a - b = -10^28 + 2 = -2 * 4728835511159 * 1057342761912761 takes seconds
+    # to factor; the scan only reads Delta mod p for the primes up to its bound
+    from isogeny_forge import cli
+
+    t0 = time.perf_counter()
+    assert cli.main(["scan", "supersingular", "--a", str(-10**28), "--b", "-2", "--bound", "2"]) == 0
+    assert time.perf_counter() - t0 < 1
+    [record] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert record["outputs"]["tested_good_primes"] == 0
+
+
 def test_kgroup_prove_skew():
     res = run_cli("kgroup", "prove-skew", "--q", "5", "--r", "2", "--convention", "both")
     assert res.returncode == 0

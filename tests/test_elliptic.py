@@ -31,6 +31,8 @@ from isogeny_forge.errors import (
 )
 from isogeny_forge.exactnum import legendre_symbol, primes_up_to
 
+from models import from_coeffs
+
 
 def count_points(curve, p: int) -> int:
     """#E(F_p) = p + 1 - a_p."""
@@ -110,7 +112,7 @@ def test_model_identity_1728():
     rng = random.Random(11)
     for _ in range(40):
         try:
-            W = WeierstrassModel.from_coeffs(
+            W = from_coeffs(
                 rng.randint(-3, 3),
                 rng.randint(-5, 5),
                 rng.randint(-3, 3),
@@ -129,7 +131,7 @@ def test_ap_examples():
     with pytest.raises(BadPrimeError):
         ap_trace(X3_MINUS_X, 2)  # 2 | 64
     # good odd disc at p = 2 is refused as unsupported rather than bad
-    W11 = WeierstrassModel.from_coeffs(0, -1, 1, -10, -20)
+    W11 = from_coeffs(0, -1, 1, -10, -20)
     assert W11.disc == -(11 ** 5)
     with pytest.raises(UnsupportedPrimeError):
         ap_trace(W11, 2)
@@ -223,6 +225,20 @@ def test_chi_table_views_against_legendre_symbol():
             for x in range(p):
                 assert chi[x] == legendre_symbol(x, p), (p, x)
                 assert (nonres >> x & 1) == (legendre_symbol(x, p) == -1), (p, x)
+
+
+def test_chi_caches_keep_a_few_primes_after_a_scan():
+    """A scan reads each prime's mask, and a Weierstrass model's tuple view,
+    once; the caches keep the last few instead of every prime (a scan to
+    10^5 held about 60 MB of masks, and the views take 8 p bytes each)."""
+    from isogeny_forge.checkers import supersingular_scan
+
+    for cache in (_chi_table, _chi_values):
+        cache.cache_clear()
+    assert supersingular_scan(curve_from_pair(2, 7), 8500).tested > 1024
+    assert _chi_table.cache_info().currsize <= 1024
+    assert supersingular_scan(from_coeffs(0, -1, 1, -10, -20), 200).tested > 4
+    assert _chi_values.cache_info().currsize <= 4
 
 
 def test_two_torsion_model_is_built_once():
@@ -559,7 +575,7 @@ GENERAL_MODELS = [
 
 @pytest.mark.parametrize("coeffs", GENERAL_MODELS)
 def test_group_engine_matches_oracle_on_general_models(coeffs):
-    W = WeierstrassModel.from_coeffs(*coeffs)
+    W = from_coeffs(*coeffs)
     for p in primes_up_to(199)[1:]:
         if W.disc % p:
             assert_matches_oracle(rational_points_mod_p(W, p))
@@ -567,7 +583,7 @@ def test_group_engine_matches_oracle_on_general_models(coeffs):
 
 def test_cyclic_group_of_square_order():
     # y^2 = x^3 + x + 1 has 9 points over F_5; Z/3 x Z/3 would need 3 | 5 - 1
-    G = rational_points_mod_p(WeierstrassModel.from_coeffs(0, 0, 0, 1, 1), 5)
+    G = rational_points_mod_p(from_coeffs(0, 0, 0, 1, 1), 5)
     assert G.structure() == [9]
     assert len(G.generators()) == 1
     assert discrete_log(G)[0] == (9,)

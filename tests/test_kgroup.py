@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from isogeny_forge import kgroup
 from isogeny_forge.cli import main
-from isogeny_forge.elliptic import WeierstrassModel, curve_from_pair, rational_points_mod_p
+from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
 from isogeny_forge.errors import BudgetExceededError, CertificateError
 from isogeny_forge.exactnum import ColumnLattice, _add_multiple
 from isogeny_forge.kgroup import (
@@ -24,7 +24,9 @@ from isogeny_forge.kgroup import (
     wr_line,
     wr_vertical,
 )
-from isogeny_forge.product import embed, product_decompose
+
+from models import from_coeffs
+from product import embed, product_decompose
 
 E5 = rational_points_mod_p(curve_from_pair(1, -1), 5)  # 8 points
 
@@ -368,6 +370,17 @@ def test_product_decompose_three_factors():
     res = product_decompose(groups, [P, Q])
     assert res.verified and res.roundtrip_ok
     assert len(res.terms) == 6  # 3 x 2 nonzero coordinate choices
+
+
+def test_product_decompose_refuses_a_point_that_does_not_resum(monkeypatch):
+    """The expansion checks that each slot point is the sum of its embedded
+    coordinates; with a broken addition it refuses instead of answering."""
+    import product
+
+    monkeypatch.setattr(product, "product_add", lambda groups, P, Q: P)
+    P = (E5.points[1], G2_5.points[1])
+    with pytest.raises(CertificateError, match="coordinate expansion does not resum"):
+        product_decompose([E5, G2_5], [P, P])
 
 
 # -- prove_skew against the one-proof-per-ordered-pair algorithm -------------------
@@ -725,7 +738,7 @@ def test_member_certificates_lift_to_symbol_coordinates(a, b, q, r):
 
 def test_cyclic_group_decides_in_one_coordinate():
     # y^2 = x^3 + x + 1 over F_5 has 9 points; Z/3 x Z/3 would need 3 | 5 - 1
-    G = rational_points_mod_p(WeierstrassModel.from_coeffs(0, 0, 0, 1, 1), 5)
+    G = rational_points_mod_p(from_coeffs(0, 0, 0, 1, 1), 5)
     assert kgroup.discrete_log(G)[0] == (9,)
     for conv in (MINUS, PLUS):
         lat = assemble_skew_lattice(SkewBilinear(G, 2), conv)

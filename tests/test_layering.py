@@ -1,8 +1,10 @@
 """Product code keeps only what a command, demo or benchmark reaches.  A scan
 of the source lists every module-level def and non-dunder method of the
 package that no module of src/, demos/ or perfbench/ names; each one left is
-pinned here with the reason it stays.  The group-ring and symbol-provenance
-oracles live in the tests (tests/group_ring.py, tests/test_kgroup.py)."""
+pinned here with the reason it stays.  The group-ring, product-of-curves and
+symbol-provenance oracles live in the tests (tests/group_ring.py,
+tests/product.py, tests/test_kgroup.py), as does the checked constructor of a
+model from raw coefficients (tests/models.py)."""
 
 import ast
 import os
@@ -14,10 +16,7 @@ PACKAGE = os.path.dirname(os.path.abspath(isogeny_forge.__file__))
 REPO = os.path.dirname(os.path.dirname(PACKAGE))
 
 UNREFERENCED = {
-    "ColumnLattice.contains": "membership as a yes/no, the reading of reduce the oracles test with",
     "WeierstrassModel.c6": "the invariant c6 beside c4 and the discriminant, with 1728 disc = c4^3 - c6^2",
-    "WeierstrassModel.from_coeffs": "the checked constructor of a model from its five coefficients",
-    "product_decompose": "acceptance criterion 8 is its behaviour",
 }
 
 # test oracles, a capability no caller needed, and lattice and symbol machinery
@@ -30,7 +29,9 @@ MOVED = {
     "ColumnLattice._sub_row", "_require_pair_slots", "SmithResult", "SmithResult.verify",
     "_mat_mul", "count_points", "is_supersingular_at", "EllipticGroup.on_curve",
     "invariant_factors_mod", "SymbolUniverse", "_curve_key", "SkewBilinear.serves",
-    "RelationColumn.as_dict", "FormalSum",
+    "RelationColumn.as_dict", "FormalSum", "product_zero", "embed", "project", "product_add",
+    "DecompositionResult", "product_decompose", "WeierstrassModel.from_coeffs",
+    "ColumnLattice.contains",
 }
 
 # the tracer names its targets as dotted strings ("EllipticGroup.structure")

@@ -267,22 +267,6 @@ sys.exit(main(["analyze-curve", "--a", "5", "--b", "1", "--primes", "5"]))
 """,
         "certificate error: the discriminant has a prime outside the bad primes",
     ),
-    "resum": (
-        """
-import sys
-from isogeny_forge import product
-from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
-from isogeny_forge.errors import CertificateError
-groups = [rational_points_mod_p(curve_from_pair(1, b), 5) for b in (-1, 3)]
-product.product_add = lambda groups, P, Q: P
-P = (groups[0].points[1], groups[1].points[1])
-try:
-    product.product_decompose(groups, [P, P])
-except CertificateError as e:
-    sys.exit(f"certificate error: {e}")
-""",
-        "certificate error: coordinate expansion does not resum",
-    ),
 }
 
 
@@ -303,7 +287,7 @@ from fractions import Fraction
 from isogeny_forge.elliptic import WeierstrassModel
 from isogeny_forge.reduction import classify_reduction
 try:
-    classify_reduction(WeierstrassModel.from_coeffs(0, 0, 0, Fraction(1, 3), 1), 2)
+    classify_reduction(WeierstrassModel(*map(Fraction, (0, 0, 0, Fraction(1, 3), 1))), 2)
 except ValueError as e:
     print(e)
 """)

@@ -31,11 +31,12 @@ from isogeny_forge.reduction import (
     tate_algorithm,
 )
 
+from models import from_coeffs
+
 X3_MINUS_X = curve_from_pair(1, -1)
 
 
-def W(*coeffs):
-    return WeierstrassModel.from_coeffs(*coeffs)
+W = from_coeffs
 
 
 def _vp(n, p):
@@ -383,13 +384,13 @@ def test_conductor_rejects_singular():
 
 
 def test_model_with_a_denominator_prime_to_p_is_refused():
-    W = WeierstrassModel.from_coeffs(0, 0, 0, Fraction(1, 3), 1)
+    W = from_coeffs(0, 0, 0, Fraction(1, 3), 1)
     for local in (tate_algorithm, classify_reduction):
         with pytest.raises(ValueError, match="model must be integral"):
             local(W, 2)
     # a denominator that is a power of p is cleared by rescaling
     assert tate_algorithm(W, 3).kodaira_type == "III*"
-    assert conductor(W) == conductor(WeierstrassModel.from_coeffs(0, 0, 0, 3**3, 3**6))
+    assert conductor(W) == conductor(from_coeffs(0, 0, 0, 3**3, 3**6))
 
 
 TWIST_TRANSITION = {

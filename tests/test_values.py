@@ -8,15 +8,17 @@ import pickle
 import pytest
 
 from isogeny_forge.checkers import supersingular_scan
-from isogeny_forge.elliptic import WeierstrassModel, curve_from_pair
+from isogeny_forge.elliptic import curve_from_pair
 from isogeny_forge.errors import DegenerateCurveError
 from isogeny_forge.genus2 import HyperellipticCurve
 from isogeny_forge.scholten import build_scholten
 
+from models import from_coeffs
+
 # name -> (a builder of one value, its field names)
 VALUES = {
     "two-torsion": (lambda: curve_from_pair(3, -5), ("a", "b")),
-    "weierstrass": (lambda: WeierstrassModel.from_coeffs(0, -1, 1, -10, -20),
+    "weierstrass": (lambda: from_coeffs(0, -1, 1, -10, -20),
                     ("a1", "a2", "a3", "a4", "a6")),
     "hyperelliptic": (lambda: build_scholten(1, -1, 2, 3).curve, ("lam", "coeffs", "even_factors")),
     "scholten": (lambda: build_scholten(1, -1, 2, 3),
@@ -78,7 +80,7 @@ def test_curves_of_different_types_are_unequal():
 
 def test_a_singular_weierstrass_model_is_refused():
     with pytest.raises(DegenerateCurveError, match="singular Weierstrass model"):
-        WeierstrassModel.from_coeffs(0, 0, 0, 0, 0)
+        from_coeffs(0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("args, message", [
