@@ -271,10 +271,10 @@ def _squares(n: int) -> list[int]:
     return [t * t for t in range(n)]
 
 
-# A command reads one prime's mask at a time, save a search, whose
-# split-jacobian predicate rereads the primes up to its bound for each curve:
-# 1024 masks cover the primes below 8,170, and hold at most 128 p bytes.
-@lru_cache(maxsize=1024)
+# Unbounded: a search's split-jacobian predicate rereads the masks of every
+# prime up to its bound for each curve, in the same order, and an LRU smaller
+# than that set evicts each mask before its next read.
+@lru_cache(maxsize=None)
 def _chi_table(p: int) -> int:
     """The quadratic character mod an odd prime p, from one pass over the
     squares, as its non-residue mask: the p-bit integer whose bit x is set

@@ -177,7 +177,7 @@ def test_scan_of_a_hard_to_factor_discriminant_answers_at_once(capsys):
 
     t0 = time.perf_counter()
     assert cli.main(["scan", "supersingular", "--a", str(-10**28), "--b", "-2", "--bound", "2"]) == 0
-    assert time.perf_counter() - t0 < 1
+    assert time.perf_counter() - t0 < 2.5  # more than 5 s when the scan factored it
     [record] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert record["outputs"]["tested_good_primes"] == 0
 
