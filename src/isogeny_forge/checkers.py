@@ -174,7 +174,7 @@ def supersingular_scan(curve: Curve, bound: int) -> SupersingularScan:
     reduction and gives the p-minimal model to count on.
     """
     W = _integral_model(_as_model(curve))
-    delta = int(W.disc)
+    delta = W.disc
     E = curve if isinstance(curve, TwoTorsionCurve) else W
     found = []
     tested = 0

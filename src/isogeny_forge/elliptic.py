@@ -31,14 +31,18 @@ from .exactnum import factorize, is_prime
 
 
 class WeierstrassModel(NamedTuple):
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with rational coefficients.
-    A model equals only a model, never the plain tuple of its coefficients."""
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.  A model the program
+    builds has each integral coefficient as an int (see _model), so c4, c6
+    and disc are ints on an integral model; a coefficient is a Fraction only
+    where it is not an integer, or in a model a caller passes in.  j is
+    always a Fraction.  A model equals only a model, never the plain tuple
+    of its coefficients."""
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
+    a1: int | Fraction
+    a2: int | Fraction
+    a3: int | Fraction
+    a4: int | Fraction
+    a6: int | Fraction
 
     def __eq__(self, other):
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -49,31 +53,39 @@ class WeierstrassModel(NamedTuple):
     __hash__ = tuple.__hash__
 
     @property
-    def c4(self) -> Fraction:
+    def c4(self) -> int | Fraction:
         return _c4c6(*self.coeffs())[0]
 
     @property
-    def c6(self) -> Fraction:
+    def c6(self) -> int | Fraction:
         return _c4c6(*self.coeffs())[1]
 
     @property
-    def disc(self) -> Fraction:
+    def disc(self) -> int | Fraction:
         return _discriminant(*self.coeffs())
 
     @property
     def j(self) -> Fraction:
-        return self.c4 ** 3 / self.disc
+        return Fraction(self.c4 ** 3, self.disc)
 
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[int | Fraction, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def transform(self, u, r, s, t) -> "WeierstrassModel":
-        """Admissible change of model x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+        """Admissible change of model x = u^2 x' + r, y = u^3 y' + s u^2 x' + t,
+        for rationals u != 0, r, s, t; each integral coefficient of the
+        result is an int."""
         u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
         if u == 0:
             raise ValueError("u must be nonzero")
         moved = _translated(self.coeffs(), r, s, t)
-        return WeierstrassModel(*(c / u**i for c, i in zip(moved, _WEIGHTS)))
+        return _model(c / u**i for c, i in zip(moved, _WEIGHTS))
+
+
+def _model(coeffs) -> WeierstrassModel:
+    """The model with these rational coefficients, each integral one as an
+    int: every model the program builds comes from here."""
+    return WeierstrassModel(*(c.numerator if c.denominator == 1 else c for c in coeffs))
 
 
 class TwoTorsionCurve:
@@ -103,13 +115,7 @@ class TwoTorsionCurve:
 
     @cached_property
     def model(self) -> WeierstrassModel:
-        return WeierstrassModel(
-            Fraction(0),
-            Fraction(-(self.a + self.b)),
-            Fraction(0),
-            Fraction(self.a * self.b),
-            Fraction(0),
-        )
+        return _model((0, -(self.a + self.b), 0, self.a * self.b, 0))
 
     @property
     def delta(self) -> int:
@@ -177,18 +183,23 @@ def _as_model(curve) -> WeierstrassModel:
 
 
 def _integral_model(W: WeierstrassModel) -> WeierstrassModel:
-    """W itself when integral, else W rescaled by u = 1/lcm of denominators."""
+    """An integral model of W with int coefficients: W itself when its
+    coefficients are ints, else W rescaled by u = 1/lcm of denominators."""
     den = lcm(*(c.denominator for c in W.coeffs()))
-    return W if den == 1 else W.transform(Fraction(1, den), 0, 0, 0)
+    if den != 1:
+        return W.transform(Fraction(1, den), 0, 0, 0)
+    return W if all(type(c) is int for c in W.coeffs()) else _model(W.coeffs())
 
 
 def _coeffs_mod_p(W: WeierstrassModel, p: int) -> tuple[int, int, int, int, int]:
     out = []
     for c in W.coeffs():
-        den = c.denominator
-        if den % p == 0:
-            raise BadPrimeError(f"model is not {p}-integral")
-        out.append(c.numerator * pow(den, -1, p) % p)
+        n, den = c.numerator, c.denominator
+        if den != 1:
+            if den % p == 0:
+                raise BadPrimeError(f"model is not {p}-integral")
+            n *= pow(den, -1, p)
+        out.append(n % p)
     return tuple(out)
 
 

@@ -117,16 +117,23 @@ def _pollard_rho(n: int) -> int:
         c += 1
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
-    if n == 0:
-        raise ValueError("cannot factor 0")
+def _trial_division(n: int) -> tuple[dict[int, int], int]:
+    """The primes of |n| below 43 as {prime: exponent}, and the cofactor
+    left, which factorize hands to Pollard rho."""
     n = abs(n)
     out: dict[int, int] = {}
     for p in _MR_WITNESSES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    return out, n
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    out, n = _trial_division(n)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

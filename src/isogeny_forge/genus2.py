@@ -103,40 +103,48 @@ def _partial(f, a: int, b: int) -> list:
     return [f[i] * perm(i, a) * perm(m - i, b) for i in range(a, m - b + 1)]
 
 
-def _transvectant(f, g, k: int) -> list[Fraction]:
-    """The k-th transvectant (f, g)_k of binary forms of degrees m and n
-    (index = power of x), scaled by (m-k)!(n-k)!/(m!n!)."""
+def _transvectant(f, g, k: int) -> tuple[list[int], Fraction]:
+    """The k-th transvectant (f, g)_k of integer binary forms of degrees m
+    and n (index = power of x), scaled by (m-k)!(n-k)!/(m!n!), as the pair
+    (T, scale): T is the unscaled form, summed in ints, and (f, g)_k is
+    scale * T."""
     m, n = len(f) - 1, len(g) - 1
-    out = [Fraction(0)] * (m + n - 2 * k + 1)
+    out = [0] * (m + n - 2 * k + 1)
     for j in range(k + 1):
         w = (-1) ** j * comb(k, j)
         dg = _partial(g, j, k - j)
         for a, u in enumerate(_partial(f, k - j, j)):
+            wu = w * u
             for b, v in enumerate(dg):
-                out[a + b] += w * u * v
-    scale = Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
-    return [scale * c for c in out]
+                out[a + b] += wu * v
+    return out, Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
 
 
-def igusa_clebsch_of_sextic(coeffs, disc=None) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(I2, I4, I6, I10) of the binary sextic, exact.
+def igusa_clebsch_of_sextic(coeffs, disc=None) -> tuple[int, int, int, int]:
+    """(I2, I4, I6, I10) of the binary sextic, exact integers.
 
     `disc`, when given, is taken as sextic_discriminant(coeffs) instead of
-    computing it again; a curve passes its cached value.
+    computing it again; a curve passes its cached value.  The transvectants
+    are integer forms; the scales of the nested ones multiply: with
+    i = si * I, (i, i)_4 = sb * si^2 * (I, I)_4, and so on.
     """
     cs = _as_sextic(coeffs)
     if disc is None:
         disc = sextic_discriminant(cs)
     if disc == 0:
         raise SingularCurveError("sextic has a repeated root")
-    i = _transvectant(cs, cs, 4)
-    A = _transvectant(cs, cs, 6)[0]
-    B = _transvectant(i, i, 4)[0]
-    C = _transvectant(i, _transvectant(i, i, 2), 4)[0]
-    i2 = -120 * A
-    i4 = -720 * A**2 + 6750 * B
-    i6 = 8640 * A**3 - 108000 * A * B + 202500 * C
-    return (i2, i4, i6, Fraction(-disc))
+    I, si = _transvectant(cs, cs, 4)
+    (a,), sa = _transvectant(cs, cs, 6)
+    (b,), sb = _transvectant(I, I, 4)
+    J, sj = _transvectant(I, I, 2)
+    (c,), sc = _transvectant(I, J, 4)
+    A = sa * a
+    B = sb * si**2 * b
+    C = sc * si * sj * si**2 * c
+    inv = (-120 * A, -720 * A**2 + 6750 * B, 8640 * A**3 - 108000 * A * B + 202500 * C)
+    if any(x.denominator != 1 for x in inv):
+        raise CertificateError("an Igusa-Clebsch invariant of an integer sextic is not an integer")
+    return (*(x.numerator for x in inv), -disc)
 
 
 def absolute_invariants(inv) -> tuple[Fraction, Fraction, Fraction]:

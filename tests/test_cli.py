@@ -182,6 +182,39 @@ def test_scan_of_a_hard_to_factor_discriminant_answers_at_once(capsys):
     assert record["outputs"]["tested_good_primes"] == 0
 
 
+_HARD_CONDUCTOR = {
+    "check-global2": ["check", "global2", "--a", "-2", "--b", str(-10**28),
+                      "--deg-phi", "1", "--bound", "30"],
+    "analyze-curve": ["analyze-curve", "--a", "-2", "--b", str(-10**28), "--primes", "3"],
+}
+# a - b = 10^28 - 2 leaves 4999999999999999999999999999 = 4728835511159 *
+# 1057342761912761 after trial division, which took seconds to factor
+_HARD_CONDUCTOR_ERROR = ("analysis error: the conductor must factor 9999999999999999999999999998,"
+                         " whose cofactor after trial division has 93 bits, over 64\n")
+
+
+@pytest.mark.parametrize("args", _HARD_CONDUCTOR.values(), ids=_HARD_CONDUCTOR.keys())
+def test_conductor_guard_refuses_before_factoring(monkeypatch, capsys, args):
+    from isogeny_forge import cli, reduction
+
+    def forbidden(n):
+        raise RuntimeError("a refused input began factoring")
+
+    monkeypatch.setattr(reduction, "factorize", forbidden)
+    assert cli.main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == _HARD_CONDUCTOR_ERROR
+
+
+def test_conductor_guard_refuses_under_optimize():
+    t0 = time.perf_counter()
+    res = subprocess.run([sys.executable, "-O", *CLI[1:], *_HARD_CONDUCTOR["check-global2"]],
+                         capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 2.5  # the same input ran past 5 s before the guard
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", _HARD_CONDUCTOR_ERROR)
+
+
 def test_kgroup_prove_skew():
     res = run_cli("kgroup", "prove-skew", "--q", "5", "--r", "2", "--convention", "both")
     assert res.returncode == 0

@@ -20,6 +20,8 @@ from isogeny_forge.genus2 import (
 )
 from isogeny_forge.scholten import build_scholten, verify_split_jacobian
 
+import transvectants
+
 
 def poly_from_roots(roots, lead=1):
     cs = [Fraction(lead)]
@@ -158,6 +160,18 @@ def test_igusa_matches_root_oracle_on_split_sextics(roots, lead):
     # split sextics are Zariski-dense, so agreement here pins the polynomial identity
     cs = poly_from_roots(roots, lead)
     assert igusa_clebsch_of_sextic(cs) == oracle_invariants(roots, lead)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.integers(-40, 40)] * 6, st.integers(-40, 40).filter(bool)))
+def test_igusa_matches_the_fraction_transvectants(cs):
+    """On integer sextics the invariants summed in ints and scaled once are
+    the Fraction-transvectant oracle's, and are ints."""
+    disc = sextic_discriminant(cs)
+    assume(disc != 0)
+    got = igusa_clebsch_of_sextic(cs)
+    assert got == transvectants.igusa_clebsch(cs, disc)
+    assert all(type(x) is int for x in got)
 
 
 def test_igusa_rational_roots():

@@ -23,6 +23,7 @@ from isogeny_forge.reduction import (
     POT_GOOD_SUPERSINGULAR,
     POT_MULTIPLICATIVE,
     SPLIT_MULTIPLICATIVE,
+    TateOutcome,
     _repeated_root_of_cubic,
     bad_primes,
     classify_reduction,
@@ -613,3 +614,74 @@ def test_bad_primes_of_a_two_torsion_curve_never_factor_its_discriminant(monkeyp
     conductor(E)
     supersingular_scan(E, 100)
     assert factored and max(factored) <= max(abs(a), abs(b), abs(a - b))
+
+
+# -- int models against their Fraction twins -------------------------------------
+
+_RATIONAL = st.fractions(-3, 3, max_denominator=3)
+_UNIT = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)])
+
+
+def _run(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(-300, 300), st.integers(-300, 300),
+       st.tuples(_UNIT, _RATIONAL, _RATIONAL, _RATIONAL), st.sampled_from(primes_up_to(60)))
+@example(1, -1, (1, 0, 0, 0), 2)
+@example(5, 1, (5, 0, 0, 0), 5)  # a p-power rescale before the machine runs
+@example(1, 11, (1, 1, -1, 2), 11)  # potentially multiplicative, on an int model
+def test_int_and_fraction_models_agree(a, b, change, p):
+    """The curve's int model and a rational change of it give the same Tate
+    outcome, classification, potential type and conductor as the same
+    coefficients held as Fractions (models.from_coeffs).  Integral
+    coefficients, c4, c6, disc, the reported model and a transform without
+    a p-power rescale are ints; j is the curve's j, as a Fraction."""
+    assume(a and b and a != b)
+    E = curve_from_pair(a, b)
+    for model in (E.model, E.model.transform(*change)):
+        twin = from_coeffs(*model.coeffs())
+        invariants = (*model.coeffs(), model.c4, model.c6, model.disc)
+        assert not any(isinstance(x, float) for x in invariants)
+        if all(x.denominator == 1 for x in invariants):
+            assert all(type(x) is int for x in invariants), model
+        assert type(model.j) is Fraction and model.j == E.j
+        out = _run(tate_algorithm, model, p)
+        assert out == _run(tate_algorithm, twin, p)
+        if isinstance(out, TateOutcome):
+            assert all(type(c) is int for c in out.model.coeffs())
+            rescaled = any(c.denominator % p == 0 for c in model.coeffs())
+            assert rescaled or all(type(x) is int for x in out.transform)
+        assert _run(classify_reduction, model, p) == _run(classify_reduction, twin, p)
+        if p > 2:
+            assert potential_type(model, p) == potential_type(twin, p) == potential_type(E, p)
+        assert conductor.__wrapped__(model) == conductor.__wrapped__(twin) == conductor(E)
+
+
+def test_conductor_guard_edge(monkeypatch):
+    """A conductor factors cofactors of up to MAX_FACTOR_BITS bits left by
+    trial division, and refuses a larger one before it factors anything."""
+    from isogeny_forge import reduction
+    from isogeny_forge.errors import BudgetExceededError
+
+    n = 4294967291 * 4294967279  # two 32-bit primes: the dearest kind of 64-bit cofactor
+    assert reduction.MAX_FACTOR_BITS == n.bit_length() == 64
+    assert conductor(curve_from_pair(n, 1 - n)) % n == 0
+    factored = []
+    monkeypatch.setattr(reduction, "factorize", factored.append)
+    # 2^64 + 1 = 274177 * 67280421310721 has 65 bits and no prime below 43:
+    # it is a, then b, then a - b
+    for ab in [(2**64 + 1, 1), (1, -(2**64 + 1)), (2**64 + 2, 1)]:
+        E = curve_from_pair(*ab)
+        with pytest.raises(BudgetExceededError, match="has 65 bits, over 64"):
+            conductor(E)
+    # any other model factors its discriminant -432 (2^64 + 1)^2 whole
+    W = from_coeffs(0, 0, 0, 0, 2**64 + 1)
+    with pytest.raises(BudgetExceededError, match="has 129 bits, over 64"):
+        conductor(W)
+    assert factored == []
