@@ -133,7 +133,12 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    out, n = _trial_division(n)
+    return _factor_cofactor(*_trial_division(n))
+
+
+def _factor_cofactor(out: dict[int, int], n: int) -> dict[int, int]:
+    """factorize's Pollard-rho step on what _trial_division returns: the
+    primes below 43 (out, added to in place) and the cofactor n."""
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -10,8 +10,11 @@ Normalizing translations are found by small exhaustive search at p = 2, 3 and
 by closed formulas modulo a high power of p at odd primes; every normalization
 is re-checked, and a misnavigated step raises CertificateError instead of
 misclassifying.  The machine runs on the integer coefficients of a p-integral
-model and composes an integer change of model; every outcome re-verifies that
-this change carries the start model to the one reported.
+model and composes an integer change of model; every outcome it reaches
+re-verifies that this change carries the start model to the one reported.
+The machine starts only where it can move the model: a model of ints at a
+prime not dividing its discriminant is I0 at once, with the identity change,
+which is not re-checked.  Outcomes are memoized in process by (model, p).
 
 A repeated root rho of a cubic f = T^3 + A2 T^2 + A4 T + A6 over F_p is
 rational (Silverman, Advanced Topics, IV.9, steps 6-8).  Writing
@@ -45,7 +48,14 @@ from .elliptic import (
     _translated,
 )
 from .errors import BudgetExceededError, CertificateError, UnsupportedPrimeError
-from .exactnum import _trial_division, factorize, is_prime, legendre_symbol, valuation
+from .exactnum import (
+    _factor_cofactor,
+    _trial_division,
+    factorize,
+    is_prime,
+    legendre_symbol,
+    valuation,
+)
 
 GOOD_ORDINARY = "GoodOrdinary"
 GOOD_SUPERSINGULAR = "GoodSupersingular"
@@ -181,11 +191,28 @@ def tate_algorithm(curve: Curve, p: int) -> TateOutcome:
     """Kodaira type, v_p(Delta_min) and conductor exponent at p, together with
     the p-minimal model reached and the transformation to it.
 
-    Denominators that are powers of p are cleared by rescaling; any other
-    denominator raises ValueError."""
-    W = _as_model(curve)
+    A model of ints at a prime p not dividing its discriminant is I0 with
+    the identity change: that outcome is returned without starting the step
+    machine, and, as nothing moved the model, it is not re-checked.  Any
+    other model runs the machine (_tate_machine).  Denominators that are
+    powers of p are cleared by rescaling; any other denominator raises
+    ValueError.  The outcomes of the last 1,024 (model, p) used are kept in
+    process (_tate_cache), so each is computed once."""
+    return _tate_cache(_as_model(curve), p)
+
+
+@lru_cache(maxsize=1024)
+def _tate_cache(W: WeierstrassModel, p: int) -> TateOutcome:
+    """tate_algorithm on a model, memoized by (model, p)."""
     if p < 2 or not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if all(type(c) is int for c in W) and _discriminant(*W) % p:
+        return TateOutcome("I0", 0, 0, None, W, (1, 0, 0, 0), 0)
+    return _tate_machine(W, p)
+
+
+def _tate_machine(W: WeierstrassModel, p: int) -> TateOutcome:
+    """Tate's algorithm by the step machine alone, at every model and prime p."""
     # make the model p-integral: u = p^-worst, worst the least k with p^(i k)
     # clearing the p-part of the denominator of each a_i
     worst = max((valuation(c.denominator, p) + i - 1) // i for i, c in zip(_WEIGHTS, W.coeffs()))
@@ -329,7 +356,10 @@ def _istar_subloop(m: _Machine, rho: int) -> int:
 
 
 def classify_reduction(curve: Curve, p: int) -> ReductionReport:
-    """Full local report at p (any prime, including 2 and 3)."""
+    """Full local report at p (any prime, including 2 and 3).  Where p does
+    not divide the discriminant of a model of ints, the report's model is
+    that model itself, reached by the identity change, which no step machine
+    ran and nothing re-checks (see tate_algorithm)."""
     W = _as_model(curve)
     out = tate_algorithm(W, p)
     f = out.conductor_exponent
@@ -368,22 +398,24 @@ def bad_primes(curve: Curve, W: WeierstrassModel) -> list[int]:
 
     When W is the model of a TwoTorsionCurve, Delta = 16 a^2 b^2 (a - b)^2,
     so the primes are 2 and those of a, b and a - b, each factored on its
-    own; dividing them out of Delta must leave +-1.  Any other W has Delta
+    own, trial-divided once, and its cofactor handed to Pollard rho;
+    dividing them out of Delta must leave +-1.  Any other W has Delta
     factored whole.  Before anything is factored, a number whose cofactor
     after trial division has more than MAX_FACTOR_BITS bits raises
     BudgetExceededError."""
     delta = W.disc
     two_torsion = isinstance(curve, TwoTorsionCurve) and W is curve.model
     factored = (curve.a, curve.b, curve.a - curve.b) if two_torsion else (delta,)
-    for n in factored:
-        bits = _trial_division(n)[1].bit_length()
+    divided = [_trial_division(n) for n in factored]
+    for n, (_, cofactor) in zip(factored, divided):
+        bits = cofactor.bit_length()
         if bits > MAX_FACTOR_BITS:
             raise BudgetExceededError(
                 f"the conductor must factor {n}, whose cofactor after trial division has"
                 f" {bits} bits, over {MAX_FACTOR_BITS}")
     if not two_torsion:
         return list(factorize(delta))
-    primes = sorted({2}.union(*map(factorize, factored)))
+    primes = sorted({2}.union(*(_factor_cofactor(*d) for d in divided)))
     for q in primes:
         _require(delta % q == 0, f"bad prime {q} does not divide the discriminant")
         while delta % q == 0:

@@ -201,6 +201,7 @@ def test_conductor_guard_refuses_before_factoring(monkeypatch, capsys, args):
         raise RuntimeError("a refused input began factoring")
 
     monkeypatch.setattr(reduction, "factorize", forbidden)
+    monkeypatch.setattr(reduction, "_factor_cofactor", lambda out, n: forbidden(n))
     assert cli.main(args) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -291,6 +292,32 @@ def test_check_global2_computes_the_conductor_once(monkeypatch, capsys):
     (rec,) = records_of(capsys.readouterr().out)
     assert rec["outputs"]["conductor"] == reduction.conductor(curve_from_pair(a, b))
     assert sorted(primes) == sorted(factorize(16 * a * a * b * b * (a - b) ** 2))
+
+
+def test_analyze_curve_starts_the_machine_once_per_bad_prime(monkeypatch, capsys):
+    """The step machine starts once at each bad prime of E, for the
+    conductor, and at no good prime: a report at a bad prime reads the
+    conductor's Tate run, and one at a good prime stops before the machine."""
+    from isogeny_forge import cli, reduction
+    from isogeny_forge.exactnum import factorize, primes_up_to
+
+    started = []
+
+    class Counted(reduction._Machine):
+        def __init__(self, a, p, k):
+            started.append(p)
+            super().__init__(a, p, k)
+
+    monkeypatch.setattr(reduction, "_Machine", Counted)
+    reduction._tate_cache.cache_clear()
+    reduction.conductor.cache_clear()
+    a, b = 543642, -26362
+    assert cli.main(["analyze-curve", "--a", str(a), "--b", str(b), "--primes", "3..60"]) == 0
+    _, *reports = records_of(capsys.readouterr().out)
+    bad = sorted(factorize(16 * a * a * b * b * (a - b) ** 2))
+    assert started == bad == [2, 3, 7, 11, 269, 8237, 142501]
+    assert [r["inputs"]["p"] for r in reports] == primes_up_to(60)[1:]
+    assert [r["inputs"]["p"] for r in reports if r["outputs"]["kodaira"] != "I0"] == [3, 7, 11]
 
 
 def test_main_reuses_one_parser(monkeypatch, capsys):

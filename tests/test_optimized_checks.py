@@ -260,8 +260,8 @@ from isogeny_forge import exactnum
 # without its largest prime the factorization of a = 5 is empty, so the bad
 # primes of y^2 = x(x - 5)(x - 1) miss the prime 5 of its discriminant;
 # patched before reduction binds it
-factorize = exactnum.factorize
-exactnum.factorize = lambda n: dict(list(factorize(n).items())[:-1])
+factor = exactnum._factor_cofactor
+exactnum._factor_cofactor = lambda out, n: dict(list(factor(out, n).items())[:-1])
 from isogeny_forge.cli import main
 sys.exit(main(["analyze-curve", "--a", "5", "--b", "1", "--primes", "5"]))
 """,

@@ -498,6 +498,8 @@ def test_machine_is_invariant_under_integral_changes_of_model(scaled, p, k, rst)
 def test_machine_builds_one_model_and_transforms_only_to_integralize(monkeypatch):
     """The step machine runs on ints: one WeierstrassModel per run (the
     reported model) and one transform, for a non-integral input alone."""
+    from isogeny_forge import reduction
+
     cases = [
         (W(0, 0, 0, 4, 0), 2, 0),  # I3*, several translations
         (W(0, 0, 0, 5**4, 2 * 5**6), 5, 0),  # one restart
@@ -520,6 +522,7 @@ def test_machine_builds_one_model_and_transforms_only_to_integralize(monkeypatch
     restarts = []
     for model, p, transforms in cases:
         counts.update(transform=0, model=0)
+        reduction._tate_cache.cache_clear()
         restarts.append(tate_algorithm(model, p).restarts)
         assert counts == {"transform": transforms, "model": 1 + transforms}, (model, p)
     assert restarts == [0, 1, 2, 0]
@@ -594,20 +597,26 @@ def test_bad_primes_of_a_two_torsion_curve_are_those_of_its_discriminant(ab):
 
 def test_bad_primes_of_a_two_torsion_curve_never_factor_its_discriminant(monkeypatch):
     """conductor and supersingular_scan factor a, b and a - b, each at most
-    max(|a|, |b|, |a - b|), instead of the 16 a^2 b^2 (a - b)^2 of Delta."""
+    max(|a|, |b|, |a - b|), instead of the 16 a^2 b^2 (a - b)^2 of Delta:
+    neither trial division, nor Pollard rho on its cofactor, nor factorize
+    sees a larger number."""
     import sys
 
+    from isogeny_forge import exactnum
     from isogeny_forge.checkers import supersingular_scan
 
     factored = []
 
-    def watched(n):
-        factored.append(abs(n))
-        return factorize(n)
+    def watch(f):
+        def watched(*args):
+            factored.append(abs(args[-1]))
+            return f(*args)
+        return watched
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("isogeny_forge") and getattr(module, "factorize", None) is factorize:
-            monkeypatch.setattr(module, "factorize", watched)
+    for f in (factorize, exactnum._trial_division, exactnum._factor_cofactor):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("isogeny_forge") and getattr(module, f.__name__, None) is f:
+                monkeypatch.setattr(module, f.__name__, watch(f))
     a, b = -520251, 239738
     E = curve_from_pair(a, b)
     conductor.cache_clear()
@@ -642,6 +651,8 @@ def test_int_and_fraction_models_agree(a, b, change, p):
     coefficients held as Fractions (models.from_coeffs).  Integral
     coefficients, c4, c6, disc, the reported model and a transform without
     a p-power rescale are ints; j is the curve's j, as a Fraction."""
+    from isogeny_forge import reduction
+
     assume(a and b and a != b)
     E = curve_from_pair(a, b)
     for model in (E.model, E.model.transform(*change)):
@@ -652,6 +663,7 @@ def test_int_and_fraction_models_agree(a, b, change, p):
             assert all(type(x) is int for x in invariants), model
         assert type(model.j) is Fraction and model.j == E.j
         out = _run(tate_algorithm, model, p)
+        reduction._tate_cache.cache_clear()  # the twin is equal as a key: run it afresh
         assert out == _run(tate_algorithm, twin, p)
         if isinstance(out, TateOutcome):
             assert all(type(c) is int for c in out.model.coeffs())
@@ -674,6 +686,7 @@ def test_conductor_guard_edge(monkeypatch):
     assert conductor(curve_from_pair(n, 1 - n)) % n == 0
     factored = []
     monkeypatch.setattr(reduction, "factorize", factored.append)
+    monkeypatch.setattr(reduction, "_factor_cofactor", lambda out, n: factored.append(n))
     # 2^64 + 1 = 274177 * 67280421310721 has 65 bits and no prime below 43:
     # it is a, then b, then a - b
     for ab in [(2**64 + 1, 1), (1, -(2**64 + 1)), (2**64 + 2, 1)]:
@@ -685,3 +698,62 @@ def test_conductor_guard_edge(monkeypatch):
     with pytest.raises(BudgetExceededError, match="has 129 bits, over 64"):
         conductor(W)
     assert factored == []
+
+
+# -- the good-prime exit against the step machine --------------------------------
+
+
+def _typed(x):
+    """x with the type of every field beside its value, tuples recursively."""
+    if isinstance(x, tuple):
+        return type(x), tuple(map(_typed, x))
+    return type(x), x
+
+
+def _nonsingular_mod_p(model, p):
+    """No point of F_p^2 is singular on the reduction of a p-integral model."""
+    a1, a2, a3, a4, a6 = (int(c) % p for c in model.coeffs())
+    return not any(
+        (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p
+        == (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
+        == (2 * y + a1 * x + a3) % p
+        == 0
+        for x in range(p)
+        for y in range(p)
+    )
+
+
+_TWO_TORSION_COEFFS = st.tuples(st.integers(-300, 300), st.integers(-300, 300)).filter(
+    lambda ab: 0 != ab[0] != ab[1] != 0).map(lambda ab: curve_from_pair(*ab).model.coeffs())
+_SMALL_COEFFS = st.tuples(*(st.integers(-6, 6) for _ in range(5))).filter(
+    lambda cs: _discriminant(*cs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_TWO_TORSION_COEFFS, _SMALL_COEFFS), st.sampled_from(primes_up_to(97)),
+       st.integers(-2, 1), st.tuples(*(st.integers(-2, 2) for _ in range(3))))
+@example((0, 0, 0, -1, 0), 5, 0, (0, 0, 0))  # good: the exit
+@example((0, 0, 0, -1, 0), 5, 1, (0, 0, 0))  # good, but 5-power denominators
+@example((0, 0, 0, -1, 0), 5, -1, (0, 0, 0))  # good, non-minimal at 5
+@example((0, -1, 1, -10, -20), 11, 0, (1, -1, 2))  # X_0(11): I5 at 11
+@example((0, 0, 0, 4, 0), 2, 0, (0, 0, 0))  # wild at 2
+def test_tate_algorithm_equals_the_step_machine(coeffs, p, k, rst):
+    """tate_algorithm, with its exit at a prime not dividing the discriminant
+    of a model of ints, gives the outcome of the step machine alone, field for
+    field and type for type, and answers each (model, p) once.  The inputs
+    are a model, its change by u = p^k (p-power denominators for k > 0) and a
+    translation, each held as ints and as Fractions.  For p <= 31 the outcome
+    is I0 exactly when its model has no singular point mod p."""
+    from isogeny_forge import reduction
+
+    model = WeierstrassModel(*coeffs)
+    twin = model.transform(Fraction(p) ** k, *rst)
+    for W in (model, twin, from_coeffs(*model.coeffs()), from_coeffs(*twin.coeffs())):
+        reduction._tate_cache.cache_clear()
+        got = _run(tate_algorithm, W, p)
+        assert _typed(got) == _typed(_run(reduction._tate_machine, W, p)), (W, p)
+        if not isinstance(got, TateOutcome):
+            continue
+        assert tate_algorithm(W, p) is got
+        if p <= 31:
+            assert (got.kodaira_type == "I0") == _nonsingular_mod_p(got.model, p), (W, p)
