@@ -376,11 +376,12 @@ class ColumnLattice:
     rows finds those to queue, and a generator equal to an earlier one only
     takes its index.
 
-    Membership queries reduce a target at its own nonzero pivot columns, left
-    to right, each entry into [0, pivot).  The remainder is the canonical
-    representative of the target's coset, so it is zero exactly when the
-    target is in the lattice; success yields exact coefficients over the
-    original generators.
+    A membership query makes one pass over the pivots in ascending order and
+    brings the target's entry at each into [0, pivot); a basis row has no
+    entry left of its pivot, so no later step undoes an earlier one.  The
+    remainder is the canonical representative of the target's coset, so it
+    is zero exactly when the target is in the lattice; success yields exact
+    coefficients over the original generators.
     """
 
     def __init__(self, dimension: int):
@@ -499,16 +500,12 @@ class ColumnLattice:
         sum coeff_k * generator_k = target - remainder exactly.
         """
         v = self._sparse(target)
-        rows = self._rows
+        rows, hists = self._rows, self._hist
         coeffs: dict[int, int] = {}
-        while True:
-            j = min(
-                (t for t, c in v.items() if t in rows and not 0 <= c < rows[t][t]),
-                default=None,
-            )
-            if j is None:
-                return self._dense(v), coeffs
+        for j in sorted(rows):
             row = rows[j]
-            q = v[j] // row[j]
-            _add_multiple(v, row, -q)
-            _add_multiple(coeffs, self._hist[j], q)
+            q = v.get(j, 0) // row[j]  # nonzero iff the entry is outside [0, pivot)
+            if q:
+                _add_multiple(v, row, -q)
+                _add_multiple(coeffs, hists[j], q)
+        return self._dense(v), coeffs

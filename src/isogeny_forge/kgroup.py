@@ -22,7 +22,8 @@ is built when read (ColumnView).  Because the bilinear columns of both
 slots are all present, the kernel of that map lies in the relation lattice,
 so a target is a member iff its image is in the span of the column images.
 A member certificate gives integer multipliers over the original columns
-and is re-verified by substitution in those coordinates.  Lifted by a
+and is re-verified by substitution in those coordinates, against each named
+column's image computed from its vector once per lattice.  Lifted by a
 telescoping chain of bilinear columns, it is a certificate in the symbol
 coordinates too; the tests do that lift and check it there
 (tests/test_kgroup.py).  A nonzero remainder certifies a non-member.
@@ -34,7 +35,6 @@ a statement about that generated subset only (certified by echelon reduction).
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 from itertools import product as iproduct
 from math import isqrt
@@ -51,8 +51,8 @@ MINUS = "minus"
 # calls, one per bilinear column, and n(n+1)/2 targets; r is a label and costs
 # nothing).  Only the distinct column images reach the lattice engine:
 # about 1.4k of the 126k calls at n = 40 with --convention both.  The dearest
-# of seven curves took 0.26-0.34 s at n = 40 and 0.38-0.39 s at n = 44
-# (README, "Skew guard"), against the 5 s a job may take; the bound stays
+# of seven curves took 0.10-0.12 s at n = 40 and 0.12-0.21 s at n = 44
+# in process (README, "Skew guard"), against the 5 s a job may take; the bound stays
 # while the calls grow as n^3.
 SKEW_MAX_POINTS = 40
 
@@ -265,10 +265,14 @@ class RelationLattice:
     every column under {a, b, X} -> x(a) (x) x(b) (see SkewBilinear), the
     bilinear columns first; its generator indices are the column indices,
     and columns is a ColumnView that builds a column when it is read.
-    The bilinear columns of both slots span the kernel K of the map from
-    Z^(n^2) onto E (x) E.  That map is the image followed by reduction mod
-    gcd(m_s, m_t), so the kernel of the image lies in K, inside L.  A target
-    is therefore in L iff its image is in the span of the column images.
+    column_image computes a column's image from its vector the first time a
+    certificate names it, and keeps it for the lattice's later certificates;
+    the images given to the engine never fill it, so the re-verification
+    checks them.  The bilinear columns of both slots span the kernel K of
+    the map from Z^(n^2) onto E (x) E.  That map is the image followed by
+    reduction mod gcd(m_s, m_t), so the kernel of the image lies in K,
+    inside L.  A target is therefore in L iff its image is in the span of
+    the column images.
     """
 
     def __init__(self, bilinear: SkewBilinear, reciprocity: Sequence[RelationColumn]):
@@ -280,9 +284,17 @@ class RelationLattice:
                 self.engine.add_generator(image)
         for col in reciprocity:
             self.engine.add_generator(bilinear.image(col.vector))
+        self._images: dict[int, dict[int, int]] = {}  # column index -> its image
 
     def __len__(self) -> int:
         return len(self.columns)
+
+    def column_image(self, ci: int) -> dict[int, int]:
+        """The image of column ci, computed from its vector on the first call."""
+        image = self._images.get(ci)
+        if image is None:
+            image = self._images[ci] = self.bilinear.image(self.columns[ci].vector)
+        return image
 
 
 class MembershipResult(NamedTuple):
@@ -303,12 +315,12 @@ def prove_member(target: dict, lattice: RelationLattice) -> MembershipResult:
     The image is reduced against the column images.  A zero remainder gives
     integer multipliers over the columns; they are re-verified by
     substitution in those coordinates, with each named column's image
-    recomputed from its vector, else CertificateError.  The target differs
-    from the combination of columns by an element of the kernel of the
-    image, which the bilinear columns span, so the answer is membership in
-    L.  A nonzero remainder (the canonical representative of the image's
-    coset) certifies that the target lies outside L, as L maps into the
-    span of the images.
+    computed from its vector once per lattice (RelationLattice.column_image),
+    else CertificateError.  The target differs from the combination of
+    columns by an element of the kernel of the image, which the bilinear
+    columns span, so the answer is membership in L.  A nonzero remainder
+    (the canonical representative of the image's coset) certifies that the
+    target lies outside L, as L maps into the span of the images.
     """
     bilinear = lattice.bilinear
     index, n = bilinear.group.index, len(bilinear.coords)
@@ -322,7 +334,7 @@ def prove_member(target: dict, lattice: RelationLattice) -> MembershipResult:
         return MembershipResult(False, None)
     rebuilt: dict[int, int] = {}
     for ci, mult in coeffs.items():
-        _add_multiple(rebuilt, bilinear.image(lattice.columns[ci].vector), mult)
+        _add_multiple(rebuilt, lattice.column_image(ci), mult)
     if rebuilt != image:
         raise CertificateError("certificate failed re-verification")
     return MembershipResult(True, dict(coeffs))
@@ -453,7 +465,8 @@ def prove_skew(bilinear: SkewBilinear, convention: str = MINUS) -> SkewReport:
             if j < i:
                 length = proofs[j, i]
             else:
-                res = prove_member(Counter([(a1, a2), (a2, a1)]), lattice)
+                target = {(a1, a2): 1, (a2, a1): 1} if j > i else {(a1, a1): 2}
+                res = prove_member(target, lattice)
                 length = proofs[i, j] = res.certificate_length if res.member else None
             key = (_pt(a1), _pt(a2))
             if length is None:

@@ -51,7 +51,6 @@ from .errors import BudgetExceededError, CertificateError, UnsupportedPrimeError
 from .exactnum import (
     _factor_cofactor,
     _trial_division,
-    factorize,
     is_prime,
     legendre_symbol,
     valuation,
@@ -398,11 +397,11 @@ def bad_primes(curve: Curve, W: WeierstrassModel) -> list[int]:
 
     When W is the model of a TwoTorsionCurve, Delta = 16 a^2 b^2 (a - b)^2,
     so the primes are 2 and those of a, b and a - b, each factored on its
-    own, trial-divided once, and its cofactor handed to Pollard rho;
-    dividing them out of Delta must leave +-1.  Any other W has Delta
-    factored whole.  Before anything is factored, a number whose cofactor
-    after trial division has more than MAX_FACTOR_BITS bits raises
-    BudgetExceededError."""
+    own.  Any other W has Delta factored whole.  Each number is
+    trial-divided once, and its cofactor handed to Pollard rho; dividing
+    the primes out of Delta must leave +-1.  Before anything is handed to
+    Pollard rho, a number whose cofactor after trial division has more than
+    MAX_FACTOR_BITS bits raises BudgetExceededError."""
     delta = W.disc
     two_torsion = isinstance(curve, TwoTorsionCurve) and W is curve.model
     factored = (curve.a, curve.b, curve.a - curve.b) if two_torsion else (delta,)
@@ -413,9 +412,8 @@ def bad_primes(curve: Curve, W: WeierstrassModel) -> list[int]:
             raise BudgetExceededError(
                 f"the conductor must factor {n}, whose cofactor after trial division has"
                 f" {bits} bits, over {MAX_FACTOR_BITS}")
-    if not two_torsion:
-        return list(factorize(delta))
-    primes = sorted({2}.union(*(_factor_cofactor(*d) for d in divided)))
+    found = {q for d in divided for q in _factor_cofactor(*d)}
+    primes = sorted(found | {2} if two_torsion else found)
     for q in primes:
         _require(delta % q == 0, f"bad prime {q} does not divide the discriminant")
         while delta % q == 0:

@@ -188,7 +188,7 @@ def test_scan_runs_tate_once_per_prime_of_the_discriminant(monkeypatch):
     monkeypatch.setattr(reduction, "tate_algorithm", counted)
     monkeypatch.setattr(checkers, "tate_algorithm", counted, raising=False)
     monkeypatch.setattr(reduction, "potential_type", refuse)
-    monkeypatch.setattr(reduction, "factorize", refuse)
+    monkeypatch.setattr(reduction, "_factor_cofactor", refuse)
     monkeypatch.setattr(exactnum, "factorize", refuse)
     for E, scan in zip(curves, want):
         primes.clear()

@@ -200,7 +200,6 @@ def test_conductor_guard_refuses_before_factoring(monkeypatch, capsys, args):
     def forbidden(n):
         raise RuntimeError("a refused input began factoring")
 
-    monkeypatch.setattr(reduction, "factorize", forbidden)
     monkeypatch.setattr(reduction, "_factor_cofactor", lambda out, n: forbidden(n))
     assert cli.main(args) == 1
     out, err = capsys.readouterr()

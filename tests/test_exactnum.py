@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from isogeny_forge.exactnum import (
     ColumnLattice,
     IntMatrix,
+    _add_multiple,
     _det_bareiss,
     factorize,
     is_prime,
@@ -489,8 +490,8 @@ class _DenseReference:
 
 
 @st.composite
-def _generator_lists(draw):
-    dim = draw(st.integers(1, 8))
+def _generator_lists(draw, max_dim=8):
+    dim = draw(st.integers(1, max_dim))
     entry = st.integers(-20, 20)
     # a sparse column support makes pivots that do not divide, and repeats,
     # more likely than uniform dense vectors do
@@ -558,6 +559,39 @@ def test_column_lattice_is_the_hermite_form_of_the_reference(case, rnd):
         want_rem, _ = ref.reduce(t)
         assert contains(lat, t) == (not any(rem)) == (not any(want_rem))
         assert rem == _reduced(list(t), hermite)
+        assert [t[j] - rem[j] for j in range(dim)] == [
+            sum(c * gens[k][j] for k, c in coeffs.items()) for j in range(dim)
+        ]
+
+
+def _reduce_by_least_column(lat, target):
+    """ColumnLattice.reduce as a search: again and again, the least pivot
+    column whose entry lies outside [0, pivot) is reduced, until none is."""
+    v = {j: c for j, c in enumerate(target) if c}
+    rows, hists = lat._rows, lat._hist
+    coeffs = {}
+    while True:
+        j = min((t for t, c in v.items() if t in rows and not 0 <= c < rows[t][t]), default=None)
+        if j is None:
+            return lat._dense(v), coeffs
+        q = v[j] // rows[j][j]
+        _add_multiple(v, rows[j], -q)
+        _add_multiple(coeffs, hists[j], q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists(max_dim=6))
+def test_one_pass_reduce_matches_the_least_column_search(case):
+    """reduce's single pass in pivot order takes the same steps as the
+    search: a basis row has no entry left of its pivot."""
+    dim, gens, as_dict, targets = case
+    lat = ColumnLattice(dim)
+    for g, d in zip(gens, as_dict):
+        lat.add_generator({j: c for j, c in enumerate(g) if c} if d else list(g))
+    members = [[sum(col) for col in zip(*gens)]] if gens else []
+    for t in targets + members:
+        rem, coeffs = lat.reduce(t)
+        assert (rem, coeffs) == _reduce_by_least_column(lat, t)
         assert [t[j] - rem[j] for j in range(dim)] == [
             sum(c * gens[k][j] for k, c in coeffs.items()) for j in range(dim)
         ]

@@ -504,6 +504,29 @@ def test_prove_skew_proves_each_distinct_target_once(monkeypatch):
     assert len(targets) == 72 + len(probes)
 
 
+def test_certificates_read_each_column_image_once_per_lattice(monkeypatch):
+    """prove-skew computes each named column's image once per lattice: 446
+    calls of SkewBilinear.image here, where re-imaging every column of every
+    certificate takes 1,442."""
+    calls = []
+    image = SkewBilinear.image
+
+    def counted(self, entries):
+        calls.append(None)
+        return image(self, entries)
+
+    monkeypatch.setattr(SkewBilinear, "image", counted)
+    assert main(["--output", os.devnull, "kgroup", "prove-skew", "--q", "13", "--a", "-7",
+                 "--b", "-3", "--convention", "both"]) == 0
+    assert len(calls) <= 446
+    # the memo belongs to its lattice: a second lattice computes its own images
+    lattice, again = (assemble_skew_lattice(SkewBilinear(E5)) for _ in range(2))
+    target = symbols((E5.points[1], E5.points[2]), (E5.points[2], E5.points[1]))
+    coefficients = prove_member(target, lattice).coefficients
+    assert coefficients and lattice._images.keys() == coefficients.keys()
+    assert again._images == {}
+
+
 # -- the skew guard probes ---------------------------------------------------------
 
 

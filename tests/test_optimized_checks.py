@@ -50,6 +50,28 @@ sys.exit(main(["kgroup", "prove-skew", "--q", "5"]))
 """,
         "certificate error: certificate failed re-verification",
     ),
+    "prove-skew-image": (
+        """
+import sys
+from isogeny_forge import kgroup
+from isogeny_forge.cli import main
+# one coordinate negated in the image of each column of 3 or more entries
+# (targets have at most 2); the reciprocity columns reach the lattice through
+# the same corrupted image, the bilinear ones do not, and a certificate here
+# names a 3-entry bilinear column of nonzero image
+image = kgroup.SkewBilinear.image
+def negated(self, entries):
+    entries = list(entries)
+    out = image(self, entries)
+    if len(entries) >= 3 and out:
+        k = min(out)
+        out[k] = -out[k]
+    return out
+kgroup.SkewBilinear.image = negated
+sys.exit(main(["kgroup", "prove-skew", "--q", "13", "--a", "-7", "--b", "-3"]))
+""",
+        "certificate error: certificate failed re-verification",
+    ),
     "prove-skew-dlog": (
         """
 import sys

@@ -685,7 +685,6 @@ def test_conductor_guard_edge(monkeypatch):
     assert reduction.MAX_FACTOR_BITS == n.bit_length() == 64
     assert conductor(curve_from_pair(n, 1 - n)) % n == 0
     factored = []
-    monkeypatch.setattr(reduction, "factorize", factored.append)
     monkeypatch.setattr(reduction, "_factor_cofactor", lambda out, n: factored.append(n))
     # 2^64 + 1 = 274177 * 67280421310721 has 65 bits and no prime below 43:
     # it is a, then b, then a - b
@@ -698,6 +697,27 @@ def test_conductor_guard_edge(monkeypatch):
     with pytest.raises(BudgetExceededError, match="has 129 bits, over 64"):
         conductor(W)
     assert factored == []
+
+
+def test_conductor_trial_divides_the_discriminant_once(monkeypatch):
+    """A model that is not a TwoTorsionCurve's own has its discriminant
+    trial-divided once: the guard's division is the one Pollard rho starts
+    from."""
+    from isogeny_forge import exactnum, reduction
+
+    divided = []
+    trial_division = exactnum._trial_division
+
+    def counted(n):
+        divided.append(n)
+        return trial_division(n)
+
+    for module in (exactnum, reduction):  # factorize reads exactnum's binding
+        monkeypatch.setattr(module, "_trial_division", counted)
+    W = from_coeffs(0, -1, 1, -10, -20)  # 11a1, discriminant -11^5
+    conductor.cache_clear()
+    assert conductor(W) == 11
+    assert divided == [-161051]
 
 
 # -- the good-prime exit against the step machine --------------------------------
