@@ -41,6 +41,10 @@ class UsageError(Exception):
     pass
 
 
+# json.dumps with separators builds a new encoder for every record
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 class _Sink:
     """Records go to stdout or to the --output file.  The file is opened at
     the first record or when the command returns, so a run that stops
@@ -62,7 +66,7 @@ class _Sink:
             "tool_version": __version__,
             "timing_ms": int((time.perf_counter() - t0) * 1000),
         }
-        self.stream().write(json.dumps(record, separators=(",", ":")) + "\n")
+        self.stream().write(_ENCODER.encode(record) + "\n")
         self.count += 1
 
 

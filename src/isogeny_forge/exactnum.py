@@ -12,7 +12,7 @@ rather than by heuristics.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -119,7 +119,9 @@ def _pollard_rho(n: int) -> int:
 
 def _trial_division(n: int) -> tuple[dict[int, int], int]:
     """The primes of |n| below 43 as {prime: exponent}, and the cofactor
-    left, which factorize hands to Pollard rho."""
+    left, which factorize hands to Pollard rho; n must be nonzero."""
+    if n == 0:
+        raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
     for p in _MR_WITNESSES:
@@ -131,8 +133,6 @@ def _trial_division(n: int) -> tuple[dict[int, int], int]:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
-    if n == 0:
-        raise ValueError("cannot factor 0")
     return _factor_cofactor(*_trial_division(n))
 
 
@@ -351,29 +351,25 @@ class ColumnLattice:
     """Integer span of a growing set of generator vectors, kept in row Hermite
     normal form (HNF) with full bookkeeping of how each basis row was produced.
 
-    Each basis row is a sparse {column: entry} map holding only its nonzero
-    entries, filed under its pivot (leading) column, beside its history: the
-    {generator index: coefficient} map that rebuilds the row from the
-    generators.  The basis is the HNF of the lattice, which depends on the
-    lattice alone, not on the generators or their order:
+    Sized for the skew prover's Z^(d^2), d <= 2, each basis row is a dense
+    list, filed under its pivot (leading) column in an ascending pivot list,
+    beside its history: the {generator index: coefficient} map that rebuilds
+    the row from the generators.  The basis is the HNF of the lattice, which
+    depends on the lattice alone, not on the generators or their order:
 
     - every pivot is positive;
     - a row's entry at another row's pivot column k lies in [0, pivot_k).
 
-    A new generator, with history {index: 1}, is reduced at the smallest
-    nonzero column of the working vector, again and again: a pivot there
-    that divides the entry is subtracted; one that does not is replaced,
-    through an extended-gcd step, by the gcd combination of itself and the
-    vector, which clears the vector's entry.  Every step is applied to the
-    histories alike.  The vector ends as a new pivot row or as zero.  The
-    rows this changed (the new row and each row an extended-gcd step
-    replaced) are then restored to HNF from the largest pivot down: each is
-    made positive and forward-reduced at the pivot columns right of its own,
-    left to right, and each row of smaller pivot whose entry at its pivot
-    column is out of range is queued for the same treatment.  HNF entries are
-    bounded by the pivots, so rows stay short and histories small.  The
-    lattice is sized for the skew prover's Z^(d^2), d <= 2: a scan of the
-    rows finds those to queue, and a generator equal to an earlier one only
+    A new generator, with history {index: 1}, is reduced at its nonzero
+    columns from left to right: a pivot there that divides the entry is
+    subtracted; one that does not is replaced, through an extended-gcd step,
+    by the gcd combination of itself and the vector, which clears the
+    vector's entry.  Every step is applied to the histories alike.  The
+    vector ends as a new pivot row or as zero.  The rows this changed are
+    then restored to HNF from the largest pivot down: each is made positive
+    and reduced at the pivots right of its own, left to right, and each row
+    of smaller pivot whose entry at its pivot column is out of range is
+    queued for the same treatment.  A generator equal to an earlier one only
     takes its index.
 
     A membership query makes one pass over the pivots in ascending order and
@@ -387,73 +383,74 @@ class ColumnLattice:
     def __init__(self, dimension: int):
         self.dimension = dimension
         self.n_generators = 0
-        self._rows: dict[int, dict[int, int]] = {}  # pivot column -> sparse row
+        self._rows: dict[int, list[int]] = {}  # pivot column -> dense row
         self._hist: dict[int, dict[int, int]] = {}  # pivot column -> generator coeffs
-        self._seen: set[tuple] = set()  # keys of the generators inserted so far
+        self._pivots: list[int] = []  # the pivot columns, ascending
+        self._seen: set[tuple] = set()  # the generators inserted so far
 
     @property
     def basis(self) -> list[list[int]]:
         """The HNF rows as dense vectors, in pivot order."""
-        return [self._dense(self._rows[j]) for j in sorted(self._rows)]
+        return [self._rows[j][:] for j in self._pivots]
 
     @property
     def history(self) -> list[dict[int, int]]:
         """Generator coefficients of each basis row, in pivot order."""
-        return [self._hist[j] for j in sorted(self._rows)]
+        return [self._hist[j] for j in self._pivots]
 
     def add_generator(self, vec: Sequence[int] | dict[int, int]) -> int:
         """Insert one generator; returns its index for certificate purposes.
         A repeat of an earlier generator only takes its index."""
-        # a list's key starts with None, so it never equals a dict's key, not
-        # even for an empty dict, and an unchecked list is never skipped
-        key = tuple(vec.items()) if isinstance(vec, dict) else (None, *vec)
+        key = vec if type(vec) is tuple and len(vec) == self.dimension else self._dense(vec)
         idx = self.n_generators
-        if key in self._seen:
-            self.n_generators += 1
-            return idx
-        v = self._sparse(vec)
-        self.n_generators += 1
-        self._seen.add(key)
-        if v:
-            self._insert(v, idx)
+        self.n_generators = idx + 1
+        if key not in self._seen:
+            self._seen.add(key)
+            if any(key):
+                self._insert(list(key), idx)
         return idx
 
-    def _sparse(self, vec: Sequence[int] | dict[int, int]) -> dict[int, int]:
-        """A fresh {column: entry} copy of a list or dict vector, zeros dropped."""
+    def _dense(self, vec: Sequence[int] | dict[int, int]) -> tuple[int, ...]:
+        """A list, tuple or {column: entry} vector as a dense tuple."""
         dim = self.dimension
         if isinstance(vec, dict):
             if vec and (min(vec) < 0 or max(vec) >= dim):
                 raise ValueError("dimension mismatch")
-            return {j: c for j, c in vec.items() if c}
-        if len(vec) != dim:
+            vec = [vec.get(j, 0) for j in range(dim)]
+        elif len(vec) != dim:
             raise ValueError("dimension mismatch")
-        return {j: c for j, c in enumerate(vec) if c}
+        return tuple(vec)
 
-    def _dense(self, v: dict[int, int]) -> list[int]:
-        out = [0] * self.dimension
-        for j, c in v.items():
-            out[j] = c
-        return out
-
-    def _insert(self, v: dict[int, int], idx: int) -> None:
+    def _insert(self, v: list[int], idx: int) -> None:
         rows, hists = self._rows, self._hist
-        h = {idx: 1}
+        # most vectors reduce to zero, and their history is dropped: each
+        # subtraction is applied to it only once the vector changes a row
+        h, pending = {idx: 1}, []
         changed: list[int] = []
-        while v:
-            j = min(v)
+        for j in range(self.dimension):
+            b = v[j]
+            if not b:
+                continue
             row = rows.get(j)
+            if row is not None and b % row[j] == 0:
+                q = b // row[j]
+                v = [c - q * r for c, r in zip(v, row)]
+                pending.append((j, q))
+                continue
+            for k, q in pending:
+                _add_multiple(h, hists[k], -q)
+            pending.clear()
             if row is None:
                 rows[j], hists[j] = v, h
+                insort(self._pivots, j)
                 changed.append(j)
                 break
-            a, b = row[j], v[j]
-            if b % a == 0:
-                _add_multiple(v, row, -(b // a))
-                _add_multiple(h, hists[j], -(b // a))
-                continue
+            a = row[j]
             g, x, y = xgcd(a, b)
-            rows[j], v = _gcd_step(row, v, x, y, a // g, b // g)
-            hists[j], h = _gcd_step(hists[j], h, x, y, a // g, b // g)
+            ag, bg = a // g, b // g
+            rows[j] = [x * r + y * c for r, c in zip(row, v)]
+            v = [ag * c - bg * r for r, c in zip(row, v)]
+            hists[j], h = _gcd_step(hists[j], h, x, y, ag, bg)
             changed.append(j)
         if changed:
             self._restore(changed)
@@ -462,10 +459,10 @@ class ColumnLattice:
         """Bring the basis back to HNF after the rows at `changed` were set.
 
         Rows are treated from the largest pivot down, so every row right of
-        the one at hand is final when it is forward-reduced; a row queued by
-        it has a smaller pivot and comes later.
+        the one at hand is final when it is reduced; a row queued by it has
+        a smaller pivot and comes later.
         """
-        rows, hists = self._rows, self._hist
+        rows, hists, pivots = self._rows, self._hist, self._pivots
         queued = set(changed)
         heap = [-j for j in queued]
         heapify(heap)
@@ -473,23 +470,21 @@ class ColumnLattice:
             j = -heappop(heap)
             row, hist = rows[j], hists[j]
             if row[j] < 0:
-                for k in row:
-                    row[k] = -row[k]
+                row = rows[j] = [-c for c in row]
                 for k in hist:
                     hist[k] = -hist[k]
-            while True:
-                k = min(
-                    (t for t, c in row.items() if t > j and t in rows and not 0 <= c < rows[t][t]),
-                    default=None,
-                )
-                if k is None:
-                    break
-                q = row[k] // rows[k][k]
-                _add_multiple(row, rows[k], -q)
-                _add_multiple(hist, hists[k], -q)
+            # one ascending pass: row k has no entry left of k to undo a step
+            for k in pivots[bisect_right(pivots, j):]:
+                pk = rows[k]
+                q = row[k] // pk[k]  # nonzero iff the entry is outside [0, pivot)
+                if q:
+                    row = rows[j] = [c - q * r for c, r in zip(row, pk)]
+                    _add_multiple(hist, hists[k], -q)
             p = row[j]
-            for i in rows:
-                if i < j and i not in queued and not 0 <= rows[i].get(j, 0) < p:
+            for i in pivots:
+                if i >= j:
+                    break
+                if i not in queued and not 0 <= rows[i][j] < p:
                     queued.add(i)
                     heappush(heap, -i)
 
@@ -499,13 +494,13 @@ class ColumnLattice:
         Coefficients are over generator indices and satisfy
         sum coeff_k * generator_k = target - remainder exactly.
         """
-        v = self._sparse(target)
+        v = list(self._dense(target))
         rows, hists = self._rows, self._hist
         coeffs: dict[int, int] = {}
-        for j in sorted(rows):
+        for j in self._pivots:
             row = rows[j]
-            q = v.get(j, 0) // row[j]  # nonzero iff the entry is outside [0, pivot)
+            q = v[j] // row[j]  # nonzero iff the entry is outside [0, pivot)
             if q:
-                _add_multiple(v, row, -q)
+                v = [c - q * r for c, r in zip(v, row)]
                 _add_multiple(coeffs, hists[j], q)
-        return self._dense(v), coeffs
+        return v, coeffs

@@ -16,11 +16,14 @@ the finite-field, one-level shadow of the Somekawa K-group K(k; E, E).  The
 discrete-log table of elliptic.discrete_log, checked again to be an
 isomorphism onto Z/m_1 x Z/m_2 by the carries of the pairs the bilinear
 columns add, sends {a, b, X} to the integer vector x(a) (x) x(b) of at most
-four entries.  Every column's image is inserted into a Hermite-form lattice
-over Z^(d^2), d <= 2, where a repeated image only takes its index; a column
-is built when read (ColumnView).  Because the bilinear columns of both
-slots are all present, the kernel of that map lies in the relation lattice,
-so a target is a member iff its image is in the span of the column images.
+four entries.  The group law enters once, as the table of sums those
+carries certify: the bilinear blocks and the reciprocity columns are read
+from it, with no point arithmetic per pair.  Every column's image is
+inserted into a dense Hermite-form lattice over Z^(d^2), d <= 2, where a
+repeated image only takes its index; a column is built when read
+(ColumnView).  Because the bilinear columns of both slots are all present,
+the kernel of that map lies in the relation lattice, so a target is a
+member iff its image is in the span of the column images.
 A member certificate gives integer multipliers over the original columns
 and is re-verified by substitution in those coordinates, against each named
 column's image computed from its vector once per lattice.  Lifted by a
@@ -38,11 +41,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import product as iproduct
 from math import isqrt
+from operator import add, mod, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .elliptic import EllipticGroup, Point, discrete_log
 from .errors import BudgetExceededError, CertificateError, InvalidConfigurationError
-from .exactnum import ColumnLattice, _add_multiple
+from .exactnum import ColumnLattice
 
 PLUS = "plus"
 MINUS = "minus"
@@ -50,10 +54,9 @@ MINUS = "minus"
 # The skew prover's cost follows #E(F_q) = n alone (about n^3 add_generator
 # calls, one per bilinear column, and n(n+1)/2 targets; r is a label and costs
 # nothing).  Only the distinct column images reach the lattice engine:
-# about 1.4k of the 126k calls at n = 40 with --convention both.  The dearest
-# of seven curves took 0.10-0.12 s at n = 40 and 0.12-0.21 s at n = 44
-# in process (README, "Skew guard"), against the 5 s a job may take; the bound stays
-# while the calls grow as n^3.
+# about 1.4k of the 126k calls at n = 40 with --convention both, which took
+# 0.06-0.10 s in process (README, "Skew guard"), against the 5 s a job may
+# take; the bound stays while the calls grow as n^3.
 SKEW_MAX_POINTS = 40
 
 
@@ -64,18 +67,6 @@ class RelationColumn(NamedTuple):
     kind: str  # "bilinear" | "wr-vertical" | "wr-line"
     data: tuple
     vector: tuple[tuple[int, int], ...]  # sorted sparse (index, coeff)
-
-
-def _column(G: EllipticGroup, entries: Iterable[tuple[tuple[Point, Point], int]],
-            kind: str, data: tuple) -> RelationColumn:
-    """The column sum c {a, b, X} over ((a, b), c) entries."""
-    n, index = len(G.points), G.index
-    acc: dict[int, int] = {}
-    for (a, b), c in entries:
-        k = index[a] * n + index[b]
-        acc[k] = acc.get(k, 0) + c
-    vec = tuple(sorted((k, v) for k, v in acc.items() if v))
-    return RelationColumn(kind, data, vec)
 
 
 def _sum_table(G: EllipticGroup) -> list[list[int]]:
@@ -95,23 +86,21 @@ def _bilinear_blocks(n: int, slot: int, sums: list[list[int]]) -> list[tuple]:
     i <= i2, of an n-point group whose bilinear columns
     {a+a', b} - {a, b} - {a', b} (slot 0) or {b, a+a'} - {b, a} - {b, a'}
     (slot 1) are kept: pattern holds the sorted (index, coefficient)
-    entries of the column at b = 0, and sums is the group's _sum_table.
-    The (a', a) copy and repeated columns are dropped (the pairs (0, a')
-    all give -{0, b}); two columns of a slot are equal exactly when their
-    patterns and points b are."""
+    entries of the column at b = 0, and sums is the group's certified
+    _sum_table.  Two columns of a slot are equal exactly when their patterns
+    and points b are, and the distinct patterns are known in closed form:
+    every pair with the identity points[0] = 0 gives -{0, b}, kept once as
+    (0, 0), and every pair 1 <= i <= i2 gives its own, whose -1 entries name
+    i and i2 and whose +1 entry, a + a', is neither.  The (a', a) copy is
+    dropped."""
     stride = n if slot == 0 else 1
-    blocks = []
-    seen = set()
-    for i in range(n):
-        for i2 in range(i, n):
-            acc = {sums[i][i2]: 1}
-            for k in (i, i2):
-                acc[k] = acc.get(k, 0) - 1
-            # the coefficients sum to -1, so the pattern is never empty
-            pattern = tuple(sorted((k * stride, c) for k, c in acc.items() if c))
-            if pattern not in seen:
-                seen.add(pattern)
-                blocks.append((slot, i, i2, pattern))
+    blocks = [(slot, 0, 0, ((0, -1),))]
+    for i in range(1, n):
+        row, ki = sums[i], i * stride
+        blocks.append((slot, i, i, tuple(sorted(((row[i] * stride, 1), (ki, -2))))))
+        for i2 in range(i + 1, n):
+            pattern = tuple(sorted(((row[i2] * stride, 1), (ki, -1), (i2 * stride, -1))))
+            blocks.append((slot, i, i2, pattern))
     return blocks
 
 
@@ -150,32 +139,6 @@ class ColumnView(Sequence):
                               tuple([(off + k, c) for k, c in pattern]))
 
 
-def wr_vertical(G: EllipticGroup, a: Point) -> RelationColumn:
-    """{a,a,X} + {-a,-a,X} - 2{0,0,X}: the reciprocity instance of the
-    function x - x(a), whose zeros are a and -a with a double pole at 0."""
-    if a is not None and a not in G.index:
-        raise InvalidConfigurationError(f"{a} is not a point of the slot curve")
-    na = G.neg(a)
-    return _column(G, [((a, a), 1), ((na, na), 1), ((None, None), -2)],
-                   "wr-vertical", (a,))
-
-
-def wr_line(G: EllipticGroup, a1: Point, a2: Point, convention: str = MINUS) -> RelationColumn:
-    """{a1,a1,X} + {a2,a2,X} + {s,s,X} - 3{0,0,X} with s the configured third
-    point of the chord through a1 and a2.
-
-    The chord-law value is s = -(a1+a2) (convention "minus"); the alternative
-    s = a1+a2 ("plus") is selectable because both routes derive the same
-    skew-symmetry targets.
-    """
-    if convention not in (PLUS, MINUS):
-        raise InvalidConfigurationError(f"unknown convention {convention!r}")
-    total = G.add(a1, a2)
-    s = total if convention == PLUS else G.neg(total)
-    return _column(G, [((a1, a1), 1), ((a2, a2), 1), ((s, s), 1), ((None, None), -3)],
-                   "wr-line", (a1, a2, s, convention))
-
-
 # -- membership in E (x) E coordinates ----------------------------------------------
 
 
@@ -196,10 +159,13 @@ class SkewBilinear:
     bijection, and every carry of the pairs the bilinear columns add must
     be 0 mod m, else CertificateError.
 
-    The columns are kept as their blocks (see ColumnView), one per distinct
-    pair of the slot, for each of the two slots.  A carry takes at most 2^d
-    values, so the column images are built once, as at most 2^(d+1) rows of
-    one image per point b of the other slot, in point order, and each block
+    sums is the _sum_table those carries certify, read only on and above
+    its diagonal (the pairs i <= i2 they cover), and negatives[i] the index
+    of -points[i], the j with sums[min(i, j)][max(i, j)] == 0.  The columns
+    are kept as their blocks (see ColumnView), one per distinct pair of the
+    slot, for each of the two slots.  A carry takes at most 2^d values, so
+    the column images are built once, as at most 2^(d+1) rows of one dense
+    image per point b of the other slot, in point order, and each block
     names its row.  No column or image is stored per column.
     """
 
@@ -214,17 +180,25 @@ class SkewBilinear:
         coords, moduli = self.coords, self.moduli
         if len(set(coords)) != n or set(coords) != set(iproduct(*map(range, moduli))):
             raise CertificateError("discrete-log table is not a bijection")
-        sums = _sum_table(G)
+        self.sums = sums = _sum_table(G)
         carries = [[()] * n for _ in range(n)]
         for i, x in enumerate(coords):
+            row, carry = sums[i], carries[i]
             for i2 in range(i, n):
-                c = tuple(u + v - w for u, v, w in zip(x, coords[i2], coords[sums[i][i2]]))
-                if any(u % m for u, m in zip(c, moduli)):
+                c = tuple(map(sub, map(add, x, coords[i2]), coords[row[i2]]))
+                if any(map(mod, c, moduli)):
                     raise CertificateError("discrete-log table is not a homomorphism")
-                carries[i][i2] = c
-        rows: dict[tuple, list[dict[int, int]]] = {}
+                carry[i2] = c
+        # from the certified upper triangle: an unknown -points[i] lies at or
+        # right of i, as one left of it was found from its own row
+        self.negatives = neg = [-1] * n
+        for i in range(n):
+            if neg[i] < 0:
+                j = neg[i] = sums[i].index(0, i)
+                neg[j] = i
+        rows: dict[tuple, list[tuple[int, ...]]] = {}
         self.blocks = [b for slot in (0, 1) for b in _bilinear_blocks(n, slot, sums)]
-        self.image_rows: list[list[dict[int, int]]] = []  # one per block of n columns
+        self.image_rows: list[list[tuple[int, ...]]] = []  # one per block of n columns
         for slot, i, i2, _ in self.blocks:
             key = (slot, carries[i][i2])
             row = rows.get(key)
@@ -236,24 +210,28 @@ class SkewBilinear:
     def dimension(self) -> int:
         return len(self.moduli) ** 2
 
-    def _carry_image(self, slot: int, carry: tuple, xb: tuple) -> dict[int, int]:
-        d = len(self.moduli)
+    @staticmethod
+    def _carry_image(slot: int, carry: tuple, xb: tuple) -> tuple[int, ...]:
         left, right = (carry, xb) if slot == 0 else (xb, carry)
-        return {s * d + t: -u * v for s, u in enumerate(left) if u
-                for t, v in enumerate(right) if v}
+        return tuple([-u * v for u in left for v in right])
 
     def image(self, entries: Iterable[tuple[int, int]]) -> dict[int, int]:
-        """The sum of c * x(a) (x) x(b) over (index of {a, b, X}, c) entries."""
+        """The sum of c * x(a) (x) x(b) over (index of {a, b, X}, c) entries,
+        as a sparse {coordinate: value} map."""
+        return {t: v for t, v in enumerate(self.dense_image(entries)) if v}
+
+    def dense_image(self, entries: Iterable[tuple[int, int]]) -> list[int]:
+        """The image as a list of all d^2 coordinates."""
         n, d, coords = len(self.coords), len(self.moduli), self.coords
-        out: dict[int, int] = {}
+        out = [0] * (d * d)
         for k, c in entries:
             i, j = divmod(k, n)
+            xb = coords[j]
             for s, u in enumerate(coords[i]):
                 if u:
-                    for t, v in enumerate(coords[j]):
-                        if v:
-                            out[s * d + t] = out.get(s * d + t, 0) + c * u * v
-        return {k: v for k, v in out.items() if v}
+                    for t, v in enumerate(xb, s * d):
+                        out[t] += c * u * v
+        return out
 
 
 class RelationLattice:
@@ -279,11 +257,12 @@ class RelationLattice:
         self.bilinear = bilinear
         self.columns = ColumnView(bilinear.group, bilinear.blocks, reciprocity)
         self.engine = ColumnLattice(bilinear.dimension)
+        insert, image = self.engine.add_generator, bilinear.image
         for row in bilinear.image_rows:
-            for image in row:
-                self.engine.add_generator(image)
+            for vec in row:
+                insert(vec)
         for col in reciprocity:
-            self.engine.add_generator(bilinear.image(col.vector))
+            insert(image(col.vector))
         self._images: dict[int, dict[int, int]] = {}  # column index -> its image
 
     def __len__(self) -> int:
@@ -328,16 +307,17 @@ def prove_member(target: dict, lattice: RelationLattice) -> MembershipResult:
         entries = [(index[a] * n + index[b], c) for (a, b), c in target.items()]
     except KeyError as e:
         raise ValueError(f"{e.args[0]} is not a point of the lattice's curve") from None
-    image = bilinear.image(entries)
+    image = bilinear.dense_image(entries)
     rem, coeffs = lattice.engine.reduce(image)
     if any(rem):
         return MembershipResult(False, None)
-    rebuilt: dict[int, int] = {}
+    rebuilt = [0] * len(image)
     for ci, mult in coeffs.items():
-        _add_multiple(rebuilt, lattice.column_image(ci), mult)
+        for t, c in lattice.column_image(ci).items():
+            rebuilt[t] += mult * c
     if rebuilt != image:
         raise CertificateError("certificate failed re-verification")
-    return MembershipResult(True, dict(coeffs))
+    return MembershipResult(True, coeffs)
 
 
 # -- the skew-symmetry prover ------------------------------------------------------
@@ -432,15 +412,39 @@ def check_skew_field(q: int) -> None:
 def assemble_skew_lattice(bilinear: SkewBilinear, convention: str = MINUS) -> RelationLattice:
     """Bilinearity on the first two slots plus both reciprocity families,
     decided in E (x) E coordinates.  bilinear is the convention-free part,
-    so one SkewBilinear is shared by the lattices of both conventions."""
-    G = bilinear.group
-    pts = G.points
-    distinct: dict[tuple, RelationColumn] = {}  # the first nonzero column of each vector
-    for col in [wr_vertical(G, a) for a in pts] + [
-        wr_line(G, a1, a2, convention) for i, a1 in enumerate(pts) for a2 in pts[i:]
-    ]:
-        if col.vector:
-            distinct.setdefault(col.vector, col)
+    so one SkewBilinear is shared by the lattices of both conventions.
+
+    The reciprocity columns, read from bilinear's certified sums and
+    negatives, are {a,a,X} + {-a,-a,X} - 2{0,0,X} for each point a
+    (wr-vertical, of the function x - x(a)), then {a1,a1,X} + {a2,a2,X} +
+    {s,s,X} - 3{0,0,X} for each pair a1 = points[i], a2 = points[i2],
+    i <= i2 (wr-line, of the chord through a1 and a2), with s = -(a1+a2)
+    under the chord law ("minus") or s = a1+a2 ("plus"): both derive the
+    same skew-symmetry targets.  The first nonzero column of each vector is
+    kept."""
+    if convention not in (PLUS, MINUS):
+        raise InvalidConfigurationError(f"unknown convention {convention!r}")
+    pts, sums, neg = bilinear.group.points, bilinear.sums, bilinear.negatives
+    n = len(pts)
+    distinct: dict[tuple, RelationColumn] = {}
+
+    def keep(kind: str, data: tuple, diagonal: tuple[int, ...]) -> None:
+        # the symbol {a_k, a_k, X} has index k(n + 1), and {0, 0, X} index 0;
+        # a divisor of degree 0 has a pole of order len(diagonal) at 0
+        acc = {0: -len(diagonal)}
+        for k in diagonal:
+            acc[k] = acc.get(k, 0) + 1
+        vec = tuple(sorted([(k * (n + 1), c) for k, c in acc.items() if c]))
+        if vec and vec not in distinct:
+            distinct[vec] = RelationColumn(kind, data, vec)
+
+    for i, a in enumerate(pts):
+        keep("wr-vertical", (a,), (i, neg[i]))
+    for i, a1 in enumerate(pts):
+        row = sums[i]
+        for i2 in range(i, n):
+            s = row[i2] if convention == PLUS else neg[row[i2]]
+            keep("wr-line", (a1, pts[i2], pts[s], convention), (i, i2, s))
     return RelationLattice(bilinear, list(distinct.values()))
 
 
@@ -473,18 +477,9 @@ def prove_skew(bilinear: SkewBilinear, convention: str = MINUS) -> SkewReport:
                 failed.append(key)
             else:
                 lengths[key] = length
-    control_pair = None
-    for a1 in G.points:
-        if a1 is None:
-            continue
-        for a2 in G.points:
-            if a2 is None or a2 == a1:
-                continue
-            if not prove_member({(a1, a2): 1}, lattice).member:
-                control_pair = (_pt(a1), _pt(a2))
-                break
-        if control_pair is not None:
-            break
+    nonzero = G.points[1:]  # points[0] is the identity
+    control_pair = next(((a1, a2) for a1 in nonzero for a2 in nonzero
+                         if a2 != a1 and not prove_member({(a1, a2): 1}, lattice).member), None)
     return SkewReport(
         p=G.p,
         curve=(G.a1, G.a2, G.a3, G.a4, G.a6),

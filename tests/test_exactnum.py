@@ -12,6 +12,7 @@ from isogeny_forge.exactnum import (
     IntMatrix,
     _add_multiple,
     _det_bareiss,
+    _trial_division,
     factorize,
     is_prime,
     legendre_symbol,
@@ -22,6 +23,7 @@ from isogeny_forge.exactnum import (
 from isogeny_forge.pontryagin import FinAbGroup
 
 from group_ring import FormalSum, contains
+from skew_oracles import SparseColumnLattice
 
 
 def test_primes_up_to_small():
@@ -88,6 +90,14 @@ def test_factorize():
     assert factorize(n) == {10007: 1, 10009: 1}
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_zero_is_refused_by_trial_division_too():
+    # 0 is divisible by every prime: the division loop would never end
+    for f in (factorize, _trial_division):
+        with pytest.raises(ValueError, match="cannot factor 0"):
+            f(0)
+    assert _trial_division(-2 * 3 * 3 * 47) == ({2: 1, 3: 2}, 47)
 
 
 # small primes, and primes in [53, 2*10^5], which only Pollard rho finds
@@ -565,8 +575,9 @@ def test_column_lattice_is_the_hermite_form_of_the_reference(case, rnd):
 
 
 def _reduce_by_least_column(lat, target):
-    """ColumnLattice.reduce as a search: again and again, the least pivot
-    column whose entry lies outside [0, pivot) is reduced, until none is."""
+    """SparseColumnLattice.reduce as a search: again and again, the least
+    pivot column whose entry lies outside [0, pivot) is reduced, until none
+    is."""
     v = {j: c for j, c in enumerate(target) if c}
     rows, hists = lat._rows, lat._hist
     coeffs = {}
@@ -579,22 +590,46 @@ def _reduce_by_least_column(lat, target):
         _add_multiple(coeffs, hists[j], q)
 
 
+def _both_engines(dim, gens, as_dict):
+    """A ColumnLattice and a SparseColumnLattice of the same generators."""
+    lat, sparse = ColumnLattice(dim), SparseColumnLattice(dim)
+    for g, d in zip(gens, as_dict):
+        vec = {j: c for j, c in enumerate(g) if c} if d else list(g)
+        assert lat.add_generator(vec) == sparse.add_generator(vec)
+    return lat, sparse
+
+
 @settings(max_examples=300, deadline=None)
 @given(_generator_lists(max_dim=6))
 def test_one_pass_reduce_matches_the_least_column_search(case):
     """reduce's single pass in pivot order takes the same steps as the
-    search: a basis row has no entry left of its pivot."""
+    search over the sparse engine's rows: a basis row has no entry left of
+    its pivot."""
     dim, gens, as_dict, targets = case
-    lat = ColumnLattice(dim)
-    for g, d in zip(gens, as_dict):
-        lat.add_generator({j: c for j, c in enumerate(g) if c} if d else list(g))
+    lat, sparse = _both_engines(dim, gens, as_dict)
     members = [[sum(col) for col in zip(*gens)]] if gens else []
     for t in targets + members:
         rem, coeffs = lat.reduce(t)
-        assert (rem, coeffs) == _reduce_by_least_column(lat, t)
+        assert (rem, coeffs) == _reduce_by_least_column(sparse, t)
         assert [t[j] - rem[j] for j in range(dim)] == [
             sum(c * gens[k][j] for k, c in coeffs.items()) for j in range(dim)
         ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_generator_lists())
+def test_dense_rows_take_the_steps_of_the_sparse_engine(case):
+    """The dense engine's rows, histories and reductions are those of the
+    sparse engine it replaced, step for step."""
+    dim, gens, as_dict, targets = case
+    lat, sparse = _both_engines(dim, gens, as_dict)
+    assert lat.n_generators == sparse.n_generators
+    assert lat.basis == sparse.basis
+    assert lat.history == sparse.history
+    members = [[sum(col) for col in zip(*gens)]] if gens else []
+    for t in targets + members:
+        assert lat.reduce(t) == sparse.reduce(t)
+        assert lat.reduce({j: c for j, c in enumerate(t) if c}) == sparse.reduce(t)
 
 
 @settings(max_examples=300, deadline=None)

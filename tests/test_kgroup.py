@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 from isogeny_forge import kgroup
 from isogeny_forge.cli import main
 from isogeny_forge.elliptic import curve_from_pair, rational_points_mod_p
-from isogeny_forge.errors import BudgetExceededError, CertificateError
-from isogeny_forge.exactnum import ColumnLattice, _add_multiple
+from isogeny_forge.errors import (
+    BudgetExceededError,
+    CertificateError,
+    InvalidConfigurationError,
+)
+from isogeny_forge.exactnum import _add_multiple
 from isogeny_forge.kgroup import (
     MINUS,
     PLUS,
@@ -21,12 +25,18 @@ from isogeny_forge.kgroup import (
     assemble_skew_lattice,
     prove_member,
     prove_skew,
-    wr_line,
-    wr_vertical,
 )
 
 from models import from_coeffs
 from product import embed, product_decompose
+from skew_oracles import (
+    SparseColumnLattice,
+    _column,
+    bilinear_blocks,
+    reciprocity_columns,
+    wr_line,
+    wr_vertical,
+)
 
 E5 = rational_points_mod_p(curve_from_pair(1, -1), 5)  # 8 points
 
@@ -69,7 +79,7 @@ class SymbolLattice:
         self.columns = sorted(
             columns, key=lambda col: col.vector[-1][0] if col.vector else -1, reverse=True
         )
-        self.engine = ColumnLattice(len(G.points) ** 2)
+        self.engine = SparseColumnLattice(len(G.points) ** 2)
         for col in self.columns:
             self.engine.add_generator(dict(col.vector))
 
@@ -110,7 +120,7 @@ def relation_is_instance(G, col):
             return (x, b) if slot == 0 else (b, x)
 
         s = G.add(a, a2)
-        want = kgroup._column(
+        want = _column(
             G, [(with_slot(s), 1), (with_slot(a), -1), (with_slot(a2), -1)], "", ()
         )
         return want.vector == col.vector
@@ -124,7 +134,7 @@ def relation_is_instance(G, col):
         mult = 2 if a == G.neg(a) else 1
         entries = [((z, z), mult) for z in sorted(set(zeros))]
         entries.append(((None, None), -2))
-        return kgroup._column(G, entries, "", ()).vector == col.vector
+        return _column(G, entries, "", ()).vector == col.vector
     if col.kind == "wr-line":
         a1, a2, s, convention = col.data
         if convention != MINUS:
@@ -133,7 +143,7 @@ def relation_is_instance(G, col):
         third = G.neg(G.add(a1, a2))
         if s != third:
             return False
-        want = kgroup._column(
+        want = _column(
             G,
             [
                 ((a1, a1), 1),
@@ -573,7 +583,7 @@ def _bilinear_by_points(G, slot):
                 def with_slot(x):
                     return (x, b) if slot == 0 else (b, x)
 
-                col = kgroup._column(
+                col = _column(
                     G,
                     [(with_slot(s), 1), (with_slot(a), -1), (with_slot(a2), -1)],
                     "bilinear",
@@ -608,19 +618,6 @@ def test_bilinear_relations_match_point_by_point_builder(curve, slot):
 # -- the column view against the eagerly built columns -----------------------------
 
 
-def _eager_reciprocity(G, convention):
-    """The distinct nonzero reciprocity columns, vertical ones first."""
-    pts = G.points
-    cols, seen = [], set()
-    for col in [wr_vertical(G, a) for a in pts] + [
-        wr_line(G, a1, a2, convention) for i, a1 in enumerate(pts) for a2 in pts[i:]
-    ]:
-        if col.vector and col.vector not in seen:
-            seen.add(col.vector)
-            cols.append(col)
-    return cols
-
-
 @pytest.mark.parametrize("q", [5, 7, 11, 13])
 def test_column_view_matches_the_eager_columns(q):
     curves = [(a, b) for a, b in _smooth_pairs(q)
@@ -637,7 +634,7 @@ def test_column_view_matches_the_eager_columns(q):
                               (3, PLUS, list)):
             lat = assemble_skew_lattice(SkewBilinear(G, r), conv)
             view = lat.columns
-            eager = bilinear_cols + _eager_reciprocity(G, conv)
+            eager = bilinear_cols + reciprocity_columns(G, conv)
             n = len(eager)
             assert len(view) == len(lat) == lat.engine.n_generators == n, (a, b, r)
             assert read(view) == eager, (a, b, r)
@@ -651,6 +648,77 @@ def test_column_view_matches_the_eager_columns(q):
             if (len(G.points), r) not in orders:
                 orders.add((len(G.points), r))
                 assert prove_skew(SkewBilinear(G, r), conv).to_record()["generators"] == n
+
+
+# -- the index tables against the point-by-point oracles ---------------------------
+
+
+def _table_curves():
+    """Every smooth y^2 = x(x - a)(x - b) with 0 < |a|, |b| <= 8 over F_q,
+    q in {5, 7, 11, 13}, and #E(F_q) <= 40, once per distinct (a, b) mod q."""
+    out, seen = [], set()
+    span = [c for c in range(-8, 9) if c]
+    for q in (5, 7, 11, 13):
+        for a in span:
+            for b in span:
+                if (a * b * (a - b)) % q == 0 or (q, a % q, b % q) in seen:
+                    continue
+                seen.add((q, a % q, b % q))
+                G = rational_points_mod_p(curve_from_pair(a, b), q)
+                if len(G.points) <= kgroup.SKEW_MAX_POINTS:
+                    out.append((a, b, q, G))
+    return out
+
+
+_TABLE_CURVES = _table_curves()
+
+
+def test_closed_form_blocks_match_the_pattern_set():
+    assert len(_TABLE_CURVES) == 264
+    for a, b, q, G in _TABLE_CURVES:
+        n, sums = len(G.points), kgroup._sum_table(G)
+        for slot in (0, 1):
+            assert kgroup._bilinear_blocks(n, slot, sums) == bilinear_blocks(n, slot, sums), (
+                a, b, q, slot)
+
+
+def test_reciprocity_columns_from_the_tables_match_the_group_law():
+    for a, b, q, G in _TABLE_CURVES:
+        bilinear = SkewBilinear(G)
+        first = len(G.points) * len(bilinear.blocks)
+        for conv in (MINUS, PLUS):
+            columns = assemble_skew_lattice(bilinear, conv).columns[first:]
+            assert columns == reciprocity_columns(G, conv), (a, b, q, conv)
+
+
+def test_reciprocity_columns_read_only_the_certified_sums(monkeypatch):
+    """The carries certify the sums of the pairs i <= i2 only, so the lattice
+    reads nothing below the diagonal of the table: garbage there changes no
+    column, certificate or report."""
+    sum_table = kgroup._sum_table
+
+    def scrambled(G):
+        sums = sum_table(G)
+        n = len(sums)
+        for i in range(n):
+            for j in range(i):
+                sums[i][j] = (i * 7 + j) % n
+        return sums
+
+    G = rational_points_mod_p(curve_from_pair(-12, -9), 11)  # 16 points
+    honest = SkewBilinear(G)
+    monkeypatch.setattr(kgroup, "_sum_table", scrambled)
+    garbled = SkewBilinear(G)
+    assert garbled.sums != honest.sums and garbled.negatives == honest.negatives
+    for conv in (MINUS, PLUS):
+        assert list(assemble_skew_lattice(garbled, conv).columns) == list(
+            assemble_skew_lattice(honest, conv).columns)
+        assert prove_skew(garbled, conv) == prove_skew(honest, conv)
+
+
+def test_unknown_convention_is_refused_before_any_column():
+    with pytest.raises(InvalidConfigurationError, match="unknown convention 'sideways'"):
+        assemble_skew_lattice(SkewBilinear(E5), "sideways")
 
 
 # -- E (x) E decisions against the symbol lattice ------------------------------------

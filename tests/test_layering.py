@@ -1,10 +1,11 @@
 """Product code keeps only what a command, demo or benchmark reaches.  A scan
 of the source lists every module-level def and non-dunder method of the
 package that no module of src/, demos/ or perfbench/ names; each one left is
-pinned here with the reason it stays.  The group-ring, product-of-curves and
-symbol-provenance oracles live in the tests (tests/group_ring.py,
-tests/product.py, tests/test_kgroup.py), as does the checked constructor of a
-model from raw coefficients (tests/models.py)."""
+pinned here with the reason it stays.  The group-ring, product-of-curves,
+symbol-provenance and point-by-point skew oracles live in the tests
+(tests/group_ring.py, tests/product.py, tests/test_kgroup.py,
+tests/skew_oracles.py), as does the checked constructor of a model from raw
+coefficients (tests/models.py)."""
 
 import ast
 import os
@@ -31,7 +32,7 @@ MOVED = {
     "invariant_factors_mod", "SymbolUniverse", "_curve_key", "SkewBilinear.serves",
     "RelationColumn.as_dict", "FormalSum", "product_zero", "embed", "project", "product_add",
     "DecompositionResult", "product_decompose", "WeierstrassModel.from_coeffs",
-    "ColumnLattice.contains",
+    "ColumnLattice.contains", "wr_vertical", "wr_line", "_column", "ColumnLattice._sparse",
 }
 
 # the tracer names its targets as dotted strings ("EllipticGroup.structure")

@@ -88,6 +88,26 @@ sys.exit(main(["kgroup", "prove-skew", "--q", "5"]))
 """,
         "certificate error: discrete-log table is not a homomorphism",
     ),
+    "prove-skew-sum-table": (
+        """
+import sys
+from isogeny_forge import kgroup
+from isogeny_forge.cli import main
+# two sums of the upper triangle swapped: the carries refuse the table before
+# any column is built from it
+sum_table = kgroup._sum_table
+def swapped(G):
+    sums = sum_table(G)
+    sums[1][2], sums[1][3] = sums[1][3], sums[1][2]
+    return sums
+def built(*args):
+    sys.exit(3)  # a column was built from an uncertified table
+kgroup._sum_table = swapped
+kgroup._bilinear_blocks = kgroup.assemble_skew_lattice = built
+sys.exit(main(["kgroup", "prove-skew", "--q", "5"]))
+""",
+        "certificate error: discrete-log table is not a homomorphism",
+    ),
     "filtration": (
         """
 import sys
