@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .elliptic import TwoTorsionCurve, _as_model, _integral_model, ap_trace
+from .errors import CertificateError
 from .exactnum import primes_up_to
 from .reduction import (
     POT_GOOD_SUPERSINGULAR,
@@ -171,7 +172,10 @@ def supersingular_scan(curve: Curve, bound: int) -> SupersingularScan:
     is never factored.  Where p does not divide it, a_p is taken on W; a
     TwoTorsionCurve is integral, so it is handed to ap_trace itself and takes
     the split kernel.  Where p divides it, one Tate run at p decides good
-    reduction and gives the p-minimal model to count on.
+    reduction.  A TwoTorsionCurve of good reduction at p is then
+    E(p^v a', p^v b') with v even and E(a', b') good at p (primitive_at),
+    and E(a', b'), isomorphic to it, is counted; any other outcome refutes
+    Tate's.  Any other model is counted on Tate's p-minimal model.
     """
     W = _integral_model(_as_model(curve))
     delta = W.disc
@@ -187,6 +191,12 @@ def supersingular_scan(curve: Curve, bound: int) -> SupersingularScan:
             if local.conductor_exponent > 0:
                 continue
             model = local.model
+            if isinstance(curve, TwoTorsionCurve):
+                a, b, v = curve.primitive_at(p)
+                model = TwoTorsionCurve(a, b)
+                if v % 2 or not model.good_at(p):
+                    raise CertificateError(f"Tate reports good reduction of {_curve_label(curve)}"
+                                           f" at {p}, but no rescaled two-torsion model is good")
         tested += 1
         if ap_trace(model, p) % p == 0:
             found.append(p)

@@ -2,16 +2,14 @@
 exact point counting and group structure over prime fields.
 
 Counting is character-sum based, which is the right tool at desk scale;
-nothing here ever rounds.  There are two kernels.  _char_sum takes the sum
-of chi(f(x)) for any f of degree <= 6 in (p - 1)/2 interpreted steps over
-the pairs {x, -x}.  _split_char_sum takes it for f = prod (x - r) with the
-roots r known, in one shift and one XOR of a p-bit non-residue mask per
-root; a curve y^2 = x(x - a)(x - b) and a genus-2 curve given by its even
-factors (genus2.py) are counted this way, and every other model by
-_char_sum.  Both kernels read one quadratic-residue table per prime
-(_chi_table, a non-residue mask built by one pass over the squares, whose
-t^2 come from tables of squares shared by the primes of a run);
-_char_sum reads it through the tuple view _chi_values.
+nothing here ever rounds.  There is one kernel, _split_char_sum: the sum of
+chi(f(x)) for f = prod (x - r) with the roots r known, in one shift and one
+XOR of a p-bit non-residue mask per root.  A curve y^2 = x(x - a)(x - b) and
+a genus-2 curve given by its even factors (genus2.py) are counted this way;
+they are every curve a command builds.  The mask (_chi_table) is built once
+per prime by one pass over the squares, whose t^2 come from tables of
+squares shared by the primes of a run.  A general Weierstrass model, which
+only the library reaches, is counted by enumerating E(F_p).
 
 E(F_p) (EllipticGroup) is enumerated point by point.  Its invariant factors,
 point orders, generators and discrete_log all come off one discrete-log
@@ -128,6 +126,15 @@ class TwoTorsionCurve:
         ab(a - b) is always even, so p = 2 is bad."""
         return self.a * self.b * (self.a - self.b) % p != 0
 
+    def primitive_at(self, p: int) -> tuple[int, int, int]:
+        """(a / p^v, b / p^v, v) for a prime p and v = min(v_p(a), v_p(b)).
+        E(a, b) is the twist by p^v of E(a / p^v, b / p^v), with the same j,
+        and p divides at most one of a / p^v, b / p^v and their difference."""
+        a, b, v = self.a, self.b, 0
+        while a % p == 0 and b % p == 0:
+            a, b, v = a // p, b // p, v + 1
+        return a, b, v
+
     @property
     def j(self) -> Fraction:
         a, b = self.a, self.b
@@ -230,46 +237,32 @@ def _counting_coeffs(W: WeierstrassModel, p: int) -> tuple[int, int, int, int, i
 
 def ap_trace(curve, p: int) -> int:
     """Trace of Frobenius a_p = p + 1 - #E(F_p) at an odd prime of good
-    reduction for the given model.
+    reduction for the given model, checked against the Hasse bound.
 
-    Computed as -sum_x chi(g(x)) for the completed square
-    g = 4x^3 + b2 x^2 + 2 b4 x + b6.  For a TwoTorsionCurve g = 4 x(x-a)(x-b)
-    and chi(4) = 1, so _split_char_sum takes the sum over the roots (0, a, b),
-    distinct mod p at a good prime.  Any other model goes to _char_sum over
-    the pairs {x, -x}: g(+-x) = (b6 + b2 x^2) +- x (2 b4 + 4 x^2).  Exactness
-    is inherited from the Legendre-symbol sum.
+    For a TwoTorsionCurve a_p = -sum_x chi(x(x - a)(x - b)), which
+    _split_char_sum takes over the roots (0, a, b), distinct mod p at a good
+    prime (_two_torsion_ap).  Any other model is counted as p + 1 minus the
+    size of its EllipticGroup, which enumerates E(F_p).  Exactness is
+    inherited from the Legendre-symbol sum and the enumeration.
     """
     if isinstance(curve, TwoTorsionCurve):
         _check_prime(p)
         if not curve.good_at(p):
             raise BadPrimeError(_BAD_REDUCTION.format(p=p))
-        ap = -_split_char_sum((0, curve.a, curve.b), p)
-    else:
-        b2, b4, b6 = _b246_mod_p(*_counting_coeffs(_as_model(curve), p), p)
-        ap = -_char_sum((b6, 2 * b4, b2, 4), p)
+        return _two_torsion_ap(curve.a, curve.b, p)
+    return _hasse_checked(p + 1 - len(EllipticGroup(_as_model(curve), p)), p)
+
+
+def _two_torsion_ap(a: int, b: int, p: int) -> int:
+    """a_p of y^2 = x(x - a)(x - b) at an odd prime p not dividing
+    ab(a - b), checked against the Hasse bound."""
+    return _hasse_checked(-_split_char_sum((0, a, b), p), p)
+
+
+def _hasse_checked(ap: int, p: int) -> int:
     if ap * ap > 4 * p:
         raise CertificateError("Hasse bound violated: counting bug")
     return ap
-
-
-def _char_sum(coeffs, p: int) -> int:
-    """sum over x in F_p of the Legendre symbol of f(x) = sum_i coeffs[i] x^i,
-    for f of degree <= 6 and an odd prime p.
-
-    With f(+-x) = E(x^2) +- x O(x^2), where E = c0 + c2 u + c4 u^2 + c6 u^3
-    and O = c1 + c3 u + c5 u^2, the sum is chi(c0) plus, over x = 1..(p-1)/2,
-    chi(E + xO) + chi(E - xO).  E and xO are evaluated once per pair, and
-    E + xO and E - xO are reduced once each.
-    """
-    c0, c1, c2, c3, c4, c5, c6 = [c % p for c in coeffs] + [0] * (7 - len(coeffs))
-    chi = _chi_values(p)
-    total = chi[c0]
-    for x in range(1, (p + 1) // 2):
-        u = x * x
-        e = ((c6 * u + c4) * u + c2) * u + c0
-        o = ((c5 * u + c3) * u + c1) * x
-        total += chi[(e + o) % p] + chi[(e - o) % p]
-    return total
 
 
 _SQUARES = 2048  # the longest table of squares; it covers every t < p / 2 of p < 4096
@@ -301,17 +294,6 @@ def _chi_table(p: int) -> int:
     return int(digits[::-1], 2)
 
 
-# a view takes 8 p bytes, and is read only while its prime is in use
-@lru_cache(maxsize=4)
-def _chi_values(p: int) -> tuple[int, ...]:
-    """chi(x) in {-1, 0, 1} for x in 0..p-1, read off the mask of
-    _chi_table: the view _char_sum indexes."""
-    sym = bytearray(format(_chi_table(p), f"0{p}b")[::-1].encode().translate(
-        bytes.maketrans(b"01", b"\x01\xff")))
-    sym[0] = 0
-    return tuple(memoryview(sym).cast("b"))
-
-
 def _split_char_sum(roots, p: int) -> int:
     """sum over x in F_p of the Legendre symbol of prod_r (x - r), for roots
     distinct mod p and an odd prime p.
@@ -333,7 +315,9 @@ def _split_char_sum(roots, p: int) -> int:
     return p - len(roots) - 2 * (odd & (((1 << p) - 1) ^ root_bits)).bit_count()
 
 
-@lru_cache(maxsize=None)
+# a table holds about p/2 entries, and a scan of a general model builds one
+# per prime: unbounded, a scan to 10^5 would keep tens of GB
+@lru_cache(maxsize=4)
 def _sqrt_table(p: int) -> dict[int, tuple[int, ...]]:
     roots: dict[int, tuple[int, ...]] = {0: (0,)}
     for t in range(1, (p + 1) // 2 + 1):

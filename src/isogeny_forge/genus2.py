@@ -29,7 +29,7 @@ from typing import Optional
 
 from .errors import BadPrimeError, CertificateError, SingularCurveError
 from .exactnum import _det_bareiss, is_prime
-from .elliptic import _char_sum, _chi_table, _split_char_sum
+from .elliptic import _chi_table, _split_char_sum
 
 Sextic = tuple[int, int, int, int, int, int, int]  # c0 .. c6
 EvenFactors = tuple[tuple[int, int], ...]  # (l, k) for each factor l x^2 - k
@@ -165,8 +165,9 @@ class HyperellipticCurve:
 
     even_factors, when given, is a factorization S(x) = prod (l x^2 - k)
     into three even quadratics, as pairs (l, k); it is checked against
-    coeffs on construction, and lets the point count run on the roots of S
-    as a cubic in x^2.  Immutable; equal and hashed by (lam, coeffs) alone.
+    coeffs on construction; the point count needs them, and runs on the
+    roots of S as a cubic in x^2.  Immutable; equal and hashed by (lam,
+    coeffs) alone.
     """
 
     def __init__(self, lam: int, coeffs: Sextic, even_factors: Optional[EvenFactors] = None):
@@ -211,20 +212,21 @@ class HyperellipticCurve:
 
 
 def hyperelliptic_point_count(C: HyperellipticCurve, p: int) -> int:
-    """#C(F_p) on the smooth projective model, checked against the
-    Hasse-Weil bound (#C - p - 1)^2 <= 16p.
+    """#C(F_p) on the smooth projective model of a curve given with its even
+    factors, checked against the Hasse-Weil bound (#C - p - 1)^2 <= 16p.
+    A curve without even factors raises ValueError: no command builds one.
 
     Affine part p + sum_x chi(lam S(x)); two points at infinity when
     lam^-1 c6 is a nonzero square mod p, none otherwise.
 
-    With even factors S(x) = c6 prod (x^2 - r_i), r_i = k_i / l_i mod p,
-    which are distinct and nonzero as p does not divide c6 disc(S).  Each
-    u = x^2 is hit 1 + chi(u) times, so the sum is chi(lam c6) times the
+    With S(x) = c6 prod (x^2 - r_i), r_i = k_i / l_i mod p, which are
+    distinct and nonzero as p does not divide c6 disc(S).  Each u = x^2 is
+    hit 1 + chi(u) times, so the sum is chi(lam c6) times the
     elliptic._split_char_sum over the roots (r_1, r_2, r_3) plus the one
-    over (0, r_1, r_2, r_3): O(p/64) word operations.  Without factors it
-    is elliptic._char_sum over the pairs {x, -x} through
-    lam S(+-x) = E(x^2) +- x O(x^2), (p - 1)/2 interpreted steps.
+    over (0, r_1, r_2, r_3): O(p/64) word operations.
     """
+    if C.even_factors is None:
+        raise ValueError("a genus-2 curve is counted from its even factors, and this one has none")
     if p == 2 or not is_prime(p):
         raise BadPrimeError(f"p = {p} is not an odd prime")
     if C.lam % p == 0:
@@ -236,11 +238,8 @@ def hyperelliptic_point_count(C: HyperellipticCurve, p: int) -> int:
     lam = C.lam % p
     # chi(lam c6), from bit lam c6 of the non-residue mask (lam c6 != 0 mod p)
     at_infinity = -1 if _chi_table(p) >> (lam * C.coeffs[6] % p) & 1 else 1
-    if C.even_factors is None:
-        total = p + _char_sum([lam * c for c in C.coeffs], p)
-    else:
-        roots = [k * pow(l, -1, p) % p for l, k in C.even_factors]
-        total = p + at_infinity * (_split_char_sum(roots, p) + _split_char_sum([0, *roots], p))
+    roots = [k * pow(l, -1, p) % p for l, k in C.even_factors]
+    total = p + at_infinity * (_split_char_sum(roots, p) + _split_char_sum([0, *roots], p))
     if at_infinity == 1:
         total += 2
     if (total - p - 1) ** 2 > 16 * p:

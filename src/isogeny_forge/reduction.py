@@ -40,12 +40,12 @@ from .elliptic import (
     _b246_mod_p,
     _b8,
     _c4c6,
-    _char_sum,
     _discriminant,
     _integral_model,
     _model,
-    _split_char_sum,
     _translated,
+    _two_torsion_ap,
+    ap_trace,
 )
 from .errors import BudgetExceededError, CertificateError, UnsupportedPrimeError
 from .exactnum import (
@@ -436,19 +436,21 @@ def conductor(curve: Curve) -> int:
 def potential_type(curve: Curve, p: int) -> str:
     """Reduction type attained after a finite base extension, for odd p.
 
-    A TwoTorsionCurve with good reduction at p (p not dividing ab(a - b))
-    has its own a_p decide ordinary vs supersingular, by _split_char_sum
-    over its roots (0, a, b).  Otherwise v_p(j) decides: negative means
-    potentially multiplicative; else the reduced j-invariant decides through
-    any reference curve with that j (supersingularity depends only on j mod p,
-    and is twist-invariant).
+    A TwoTorsionCurve is the twist by p^v of E(a', b') (primitive_at), of the
+    same j.  If p divides a'b'(a' - b'), v_p(j) < 0: potentially
+    multiplicative.  Else E(a', b') is good at p, and its a_p decides
+    ordinary vs supersingular, which depends only on j mod p.  Any other
+    model has v_p(j) decide, and then a reference curve with the reduced j.
     """
     if p == 2:
         raise UnsupportedPrimeError("potential type is computed for odd primes only")
     if not is_prime(p) or p < 3:
         raise ValueError(f"p = {p} is not an odd prime")
-    if isinstance(curve, TwoTorsionCurve) and curve.good_at(p):
-        ap = -_split_char_sum((0, curve.a, curve.b), p)
+    if isinstance(curve, TwoTorsionCurve):
+        a, b, _ = curve.primitive_at(p)
+        if a * b * (a - b) % p == 0:
+            return POT_MULTIPLICATIVE
+        ap = _two_torsion_ap(a, b, p)
         return POT_GOOD_SUPERSINGULAR if ap % p == 0 else POT_GOOD_ORDINARY
     # v_p(j) and j mod p from the integers c4 and Delta of an integral model,
     # j = c4^3 / Delta; j = 0 exactly when c4 = 0
@@ -468,5 +470,5 @@ def potential_type(curve: Curve, p: int) -> str:
     else:
         A = 3 * jbar * (1728 - jbar) % p
         B = 2 * jbar * (1728 - jbar) ** 2 % p
-    ap = -_char_sum((B, A, 0, 1), p)
+    ap = ap_trace(_model((0, 0, 0, A, B)), p)
     return POT_GOOD_SUPERSINGULAR if ap % p == 0 else POT_GOOD_ORDINARY

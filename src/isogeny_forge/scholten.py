@@ -223,8 +223,8 @@ def verify_split_jacobian(
     cubic in x^2 (with and without 0), a_p(E_i) over (0, a, b) and (0, c, d).
     Each sum reads the one mask of p, built once per prime, at one shift per root.
     What is independent of that primitive is the test oracle: the tests
-    check the genus-2 count against the {x, -x} pair sum (elliptic._char_sum)
-    of the same sextic and against enumeration.
+    check the genus-2 count against the {x, -x} pair sum of the same sextic
+    (tests/char_sums.py) and against enumeration.
 
     Passing e1/e2 overrides the elliptic factors (useful as a negative
     control; a wrong factor must fail at some prime).

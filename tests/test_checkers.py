@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from isogeny_forge.checkers import (
     MAIN2_CONCLUSION_UNRAMIFIED,
@@ -12,7 +14,9 @@ from isogeny_forge.checkers import (
 )
 from isogeny_forge.elliptic import ap_trace, curve_from_pair
 from isogeny_forge.exactnum import primes_up_to
+from isogeny_forge.reduction import tate_algorithm
 
+from char_sums import model_ap
 from models import from_coeffs
 
 E1M1 = curve_from_pair(1, -1)
@@ -156,6 +160,34 @@ def test_scan_works_on_nonminimal_model():
     assert int(blown.disc) % 3 == 0
     scan = supersingular_scan(blown, 50)
     assert list(scan.primes) == [3, 7, 11, 19, 23, 31, 43, 47]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(*[st.one_of(st.integers(-30, 30), st.integers(-10**6, 10**6))] * 2),
+    st.sampled_from(primes_up_to(300)[1:]),
+    st.integers(0, 3),
+)
+@example((2, 3), 3, 2)  # 3 | ab(a - b) after the rescale too: bad
+@example((1, 2), 5, 2)  # v even: good, counted as E(1, 2)
+@example((1, 2), 5, 1)  # v odd: additive
+@example((2, 1), 3, 0)  # good at 3
+def test_rescaled_scan_count_matches_tates_model(ab, p, k):
+    """At a prime p of E = E(p^k a, p^k b), Tate finds good reduction exactly
+    where E = E(p^v a', p^v b') with v even and E(a', b') good at p, and
+    then the scan's a_p, counted on E(a', b'), is the pair-sum count of
+    Tate's p-minimal model."""
+    a, b = ab
+    assume(a and b and a != b)
+    E = curve_from_pair(a * p**k, b * p**k)
+    a, b, v = E.primitive_at(p)
+    good = v % 2 == 0 and curve_from_pair(a, b).good_at(p)
+    local = tate_algorithm(E.model, p)
+    assert good == (local.conductor_exponent == 0)
+    if good:
+        ap = model_ap(local.model, p)
+        assert ap_trace(curve_from_pair(a, b), p) == ap
+        assert (p in supersingular_scan(E, p).primes) == (ap % p == 0)
 
 
 def test_scan_runs_tate_once_per_prime_of_the_discriminant(monkeypatch):

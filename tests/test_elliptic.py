@@ -13,10 +13,9 @@ from isogeny_forge.elliptic import (
     TwoTorsionCurve,
     WeierstrassModel,
     _SQUARES,
-    _char_sum,
     _chi_table,
-    _chi_values,
     _split_char_sum,
+    _sqrt_table,
     _squares,
     ap_trace,
     curve_from_pair,
@@ -31,6 +30,7 @@ from isogeny_forge.errors import (
 )
 from isogeny_forge.exactnum import legendre_symbol, primes_up_to
 
+from char_sums import char_sum, chi_values, model_ap, reference_potential_type
 from models import from_coeffs
 
 
@@ -183,7 +183,7 @@ def test_ap_trace_against_enumeration(coeffs, p):
         with pytest.raises(UnsupportedPrimeError):
             ap_trace(W, p)
     else:
-        assert ap_trace(W, p) == p + 1 - count
+        assert ap_trace(W, p) == p + 1 - count == model_ap(W, p)
 
 
 def _parity(coeffs, keep):
@@ -205,7 +205,7 @@ def _parity(coeffs, keep):
 def test_char_sum_against_legendre_sum(coeffs, keep, p):
     coeffs = _parity(coeffs, keep)
     want = sum(legendre_symbol(sum(c * x**i for i, c in enumerate(coeffs)), p) for x in range(p))
-    assert _char_sum(coeffs, p) == want
+    assert char_sum(coeffs, p) == want
 
 
 def test_chi_table_views_against_legendre_symbol():
@@ -217,24 +217,25 @@ def test_chi_table_views_against_legendre_symbol():
     primes = primes_up_to(600)[1:] + [4093, 4099, 10007]
     assert 4093 // 2 < _SQUARES < 4099 // 2
     for order in (primes, primes[::-1]):
-        for cache in (_squares, _chi_table, _chi_values):
+        for cache in (_squares, _chi_table, chi_values):
             cache.cache_clear()
         for p in order:
-            chi, nonres = _chi_values(p), _chi_table(p)
+            chi, nonres = chi_values(p), _chi_table(p)
             assert len(chi) == p and nonres >> p == 0, p
             for x in range(p):
                 assert chi[x] == legendre_symbol(x, p), (p, x)
                 assert (nonres >> x & 1) == (legendre_symbol(x, p) == -1), (p, x)
 
 
-def test_chi_value_views_keep_a_few_primes_after_a_scan():
-    """A scan of a Weierstrass model reads each prime's tuple view once; the
-    cache keeps the last few, since a view takes 8 p bytes."""
+def test_square_root_tables_keep_a_few_primes_after_a_scan():
+    """A scan of a Weierstrass model enumerates E(F_p) at each prime, reading
+    that prime's table of square roots once; the cache keeps the last few,
+    since a table holds about p/2 entries."""
     from isogeny_forge.checkers import supersingular_scan
 
-    _chi_values.cache_clear()
+    _sqrt_table.cache_clear()
     assert supersingular_scan(from_coeffs(0, -1, 1, -10, -20), 200).tested > 4
-    assert _chi_values.cache_info().currsize <= 4
+    assert _sqrt_table.cache_info().currsize <= _sqrt_table.cache_parameters()["maxsize"] == 4
 
 
 def test_two_torsion_model_is_built_once():
@@ -319,27 +320,27 @@ def test_ap_trace_of_two_torsion_curve_reduces_no_model(monkeypatch):
         ap_trace(E, 2)
 
 
-def test_general_models_stay_on_char_sum(monkeypatch):
+def test_general_models_are_counted_by_their_group(monkeypatch):
     """Only a TwoTorsionCurve and a genus-2 curve with even factors take the
-    split kernel; a Weierstrass model, potential types through the model and
-    a genus-2 curve without factors take _char_sum, with the same answers."""
-    from isogeny_forge import elliptic, genus2, reduction
+    split kernel.  A Weierstrass model, and a potential type through the
+    model, are counted by enumerating E(F_p), with the answers of the curve
+    and of the pair-sum oracle; a genus-2 curve without factors is refused."""
+    from isogeny_forge import genus2, reduction
     from isogeny_forge.scholten import build_scholten
 
     E = curve_from_pair(2, 7)
     C = build_scholten(3, -7, 11, 5).curve
-    assert C.even_factors is not None
-    want = (ap_trace(E, 101), reduction.potential_type(E, 101), C.point_count(101))
+    want = (ap_trace(E, 101), reduction.potential_type(E, 101))
 
     def refuse(roots, p):
         raise AssertionError("split kernel reached from a general model")
 
     monkeypatch.setattr(elliptic, "_split_char_sum", refuse)
-    monkeypatch.setattr(reduction, "_split_char_sum", refuse)
     monkeypatch.setattr(genus2, "_split_char_sum", refuse)
-    plain = genus2.HyperellipticCurve(C.lam, C.coeffs)
-    got = (ap_trace(E.model, 101), reduction.potential_type(E.model, 101), plain.point_count(101))
-    assert got == want
+    got = (ap_trace(E.model, 101), reduction.potential_type(E.model, 101))
+    assert got == want == (model_ap(E.model, 101), reference_potential_type(E, 101))
+    with pytest.raises(ValueError, match="even factors"):
+        genus2.HyperellipticCurve(C.lam, C.coeffs).point_count(101)
     with pytest.raises(AssertionError, match="split kernel"):
         C.point_count(101)
     assert want[0] == 101 + 1 - brute_count(E.model, 101)

@@ -21,6 +21,7 @@ from isogeny_forge.genus2 import (
 from isogeny_forge.scholten import build_scholten, verify_split_jacobian
 
 import transvectants
+from char_sums import sextic_count
 
 
 def poly_from_roots(roots, lead=1):
@@ -248,58 +249,65 @@ def brute_projective_count(C: HyperellipticCurve, p: int) -> int:
     return n
 
 
+def even_curve(lam, factors) -> HyperellipticCurve:
+    """lam y^2 = prod (l x^2 - k) over the factors (l, k), given with them."""
+    return HyperellipticCurve(lam, genus2._even_sextic(factors), factors)
+
+
 def test_point_count_against_brute_force():
-    C = HyperellipticCurve(1, tuple(poly_from_roots([0, 1, 2, 3, 4, 5])))
+    """The count of a curve from its even factors, and the pair-sum oracle
+    on any sextic, against enumeration."""
+    C = even_curve(1, ((1, 1), (1, 4), (1, 9)))  # roots +-1, +-2, +-3
     for p in [11, 13, 17, 19]:
-        if C.disc % p == 0:
-            continue
         assert hyperelliptic_point_count(C, p) == brute_projective_count(C, p)
     rng = random.Random(55)
     done = 0
     while done < 10:
+        factors = tuple((rng.choice([1, 2, 3]), rng.randint(-5, 5)) for _ in range(3))
         cs = [rng.randint(-5, 5) for _ in range(6)] + [rng.choice([1, 2, 3])]
         lam = rng.choice([1, -1, 2, 5])
-        try:
-            C = HyperellipticCurve(lam, tuple(cs))
-        except ValueError:
-            continue
-        if C.disc == 0:
+        C, plain = even_curve(lam, factors), HyperellipticCurve(lam, tuple(cs))
+        if C.disc == 0 or plain.disc == 0:
             continue
         for p in [11, 13, 17, 23]:
-            if C.disc % p == 0 or C.lam % p == 0 or C.coeffs[6] % p == 0:
-                continue
-            assert hyperelliptic_point_count(C, p) == brute_projective_count(C, p)
+            for curve, count in ((C, hyperelliptic_point_count), (plain, sextic_count)):
+                if curve.disc % p and curve.lam % p and curve.coeffs[6] % p:
+                    assert count(curve, p) == brute_projective_count(curve, p)
         done += 1
 
 
 def test_point_count_bounds_and_errors():
-    C = HyperellipticCurve(1, tuple(poly_from_roots([0, 1, 2, 3, 4, 5])))
+    C = even_curve(1, ((1, 1), (1, 4), (1, 9)))
     for p in [11, 13, 17, 19, 23]:
-        if C.disc % p == 0:
-            continue
         n = hyperelliptic_point_count(C, p)
         assert n <= 2 * p + 2
         assert (n - p - 1) ** 2 <= 16 * p  # Hasse-Weil for genus 2
     with pytest.raises(BadPrimeError):
-        hyperelliptic_point_count(HyperellipticCurve(11, tuple(poly_from_roots([0, 1, 2, 3, 4, 5]))), 11)
+        hyperelliptic_point_count(even_curve(11, C.even_factors), 11)
     with pytest.raises(BadPrimeError):
         hyperelliptic_point_count(C, 2)
+    with pytest.raises(ValueError, match="even factors"):
+        hyperelliptic_point_count(HyperellipticCurve(C.lam, C.coeffs), 11)
 
 
 def test_point_count_translation_invariant():
+    """A curve with roots +-r_1, +-r_2, +-r_3, counted from its even factors,
+    has the count of the pair-sum oracle on its translates."""
     rng = random.Random(77)
     done = 0
     while done < 20:
-        roots = rng.sample(range(-8, 9), 6)
+        r1, r2, r3 = rng.sample(range(1, 9), 3)
         lead = rng.choice([1, 2, -1])
         t = rng.randint(-4, 4)
         lam = rng.choice([1, 3, -2])
-        C1 = HyperellipticCurve(lam, tuple(poly_from_roots(roots, lead)))
+        C1 = even_curve(lam, ((lead, lead * r1 * r1), (1, r2 * r2), (1, r3 * r3)))
+        roots = [r1, -r1, r2, -r2, r3, -r3]
         C2 = HyperellipticCurve(lam, tuple(poly_from_roots([r - t for r in roots], lead)))
+        assert C1.coeffs == tuple(poly_from_roots(roots, lead))
         p = rng.choice([11, 13, 17, 19, 23])
         if C1.disc % p == 0 or lam % p == 0 or lead % p == 0:
             continue
-        assert hyperelliptic_point_count(C1, p) == hyperelliptic_point_count(C2, p)
+        assert hyperelliptic_point_count(C1, p) == sextic_count(C2, p)
         done += 1
 
 
@@ -332,16 +340,15 @@ def test_split_identity_rows_against_enumeration(quad):
 @given(st.tuples(*[st.integers(-40, 40)] * 4), st.sampled_from(primes_up_to(300)[1:]))
 def test_factored_count_matches_the_loop_and_enumeration(quad, p):
     """The count of a Scholten curve from its even factors (the mask kernel)
-    equals the {x, -x} loop on the same sextic without factors, and the
-    enumeration of its points for p <= 60."""
+    equals the {x, -x} loop of the pair-sum oracle on the same sextic, and
+    the enumeration of its points for p <= 60."""
     C = build_scholten(*quad)
     assume(C.is_smooth)
     curve = C.curve
     assume((curve.lam * curve.disc * curve.coeffs[6]) % p)
     assert curve.even_factors is not None
-    plain = HyperellipticCurve(curve.lam, curve.coeffs)
     count = hyperelliptic_point_count(curve, p)
-    assert count == hyperelliptic_point_count(plain, p)
+    assert count == sextic_count(curve, p)
     if p <= 60:
         assert count == brute_projective_count(curve, p)
 
@@ -359,11 +366,14 @@ def test_even_factors_must_multiply_out_to_the_sextic():
 
 @pytest.mark.parametrize("factored", [True, False])
 def test_count_outside_the_hasse_weil_bound_is_refused(monkeypatch, factored):
+    """A corrupted kernel is refused by the Hasse-Weil check; a curve without
+    even factors is refused before any count, so no kernel is reached."""
     C = build_scholten(1, 2, 3, 4).curve
-    if not factored:
-        C = HyperellipticCurve(C.lam, C.coeffs)
-    kernel = "_split_char_sum" if factored else "_char_sum"
     assert hyperelliptic_point_count(C, 101) > 0
-    monkeypatch.setattr(genus2, kernel, lambda coeffs, p: p)
-    with pytest.raises(CertificateError, match="Hasse-Weil"):
-        hyperelliptic_point_count(C, 101)
+    monkeypatch.setattr(genus2, "_split_char_sum", lambda roots, p: p)
+    if factored:
+        with pytest.raises(CertificateError, match="Hasse-Weil"):
+            hyperelliptic_point_count(C, 101)
+    else:
+        with pytest.raises(ValueError, match="even factors"):
+            hyperelliptic_point_count(HyperellipticCurve(C.lam, C.coeffs), 101)

@@ -176,15 +176,42 @@ sys.exit(main(["scan", "supersingular", "--a", "1", "--b", "-1", "--bound", "50"
     ),
     "hasse-general": (
         """
+from isogeny_forge import elliptic
+from isogeny_forge.elliptic import WeierstrassModel, ap_trace
+# 11a1 has no rational 2-torsion, so its a_101 is counted by enumerating
+# E(F_101); listing each point three times puts the count outside the bound
+enumerate_points = elliptic.EllipticGroup._enumerate
+elliptic.EllipticGroup._enumerate = lambda self: enumerate_points(self) * 3
+ap_trace(WeierstrassModel(0, -1, 1, -10, -20), 101)
+""",
+        "CertificateError: Hasse bound violated",
+    ),
+    "hasse-potential": (
+        """
 import sys
 from isogeny_forge import elliptic
 from isogeny_forge.cli import main
-# y^2 = x(x - 50)(x - 75) is not minimal at 5, so a_5 is counted on the
-# Weierstrass model of the Tate run at 5, by the general kernel
-elliptic._char_sum = lambda coeffs, p: p
-sys.exit(main(["scan", "supersingular", "--a", "50", "--b", "75", "--bound", "50"]))
+# E(1, -1) at 7 is classified by the a_7 of the split kernel
+elliptic._split_char_sum = lambda roots, p: p
+sys.exit(main(["check", "main1", "--curves", "1,-1", "--p", "7"]))
 """,
         "certificate error: Hasse bound violated",
+    ),
+    "scan-rescale": (
+        """
+import sys
+from isogeny_forge import reduction
+from isogeny_forge.cli import main
+# E(5, 10) is the twist by 5 of E(1, 2), good at 5, so it is additive at 5
+# (v_5 = 1 is odd); a Tate run that reports f = 0 there is refused
+tate = reduction._tate_cache
+def good_at_5(W, p):
+    out = tate(W, p)
+    return out._replace(conductor_exponent=0) if p == 5 else out
+reduction._tate_cache = good_at_5
+sys.exit(main(["scan", "supersingular", "--a", "5", "--b", "10", "--bound", "50"]))
+""",
+        "certificate error: Tate reports good reduction of E(5,10) at 5",
     ),
     "structure": (
         """

@@ -32,6 +32,7 @@ from isogeny_forge.reduction import (
     tate_algorithm,
 )
 
+from char_sums import reference_potential_type
 from models import from_coeffs
 
 X3_MINUS_X = curve_from_pair(1, -1)
@@ -146,20 +147,25 @@ def test_good_prime_report():
 
 def test_good_two_torsion_curve_classifies_by_its_split_kernel(monkeypatch):
     """classify_reduction passes the TwoTorsionCurve itself to potential_type,
-    so at an odd good prime no reference curve is counted by _char_sum."""
-    from isogeny_forge import reduction
+    so at an odd prime no reference curve is counted, and no ap_trace call
+    is made under it: a two-torsion potential type reads the split kernel."""
+    from isogeny_forge import elliptic, reduction
 
     E = curve_from_pair(1, -1)  # y^2 = x^3 - x: supersingular iff p = 3 mod 4
+    F = curve_from_pair(9, -18)  # the twist by 9 of E(1, -2)
     primes = (5, 7, 13, 499)
     want = [classify_reduction(E.model, p) for p in primes]
+    want_f = [potential_type(F.model, p) for p in (3, 5, 7)]
 
-    def refuse(coeffs, p):
-        raise AssertionError("general kernel reached from a good TwoTorsionCurve")
+    def refuse(*args):
+        raise AssertionError("a general count reached from a TwoTorsionCurve")
 
-    monkeypatch.setattr(reduction, "_char_sum", refuse)
+    monkeypatch.setattr(reduction, "ap_trace", refuse)
+    monkeypatch.setattr(elliptic, "EllipticGroup", refuse)
     assert [classify_reduction(E, p) for p in primes] == want
     assert [r.actual_type for r in want] == [GOOD_ORDINARY, GOOD_SUPERSINGULAR,
                                              GOOD_ORDINARY, GOOD_SUPERSINGULAR]
+    assert [potential_type(F, p) for p in (3, 5, 7)] == want_f
 
 
 def test_multiplicative_example_e_1_11():
@@ -351,6 +357,26 @@ def test_potential_type_of_two_torsion_curve_matches_its_model(ab, p):
     assume(a and b and a != b)
     E = curve_from_pair(a, b)
     assert _outcome(potential_type, E, p) == _outcome(potential_type, E.model, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(*[st.one_of(st.integers(-30, 30), st.integers(-10**6, 10**6))] * 2),
+    st.sampled_from(primes_up_to(300)[1:]),
+    st.integers(0, 3),
+)
+@example((1, -2), 3, 2)  # 3 | a - b: potentially multiplicative at 3
+@example((1, 2), 3, 1)  # the twist by 3 of a supersingular curve at 3
+@example((1, 2), 3, 3)
+@example((1, 11), 11, 3)  # potentially multiplicative
+@example((2, 1), 5, 2)  # 5 | ab(a - b) only through the rescale
+def test_potential_type_of_a_rescaled_curve_matches_the_reference_routine(ab, p, k):
+    """E(p^k a, p^k b) read through its primitive model at p classifies as
+    the j-reference routine on the pair-sum oracle does, at good and bad p."""
+    a, b = ab
+    assume(a and b and a != b)
+    E = curve_from_pair(a * p**k, b * p**k)
+    assert potential_type(E, p) == reference_potential_type(E, p)
 
 
 def test_potential_type_iff_j_valuation():
