@@ -89,6 +89,18 @@ def _int_list(spec: str, option: str, count: Optional[int] = None) -> list[int]:
     return values
 
 
+def _params(spec: str) -> list[int]:
+    """The --params entries a,b,c,d, each within scholten.MAX_PARAM_DIGITS."""
+    from .scholten import check_param_digits
+
+    quad = _int_list(spec, "--params", 4)
+    try:
+        check_param_digits(quad, "--params")
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    return quad
+
+
 def _parse_primes(spec: str) -> list[int]:
     spec = spec.strip()
     if ".." in spec:
@@ -255,7 +267,7 @@ def _cmd_analyze_curve(ns: argparse.Namespace, sink: _Sink) -> int:
 def _cmd_scholten_build(ns: argparse.Namespace, sink: _Sink) -> int:
     from .scholten import build_scholten, torsion_orbit_report
 
-    quad = _int_list(ns.params, "--params", 4)
+    quad = _params(ns.params)
     t0 = time.perf_counter()
     C = build_scholten(*quad)
     out = {"status": C.status}
@@ -271,7 +283,7 @@ def _cmd_scholten_build(ns: argparse.Namespace, sink: _Sink) -> int:
 def _cmd_scholten_family(ns: argparse.Namespace, sink: _Sink) -> int:
     from .scholten import scholten_family
 
-    quad = _int_list(ns.params, "--params", 4)
+    quad = _params(ns.params)
     t0 = time.perf_counter()
     rep = scholten_family(*quad)
     sink.emit(
@@ -292,7 +304,7 @@ def _cmd_scholten_family(ns: argparse.Namespace, sink: _Sink) -> int:
 def _cmd_scholten_verify(ns: argparse.Namespace, sink: _Sink) -> int:
     from .scholten import build_scholten, verify_split_jacobian
 
-    quad = _int_list(ns.params, "--params", 4)
+    quad = _params(ns.params)
     primes = _parse_primes(ns.primes)
     e1, e2 = (_int_list(spec, f"--{k}", 2) if spec is not None else None
               for k, spec in (("e1", ns.e1), ("e2", ns.e2)))

@@ -195,31 +195,6 @@ class IntMatrix(NamedTuple):
         return len(self.rows)
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def _insert_mod(rows: list[dict[int, int]], v: dict[int, int], m: int) -> None:
     """Add the vector v to the lattice of an echelon modulo m, in place.
 

@@ -1,5 +1,6 @@
-"""Binary sextics and hyperelliptic genus-2 models lam*y^2 = S(x):
-discriminants, Igusa-Clebsch invariants, and point counting over F_p.
+"""Genus-2 curves lam*y^2 = S(x) whose sextic is a product of three even
+quadratics, S(x) = prod (l_i x^2 - k_i): discriminants, Igusa-Clebsch
+invariants, and point counting over F_p.
 
 The four invariants are normalized as the classical root-difference sums
 
@@ -16,8 +17,10 @@ Mestre's relations
     I2 = -120 A,   I4 = -720 A^2 + 6750 B,   I6 = 8640 A^3 - 108000 A B + 202500 C
 
 give the sums above (J.-F. Mestre, Construction de courbes de genre 2 a
-partir de leurs modules, 1991).  I10 is, by the same normalization,
--Res(S, S')/lc(S).
+partir de leurs modules, 1991).  I10 = -disc, in closed form: the roots are
++-r_i with r_i^2 = k_i / l_i, so
+
+    disc = Res(S, S')/lc(S) = -64 * prod l_i k_i * prod_{i<j} (l_i k_j - l_j k_i)^4.
 """
 
 from __future__ import annotations
@@ -25,23 +28,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, perm
-from typing import Optional
 
 from .errors import BadPrimeError, CertificateError, SingularCurveError
-from .exactnum import _det_bareiss, is_prime
+from .exactnum import is_prime
 from .elliptic import _chi_table, _split_char_sum
 
-Sextic = tuple[int, int, int, int, int, int, int]  # c0 .. c6
 EvenFactors = tuple[tuple[int, int], ...]  # (l, k) for each factor l x^2 - k
-
-
-def _as_sextic(coeffs) -> Sextic:
-    cs = tuple(int(c) for c in coeffs)
-    if len(cs) != 7:
-        raise ValueError(f"need 7 coefficients c0..c6, got {len(cs)}")
-    if cs[6] == 0:
-        raise ValueError("degree must be exactly 6 (c6 = 0)")
-    return cs
 
 
 def _even_sextic(factors) -> tuple[int, ...]:
@@ -58,40 +50,16 @@ def _even_sextic(factors) -> tuple[int, ...]:
     return tuple(out)
 
 
-def resultant(f: list[int], g: list[int]) -> int:
-    """Res(f, g) by the Sylvester determinant (coefficients low to high)."""
-    while f and f[-1] == 0:
-        f = f[:-1]
-    while g and g[-1] == 0:
-        g = g[:-1]
-    if not f or not g:
-        raise ValueError("resultant of the zero polynomial")
-    df, dg = len(f) - 1, len(g) - 1
-    n = df + dg
-    rows = []
-    fr = list(reversed(f))
-    gr = list(reversed(g))
-    for i in range(dg):
-        rows.append([0] * i + fr + [0] * (n - df - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + gr + [0] * (n - dg - 1 - i))
-    return _det_bareiss(rows)
-
-
-def sextic_discriminant(coeffs) -> int:
-    """Res(S, S') / lc(S): zero exactly when S has a repeated root.
+def sextic_discriminant(factors: EvenFactors) -> int:
+    """Res(S, S')/lc(S) of S = prod (l x^2 - k) over three even factors (l, k),
+    in closed form: zero exactly when S has a repeated root.
 
     This normalization is what the rest of the package keys on; it differs
     from the monic-classical discriminant by a sign (I10 = -disc here).
     """
-    cs = _as_sextic(coeffs)
-    f = list(cs)
-    df = [i * cs[i] for i in range(1, 7)]
-    r = resultant(f, df)
-    q, rem = divmod(r, cs[6])
-    if rem:
-        raise CertificateError("Res(S, S') is not divisible by the leading coefficient")
-    return q
+    (l1, k1), (l2, k2), (l3, k3) = factors
+    cross = (l1 * k2 - l2 * k1) * (l1 * k3 - l3 * k1) * (l2 * k3 - l3 * k2)
+    return -64 * l1 * k1 * l2 * k2 * l3 * k3 * cross**4
 
 
 # -- transvectants -------------------------------------------------------------
@@ -120,21 +88,17 @@ def _transvectant(f, g, k: int) -> tuple[list[int], Fraction]:
     return out, Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
 
 
-def igusa_clebsch_of_sextic(coeffs, disc=None) -> tuple[int, int, int, int]:
-    """(I2, I4, I6, I10) of the binary sextic, exact integers.
+def igusa_clebsch_of_sextic(coeffs, disc: int) -> tuple[int, int, int, int]:
+    """(I2, I4, I6, I10) of the integer sextic coeffs = c0 .. c6 whose
+    discriminant Res(S, S')/lc(S) is disc, as exact integers.
 
-    `disc`, when given, is taken as sextic_discriminant(coeffs) instead of
-    computing it again; a curve passes its cached value.  The transvectants
-    are integer forms; the scales of the nested ones multiply: with
-    i = si * I, (i, i)_4 = sb * si^2 * (I, I)_4, and so on.
+    The transvectants are integer forms; the scales of the nested ones
+    multiply: with i = si * I, (i, i)_4 = sb * si^2 * (I, I)_4, and so on.
     """
-    cs = _as_sextic(coeffs)
-    if disc is None:
-        disc = sextic_discriminant(cs)
     if disc == 0:
         raise SingularCurveError("sextic has a repeated root")
-    I, si = _transvectant(cs, cs, 4)
-    (a,), sa = _transvectant(cs, cs, 6)
+    I, si = _transvectant(coeffs, coeffs, 4)
+    (a,), sa = _transvectant(coeffs, coeffs, 6)
     (b,), sb = _transvectant(I, I, 4)
     J, sj = _transvectant(I, I, 2)
     (c,), sc = _transvectant(I, J, 4)
@@ -160,23 +124,21 @@ def absolute_invariants(inv) -> tuple[Fraction, Fraction, Fraction]:
 
 
 class HyperellipticCurve:
-    """lam * y^2 = S(x) with S of exact degree 6, coeffs c0 .. c6 of S,
-    kept as the tuple of ints _as_sextic makes of any sequence.
-
-    even_factors, when given, is a factorization S(x) = prod (l x^2 - k)
-    into three even quadratics, as pairs (l, k); it is checked against
-    coeffs on construction; the point count needs them, and runs on the
-    roots of S as a cubic in x^2.  Immutable; equal and hashed by (lam,
-    coeffs) alone.
+    """lam * y^2 = S(x) with S(x) = prod (l x^2 - k) over three even factors
+    (l, k), every l nonzero, so S has exact degree 6; coeffs are c0 .. c6 of
+    S.  The point count runs on the roots of S as a cubic in x^2.
+    Immutable; equal and hashed by (lam, coeffs) alone, so two
+    factorizations of one sextic give one curve.
     """
 
-    def __init__(self, lam: int, coeffs: Sextic, even_factors: Optional[EvenFactors] = None):
+    def __init__(self, lam: int, even_factors: EvenFactors):
         if lam == 0:
             raise ValueError("lam must be nonzero")
-        cs = _as_sextic(coeffs)
-        if even_factors is not None and _even_sextic(even_factors) != cs:
-            raise ValueError(f"even factors {even_factors} do not multiply out to {cs}")
-        self.__dict__.update(lam=lam, coeffs=cs, even_factors=even_factors)
+        if len(even_factors) != 3:
+            raise ValueError(f"need exactly three even factors (l, k), got {len(even_factors)}")
+        if not all(l for l, _ in even_factors):
+            raise ValueError(f"degree must be exactly 6, but an l is 0 in {even_factors}")
+        self.__dict__.update(lam=lam, coeffs=_even_sextic(even_factors), even_factors=even_factors)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -188,12 +150,11 @@ class HyperellipticCurve:
         return hash((self.lam, self.coeffs))
 
     def __repr__(self):
-        return (f"HyperellipticCurve(lam={self.lam!r}, coeffs={self.coeffs!r}, "
-                f"even_factors={self.even_factors!r})")
+        return f"HyperellipticCurve(lam={self.lam!r}, even_factors={self.even_factors!r})"
 
     @cached_property
     def disc(self) -> int:
-        return sextic_discriminant(self.coeffs)
+        return sextic_discriminant(self.even_factors)
 
     def igusa_clebsch(self):
         """(I2, I4, I6, I10) of the sextic S.
@@ -207,14 +168,10 @@ class HyperellipticCurve:
     def absolute_igusa(self):
         return absolute_invariants(self.igusa_clebsch())
 
-    def point_count(self, p: int) -> int:
-        return hyperelliptic_point_count(self, p)
-
 
 def hyperelliptic_point_count(C: HyperellipticCurve, p: int) -> int:
-    """#C(F_p) on the smooth projective model of a curve given with its even
-    factors, checked against the Hasse-Weil bound (#C - p - 1)^2 <= 16p.
-    A curve without even factors raises ValueError: no command builds one.
+    """#C(F_p) on the smooth projective model, checked against the Hasse-Weil
+    bound (#C - p - 1)^2 <= 16p.
 
     Affine part p + sum_x chi(lam S(x)); two points at infinity when
     lam^-1 c6 is a nonzero square mod p, none otherwise.
@@ -225,8 +182,6 @@ def hyperelliptic_point_count(C: HyperellipticCurve, p: int) -> int:
     elliptic._split_char_sum over the roots (r_1, r_2, r_3) plus the one
     over (0, r_1, r_2, r_3): O(p/64) word operations.
     """
-    if C.even_factors is None:
-        raise ValueError("a genus-2 curve is counted from its even factors, and this one has none")
     if p == 2 or not is_prime(p):
         raise BadPrimeError(f"p = {p} is not an odd prime")
     if C.lam % p == 0:

@@ -16,9 +16,20 @@ from .checkers import main1_check
 from .elliptic import TwoTorsionCurve, ap_trace, curve_from_pair
 from .errors import CertificateError, DegenerateCurveError, InsufficientPrimesError
 from .exactnum import primes_up_to
-from .genus2 import HyperellipticCurve, _even_sextic
+from .genus2 import HyperellipticCurve, hyperelliptic_point_count
 
 SMOOTH = "SmoothGenus2"
+
+# Entries |a|, |b|, |c|, |d| <= M give printed ints (lam, the sextic, the
+# orbit) of at most 6 M^3.  Below 10^1433 that has at most 4300 digits, the
+# default limit of Python's int-to-str conversion.
+MAX_PARAM_DIGITS = 1433
+
+
+def check_param_digits(quad: Sequence[int], where: str) -> None:
+    """Refuse, by ValueError, an entry of more than MAX_PARAM_DIGITS digits."""
+    if any(abs(x) >= 10**MAX_PARAM_DIGITS for x in quad):
+        raise ValueError(f"{where}: each of a,b,c,d has at most {MAX_PARAM_DIGITS} digits")
 
 
 class ScholtenCurve(NamedTuple):
@@ -59,9 +70,8 @@ def build_scholten(a: int, b: int, c: int, d: int) -> ScholtenCurve:
         return ScholtenCurve(params, "Degenerate(first pair: ab(a-b) = 0)")
     if c == 0 or d == 0 or c == d:
         return ScholtenCurve(params, "Degenerate(second pair: cd(c-d) = 0)")
-    # c6 = (a - b)ab is nonzero here, so the sextic has exact degree 6
-    factors = ((a - b, c - d), (a, c), (b, d))
-    curve = HyperellipticCurve(lam, _even_sextic(factors), factors)
+    # every l = a - b, a, b is nonzero here, so the sextic has exact degree 6
+    curve = HyperellipticCurve(lam, ((a - b, c - d), (a, c), (b, d)))
     if curve.disc == 0:
         return ScholtenCurve(params, "Degenerate(repeated roots)")
     return ScholtenCurve(
@@ -241,7 +251,7 @@ def verify_split_jacobian(
         if bad % p == 0:
             skipped.append((p, "divides lam*disc*lc or a factor discriminant"))
             continue
-        n = C.curve.point_count(p)
+        n = hyperelliptic_point_count(C.curve, p)
         a1 = ap_trace(e1, p)
         a2 = ap_trace(e2, p)
         rows.append((p, n, a1, a2, n == p + 1 - a1 - a2))
@@ -335,7 +345,8 @@ def box_grid(bound: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 def quadruples_from_csv(path: str) -> list[tuple[int, int, int, int]]:
-    """Parameter grid from a CSV file with header a,b,c,d."""
+    """Parameter grid from a CSV file with header a,b,c,d, each entry of at
+    most MAX_PARAM_DIGITS digits."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -344,11 +355,13 @@ def quadruples_from_csv(path: str) -> list[tuple[int, int, int, int]]:
             raise ValueError(f"CSV missing columns: {sorted(missing)}")
         for row in reader:
             try:
-                out.append(tuple(int(row[k]) for k in "abcd"))
+                quad = tuple(int(row[k]) for k in "abcd")
             except (TypeError, ValueError):
                 cells = [row[k] for k in "abcd"]
                 raise ValueError(f"CSV line {reader.line_num}: a,b,c,d must be integers, "
                                  f"got {cells}") from None
+            check_param_digits(quad, f"CSV line {reader.line_num}")
+            out.append(quad)
     return out
 
 

@@ -108,6 +108,48 @@ def test_search_bad_csv_is_a_usage_error(tmp_path, text, where):
     assert f"usage error: {where}" in res.stderr
 
 
+# entries up to 10^1433 - 1 are admitted: with a, b = E, -E the sextic's c6 =
+# (a - b)ab = -2 E^3 has 4300 digits, the default int-to-str limit
+_EDGE = 10**1433 - 1
+
+
+def _params_argv(tmp_path, command, quad):
+    params = "--params=" + ",".join(map(str, quad))
+    if command == "search":
+        grid = tmp_path / "grid.csv"
+        grid.write_text("a,b,c,d\n" + ",".join(map(str, quad)) + "\n")
+        return ["--jobs", "1", "scholten", "search", "--csv", str(grid)]
+    return ["scholten", command, params] + (["--primes", "60"] if command == "verify" else [])
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "search"])
+def test_the_largest_admitted_params_print_every_int(tmp_path, capsys, command):
+    from isogeny_forge import cli
+
+    quad = [_EDGE, -_EDGE, 5, -7]
+    assert cli.main(_params_argv(tmp_path, command, quad)) == 0
+    out, err = capsys.readouterr()
+    [record] = records_of(out)
+    assert err == "" and record["inputs"]["params"] == quad
+    if command != "verify":
+        assert max(len(str(abs(c))) for c in record["outputs"]["sextic"]) == 4300
+
+
+@pytest.mark.parametrize("command", ["build", "family", "verify", "search"])
+@pytest.mark.parametrize("quad", [
+    [10**1433, -_EDGE, 5, -7],
+    [-_EDGE, 5, -7, -10**1433],
+    [10**1433 + 7, -(3 * 10**1433 + 1), 5, -7],  # exited 1 with no record: c6 has 4301 digits
+], ids=["first-refused", "first-refused-negative", "c6-past-the-limit"])
+def test_params_over_the_digit_bound_are_a_usage_error(tmp_path, capsys, command, quad):
+    from isogeny_forge import cli
+
+    assert cli.main(_params_argv(tmp_path, command, quad)) == 2
+    out, err = capsys.readouterr()
+    where = "CSV line 2" if command == "search" else "--params"
+    assert (out, err) == ("", f"usage error: {where}: each of a,b,c,d has at most 1433 digits\n")
+
+
 def test_search_box_with_predicate(tmp_path):
     res = run_cli(
         "--jobs", "1", "scholten", "search", "--box", "2",

@@ -11,7 +11,6 @@ from isogeny_forge.exactnum import (
     ColumnLattice,
     IntMatrix,
     _add_multiple,
-    _det_bareiss,
     _trial_division,
     factorize,
     is_prime,
@@ -23,6 +22,7 @@ from isogeny_forge.exactnum import (
 from isogeny_forge.pontryagin import FinAbGroup
 
 from group_ring import FormalSum, contains
+from sextics import det_bareiss
 from skew_oracles import SparseColumnLattice
 
 
@@ -175,7 +175,7 @@ def _determinantal_factors(rows, n, e):
         dk = 0
         for picked in combinations(rows, k):
             for cols in combinations(range(n), k):
-                dk = gcd(dk, _det_bareiss([[row[c] for c in cols] for row in picked]))
+                dk = gcd(dk, det_bareiss([[row[c] for c in cols] for row in picked]))
         out.append(dk // previous if dk else 0)
         previous = dk
     return [gcd(d, e) for d in out] + [e] * (n - len(out))

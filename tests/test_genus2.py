@@ -15,13 +15,14 @@ from isogeny_forge.genus2 import (
     absolute_invariants,
     hyperelliptic_point_count,
     igusa_clebsch_of_sextic,
-    resultant,
     sextic_discriminant,
 )
 from isogeny_forge.scholten import build_scholten, verify_split_jacobian
 
+import sextics
 import transvectants
 from char_sums import sextic_count
+from sextics import SexticCurve, resultant
 
 
 def poly_from_roots(roots, lead=1):
@@ -38,6 +39,11 @@ def poly_from_roots(roots, lead=1):
         assert c.denominator == 1
         out.append(int(c))
     return out
+
+
+def igusa(cs):
+    """The invariants of any sextic, with the Sylvester discriminant."""
+    return igusa_clebsch_of_sextic(cs, sextics.sextic_discriminant(cs))
 
 
 def oracle_invariants(roots, lead):
@@ -105,36 +111,64 @@ def test_resultant_known_value():
 
 
 def test_discriminant_examples():
-    assert sextic_discriminant([-1, 0, 0, 0, 0, 0, 1]) == -46656
-    # (x-1)^2 * quartic has a repeated root
-    cs = poly_from_roots([1, 1, 2, 3, 4, 5])
-    assert sextic_discriminant(cs) == 0
-    # (x^2-1)(x^2-2)(x^2-3): six distinct roots
-    cs = [ -6, 0, 11, 0, -6, 0, 1 ]
-    assert sextic_discriminant(cs) != 0
+    assert sextics.sextic_discriminant([-1, 0, 0, 0, 0, 0, 1]) == -46656
+    # (x^2-1)(x^2-4)(x^2-9): six distinct roots
+    factors = ((1, 1), (1, 4), (1, 9))
+    assert sextic_discriminant(factors) == -64 * 36 * (3 * 8 * 5) ** 4
+    assert sextic_discriminant(factors) == sextics.sextic_discriminant([-36, 0, 49, 0, -14, 0, 1])
+    # a double root at 0, a repeated factor, and proportional pairs
+    for repeated in [((1, 0), (1, 4), (1, 9)), ((1, 4), (1, 4), (1, 9)),
+                     ((2, 8), (1, 4), (1, 9)), ((-3, -12), (1, 4), (1, 9))]:
+        assert sextic_discriminant(repeated) == 0
 
 
 def test_discriminant_rejects_wrong_degree():
-    with pytest.raises(ValueError):
-        sextic_discriminant([1, 2, 3, 4, 5, 6])  # only degree 5 data
-    with pytest.raises(ValueError):
-        sextic_discriminant([1, 0, 0, 0, 0, 1, 0])  # c6 = 0
+    for factors in [((1, 1), (1, 4)), ((1, 1), (1, 4), (1, 9), (1, 16))]:
+        with pytest.raises(ValueError):
+            sextic_discriminant(factors)
+        with pytest.raises(ValueError, match="need exactly three even factors"):
+            HyperellipticCurve(1, factors)
+    with pytest.raises(ValueError, match="degree must be exactly 6"):
+        HyperellipticCurve(1, ((1, 1), (0, 4), (1, 9)))  # S has degree 4
 
 
 def test_discriminant_vanishes_iff_repeated_root():
+    """The roots of S are +-sqrt(k/l): one repeats where a k is 0 or two
+    pairs (l, k) are proportional."""
     rng = random.Random(42)
-    for _ in range(40):
-        roots = [rng.randint(-6, 6) for _ in range(6)]
-        lead = rng.choice([1, 2, -3])
-        cs = poly_from_roots(roots, lead)
-        d = sextic_discriminant(cs)
-        assert (d == 0) == (len(set(roots)) < 6)
+    for _ in range(200):
+        factors = tuple((rng.choice([1, 2, -3]), rng.randint(-4, 4)) for _ in range(3))
+        squares = {Fraction(k, l) for l, k in factors}
+        assert (sextic_discriminant(factors) == 0) == (len(squares) < 3 or 0 in squares)
+
+
+entries = st.integers(-10**6, 10**6)
+small = st.integers(-1000, 1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(entries.filter(bool), entries), min_size=3, max_size=3),
+       st.sampled_from(["free", "k = 0", "proportional"]), st.permutations(range(3)),
+       st.tuples(small.filter(bool), small), small.filter(bool))
+def test_closed_form_discriminant_is_the_sylvester_one(factors, kind, order, base, m):
+    """-64 prod l k prod (l_i k_j - l_j k_i)^4 is Res(S, S')/lc(S), also
+    where it is 0: a k = 0, or a pair proportional to another."""
+    i, j = order[:2]
+    if kind == "k = 0":
+        factors[i] = (factors[i][0], 0)
+    elif kind == "proportional":  # (l, k) and (m l, m k), entries up to 10^6
+        l, k = base
+        factors[i], factors[j] = (l, k), (m * l, m * k)
+    C = HyperellipticCurve(1, tuple(factors))
+    assert sextic_discriminant(C.even_factors) == sextics.sextic_discriminant(C.coeffs)
+    if kind != "free":
+        assert C.disc == 0
 
 
 def test_igusa_matches_root_oracle_on_standard_example():
     roots = [0, 1, 2, 3, 4, 5]
     cs = poly_from_roots(roots)
-    got = igusa_clebsch_of_sextic(cs)
+    got = igusa(cs)
     want = oracle_invariants(roots, 1)
     assert got == want
 
@@ -146,7 +180,7 @@ def test_igusa_matches_root_oracle_randomized():
         roots = rng.sample(range(-10, 11), 6)
         lead = rng.choice([1, 2, 3, -1, -5])
         cs = poly_from_roots(roots, lead)
-        got = igusa_clebsch_of_sextic(cs)
+        got = igusa(cs)
         want = oracle_invariants(roots, lead)
         assert got == want, (roots, lead)
         done += 1
@@ -160,7 +194,7 @@ def test_igusa_matches_root_oracle_randomized():
 def test_igusa_matches_root_oracle_on_split_sextics(roots, lead):
     # split sextics are Zariski-dense, so agreement here pins the polynomial identity
     cs = poly_from_roots(roots, lead)
-    assert igusa_clebsch_of_sextic(cs) == oracle_invariants(roots, lead)
+    assert igusa(cs) == oracle_invariants(roots, lead)
 
 
 @settings(max_examples=150, deadline=None)
@@ -168,9 +202,9 @@ def test_igusa_matches_root_oracle_on_split_sextics(roots, lead):
 def test_igusa_matches_the_fraction_transvectants(cs):
     """On integer sextics the invariants summed in ints and scaled once are
     the Fraction-transvectant oracle's, and are ints."""
-    disc = sextic_discriminant(cs)
+    disc = sextics.sextic_discriminant(cs)
     assume(disc != 0)
-    got = igusa_clebsch_of_sextic(cs)
+    got = igusa_clebsch_of_sextic(cs, disc)
     assert got == transvectants.igusa_clebsch(cs, disc)
     assert all(type(x) is int for x in got)
 
@@ -178,22 +212,23 @@ def test_igusa_matches_the_fraction_transvectants(cs):
 def test_igusa_rational_roots():
     roots = [Fraction(1, 2), 0, 1, 2, 3, -1]
     cs = poly_from_roots(roots, 2)
-    got = igusa_clebsch_of_sextic(cs)
+    got = igusa(cs)
     want = oracle_invariants(roots, 2)
     assert got == want
 
 
 def test_i10_is_universal_multiple_of_disc():
+    """I10 of a curve, from the closed form, is minus the Sylvester
+    discriminant of its sextic."""
     rng = random.Random(99)
     ratios = set()
     count = 0
     while count < 100:
-        cs = [rng.randint(-8, 8) for _ in range(6)] + [rng.choice([1, 2, 3, -2])]
-        d = sextic_discriminant(cs)
-        if d == 0:
+        factors = tuple((rng.choice([1, 2, 3, -2]), rng.randint(-8, 8)) for _ in range(3))
+        C = HyperellipticCurve(rng.choice([1, -5]), factors)
+        if C.disc == 0:
             continue
-        inv = igusa_clebsch_of_sextic(cs)
-        ratios.add(inv[3] / d)
+        ratios.add(Fraction(C.igusa_clebsch()[3], sextics.sextic_discriminant(C.coeffs)))
         count += 1
     assert ratios == {Fraction(-1)}
 
@@ -201,34 +236,34 @@ def test_i10_is_universal_multiple_of_disc():
 def test_singular_sextic_rejected():
     cs = poly_from_roots([1, 1, 2, 3, 4, 5])
     with pytest.raises(SingularCurveError):
-        igusa_clebsch_of_sextic(cs)
+        igusa(cs)
 
 
 @pytest.mark.parametrize("disc_first", [False, True])
 def test_curve_computes_its_discriminant_once(monkeypatch, disc_first):
     calls = []
     real = genus2.sextic_discriminant
-    monkeypatch.setattr(genus2, "sextic_discriminant", lambda cs: calls.append(cs) or real(cs))
-    C = HyperellipticCurve(3, tuple(poly_from_roots([0, 1, 2, 3, 4, 5], 2)))
+    monkeypatch.setattr(genus2, "sextic_discriminant", lambda fs: calls.append(fs) or real(fs))
+    C = HyperellipticCurve(3, ((2, 1), (1, 4), (-1, -9)))
     if disc_first:
         C.disc
     key = C.absolute_igusa()
-    assert C.disc == real(C.coeffs)
-    assert calls == [C.coeffs]
-    assert key == absolute_invariants(igusa_clebsch_of_sextic(C.coeffs))
+    assert C.disc == real(C.even_factors) == sextics.sextic_discriminant(C.coeffs)
+    assert calls == [C.even_factors]
+    assert key == absolute_invariants(igusa(C.coeffs))
 
 
 def test_absolute_invariants_detect_rescaling():
     cs = poly_from_roots([0, 1, 2, 3, 4, 5])
-    inv = igusa_clebsch_of_sextic(cs)
+    inv = igusa(cs)
     lam = Fraction(7)
     scaled = tuple(v * lam ** w for v, w in zip(inv, (2, 4, 6, 10)))
     assert absolute_invariants(inv) == absolute_invariants(scaled)
-    other = igusa_clebsch_of_sextic(poly_from_roots([0, 1, 2, 3, 4, 6]))
+    other = igusa(poly_from_roots([0, 1, 2, 3, 4, 6]))
     assert absolute_invariants(inv) != absolute_invariants(other)
 
 
-def brute_projective_count(C: HyperellipticCurve, p: int) -> int:
+def brute_projective_count(C, p: int) -> int:
     """Oracle: direct solution count of lam y^2 = S(x) plus the right number
     of points at infinity, using explicit square sets."""
     squares = {t * t % p for t in range(p)}
@@ -249,15 +284,10 @@ def brute_projective_count(C: HyperellipticCurve, p: int) -> int:
     return n
 
 
-def even_curve(lam, factors) -> HyperellipticCurve:
-    """lam y^2 = prod (l x^2 - k) over the factors (l, k), given with them."""
-    return HyperellipticCurve(lam, genus2._even_sextic(factors), factors)
-
-
 def test_point_count_against_brute_force():
     """The count of a curve from its even factors, and the pair-sum oracle
     on any sextic, against enumeration."""
-    C = even_curve(1, ((1, 1), (1, 4), (1, 9)))  # roots +-1, +-2, +-3
+    C = HyperellipticCurve(1, ((1, 1), (1, 4), (1, 9)))  # roots +-1, +-2, +-3
     for p in [11, 13, 17, 19]:
         assert hyperelliptic_point_count(C, p) == brute_projective_count(C, p)
     rng = random.Random(55)
@@ -266,7 +296,7 @@ def test_point_count_against_brute_force():
         factors = tuple((rng.choice([1, 2, 3]), rng.randint(-5, 5)) for _ in range(3))
         cs = [rng.randint(-5, 5) for _ in range(6)] + [rng.choice([1, 2, 3])]
         lam = rng.choice([1, -1, 2, 5])
-        C, plain = even_curve(lam, factors), HyperellipticCurve(lam, tuple(cs))
+        C, plain = HyperellipticCurve(lam, factors), SexticCurve(lam, tuple(cs))
         if C.disc == 0 or plain.disc == 0:
             continue
         for p in [11, 13, 17, 23]:
@@ -277,17 +307,15 @@ def test_point_count_against_brute_force():
 
 
 def test_point_count_bounds_and_errors():
-    C = even_curve(1, ((1, 1), (1, 4), (1, 9)))
+    C = HyperellipticCurve(1, ((1, 1), (1, 4), (1, 9)))
     for p in [11, 13, 17, 19, 23]:
         n = hyperelliptic_point_count(C, p)
         assert n <= 2 * p + 2
         assert (n - p - 1) ** 2 <= 16 * p  # Hasse-Weil for genus 2
     with pytest.raises(BadPrimeError):
-        hyperelliptic_point_count(even_curve(11, C.even_factors), 11)
+        hyperelliptic_point_count(HyperellipticCurve(11, C.even_factors), 11)
     with pytest.raises(BadPrimeError):
         hyperelliptic_point_count(C, 2)
-    with pytest.raises(ValueError, match="even factors"):
-        hyperelliptic_point_count(HyperellipticCurve(C.lam, C.coeffs), 11)
 
 
 def test_point_count_translation_invariant():
@@ -300,9 +328,9 @@ def test_point_count_translation_invariant():
         lead = rng.choice([1, 2, -1])
         t = rng.randint(-4, 4)
         lam = rng.choice([1, 3, -2])
-        C1 = even_curve(lam, ((lead, lead * r1 * r1), (1, r2 * r2), (1, r3 * r3)))
+        C1 = HyperellipticCurve(lam, ((lead, lead * r1 * r1), (1, r2 * r2), (1, r3 * r3)))
         roots = [r1, -r1, r2, -r2, r3, -r3]
-        C2 = HyperellipticCurve(lam, tuple(poly_from_roots([r - t for r in roots], lead)))
+        C2 = SexticCurve(lam, tuple(poly_from_roots([r - t for r in roots], lead)))
         assert C1.coeffs == tuple(poly_from_roots(roots, lead))
         p = rng.choice([11, 13, 17, 19, 23])
         if C1.disc % p == 0 or lam % p == 0 or lead % p == 0:
@@ -346,34 +374,20 @@ def test_factored_count_matches_the_loop_and_enumeration(quad, p):
     assume(C.is_smooth)
     curve = C.curve
     assume((curve.lam * curve.disc * curve.coeffs[6]) % p)
-    assert curve.even_factors is not None
     count = hyperelliptic_point_count(curve, p)
     assert count == sextic_count(curve, p)
     if p <= 60:
         assert count == brute_projective_count(curve, p)
 
 
-def test_even_factors_must_multiply_out_to_the_sextic():
-    C = build_scholten(1, 2, 3, 4).curve
-    assert C == HyperellipticCurve(C.lam, C.coeffs)  # the factors are not compared
-    (l1, k1), (l2, k2), (l3, k3) = C.even_factors
-    for wrong in [((l1, k1), (l2, k2), (l3, k3 + 1)),
-                  ((l1, k1), (l2, k2)),
-                  ((l1, k1), (l2, k2), (l3, k3), (1, 1))]:
-        with pytest.raises(ValueError, match="do not multiply out"):
-            HyperellipticCurve(C.lam, C.coeffs, wrong)
-
-
-@pytest.mark.parametrize("factored", [True, False])
-def test_count_outside_the_hasse_weil_bound_is_refused(monkeypatch, factored):
-    """A corrupted kernel is refused by the Hasse-Weil check; a curve without
-    even factors is refused before any count, so no kernel is reached."""
+@pytest.mark.parametrize("high", [True, False])
+def test_count_outside_the_hasse_weil_bound_is_refused(monkeypatch, high):
+    """A corrupted kernel that puts the count above, or below, the
+    Hasse-Weil interval is refused."""
     C = build_scholten(1, 2, 3, 4).curve
     assert hyperelliptic_point_count(C, 101) > 0
-    monkeypatch.setattr(genus2, "_split_char_sum", lambda roots, p: p)
-    if factored:
-        with pytest.raises(CertificateError, match="Hasse-Weil"):
-            hyperelliptic_point_count(C, 101)
-    else:
-        with pytest.raises(ValueError, match="even factors"):
-            hyperelliptic_point_count(HyperellipticCurve(C.lam, C.coeffs), 101)
+    # lam c6 = 4 is a square, so the count is p + 2 + the two split sums
+    assert C.lam * C.coeffs[6] == 4
+    monkeypatch.setattr(genus2, "_split_char_sum", lambda roots, p: p if high else -p)
+    with pytest.raises(CertificateError, match="Hasse-Weil"):
+        hyperelliptic_point_count(C, 101)

@@ -2,9 +2,10 @@
 of the source lists every module-level def and non-dunder method of the
 package that no module of src/, demos/ or perfbench/ names; each one left is
 pinned here with the reason it stays.  The group-ring, product-of-curves,
-symbol-provenance, point-by-point skew and general character-sum oracles
-live in the tests (tests/group_ring.py, tests/product.py,
-tests/test_kgroup.py, tests/skew_oracles.py, tests/char_sums.py), as does
+symbol-provenance, point-by-point skew, general character-sum and
+general-sextic oracles live in the tests (tests/group_ring.py,
+tests/product.py, tests/test_kgroup.py, tests/skew_oracles.py,
+tests/char_sums.py, tests/sextics.py), as does
 the checked constructor of a model from raw coefficients (tests/models.py)."""
 
 import ast
@@ -33,7 +34,8 @@ MOVED = {
     "RelationColumn.as_dict", "FormalSum", "product_zero", "embed", "project", "product_add",
     "DecompositionResult", "product_decompose", "WeierstrassModel.from_coeffs",
     "ColumnLattice.contains", "wr_vertical", "wr_line", "_column", "ColumnLattice._sparse",
-    "_char_sum", "_chi_values",
+    "_char_sum", "_chi_values", "resultant", "_det_bareiss", "_as_sextic",
+    "HyperellipticCurve.point_count",
 }
 
 # the tracer names its targets as dotted strings ("EllipticGroup.structure")

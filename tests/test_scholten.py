@@ -6,7 +6,6 @@ import pytest
 from isogeny_forge.elliptic import curve_from_pair
 from isogeny_forge.errors import DegenerateCurveError, InsufficientPrimesError
 from isogeny_forge.exactnum import primes_up_to
-from isogeny_forge.genus2 import sextic_discriminant
 from isogeny_forge.scholten import (
     SMOOTH,
     at_most_one_supersingular,
@@ -22,19 +21,20 @@ from isogeny_forge.scholten import (
     verify_split_jacobian,
 )
 
+import sextics
+
 
 def test_smooth_build_computes_the_discriminant_once(monkeypatch):
-    # sextic_discriminant takes one resultant; the built curve keeps the value
+    # from its even factors; the built curve keeps the value
     from isogeny_forge import genus2
 
     calls = []
-    real = genus2.resultant
-    monkeypatch.setattr(genus2, "resultant", lambda f, g: calls.append(f) or real(f, g))
+    real = genus2.sextic_discriminant
+    monkeypatch.setattr(genus2, "sextic_discriminant", lambda fs: calls.append(fs) or real(fs))
     C = build_scholten(3, -7, 11, 5)
     disc = C.curve.disc
-    assert len(calls) == 1
-    monkeypatch.undo()
-    assert C.is_smooth and disc == sextic_discriminant(C.curve.coeffs)
+    assert calls == [C.curve.even_factors] == [((10, 6), (3, 11), (-7, 5))]
+    assert C.is_smooth and disc == sextics.sextic_discriminant(C.curve.coeffs)
 
 
 def test_build_1234():
@@ -68,7 +68,7 @@ def test_smooth_curves_never_have_zero_disc():
         quad = tuple(rng.randint(-5, 5) for _ in range(4))
         C = build_scholten(*quad)
         if C.is_smooth:
-            assert sextic_discriminant(C.curve.coeffs) != 0
+            assert sextics.sextic_discriminant(C.curve.coeffs) != 0
             assert C.lam != 0
 
 
@@ -164,7 +164,7 @@ def test_split_jacobian_counts_once_per_row(monkeypatch):
 
     counted, traced = [], []
     real_count, real_ap = genus2.hyperelliptic_point_count, scholten.ap_trace
-    monkeypatch.setattr(genus2, "hyperelliptic_point_count",
+    monkeypatch.setattr(scholten, "hyperelliptic_point_count",
                         lambda C, p: counted.append(p) or real_count(C, p))
     monkeypatch.setattr(scholten, "ap_trace", lambda E, p: traced.append(p) or real_ap(E, p))
     C = build_scholten(1, 2, 3, 4)

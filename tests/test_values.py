@@ -57,20 +57,13 @@ def test_a_curve_never_equals_the_tuple_of_its_fields(name):
 
 
 def test_even_factors_are_left_out_of_comparison_and_hash():
+    """Two factorizations of one sextic, reordered and with the signs of two
+    factors flipped, give one curve."""
     C = build_scholten(1, -1, 2, 3).curve
-    plain = HyperellipticCurve(C.lam, C.coeffs)
-    assert C.even_factors is not None and plain.even_factors is None
-    assert plain == C and hash(plain) == hash(C)
-
-
-def test_a_sextic_given_as_a_list_is_kept_as_a_tuple():
-    """The coefficients are stored as _as_sextic returns them, so a curve
-    built from a list hashes and equals the one built from the tuple."""
-    coeffs = (-6, 0, 11, 0, -6, 0, 1)
-    listed, plain = HyperellipticCurve(1, list(coeffs)), HyperellipticCurve(1, coeffs)
-    assert listed.coeffs == coeffs and type(listed.coeffs) is tuple
-    assert listed == plain and hash(listed) == hash(plain)
-    assert len({listed, plain}) == 1
+    (l1, k1), (l2, k2), f3 = C.even_factors
+    other = HyperellipticCurve(C.lam, (f3, (-l1, -k1), (-l2, -k2)))
+    assert other.even_factors != C.even_factors
+    assert other == C and hash(other) == hash(C)
 
 
 def test_curves_of_different_types_are_unequal():
@@ -84,9 +77,9 @@ def test_a_singular_weierstrass_model_is_refused():
 
 
 @pytest.mark.parametrize("args, message", [
-    ((0, (1,)), "lam must be nonzero"),
-    ((1, (1, 0, 0, 0, 0, 0)), "need 7 coefficients"),
-    ((1, (1, 0, 0, 0, 0, 0, 0)), "degree must be exactly 6"),
+    ((0, ((0, 1),)), "lam must be nonzero"),
+    ((1, ((0, 1), (1, 2))), "need exactly three even factors"),
+    ((1, ((1, 1), (0, 2), (1, 3))), "degree must be exactly 6"),
 ])
 def test_a_bad_hyperelliptic_curve_names_its_first_failed_condition(args, message):
     with pytest.raises(ValueError, match=message):
